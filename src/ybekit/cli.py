@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--mu", default="1")
     p.add_argument("--grid", default=None, help="comma-separated values; default 0,mu")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=1 << 25)
+    p.add_argument("--budget", type=int, default=1 << 25,
+                   help="maximum search nodes (values tried at one entry of r)")
     _add_common(p)
 
     op = groups.add_parser("op").add_subparsers(dest="cmd", required=True)
@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = cat.add_parser("verify")
     p.add_argument("--name", required=True)
     p.add_argument("--mu", action="append", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-grid", action="store_true")
     _add_common(p)
 
@@ -250,7 +249,7 @@ def _cmd_ybe_enumerate(ns) -> int:
     inst = YbeInstance(a, mu)
     values = ((0, mu) if ns.grid is None
               else tuple(_scalar(v) for v in ns.grid.split(",")))
-    for sol in grid_enumerate(inst, values, budget=ns.budget, jobs=ns.jobs):
+    for sol in grid_enumerate(inst, values, budget=ns.budget):
         print(io_json.dumps(io_json.encode_tensor2(sol)))
     return 0
 
@@ -422,7 +421,7 @@ def _cmd_catalog(ns) -> int:
         return 0
     if ns.cmd == "verify":
         mus = [(_scalar(m)) for m in (ns.mu or ["1"])]
-        rep = verify_catalog(ns.name, mus, grid=not ns.no_grid, jobs=ns.jobs)
+        rep = verify_catalog(ns.name, mus, grid=not ns.no_grid)
         return _report_exit(rep, ns.report)
     raise YbeError(f"unknown catalog command {ns.cmd}")
 

@@ -13,10 +13,9 @@ are exact: pass means the residual is identically zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .algebras import Algebra, check_algebra
-from .errors import BudgetExceeded, DimensionMismatch, NotUnital
+from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
 from .linalg import Scalar, exact, kernel_basis, mat_mul, scalar_str
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer, t2_zero
@@ -35,7 +34,8 @@ class YbeInstance:
             self.algebra.require_unit()
         rep = check_algebra(self.algebra)
         if not rep.passed:
-            raise DimensionMismatch(f"invalid algebra: {rep.witness}")
+            error = NotUnital if rep.witness["kind"] == "unit" else NotAssociative
+            raise error(f"invalid algebra: {rep.witness}")
 
 
 def unit_square(a: Algebra) -> Tensor2:
@@ -408,49 +408,103 @@ def aybp_residual(a: Algebra, r: Tensor2, s: Tensor2) -> tuple[Tensor3, Tensor3]
     return freeze(out1), freeze(out2)
 
 
-def _grid_chunk(args):
-    inst, values, n, start, stop = args
-    out = []
-    total_cells = n * n
-    for index in range(start, stop):
-        digits = []
-        x = index
-        for _ in range(total_cells):
-            digits.append(values[x % len(values)])
-            x //= len(values)
-        digits.reverse()
-        cand = Tensor2(n, tuple(tuple(digits[i * n + j] for j in range(n))
-                                for i in range(n)))
-        if nhacybe_residual(inst, cand).is_zero():
-            out.append(cand)
-    return out
+def _residual_form(inst: YbeInstance) -> list[tuple]:
+    """The residual of `nhacybe_residual` as a sparse quadratic form.
+
+    Entry r[a][b] is variable a * n + b.  Each component (p, q, s) whose
+    terms do not all cancel becomes ((p, q, s), quad, lin): quad holds
+    (coef, u, v) with u <= v for coef * x_u * x_v, lin holds (coef, u) for
+    coef * x_u.  Only the nonzero structure constants are visited.
+    """
+    a, mu = inst.algebra, inst.mu
+    n = a.dim
+    quad: dict = {}
+    lin: dict = {}
+
+    def add(table, comp, key, c):
+        terms = table.setdefault(comp, {})
+        terms[key] = terms.get(key, 0) + c
+
+    for i, row in enumerate(a.sc):
+        for k, v in enumerate(row):
+            for p, c in enumerate(v):
+                if not c:
+                    continue
+                for q in range(n):
+                    for s in range(n):
+                        # r12 r13: (e_i e_k) (x) e_q (x) e_s
+                        add(quad, (p, q, s), tuple(sorted((i * n + q, k * n + s))), c)
+                        # r13 r23: e_q (x) e_s (x) (e_i e_k)
+                        add(quad, (q, s, p), tuple(sorted((q * n + i, s * n + k))), c)
+                        # r23 r12, subtracted: e_q (x) (e_i e_k) (x) e_s
+                        add(quad, (q, p, s), tuple(sorted((q * n + k, i * n + s))), -c)
+    if mu != 0:
+        for q, uq in enumerate(a.require_unit()):
+            if uq:
+                for p in range(n):
+                    for s in range(n):
+                        add(lin, (p, q, s), p * n + s, -mu * uq)
+    form = []
+    for comp in sorted(set(quad) | set(lin)):
+        qt = tuple((c, u, v) for (u, v), c in sorted(quad.get(comp, {}).items()) if c)
+        lt = tuple((c, u) for u, c in sorted(lin.get(comp, {}).items()) if c)
+        if qt or lt:
+            form.append((comp, qt, lt))
+    return form
 
 
-def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25,
-                   jobs: int = 1) -> list[Tensor2]:
+def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Tensor2]:
     """All solutions whose coefficients lie in `values`, in lexicographic
     order of the coefficient rows.  Deterministic; not a completeness proof
-    for anything outside the grid."""
+    for anything outside the grid.
+
+    A depth-first search assigns the entries of r in row-major order, tries
+    the values in increasing order, and tests each residual component as soon
+    as its last entry is fixed.  `budget` caps the search nodes, one node
+    being one value tried at one position; BudgetExceeded is raised when the
+    search would pass it.  Every solution found is confirmed once more by
+    `nhacybe_residual`.
+    """
     n = inst.algebra.dim
     vals = sorted({exact(v) for v in values})
     if not vals:
         return []
-    total = len(vals) ** (n * n)
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
-    if jobs <= 1 or total < 256:
-        found = []
-        for combo in iproduct(vals, repeat=n * n):
-            cand = Tensor2(n, tuple(tuple(combo[i * n + j] for j in range(n))
-                                    for i in range(n)))
-            if nhacybe_residual(inst, cand).is_zero():
-                found.append(cand)
-        return found
-    from concurrent.futures import ProcessPoolExecutor
-    bounds = [total * k // jobs for k in range(jobs + 1)]
-    chunks = [(inst, vals, n, bounds[k], bounds[k + 1]) for k in range(jobs)]
+    size = n * n
+    checks = [[] for _ in range(size)]
+    for _, quad, lin in _residual_form(inst):
+        last = max([v for _, _, v in quad] + [u for _, u in lin])
+        checks[last].append((quad, lin))
+    x = [0] * size
+    tried = [0] * size  # values tried so far at each depth
     found = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_grid_chunk, chunks):
-            found.extend(part)
+    nodes = 0
+    d = 0
+    while d >= 0:
+        if d == size:
+            cand = Tensor2(n, tuple(tuple(x[i * n:(i + 1) * n]) for i in range(n)))
+            if not nhacybe_residual(inst, cand).is_zero():
+                raise RuntimeError(
+                    f"compiled residual form disagrees with nhacybe_residual at {cand.coeff}")
+            found.append(cand)
+            d -= 1
+            continue
+        if tried[d] == len(vals):
+            tried[d] = 0
+            d -= 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"search exceeds budget of {budget} nodes")
+        x[d] = vals[tried[d]]
+        tried[d] += 1
+        for quad, lin in checks[d]:
+            total = 0
+            for c, u, v in quad:
+                total += c * x[u] * x[v]
+            for c, u in lin:
+                total += c * x[u]
+            if total:
+                break
+        else:
+            d += 1
     return found

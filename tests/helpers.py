@@ -1,7 +1,17 @@
 """Shared fixtures-in-spirit for the test suite: catalog shortcuts and the
 frozen example tensors the tests reuse."""
 
-from ybekit import LinearMap, Tensor2, YbeInstance, t2_from_entries
+from itertools import product
+
+from ybekit import (
+    LinearMap,
+    Tensor2,
+    YbeInstance,
+    embed,
+    nhacybe_residual,
+    t2_from_entries,
+    triple_mul,
+)
 from ybekit.catalog import catalog_algebra
 
 ALL_NAMES = ("A1", "A2", "B1", "B2", "B3", "B4", "B5", "M2")
@@ -36,3 +46,26 @@ def basis_tensor(name, i, j):
 def zero_map(rows, cols=None, domain="primal"):
     cols = rows if cols is None else cols
     return LinearMap(tuple((0,) * cols for _ in range(rows)), domain)
+
+
+def slotwise_residual(i, t):
+    """The residual by its definition: embed r in three slot pairs and
+    multiply in the triple tensor algebra."""
+    a = i.algebra
+    t12, t13, t23 = (embed(t, s, a) for s in (12, 13, 23))
+    return (triple_mul(t12, t13, a)
+            .add(triple_mul(t13, t23, a))
+            .sub(triple_mul(t23, t12, a))
+            .sub(t13.scale(i.mu)))
+
+
+def brute_force_grid(i, values):
+    """Reference for grid_enumerate: every grid tensor in row-major
+    lexicographic order, kept when its residual vanishes."""
+    n = i.algebra.dim
+    out = []
+    for combo in product(sorted(set(values)), repeat=n * n):
+        t = Tensor2(n, tuple(tuple(combo[k * n:(k + 1) * n]) for k in range(n)))
+        if nhacybe_residual(i, t).is_zero():
+            out.append(t)
+    return out

@@ -188,3 +188,16 @@ def test_verify_catalog_b1_reports_grid_total():
     assert rep.passed
     assert rep.details["grid_nonzero"] == 73
     assert rep.details["reported_nonzero_total"] == 73
+
+
+def test_verify_catalog_m2_checks_grid_count():
+    rep = verify_catalog("M2", [1, Fraction(-1, 2)])
+    counts = [s for s in rep.details["subchecks"]
+              if s["check"].startswith("M2:grid-nonzero-count@")]
+    assert [s["passed"] for s in counts] == [True, True]
+    assert all(s["details"]["grid_nonzero"] == 51 for s in counts)
+
+
+def test_verify_catalog_b1_grid_total_follows_first_mu():
+    assert verify_catalog("B1", [2, 1]).details["grid_nonzero"] == 73
+    assert verify_catalog("B1", [0, 1]).details["grid_nonzero"] == 0

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybekit import (
     BudgetExceeded,
+    NotAssociative,
+    NotUnital,
     Tensor2,
     YbeInstance,
     aybp_residual,
@@ -21,9 +25,20 @@ from ybekit import (
     triple_mul,
     unit_square,
 )
+from ybekit.algebras import make_algebra
 from ybekit.sampling import random_tensor, random_unit_symmetrizer, rng
+from ybekit.ybe import _residual_form
 
-from helpers import ALL_NAMES, M2_SKEW, a2_solution, alg, entry, inst
+from helpers import (
+    ALL_NAMES,
+    M2_SKEW,
+    a2_solution,
+    alg,
+    brute_force_grid,
+    entry,
+    inst,
+    slotwise_residual,
+)
 
 
 def test_embed_slots():
@@ -87,12 +102,41 @@ def test_residual_matches_slotwise_definition():
             i = YbeInstance(a, mu)
             for _ in range(8):
                 t = random_tensor(r, a.dim)
-                t12, t13, t23 = (embed(t, s, a) for s in (12, 13, 23))
-                direct = (triple_mul(t12, t13, a)
-                          .add(triple_mul(t13, t23, a))
-                          .sub(triple_mul(t23, t12, a))
-                          .sub(t13.scale(mu)))
-                assert direct == nhacybe_residual(i, t)
+                assert slotwise_residual(i, t) == nhacybe_residual(i, t)
+
+
+def test_residual_form_matches_kernel():
+    # the compiled quadratic form, evaluated on r, is the residual itself
+    r = rng(36)
+    for name in ALL_NAMES:
+        a = alg(name)
+        n = a.dim
+        for mu in (0, 1, Fraction(-2, 3)):
+            i = YbeInstance(a, mu)
+            form = _residual_form(i)
+            for _ in range(4):
+                t = random_tensor(r, n)
+                x = [c for row in t.coeff for c in row]
+                got = {comp: sum(c * x[u] * x[v] for c, u, v in quad)
+                       + sum(c * x[u] for c, u in lin)
+                       for comp, quad, lin in form}
+                want = nhacybe_residual(i, t).coeff
+                for p in range(n):
+                    for q in range(n):
+                        for s in range(n):
+                            assert got.get((p, q, s), 0) == want[p][q][s]
+
+
+def test_instance_rejects_invalid_algebras():
+    # e1 e1 = e2, every other product zero except e2 e1 = e1: (e2 e1) e1 = e2
+    # but e2 (e1 e1) = e2 e2 = 0
+    with pytest.raises(NotAssociative):
+        YbeInstance(make_algebra(
+            2, [[[0, 1], [0, 0]], [[1, 0], [0, 0]]]), 0)
+    # associative (A2's products) but the declared unit is only e1
+    with pytest.raises(NotUnital):
+        YbeInstance(make_algebra(
+            2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], unit=(1, 0)), 1)
 
 
 def test_opposite_examples():
@@ -260,15 +304,60 @@ def test_grid_b1_counts():
     assert invariant == stored
 
 
-def test_grid_deterministic_and_parallel():
-    i1 = inst("A2", 1)
-    serial = grid_enumerate(i1, (1, 0))  # values get sorted internally
-    again = grid_enumerate(i1, (0, 1))
-    assert serial == again
-    ib = inst("B1", 1)
-    serial_b = grid_enumerate(ib, (0, 1))
-    parallel_b = grid_enumerate(ib, (0, 1), jobs=3)  # crosses the pool path
-    assert parallel_b == serial_b
+def _strictly_increasing(sols):
+    keys = [tuple(c for row in t.coeff for c in row) for t in sols]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_grid_deterministic():
+    # unsorted and duplicated values give the same list, in strictly
+    # increasing row-major lexicographic order
+    for name, mu in (("A2", 1), ("B1", 1), ("B2", Fraction(-1, 2))):
+        i = inst(name, mu)
+        sols = grid_enumerate(i, (0, mu))
+        assert grid_enumerate(i, (mu, 0, mu, Fraction(0), 0)) == sols
+        assert _strictly_increasing(sols)
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES if n != "M2"])
+@pytest.mark.parametrize("mu", [1, 2, Fraction(-1, 2)])
+def test_grid_matches_brute_force(name, mu):
+    i = inst(name, mu)
+    assert grid_enumerate(i, (0, mu)) == brute_force_grid(i, (0, mu))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2"])
+@pytest.mark.parametrize("mu", [0, 1, -2])
+def test_grid_matches_brute_force_wide(name, mu):
+    i = inst(name, mu)
+    assert grid_enumerate(i, (-1, 0, 1)) == brute_force_grid(i, (-1, 0, 1))
+
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["A1", "A2"]), mu=_SMALL,
+       values=st.lists(_SMALL, min_size=2, max_size=3))
+def test_grid_matches_brute_force_property(name, mu, values):
+    i = inst(name, mu)
+    assert grid_enumerate(i, values) == brute_force_grid(i, values)
+
+
+def test_grid_m2_solutions_solve_the_slotwise_equation():
+    # too slow to brute force here: check count, order and each solution
+    i = inst("M2", 1)
+    sols = grid_enumerate(i, (0, 1))
+    assert len(sols) == 52
+    assert _strictly_increasing(sols)
+    assert all(slotwise_residual(i, t).is_zero() for t in sols)
+
+
+def test_grid_m2_wide():
+    # 3^16 grid points, out of reach for exhaustive enumeration
+    sols = grid_enumerate(inst("M2", 1), (-1, 0, 1))
+    assert len(sols) == 218
+    assert _strictly_increasing(sols)
 
 
 def test_grid_budget():
