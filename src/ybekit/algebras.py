@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvalidAugmentation, NotAssociative
+from .errors import DimensionMismatch, NotAssociative
 from .linalg import (
     Mat,
     Vec,
@@ -416,10 +416,3 @@ def matrix_algebra(n: int) -> Algebra:
         unit[idx(a, a)] = 1
     names = tuple(f"E{a + 1}{b + 1}" for a in range(n) for b in range(n))
     return make_algebra(d, sc, unit=tuple(unit), basis=names)
-
-
-def validate_augmentation(a: Algebra, aug: Augmentation) -> Augmentation:
-    rep = check_augmentation(a, aug)
-    if not rep.passed:
-        raise InvalidAugmentation(str(rep.witness))
-    return aug

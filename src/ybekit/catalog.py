@@ -28,7 +28,7 @@ from .frobenius import (
     rb_bridge_suite,
     trace_form,
 )
-from .linalg import Scalar, exact, in_span, mat_scale, rank
+from .linalg import Scalar, exact, in_span, mat_add, mat_scale, rank
 from .operators import LinearMap, residual_is_zero, rota_baxter_residual
 from .report import CheckReport, combine
 from .tensors import Tensor2
@@ -223,10 +223,6 @@ _B1_Q = (
 )
 
 
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
 def _embed3(m2):
     return tuple(tuple(m2[i][j] if i < 2 and j < 2 else 0 for j in range(3))
                  for i in range(3))
@@ -240,7 +236,7 @@ def _b1_families():
         for i in range(6):
             idx = 6 * g + i
             fams.append(SolutionFamily(
-                f"r{idx + 1}", _mat_add(_B1_BASE[i], offset), sbar, form,
+                f"r{idx + 1}", mat_add(_B1_BASE[i], offset), sbar, form,
                 wsign, _B1_Q[idx]))
     return tuple(fams)
 
@@ -414,17 +410,17 @@ def _verify_structure(entry: CatalogEntry) -> list[CheckReport]:
         for g, (offset, _, _, _) in enumerate(_B1_GROUPS):
             for i in range(6):
                 fam = by_name[f"r{6 * g + i + 1}"]
-                ok = fam.coeff == _mat_add(_B1_BASE[i], offset)
+                ok = fam.coeff == mat_add(_B1_BASE[i], offset)
                 checks.append(CheckReport(
                     f"B1:offset:r{6 * g + i + 1}", ok))
     if entry.name == "A2":
         # the four displayed symmetrizer identities, plus r + flip(r) = r + partner
         for first, second in entry.sigma_pairs:
             f1, f2 = by_name[first], by_name[second]
-            lhs = _mat_add(f1.coeff, tuple(zip(*f1.coeff)))
-            ok = lhs == _mat_add(f1.coeff, f2.coeff)
+            lhs = mat_add(f1.coeff, tuple(zip(*f1.coeff)))
+            ok = lhs == mat_add(f1.coeff, f2.coeff)
             unit_part = tuple(tuple(1 for _ in range(2)) for _ in range(2))
-            ok = ok and lhs == _mat_add(f1.sbar, unit_part)
+            ok = ok and lhs == mat_add(f1.sbar, unit_part)
             checks.append(CheckReport(f"A2:symmetrizer-identity:{first}", ok))
     return checks
 

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     SingularMatrix,
 )
-from .linalg import Scalar, Vec, invert, mat_mul, scalar_str, transpose, unit_vec, vec_dot
+from .linalg import Scalar, invert, mat_mul, scalar_str, transpose, unit_vec, vec_dot
 from .operators import (
     LinearMap,
     WeightOp,
@@ -46,10 +46,6 @@ class FrobeniusStructure:
     form: BilinearForm
     phi_sharp: LinearMap
     phi: Tensor2
-
-    def lower(self) -> Vec:
-        """Matrix of the primal-to-dual map (the inverse of phi_sharp)."""
-        return transpose(self.form.gram)
 
 
 def form_is_invariant(a: Algebra, b: BilinearForm) -> bool:

@@ -2,6 +2,8 @@
 
 Rationals are serialized as "p/q" strings, or "p" when the denominator is
 one.  Dumps are byte-deterministic: keys sorted, compact separators.
+Decoding is strict: a scalar is a JSON integer or a string, never a float or
+a boolean, and every value of the wrong JSON type raises ValueError.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from .algebras import Algebra, Augmentation, BilinearForm, Bimodule, make_algebra
 from .dendriform import Dendriform
 from .errors import DimensionMismatch
-from .linalg import exact, scalar_str
+from .linalg import Scalar, exact, scalar_str
 from .operators import LinearMap
 from .tensors import Tensor2, Tensor3
 
@@ -21,8 +23,24 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def parse_scalar(s):
-    return exact(Fraction(s)) if isinstance(s, str) else exact(s)
+def _checked(x, kind, what):
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise ValueError(f"{what}: expected {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
+def parse_scalar(s) -> Scalar:
+    """An exact scalar from an integer or a string such as "p/q"."""
+    if not isinstance(s, str):
+        return _checked(s, int, "scalar")
+    try:
+        return exact(Fraction(s))
+    except ZeroDivisionError:
+        raise ValueError(f"scalar {s!r} has a zero denominator") from None
+
+
+def _dim_in(d) -> int:
+    return _checked(d["dim"], int, "dim")
 
 
 def _vec_out(v):
@@ -30,7 +48,7 @@ def _vec_out(v):
 
 
 def _vec_in(v):
-    return tuple(parse_scalar(x) for x in v)
+    return tuple(parse_scalar(x) for x in _checked(v, list, "vector"))
 
 
 def _mat_out(m):
@@ -38,7 +56,11 @@ def _mat_out(m):
 
 
 def _mat_in(m):
-    return tuple(_vec_in(r) for r in m)
+    return tuple(_vec_in(r) for r in _checked(m, list, "matrix"))
+
+
+def _table_in(t):
+    return tuple(_mat_in(m) for m in _checked(t, list, "table"))
 
 
 def encode_tensor2(t: Tensor2) -> dict:
@@ -46,7 +68,8 @@ def encode_tensor2(t: Tensor2) -> dict:
 
 
 def decode_tensor2(d: dict) -> Tensor2:
-    return Tensor2(int(d["dim"]), _mat_in(d["coeff"]))
+    d = _checked(d, dict, "tensor")
+    return Tensor2(_dim_in(d), _mat_in(d["coeff"]))
 
 
 def encode_tensor3(t: Tensor3) -> dict:
@@ -64,11 +87,13 @@ def encode_algebra(a: Algebra) -> dict:
 
 
 def decode_algebra(d: dict) -> Algebra:
-    dim = int(d["dim"])
-    sc = tuple(tuple(_vec_in(v) for v in row) for row in d["sc"])
+    d = _checked(d, dict, "algebra")
+    dim, sc = _dim_in(d), _table_in(d["sc"])
     unit = _vec_in(d["unit"]) if d.get("unit") is not None else None
-    basis = d.get("basis") or None
-    return make_algebra(dim, sc, unit=unit, basis=basis)
+    basis = d.get("basis")
+    if basis is not None:
+        basis = [_checked(b, str, "basis name") for b in _checked(basis, list, "basis")]
+    return make_algebra(dim, sc, unit=unit, basis=basis or None)
 
 
 def encode_linear_map(m: LinearMap) -> dict:
@@ -77,9 +102,10 @@ def encode_linear_map(m: LinearMap) -> dict:
 
 
 def decode_linear_map(d: dict) -> LinearMap:
+    d = _checked(d, dict, "linear map")
     matrix = _mat_in(d["matrix"])
-    if "rows" in d and (len(matrix) != int(d["rows"]) or
-                        (matrix and len(matrix[0]) != int(d["cols"]))):
+    if "rows" in d and (len(matrix) != _checked(d["rows"], int, "rows") or
+                        (matrix and len(matrix[0]) != _checked(d["cols"], int, "cols"))):
         raise DimensionMismatch("matrix shape disagrees with rows/cols")
     return LinearMap(matrix, d.get("domain", "primal"))
 
@@ -90,11 +116,11 @@ def encode_bimodule(v: Bimodule) -> dict:
 
 
 def decode_bimodule(d: dict, algebra: Algebra) -> Bimodule:
-    left = tuple(_mat_in(m) for m in d["left"])
+    d = _checked(d, dict, "bimodule")
+    left = _table_in(d["left"])
     if not left:
         raise DimensionMismatch("bimodule needs at least one action matrix")
-    return Bimodule(algebra, len(left[0]), left,
-                    tuple(_mat_in(m) for m in d["right"]))
+    return Bimodule(algebra, len(left[0]), left, _table_in(d["right"]))
 
 
 def encode_form(b: BilinearForm) -> dict:
@@ -102,7 +128,7 @@ def encode_form(b: BilinearForm) -> dict:
 
 
 def decode_form(d: dict, algebra: Algebra) -> BilinearForm:
-    return BilinearForm(algebra, _mat_in(d["gram"]))
+    return BilinearForm(algebra, _mat_in(_checked(d, dict, "form")["gram"]))
 
 
 def encode_augmentation(a: Augmentation) -> dict:
@@ -110,7 +136,7 @@ def encode_augmentation(a: Augmentation) -> dict:
 
 
 def decode_augmentation(d: dict, algebra: Algebra) -> Augmentation:
-    return Augmentation(algebra, _vec_in(d["eps"]))
+    return Augmentation(algebra, _vec_in(_checked(d, dict, "augmentation")["eps"]))
 
 
 def encode_dendriform(dd: Dendriform) -> dict:
@@ -120,7 +146,5 @@ def encode_dendriform(dd: Dendriform) -> dict:
 
 
 def decode_dendriform(d: dict) -> Dendriform:
-    return Dendriform(
-        int(d["dim"]),
-        tuple(tuple(_vec_in(v) for v in row) for row in d["prec"]),
-        tuple(tuple(_vec_in(v) for v in row) for row in d["succ"]))
+    d = _checked(d, dict, "dendriform")
+    return Dendriform(_dim_in(d), _table_in(d["prec"]), _table_in(d["succ"]))

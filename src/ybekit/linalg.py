@@ -65,10 +65,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c: Scalar, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
@@ -83,10 +79,6 @@ def is_zero_vec(u: Vec) -> bool:
 
 def mat_add(a: Mat, b: Mat) -> Mat:
     return tuple(vec_add(r, s) for r, s in zip(a, b, strict=True))
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
 
 
 def mat_scale(c: Scalar, a: Mat) -> Mat:

@@ -311,10 +311,6 @@ def rota_baxter_residual(a: Algebra, p: LinearMap, lam: Scalar) -> ResidualTable
     return tuple(out)
 
 
-def is_rota_baxter(a: Algebra, p: LinearMap, lam: Scalar) -> bool:
-    return residual_is_zero(rota_baxter_residual(a, p, lam))
-
-
 def rb_system_residual(a: Algebra, p: LinearMap, s: LinearMap
                        ) -> tuple[ResidualTable, ResidualTable]:
     """Defects of P(x)P(y) = P(P(x)y + xS(y)) and S(x)S(y) = S(P(x)y + xS(y))."""

@@ -5,9 +5,10 @@ the unused slot; the equation reads
 
     r12 r13 + r13 r23 - r23 r12 = mu * r13.
 
-Residuals are computed from the expanded quartic form, which only multiplies
-basis vectors pairwise, so a unit is needed only for the mu-term.  All checks
-are exact: pass means the residual is identically zero.
+Every residual comes from one kernel, `_slot_products`, which expands each
+product of two embedded tensors over the nonzero structure constants.  It
+only multiplies basis vectors pairwise, so a unit is needed only for the
+mu-term.  All checks are exact: pass means the residual is identically zero.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .algebras import Algebra, check_algebra
 from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
 from .linalg import Scalar, exact, kernel_basis, mat_mul, scalar_str
 from .report import CheckReport
-from .tensors import Tensor2, Tensor3, outer, t2_zero
+from .tensors import Tensor2, Tensor3, outer
 
 SLOTS = (12, 13, 23)
 
@@ -100,157 +101,94 @@ def _check_ybe_args(inst: YbeInstance, r: Tensor2):
             f"tensor dim {r.dim} != algebra dim {inst.algebra.dim}")
 
 
-def nhacybe_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
-    """r12 r13 + r13 r23 - r23 r12 - mu r13, expanded over basis products."""
+def _nonzero_sc(sc) -> list[tuple]:
+    """The nonzero structure constants as (i, k, p, c): e_i e_k has c at e_p."""
+    return [(i, k, p, c) for i, row in enumerate(sc) for k, v in enumerate(row)
+            for p, c in enumerate(v) if c]
+
+
+# For a structure constant e_i e_k = ... + c e_p, each slot product adds
+# c x[.][.] y[.][.] at one position of the n x n x n result:
+#   x12 y13: c x[i][q] y[k][s] at (p, q, s)
+#   x13 y23: c x[q][i] y[s][k] at (q, s, p)
+#   x23 y12: c x[i][q] y[s][k] at (s, p, q)
+# Per slots: whether x and y are read by columns, and the powers of n that
+# p, q and s are multiplied by in the row-major offset of that position.
+_SLOT_PRODUCTS = {
+    "12.13": (False, False, (2, 1, 0)),
+    "13.23": (True, True, (0, 2, 1)),
+    "23.12": (False, True, (1, 0, 2)),
+}
+
+
+def _sparse_rows(m) -> list[list[tuple]]:
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _slot_products(sc, terms, n: int) -> list:
+    """The sum of sign * x?? y?? over terms (sign, slots, x, y), where x and y
+    are coefficient matrices and slots is "12.13", "13.23" or "23.12".
+
+    One pass over the nonzero structure constants serves every term.  The
+    result is the flat row-major list of the n**3 coefficients.
+    """
+    prepared = []
+    for sign, slots, x, y in terms:
+        x_cols, y_cols, (ep, eq, es) = _SLOT_PRODUCTS[slots]
+        prepared.append((sign,
+                         _sparse_rows(zip(*x) if x_cols else x),
+                         _sparse_rows(zip(*y) if y_cols else y),
+                         n ** ep, n ** eq, n ** es))
+    out = [0] * n ** 3
+    for i, k, p, c in _nonzero_sc(sc):
+        for sign, xs, ys, sp, sq, ss in prepared:
+            yk = ys[k]
+            for q, xq in xs[i]:
+                base = p * sp + q * sq
+                cq = sign * c * xq
+                for s, ysk in yk:
+                    out[base + s * ss] += cq * ysk
+    return out
+
+
+def _tensor3(n: int, flat: list) -> Tensor3:
+    return Tensor3(n, tuple(tuple(tuple(flat[b:b + n]) for b in range(pb, pb + n * n, n))
+                            for pb in range(0, n ** 3, n * n)))
+
+
+def _equation_residual(inst: YbeInstance, r: Tensor2, sc) -> Tensor3:
+    """r12 r13 + r13 r23 - r23 r12 - mu r13 with products taken by sc."""
     _check_ybe_args(inst, r)
     a, mu = inst.algebra, inst.mu
     n = a.dim
     c = r.coeff
-    sc = a.sc
-    out = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        ri = c[i]
-        for k in range(n):
-            rk = c[k]
-            # (e_i e_k) (x) e_q (x) e_s from r12 r13
-            v = sc[i][k]
-            for p, vp in enumerate(v):
-                if not vp:
-                    continue
-                op = out[p]
-                for q, xq in enumerate(ri):
-                    if not xq:
-                        continue
-                    cq = vp * xq
-                    row = op[q]
-                    for s, xs in enumerate(rk):
-                        if xs:
-                            row[s] += cq * xs
-    for p in range(n):
-        rp = c[p]
-        op = out[p]
-        for q in range(n):
-            rq = c[q]
-            row = op[q]
-            for j, xj in enumerate(rp):
-                if not xj:
-                    continue
-                for l, xl in enumerate(rq):
-                    if not xl:
-                        continue
-                    cc = xj * xl
-                    # e_p (x) e_q (x) (e_j e_l) from r13 r23
-                    for s, vs in enumerate(sc[j][l]):
-                        if vs:
-                            row[s] += cc * vs
-    for p in range(n):
-        op = out[p]
-        for i in range(n):
-            ris = c[i]
-            xpl_row = c[p]
-            for l, xl in enumerate(xpl_row):
-                if not xl:
-                    continue
-                v = sc[i][l]
-                for q, vq in enumerate(v):
-                    if not vq:
-                        continue
-                    row = op[q]
-                    cc = vq * xl
-                    # e_p (x) (e_i e_l) (x) e_s from r23 r12, subtracted
-                    for s, xs in enumerate(ris):
-                        if xs:
-                            row[s] -= cc * xs
+    out = _slot_products(sc, ((1, "12.13", c, c), (1, "13.23", c, c),
+                              (-1, "23.12", c, c)), n)
     if mu != 0:
-        u = a.require_unit()
-        for p in range(n):
-            rp = c[p]
-            op = out[p]
-            for q, uq in enumerate(u):
-                if not uq:
-                    continue
-                muq = mu * uq
-                row = op[q]
-                for s, xs in enumerate(rp):
+        for q, uq in enumerate(a.require_unit()):
+            if not uq:
+                continue
+            muq = mu * uq
+            for p, row in enumerate(c):
+                base = (p * n + q) * n
+                for s, xs in enumerate(row):
                     if xs:
-                        row[s] -= muq * xs
-    return Tensor3(n, tuple(tuple(tuple(rr) for rr in pl) for pl in out))
+                        out[base + s] -= muq * xs
+    return _tensor3(n, out)
+
+
+def nhacybe_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
+    """r12 r13 + r13 r23 - r23 r12 - mu r13, expanded over basis products."""
+    return _equation_residual(inst, r, inst.algebra.sc)
 
 
 def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
-    """r13 r12 + r23 r13 - r12 r23 - mu r13 for the opposite equation."""
-    _check_ybe_args(inst, r)
-    a, mu = inst.algebra, inst.mu
-    n = a.dim
-    c = r.coeff
-    sc = a.sc
-    out = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = sc[i][j]
-            ci, cj = c[i], c[j]
-            for p, vp in enumerate(v):
-                if not vp:
-                    continue
-                op = out[p]
-                # (e_i e_j) (x) e_q (x) e_s from r13 r12
-                for q, xq in enumerate(cj):
-                    if not xq:
-                        continue
-                    cc = vp * xq
-                    row = op[q]
-                    for s, xs in enumerate(ci):
-                        if xs:
-                            row[s] += cc * xs
-    for p in range(n):
-        op = out[p]
-        cp = c[p]
-        for q in range(n):
-            cq = c[q]
-            row_out = op[q]
-            for ip, xi in enumerate(cq):
-                if not xi:
-                    continue
-                for jp, xj in enumerate(cp):
-                    if not xj:
-                        continue
-                    cc = xi * xj
-                    # e_p (x) e_q (x) (e_i' e_j') from r23 r13
-                    for s, vs in enumerate(sc[ip][jp]):
-                        if vs:
-                            row_out[s] += cc * vs
-    for p in range(n):
-        cp = c[p]
-        op = out[p]
-        for ip, xi in enumerate(cp):
-            if not xi:
-                continue
-            for j in range(n):
-                cj = c[j]
-                v = sc[ip][j]
-                for q, vq in enumerate(v):
-                    if not vq:
-                        continue
-                    cc = xi * vq
-                    row = op[q]
-                    # e_p (x) (e_i' e_j) (x) e_s from r12 r23, subtracted
-                    for s, xs in enumerate(cj):
-                        if xs:
-                            row[s] -= cc * xs
-    if mu != 0:
-        u = a.require_unit()
-        for p in range(n):
-            cp = c[p]
-            op = out[p]
-            for q, uq in enumerate(u):
-                if not uq:
-                    continue
-                muq = mu * uq
-                row = op[q]
-                for s, xs in enumerate(cp):
-                    if xs:
-                        row[s] -= muq * xs
-    return Tensor3(n, tuple(tuple(tuple(rr) for rr in pl) for pl in out))
+    """r13 r12 + r23 r13 - r12 r23 - mu r13 for the opposite equation.
+
+    This is the equation itself over the opposite algebra, whose structure
+    constants are sc[k][i] in place of sc[i][k].
+    """
+    return _equation_residual(inst, r, tuple(zip(*inst.algebra.sc)))
 
 
 def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
@@ -334,78 +272,12 @@ def aybp_residual(a: Algebra, r: Tensor2, s: Tensor2) -> tuple[Tensor3, Tensor3]
     n = a.dim
     if r.dim != n or s.dim != n:
         raise DimensionMismatch("tensor dims do not match algebra dim")
-    sc = a.sc
-
-    def prod_12_13(x, y, sign, out):
-        # x12 y13 -> (x_i y_k)(i e_k) (x) e_q (x) e_s
-        for i in range(n):
-            for k in range(n):
-                v = sc[i][k]
-                xi, yk = x[i], y[k]
-                for p, vp in enumerate(v):
-                    if not vp:
-                        continue
-                    op = out[p]
-                    for q, xq in enumerate(xi):
-                        if not xq:
-                            continue
-                        cc = sign * vp * xq
-                        row = op[q]
-                        for t, ys in enumerate(yk):
-                            if ys:
-                                row[t] += cc * ys
-
-    def prod_23_12(x, y, sign, out):
-        # x23 y12 -> e_p (x) (x_i y_l) (x) e_s
-        for p in range(n):
-            op = out[p]
-            for i in range(n):
-                xi_row = x[i]
-                yp = y[p]
-                for l, yl in enumerate(yp):
-                    if not yl:
-                        continue
-                    v = sc[i][l]
-                    for q, vq in enumerate(v):
-                        if not vq:
-                            continue
-                        cc = sign * vq * yl
-                        row = op[q]
-                        for t, xs in enumerate(xi_row):
-                            if xs:
-                                row[t] += cc * xs
-
-    def prod_13_23(x, y, sign, out):
-        # x13 y23 -> e_p (x) e_q (x) (x_j y_l)
-        for p in range(n):
-            xp = x[p]
-            op = out[p]
-            for q in range(n):
-                yq = y[q]
-                row = op[q]
-                for j, xj in enumerate(xp):
-                    if not xj:
-                        continue
-                    for l, yl in enumerate(yq):
-                        if not yl:
-                            continue
-                        cc = sign * xj * yl
-                        for t, vs in enumerate(sc[j][l]):
-                            if vs:
-                                row[t] += cc * vs
-
-    out1 = [[[0] * n for _ in range(n)] for _ in range(n)]
-    prod_12_13(r.coeff, r.coeff, 1, out1)
-    prod_23_12(r.coeff, r.coeff, -1, out1)
-    prod_13_23(r.coeff, s.coeff, 1, out1)
-
-    out2 = [[[0] * n for _ in range(n)] for _ in range(n)]
-    prod_12_13(r.coeff, s.coeff, 1, out2)
-    prod_23_12(s.coeff, s.coeff, -1, out2)
-    prod_13_23(s.coeff, s.coeff, 1, out2)
-
-    freeze = lambda o: Tensor3(n, tuple(tuple(tuple(rr) for rr in pl) for pl in o))
-    return freeze(out1), freeze(out2)
+    x, y = r.coeff, s.coeff
+    first = _slot_products(a.sc, ((1, "12.13", x, x), (-1, "23.12", x, x),
+                                  (1, "13.23", x, y)), n)
+    second = _slot_products(a.sc, ((1, "12.13", x, y), (-1, "23.12", y, y),
+                                   (1, "13.23", y, y)), n)
+    return _tensor3(n, first), _tensor3(n, second)
 
 
 def _residual_form(inst: YbeInstance) -> list[tuple]:
@@ -425,19 +297,15 @@ def _residual_form(inst: YbeInstance) -> list[tuple]:
         terms = table.setdefault(comp, {})
         terms[key] = terms.get(key, 0) + c
 
-    for i, row in enumerate(a.sc):
-        for k, v in enumerate(row):
-            for p, c in enumerate(v):
-                if not c:
-                    continue
-                for q in range(n):
-                    for s in range(n):
-                        # r12 r13: (e_i e_k) (x) e_q (x) e_s
-                        add(quad, (p, q, s), tuple(sorted((i * n + q, k * n + s))), c)
-                        # r13 r23: e_q (x) e_s (x) (e_i e_k)
-                        add(quad, (q, s, p), tuple(sorted((q * n + i, s * n + k))), c)
-                        # r23 r12, subtracted: e_q (x) (e_i e_k) (x) e_s
-                        add(quad, (q, p, s), tuple(sorted((q * n + k, i * n + s))), -c)
+    for i, k, p, c in _nonzero_sc(a.sc):
+        for q in range(n):
+            for s in range(n):
+                # r12 r13: (e_i e_k) (x) e_q (x) e_s
+                add(quad, (p, q, s), tuple(sorted((i * n + q, k * n + s))), c)
+                # r13 r23: e_q (x) e_s (x) (e_i e_k)
+                add(quad, (q, s, p), tuple(sorted((q * n + i, s * n + k))), c)
+                # r23 r12, subtracted: e_q (x) (e_i e_k) (x) e_s
+                add(quad, (q, p, s), tuple(sorted((q * n + k, i * n + s))), -c)
     if mu != 0:
         for q, uq in enumerate(a.require_unit()):
             if uq:

@@ -48,15 +48,38 @@ def zero_map(rows, cols=None, domain="primal"):
     return LinearMap(tuple((0,) * cols for _ in range(rows)), domain)
 
 
+def _embedded(t, a):
+    return tuple(embed(t, s, a) for s in (12, 13, 23))
+
+
 def slotwise_residual(i, t):
     """The residual by its definition: embed r in three slot pairs and
     multiply in the triple tensor algebra."""
     a = i.algebra
-    t12, t13, t23 = (embed(t, s, a) for s in (12, 13, 23))
+    t12, t13, t23 = _embedded(t, a)
     return (triple_mul(t12, t13, a)
             .add(triple_mul(t13, t23, a))
             .sub(triple_mul(t23, t12, a))
             .sub(t13.scale(i.mu)))
+
+
+def slotwise_opposite_residual(i, t):
+    """r13 r12 + r23 r13 - r12 r23 - mu r13 by its definition."""
+    a = i.algebra
+    t12, t13, t23 = _embedded(t, a)
+    return (triple_mul(t13, t12, a)
+            .add(triple_mul(t23, t13, a))
+            .sub(triple_mul(t12, t23, a))
+            .sub(t13.scale(i.mu)))
+
+
+def slotwise_pair_residuals(a, r, s):
+    """r12 r13 - r23 r12 + r13 s23 and r12 s13 - s23 s12 + s13 s23 by
+    their definitions."""
+    r12, r13, r23 = _embedded(r, a)
+    s12, s13, s23 = _embedded(s, a)
+    return (triple_mul(r12, r13, a).sub(triple_mul(r23, r12, a)).add(triple_mul(r13, s23, a)),
+            triple_mul(r12, s13, a).sub(triple_mul(s23, s12, a)).add(triple_mul(s13, s23, a)))
 
 
 def brute_force_grid(i, values):

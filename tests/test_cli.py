@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ybekit
 from ybekit import io_json
 from ybekit.algebras import make_algebra
 from ybekit.cli import run
@@ -47,3 +55,69 @@ def test_enumerate_budget_exceeded(tmp_path, capsys):
     argv = ["ybe", "enumerate", "--algebra", path, "--grid", "0,1,2", "--budget", "100"]
     assert run(argv) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r_text, message", [
+    ('{"dim": 2, "coeff": [[0.1, 0], [0, 0]]}', "got float"),
+    ('{"dim": 2, "coeff": [[true, 0], [0, 0]]}', "got bool"),
+    ('{"dim": 2, "coeff": null}', "got NoneType"),
+    ('[[1, 0], [0, 0]]', "got list"),
+    ('{"dim": 2.0, "coeff": [[0, 0], [0, 0]]}', "got float"),
+    ('{"dim": 2, "coeff": [["1/0", 0], [0, 0]]}', "zero denominator"),
+    ("[" * 100000, "nested too deeply"),
+], ids=["float", "bool", "null-coeff", "top-level-list", "float-dim", "zero-denominator",
+        "deep-nesting"])
+def test_check_rejects_malformed_tensor(tmp_path, capsys, r_text, message):
+    a_path = _write(tmp_path, "a2.json", io_json.encode_algebra(alg("A2")))
+    r_path = tmp_path / "r.json"
+    r_path.write_text(r_text, encoding="utf-8")
+    assert run(["ybe", "check", "--algebra", a_path, "--r", str(r_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_zero_denominator_mu_is_an_input_error(tmp_path, capsys):
+    a_path = _write(tmp_path, "a2.json", io_json.encode_algebra(alg("A2")))
+    r_path = _write(tmp_path, "r.json", {"dim": 2, "coeff": [[0, 0], [0, 0]]})
+    assert run(["ybe", "check", "--algebra", a_path, "--r", r_path, "--mu", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20)
+_ENTRY = _JSON | st.integers(-2, 2) | st.sampled_from(["1/2", "-3", "x", "1/0"])
+_TENSORISH = st.fixed_dictionaries({
+    "dim": _JSON | st.integers(0, 3),
+    "coeff": _JSON | st.lists(st.lists(_ENTRY, max_size=3), max_size=3),
+})
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    a_path = d / "a2.json"
+    a_path.write_text(json.dumps(io_json.encode_algebra(alg("A2"))), encoding="utf-8")
+    return str(a_path), d / "r.json"
+
+
+@settings(max_examples=80, deadline=None)
+@given(value=_JSON | _TENSORISH)
+def test_check_never_raises_on_arbitrary_json(fuzz_paths, value):
+    a_path, r_path = fuzz_paths
+    r_path.write_text(json.dumps(value), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["ybe", "check", "--algebra", a_path, "--r", str(r_path)])
+    assert code in (0, 1, 2)
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(ybekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ybekit.cli", "catalog", "list"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["names"]

@@ -37,6 +37,8 @@ from helpers import (
     brute_force_grid,
     entry,
     inst,
+    slotwise_opposite_residual,
+    slotwise_pair_residuals,
     slotwise_residual,
 )
 
@@ -103,6 +105,21 @@ def test_residual_matches_slotwise_definition():
             for _ in range(8):
                 t = random_tensor(r, a.dim)
                 assert slotwise_residual(i, t) == nhacybe_residual(i, t)
+
+
+@pytest.mark.parametrize("mu", [0, 1, Fraction(-1, 2)])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_opposite_and_pair_residuals_match_slotwise_definitions(name, mu):
+    # the pair is checked on a random s and on s = r - mu (1 (x) 1)
+    r = rng(37)
+    i = inst(name, mu)
+    a = i.algebra
+    for _ in range(3):
+        t = random_tensor(r, a.dim)
+        assert opposite_residual(i, t).coeff == slotwise_opposite_residual(i, t).coeff
+        for s in (random_tensor(r, a.dim), t.sub(unit_square(a).scale(mu))):
+            got, want = aybp_residual(a, t, s), slotwise_pair_residuals(a, t, s)
+            assert [e.coeff for e in got] == [e.coeff for e in want]
 
 
 def test_residual_form_matches_kernel():
