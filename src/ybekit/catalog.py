@@ -18,17 +18,15 @@ from .algebras import (
     BilinearForm,
     algebra_from_products,
     find_augmentations,
-    matrix_algebra,
 )
 from .errors import UnknownName, ZeroMu
 from .frobenius import (
-    FrobeniusStructure,
     frobenius_from_form,
     induced_operators,
     rb_bridge_suite,
     trace_form,
 )
-from .linalg import Scalar, exact, in_span, mat_add, mat_scale, rank
+from .linalg import Scalar, exact, in_span, mat_add, mat_scale
 from .operators import LinearMap, residual_is_zero, rota_baxter_residual
 from .report import CheckReport, combine
 from .tensors import Tensor2

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import io_json
-from .algebras import Augmentation, adjoint_bimodule, check_algebra
+from .algebras import adjoint_bimodule, check_algebra
 from .catalog import catalog_algebra, catalog_names, catalog_solutions, verify_catalog
 from .constructions import (
     extract_rb_pair,
@@ -34,7 +34,6 @@ from .operators import (
     rota_baxter_residual,
 )
 from .report import CheckReport
-from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
     extended_symmetrizer,

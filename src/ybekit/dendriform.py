@@ -17,7 +17,6 @@ from .errors import DimensionMismatch, NotDendriform, UndefinedProduct
 from .linalg import Scalar, Vec, unit_vec, vec
 from .operators import LinearMap, apply_table
 from .report import CheckReport
-from .tensors import Tensor2
 
 
 @dataclass(frozen=True)

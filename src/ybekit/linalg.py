@@ -1,14 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
 Scalars are Python ints or fractions.Fraction.  Integer inputs stay integers
-through +,-,* so the hot paths avoid Fraction overhead; division only happens
-inside the elimination routines, which promote to Fraction first.  Nothing
-here ever rounds.
+through +,-,* so the hot paths avoid Fraction overhead.  The one elimination
+routine, `_echelon`, works on integer rows only: each input row is cleared of
+denominators first, and elimination cross-multiplies instead of dividing.
+A division happens only when `rank`, `kernel_basis`, `invert` or `in_span`
+forms an entry of its result.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -113,23 +116,54 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+def _integer_rows(m) -> list[list[int]]:
+    """The rows of m, each scaled by the lcm of its denominators and divided
+    by the gcd of its entries: primitive integer rows with the same span."""
+    out = []
+    for row in m:
+        dens = [x.denominator for x in row if type(x) is not int]
+        d = lcm(*dens)
+        out.append(_primitive([int(x * d) for x in row] if dens else list(row)))
+    return out
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
+    """row minus a multiple of prow that clears column c (prow[c] != 0),
+    scaled by an integer to stay integral and then made primitive."""
+    p, a = prow[c], row[c]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    return _primitive([p * x - a * y for x, y in zip(row, prow)])
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of integer rows in place, without division.
+
+    Returns (rows, pivots).  Row i < len(pivots) has its pivot in column
+    pivots[i] and a zero in every other pivot column; the rows after those
+    are zero.  Every row is kept primitive (its entries have gcd 1), so
+    cross-multiplying does not make the entries grow step after step.  Row i
+    divided by rows[i][pivots[i]] is row i of the reduced row echelon form
+    over the rationals.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r and rows[i][c]:
+                rows[i] = _cancel(rows[i], prow, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -137,11 +171,13 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows, pivots
 
 
+def _ratio(a: int, b: int) -> Scalar:
+    q, rem = divmod(a, b)
+    return Fraction(a, b) if rem else q
+
+
 def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    _, pivots = _echelon([[Fraction(x) for x in row] for row in m])
-    return len(pivots)
+    return len(_echelon(_integer_rows(m))[1])
 
 
 def kernel_basis(m: Mat) -> list[Vec]:
@@ -149,14 +185,15 @@ def kernel_basis(m: Mat) -> list[Vec]:
     if not m:
         return []
     ncols = len(m[0])
-    rows, pivots = _echelon([[Fraction(x) for x in row] for row in m])
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots = _echelon(_integer_rows(m))
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v: list[Scalar] = [0] * ncols
         v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = exact(-rows[ri][fc])
+        for row, pc in zip(rows, pivots):
+            v[pc] = _ratio(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -166,17 +203,20 @@ def invert(m: Mat) -> Mat:
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatch("invert requires a square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    rows, pivots = _echelon(aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    rows, pivots = _echelon(_integer_rows(aug))
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return tuple(tuple(exact(x) for x in row[n:]) for row in rows)
+    return tuple(tuple(_ratio(x, row[i]) for x in row[n:]) for i, row in enumerate(rows))
 
 
 def in_span(basis: list[Vec], v: Vec) -> bool:
     """Whether v lies in the span of the given vectors."""
     if is_zero_vec(v):
         return True
-    stacked = list(basis)
-    return rank(tuple(stacked)) == rank(tuple(stacked + [v]))
+    rows, pivots = _echelon(_integer_rows(basis))
+    (w,) = _integer_rows((v,))
+    for prow, pc in zip(rows, pivots):
+        if w[pc]:
+            w = _cancel(w, prow, pc)
+    return not any(w)

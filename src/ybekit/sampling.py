@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import HALF, Scalar
+from .linalg import HALF
 from .tensors import Tensor2
 from .ybe import YbeInstance, unit_square
 

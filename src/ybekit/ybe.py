@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebras import Algebra, check_algebra
 from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
-from .linalg import Scalar, exact, kernel_basis, mat_mul, scalar_str
+from .linalg import Scalar, exact, identity, kernel_basis, mat_mul, scalar_str
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer
 
@@ -230,31 +230,38 @@ def is_invariant(a: Algebra, s: Tensor2) -> CheckReport:
 
 
 def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
-    """Basis of the space of symmetric invariant tensors, by a linear solve."""
+    """Basis of the space of symmetric invariant tensors, by a linear solve.
+
+    The unknowns are the n(n+1)/2 entries s[i][j] with i >= j, in row-major
+    order.  Every free column of the reduced system is then such an entry,
+    exactly as in the n*n system with antisymmetry rows, so the basis is the
+    same as that system's.  Zero and repeated equations are dropped.
+    """
     n = a.dim
-    rows = []
+    unknown = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            unknown[i][j] = unknown[j][i] = i * (i + 1) // 2 + j
+    m = n * (n + 1) // 2
+    rows: dict[tuple, None] = {}
     for k in range(n):
         ek = tuple(1 if i == k else 0 for i in range(n))
         lk = a.left_matrix(ek)
         rk = a.right_matrix(ek)
         for p in range(n):
             for q in range(n):
-                row = [0] * (n * n)
+                row = [0] * m
                 for j in range(n):
                     if lk[q][j]:
-                        row[p * n + j] += lk[q][j]
+                        row[unknown[p][j]] += lk[q][j]
                 for i in range(n):
                     if rk[p][i]:
-                        row[i * n + q] -= rk[p][i]
-                rows.append(tuple(row))
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [0] * (n * n)
-            row[i * n + j] = 1
-            row[j * n + i] = -1
-            rows.append(tuple(row))
-    basis = kernel_basis(tuple(rows))
-    return [Tensor2(n, tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
+                        row[unknown[i][q]] -= rk[p][i]
+                if any(row):
+                    rows[tuple(row)] = None
+    # A zero-product algebra gives no equations: every symmetric tensor.
+    basis = kernel_basis(tuple(rows)) if rows else identity(m)
+    return [Tensor2(n, tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n)))
             for v in basis]
 
 

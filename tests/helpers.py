@@ -1,17 +1,21 @@
 """Shared fixtures-in-spirit for the test suite: catalog shortcuts and the
 frozen example tensors the tests reuse."""
 
+from fractions import Fraction
 from itertools import product
 
 from ybekit import (
     LinearMap,
+    SingularMatrix,
     Tensor2,
     YbeInstance,
     embed,
+    exact,
     nhacybe_residual,
     t2_from_entries,
     triple_mul,
 )
+from ybekit.algebras import make_algebra
 from ybekit.catalog import catalog_algebra
 
 ALL_NAMES = ("A1", "A2", "B1", "B2", "B3", "B4", "B5", "M2")
@@ -92,3 +96,117 @@ def brute_force_grid(i, values):
         if nhacybe_residual(i, t).is_zero():
             out.append(t)
     return out
+
+
+# Reference linear algebra: Fraction Gauss-Jordan elimination, as linalg did
+# it before elimination moved to integer rows.
+
+def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def reference_rank(m):
+    if not m:
+        return 0
+    _, pivots = _echelon([[Fraction(x) for x in row] for row in m])
+    return len(pivots)
+
+
+def reference_kernel_basis(m):
+    if not m:
+        return []
+    ncols = len(m[0])
+    rows, pivots = _echelon([[Fraction(x) for x in row] for row in m])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * ncols
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = exact(-rows[ri][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_invert(m):
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    rows, pivots = _echelon(aug)
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is not invertible")
+    return tuple(tuple(exact(x) for x in row[n:]) for row in rows)
+
+
+def reference_in_span(basis, v):
+    if all(x == 0 for x in v):
+        return True
+    return reference_rank(tuple(basis)) == reference_rank(tuple(basis) + (tuple(v),))
+
+
+def typed(vectors):
+    """Entries with their types, so that 1 and Fraction(1) differ."""
+    return [tuple((type(x), x) for x in v) for v in vectors]
+
+
+def rebased(a, p):
+    """The algebra a on the basis f_i = sum_x p[i][x] e_x."""
+    n = a.dim
+    q = reference_invert(p)
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, x, y, c in product(range(n), repeat=5):
+        coef = p[i][x] * p[j][y] * a.sc[x][y][c]
+        if coef:
+            for d in range(n):
+                sc[i][j][d] += coef * q[c][d]
+    unit = None if a.unit is None else [sum(a.unit[c] * q[c][d] for c in range(n))
+                                        for d in range(n)]
+    return make_algebra(n, sc, unit=unit)
+
+
+def reference_invariant_symmetric_basis(a):
+    """The n^3 x n^2 invariance system plus the n(n-1)/2 antisymmetry rows,
+    solved by the reference elimination."""
+    n = a.dim
+    rows = []
+    for k in range(n):
+        ek = tuple(1 if i == k else 0 for i in range(n))
+        lk = a.left_matrix(ek)
+        rk = a.right_matrix(ek)
+        for p in range(n):
+            for q in range(n):
+                row = [0] * (n * n)
+                for j in range(n):
+                    row[p * n + j] += lk[q][j]
+                for i in range(n):
+                    row[i * n + q] -= rk[p][i]
+                rows.append(tuple(row))
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = [0] * (n * n)
+            row[i * n + j] = 1
+            row[j * n + i] = -1
+            rows.append(tuple(row))
+    basis = reference_kernel_basis(tuple(rows))
+    return [Tensor2(n, tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
+            for v in basis]

@@ -7,6 +7,14 @@ from hypothesis import strategies as st
 from ybekit import SingularMatrix, exact, identity, invert, kernel_basis, scalar_str
 from ybekit.linalg import in_span, is_zero_vec, mat_mul, mat_vec, rank, transpose
 
+from helpers import (
+    reference_in_span,
+    reference_invert,
+    reference_kernel_basis,
+    reference_rank,
+    typed,
+)
+
 
 def test_exact_collapses_integral_fractions():
     assert exact(Fraction(4, 2)) == 2
@@ -50,13 +58,30 @@ def test_invert_singular_raises():
 
 
 small = st.integers(min_value=-4, max_value=4)
+# Fractions include integral ones such as Fraction(2, 1), which are not ints.
+scalars = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
 @st.composite
 def matrices(draw, max_dim=4):
     rows = draw(st.integers(min_value=1, max_value=max_dim))
     cols = draw(st.integers(min_value=1, max_value=max_dim))
-    return tuple(tuple(draw(small) for _ in range(cols)) for _ in range(rows))
+    return tuple(tuple(draw(scalars) for _ in range(cols)) for _ in range(rows))
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Wide, tall and square matrices with zero rows, repeated rows and
+    multiples of rows inserted."""
+    m = list(draw(matrices(max_dim=7)))
+    cols = len(m[0])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(("zero", "repeat", "multiple")))
+        row = m[draw(st.integers(min_value=0, max_value=len(m) - 1))]
+        extra = {"zero": (0,) * cols, "repeat": row,
+                 "multiple": tuple(draw(scalars) * x for x in row)}[kind]
+        m.insert(draw(st.integers(min_value=0, max_value=len(m))), extra)
+    return tuple(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,6 +108,38 @@ def test_invert_left_inverse(n, data):
         return
     assert mat_mul(inv, m) == identity(n)
     assert mat_mul(m, inv) == identity(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_matrices())
+def test_elimination_matches_fraction_reference(m):
+    assert rank(m) == reference_rank(m)
+    assert typed(kernel_basis(m)) == typed(reference_kernel_basis(m))
+    assert in_span(list(m[1:]), m[0]) == reference_in_span(m[1:], m[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.booleans(), st.data())
+def test_invert_matches_fraction_reference(n, repeat, data):
+    m = [tuple(data.draw(scalars) for _ in range(n)) for _ in range(n)]
+    if repeat and n > 1:
+        m[data.draw(st.integers(0, n - 1))] = m[data.draw(st.integers(0, n - 1))]
+    m = tuple(m)
+    try:
+        expected = reference_invert(m)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            invert(m)
+        return
+    assert typed(invert(m)) == typed(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_dim=5), st.data())
+def test_combinations_lie_in_span(m, data):
+    coeffs = [data.draw(scalars) for _ in m]
+    v = tuple(sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(len(m[0])))
+    assert in_span(list(m), v)
 
 
 def test_in_span():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ybekit.ybe as ybe_module
 from ybekit import (
     BudgetExceeded,
     NotAssociative,
@@ -25,7 +26,7 @@ from ybekit import (
     triple_mul,
     unit_square,
 )
-from ybekit.algebras import make_algebra
+from ybekit.algebras import make_algebra, matrix_algebra
 from ybekit.sampling import random_tensor, random_unit_symmetrizer, rng
 from ybekit.ybe import _residual_form
 
@@ -37,9 +38,12 @@ from helpers import (
     brute_force_grid,
     entry,
     inst,
+    rebased,
+    reference_invariant_symmetric_basis,
     slotwise_opposite_residual,
     slotwise_pair_residuals,
     slotwise_residual,
+    typed,
 )
 
 
@@ -234,6 +238,43 @@ def test_invariant_space_spans():
     diag = lambda k: tuple(tuple(int(i == j == k) for j in range(3))
                            for i in range(3))
     assert b1 == [diag(0), diag(1), diag(2)]
+
+
+def _zero_algebra(n):
+    return make_algebra(n, [[[0] * n for _ in range(n)] for _ in range(n)])
+
+
+INVARIANT_CASES = [(name, lambda name=name: alg(name)) for name in ALL_NAMES] + [
+    ("M3", lambda: matrix_algebra(3)),
+    ("Z1", lambda: _zero_algebra(1)),
+    ("Z2", lambda: _zero_algebra(2)),
+    ("Z3", lambda: _zero_algebra(3)),
+    ("A2-rational", lambda: rebased(alg("A2"), ((Fraction(1, 2), 1), (Fraction(2, 3), 1)))),
+    ("B1-rational", lambda: rebased(alg("B1"), (
+        (1, Fraction(1, 2), 0), (Fraction(-1, 3), 1, 0), (Fraction(1, 4), 2, Fraction(3, 5))))),
+]
+
+
+@pytest.mark.parametrize("name, build", INVARIANT_CASES, ids=[c[0] for c in INVARIANT_CASES])
+def test_invariant_basis_matches_full_system(name, build):
+    a = build()
+    got = [t.coeff for t in invariant_symmetric_basis(a)]
+    expected = [t.coeff for t in reference_invariant_symmetric_basis(a)]
+    assert [typed(c) for c in got] == [typed(c) for c in expected]
+    if name.startswith("Z"):
+        assert len(got) == a.dim * (a.dim + 1) // 2
+
+
+def test_invariant_system_has_one_unknown_per_pair(monkeypatch):
+    # M3 has dimension 9: the full system is 9^3 invariance rows plus 36
+    # antisymmetry rows in 81 unknowns, 765 x 81.  One unknown per pair
+    # {i, j} and no zero or repeated rows leave 132 x 45.
+    shapes = []
+    kernel = ybe_module.kernel_basis
+    monkeypatch.setattr(ybe_module, "kernel_basis",
+                        lambda m: shapes.append((len(m), len(m[0]))) or kernel(m))
+    assert len(invariant_symmetric_basis(matrix_algebra(3))) == 1
+    assert shapes == [(132, 45)]
 
 
 def test_m2_invariant_space_is_the_trace_tensor():
