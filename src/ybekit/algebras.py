@@ -24,7 +24,6 @@ from .linalg import (
     is_zero_vec,
     mat,
     mat_mul,
-    mat_vec,
     scalar_str,
     transpose,
     unit_vec,
@@ -72,28 +71,16 @@ class Algebra:
 
     def left_matrix(self, x: Vec) -> Mat:
         """Matrix of y -> x y."""
-        return _action_matrix(self._left, x)
+        return _action_matrix(self._left, x, self.dim)
 
     def right_matrix(self, x: Vec) -> Mat:
         """Matrix of y -> y x."""
-        return _action_matrix(self._right, x)
+        return _action_matrix(self._right, x, self.dim)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match algebra dim")
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.sc[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for p, s in enumerate(row[j]):
-                    if s:
-                        out[p] += c * s
-        return tuple(out)
+        return apply_table(self.sc, x, y)
 
     def require_unit(self) -> Vec:
         from .errors import NotUnital
@@ -102,17 +89,35 @@ class Algebra:
         return self.unit
 
 
-def _action_matrix(table, x: Vec) -> Mat:
-    n = len(x)
-    out = [[0] * n for _ in range(n)]
+def apply_table(table, x: Vec, y: Vec) -> Vec:
+    """The bilinear product sum x_i y_j table[i][j] of two coordinate vectors."""
+    m = len(x)
+    out = [0] * len(table[0][0]) if m else []
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = xi * yj
+            for p, t in enumerate(row[j]):
+                if t:
+                    out[p] += c * t
+    return tuple(out)
+
+
+def _action_matrix(table, x: Vec, m: int) -> Mat:
+    """The m x m matrix sum x_k table[k]."""
+    out = [[0] * m for _ in range(m)]
     for k, c in enumerate(x):
         if not c:
             continue
-        m = table[k]
-        for p in range(n):
-            row = m[p]
+        mx = table[k]
+        for p in range(m):
+            row = mx[p]
             orow = out[p]
-            for q in range(n):
+            for q in range(m):
                 if row[q]:
                     orow[q] += c * row[q]
     return tuple(tuple(r) for r in out)
@@ -175,31 +180,10 @@ class Bimodule:
         object.__setattr__(self, "right", right)
 
     def lmat(self, x: Vec) -> Mat:
-        return _action_matrix_rect(self.left, x, self.dim)
+        return _action_matrix(self.left, x, self.dim)
 
     def rmat(self, x: Vec) -> Mat:
-        return _action_matrix_rect(self.right, x, self.dim)
-
-    def act_left(self, x: Vec, v: Vec) -> Vec:
-        return mat_vec(self.lmat(x), v)
-
-    def act_right(self, v: Vec, x: Vec) -> Vec:
-        return mat_vec(self.rmat(x), v)
-
-
-def _action_matrix_rect(table, x: Vec, m: int) -> Mat:
-    out = [[0] * m for _ in range(m)]
-    for k, c in enumerate(x):
-        if not c:
-            continue
-        mx = table[k]
-        for p in range(m):
-            row = mx[p]
-            orow = out[p]
-            for q in range(m):
-                if row[q]:
-                    orow[q] += c * row[q]
-    return tuple(tuple(r) for r in out)
+        return _action_matrix(self.right, x, self.dim)
 
 
 def adjoint_bimodule(a: Algebra) -> Bimodule:

@@ -293,20 +293,30 @@ def _cmd_op_suite(ns) -> int:
     return 0 if ok else 1
 
 
-def _cmd_frobenius(ns) -> int:
+def _frobenius(ns):
     a = io_json.decode_algebra(_load(ns.algebra))
-    frob = frobenius_from_form(a, io_json.decode_form(_load(ns.gram), a))
-    if ns.cmd == "build":
-        _emit({"phi": io_json.encode_tensor2(frob.phi),
-               "phi_sharp": io_json.encode_linear_map(frob.phi_sharp)},
-              ns.report)
-        return 0
+    return frobenius_from_form(a, io_json.decode_form(_load(ns.gram), a))
+
+
+def _cmd_frobenius_build(ns) -> int:
+    frob = _frobenius(ns)
+    _emit({"phi": io_json.encode_tensor2(frob.phi),
+           "phi_sharp": io_json.encode_linear_map(frob.phi_sharp)},
+          ns.report)
+    return 0
+
+
+def _cmd_frobenius_pr(ns) -> int:
+    frob = _frobenius(ns)
+    p, pt = induced_operators(frob, io_json.decode_tensor2(_load(ns.r)))
+    _emit({"p": io_json.encode_linear_map(p),
+           "pt": io_json.encode_linear_map(pt)}, ns.report)
+    return 0
+
+
+def _cmd_frobenius_bridge(ns) -> int:
+    frob = _frobenius(ns)
     r = io_json.decode_tensor2(_load(ns.r))
-    if ns.cmd == "pr":
-        p, pt = induced_operators(frob, r)
-        _emit({"p": io_json.encode_linear_map(p),
-               "pt": io_json.encode_linear_map(pt)}, ns.report)
-        return 0
     rep = rb_bridge_suite(frob, _scalar(ns.mu), _scalar(ns.lam), r)
     return _report_exit(rep, ns.report)
 
@@ -316,68 +326,78 @@ def _provenance(kind, ns, fields):
             "inputs": {k: getattr(ns, k) for k in fields}}
 
 
-def _cmd_construct(ns) -> int:
+def _cmd_construct_from_rb(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
-    if ns.cmd == "from-rb":
-        s = io_json.decode_tensor2(_load(ns.s))
-        p = io_json.decode_linear_map(_load(ns.p))
-        r1, r2 = solutions_from_rb(a, s, p, _scalar(ns.lam), _scalar(ns.mu))
-        _emit({"r1": io_json.encode_tensor2(r1),
-               "r2": io_json.encode_tensor2(r2),
-               "provenance": _provenance("from-rb", ns, ("lam", "mu"))},
-              ns.report)
-        return 0
-    if ns.cmd == "lift":
-        module = io_json.decode_bimodule(_load(ns.module), a)
-        alpha = io_json.decode_linear_map(_load(ns.alpha))
-        lam = _scalar(ns.lam)
-        lifted = lift_o_operator(a, module, alpha, lam)
-        table = rota_baxter_residual(lifted.algebra, lifted.hat, lam)
-        _emit({"algebra": io_json.encode_algebra(lifted.algebra),
-               "hat": io_json.encode_linear_map(lifted.hat),
-               "rota_baxter": residual_is_zero(table),
-               "provenance": _provenance("lift", ns, ("lam",))}, ns.report)
-        return 0
-    if ns.cmd == "semidirect":
-        module = io_json.decode_bimodule(_load(ns.module), a)
-        alpha = io_json.decode_linear_map(_load(ns.alpha))
-        beta = io_json.decode_linear_map(_load(ns.beta))
-        out = semidirect_solutions(a, module, alpha, beta,
-                                   _scalar(ns.lam), _scalar(ns.mu))
-        inst = YbeInstance(out.algebra, out.mu)
-        _emit({"algebra": io_json.encode_algebra(out.algebra),
-               "r1": io_json.encode_tensor2(out.r1),
-               "r2": io_json.encode_tensor2(out.r2),
-               "s": io_json.encode_tensor2(out.s),
-               "verified": nhacybe_residual(inst, out.r1).is_zero()
-               and nhacybe_residual(inst, out.r2).is_zero(),
-               "provenance": _provenance("semidirect", ns, ("lam", "mu"))},
-              ns.report)
-        return 0
-    if ns.cmd == "unitize-extract":
-        aug = io_json.decode_augmentation(_load(ns.eps), a)
-        r = io_json.decode_tensor2(_load(ns.r))
-        mu = _scalar(ns.mu)
-        p, pp = extract_rb_pair(a, aug, r)
-        inst = YbeInstance(a, mu)
-        branch = extracted_weight_branch(inst, aug, r)
-        out = {"p": io_json.encode_linear_map(p),
-               "p_prime": io_json.encode_linear_map(pp),
-               "weight_branch": None if branch is None else scalar_str(branch),
-               "provenance": _provenance("unitize-extract", ns, ("mu",))}
-        if branch is not None:
-            out["rota_baxter"] = (
-                residual_is_zero(rota_baxter_residual(a, p, branch))
-                and residual_is_zero(rota_baxter_residual(a, pp, branch)))
-        _emit(out, ns.report)
-        return 0
-    raise YbeError(f"unknown construct command {ns.cmd}")
+    s = io_json.decode_tensor2(_load(ns.s))
+    p = io_json.decode_linear_map(_load(ns.p))
+    r1, r2 = solutions_from_rb(a, s, p, _scalar(ns.lam), _scalar(ns.mu))
+    _emit({"r1": io_json.encode_tensor2(r1),
+           "r2": io_json.encode_tensor2(r2),
+           "provenance": _provenance("from-rb", ns, ("lam", "mu"))},
+          ns.report)
+    return 0
 
 
-def _cmd_dendriform(ns) -> int:
+def _cmd_construct_lift(ns) -> int:
+    a = io_json.decode_algebra(_load(ns.algebra))
+    module = io_json.decode_bimodule(_load(ns.module), a)
+    alpha = io_json.decode_linear_map(_load(ns.alpha))
+    lam = _scalar(ns.lam)
+    lifted = lift_o_operator(a, module, alpha, lam)
+    table = rota_baxter_residual(lifted.algebra, lifted.hat, lam)
+    _emit({"algebra": io_json.encode_algebra(lifted.algebra),
+           "hat": io_json.encode_linear_map(lifted.hat),
+           "rota_baxter": residual_is_zero(table),
+           "provenance": _provenance("lift", ns, ("lam",))}, ns.report)
+    return 0
+
+
+def _cmd_construct_semidirect(ns) -> int:
+    a = io_json.decode_algebra(_load(ns.algebra))
+    module = io_json.decode_bimodule(_load(ns.module), a)
+    alpha = io_json.decode_linear_map(_load(ns.alpha))
+    beta = io_json.decode_linear_map(_load(ns.beta))
+    out = semidirect_solutions(a, module, alpha, beta,
+                               _scalar(ns.lam), _scalar(ns.mu))
+    inst = YbeInstance(out.algebra, out.mu)
+    _emit({"algebra": io_json.encode_algebra(out.algebra),
+           "r1": io_json.encode_tensor2(out.r1),
+           "r2": io_json.encode_tensor2(out.r2),
+           "s": io_json.encode_tensor2(out.s),
+           "verified": nhacybe_residual(inst, out.r1).is_zero()
+           and nhacybe_residual(inst, out.r2).is_zero(),
+           "provenance": _provenance("semidirect", ns, ("lam", "mu"))},
+          ns.report)
+    return 0
+
+
+def _cmd_construct_unitize_extract(ns) -> int:
+    a = io_json.decode_algebra(_load(ns.algebra))
+    aug = io_json.decode_augmentation(_load(ns.eps), a)
+    r = io_json.decode_tensor2(_load(ns.r))
+    mu = _scalar(ns.mu)
+    p, pp = extract_rb_pair(a, aug, r)
+    inst = YbeInstance(a, mu)
+    branch = extracted_weight_branch(inst, aug, r)
+    out = {"p": io_json.encode_linear_map(p),
+           "p_prime": io_json.encode_linear_map(pp),
+           "weight_branch": None if branch is None else scalar_str(branch),
+           "provenance": _provenance("unitize-extract", ns, ("mu",))}
+    if branch is not None:
+        out["rota_baxter"] = (
+            residual_is_zero(rota_baxter_residual(a, p, branch))
+            and residual_is_zero(rota_baxter_residual(a, pp, branch)))
+    _emit(out, ns.report)
+    return 0
+
+
+def _cmd_dendriform_check(ns) -> int:
     d = io_json.decode_dendriform(_load(ns.dendriform))
-    if ns.cmd == "check":
-        return _report_exit(check_dendriform(d), ns.report)
+    return _report_exit(check_dendriform(d), ns.report)
+
+
+def _cmd_dendriform_build(ns) -> int:
+    d = io_json.decode_dendriform(_load(ns.dendriform))
     _, ud = unital_extension(d)
     beta = io_json.decode_linear_map(_load(ns.beta))
     out = dendriform_solutions(ud, beta, _scalar(ns.lam), _scalar(ns.mu))
@@ -392,42 +412,45 @@ def _cmd_dendriform(ns) -> int:
     return 0
 
 
-def _cmd_catalog(ns) -> int:
-    if ns.cmd == "list":
-        _emit({"names": list(catalog_names())}, ns.report)
-        return 0
-    if ns.cmd == "export":
-        entry = catalog_algebra(ns.name)
-        mu = _scalar(ns.mu)
-        out = {
-            "name": entry.name,
-            "algebra": io_json.encode_algebra(entry.algebra),
-            "augmentations": [io_json.encode_augmentation(a)
-                              for a in entry.augmentations],
-            "forms": {k: io_json.encode_form(f.form)
-                      for k, f in sorted(entry.forms.items())},
-            "invariant_dimension": entry.inv_dim,
-            "solutions": [
-                {"name": f.name,
-                 "tensor": io_json.encode_tensor2(f.tensor(mu)),
-                 "symmetrizer": io_json.encode_tensor2(f.sbar_tensor(mu)),
-                 "weight": scalar_str(f.weight_sign * mu),
-                 "form": f.form,
-                 "operator": io_json.encode_linear_map(f.q_map(mu))}
-                for f in entry.families],
-            "notes": list(entry.notes),
-        }
-        if entry.families:
-            out["solution_count"] = len(catalog_solutions(ns.name, mu))
-        _emit(out, ns.report)
-        return 0
-    if ns.cmd == "verify":
-        mus = [(_scalar(m)) for m in (ns.mu or ["1"])]
-        rep = verify_catalog(ns.name, mus, grid=not ns.no_grid)
-        return _report_exit(rep, ns.report)
-    raise YbeError(f"unknown catalog command {ns.cmd}")
+def _cmd_catalog_list(ns) -> int:
+    _emit({"names": list(catalog_names())}, ns.report)
+    return 0
 
 
+def _cmd_catalog_export(ns) -> int:
+    entry = catalog_algebra(ns.name)
+    mu = _scalar(ns.mu)
+    out = {
+        "name": entry.name,
+        "algebra": io_json.encode_algebra(entry.algebra),
+        "augmentations": [io_json.encode_augmentation(a)
+                          for a in entry.augmentations],
+        "forms": {k: io_json.encode_form(f.form)
+                  for k, f in sorted(entry.forms.items())},
+        "invariant_dimension": entry.inv_dim,
+        "solutions": [
+            {"name": f.name,
+             "tensor": io_json.encode_tensor2(f.tensor(mu)),
+             "symmetrizer": io_json.encode_tensor2(f.sbar_tensor(mu)),
+             "weight": scalar_str(f.weight_sign * mu),
+             "form": f.form,
+             "operator": io_json.encode_linear_map(f.q_map(mu))}
+            for f in entry.families],
+        "notes": list(entry.notes),
+    }
+    if entry.families:
+        out["solution_count"] = len(catalog_solutions(ns.name, mu))
+    _emit(out, ns.report)
+    return 0
+
+
+def _cmd_catalog_verify(ns) -> int:
+    mus = [(_scalar(m)) for m in (ns.mu or ["1"])]
+    rep = verify_catalog(ns.name, mus, grid=not ns.no_grid)
+    return _report_exit(rep, ns.report)
+
+
+# One handler per (group, command) of build_parser.
 _DISPATCH = {
     ("algebra", "check"): _cmd_algebra_check,
     ("ybe", "check"): _cmd_ybe_check,
@@ -437,6 +460,18 @@ _DISPATCH = {
     ("op", "rb-check"): _cmd_op_rb_check,
     ("op", "o-check"): _cmd_op_o_check,
     ("op", "suite"): _cmd_op_suite,
+    ("frobenius", "build"): _cmd_frobenius_build,
+    ("frobenius", "pr"): _cmd_frobenius_pr,
+    ("frobenius", "bridge"): _cmd_frobenius_bridge,
+    ("construct", "from-rb"): _cmd_construct_from_rb,
+    ("construct", "lift"): _cmd_construct_lift,
+    ("construct", "semidirect"): _cmd_construct_semidirect,
+    ("construct", "unitize-extract"): _cmd_construct_unitize_extract,
+    ("dendriform", "check"): _cmd_dendriform_check,
+    ("dendriform", "build"): _cmd_dendriform_build,
+    ("catalog", "list"): _cmd_catalog_list,
+    ("catalog", "export"): _cmd_catalog_export,
+    ("catalog", "verify"): _cmd_catalog_verify,
 }
 
 
@@ -466,19 +501,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        handler = _DISPATCH.get((ns.group, ns.cmd))
-        if handler is not None:
-            return handler(ns)
-        if ns.group == "frobenius":
-            return _cmd_frobenius(ns)
-        if ns.group == "construct":
-            return _cmd_construct(ns)
-        if ns.group == "dendriform":
-            return _cmd_dendriform(ns)
-        if ns.group == "catalog":
-            return _cmd_catalog(ns)
-        parser.error(f"unknown group {ns.group}")
-        return 2
+        return _DISPATCH[(ns.group, ns.cmd)](ns)
     except PreconditionViolated as exc:
         print(io_json.dumps({"error": "precondition-violated",
                              "equation": exc.equation,

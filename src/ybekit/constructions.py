@@ -23,20 +23,21 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import (
-    Mat,
     Scalar,
     identity,
     invert,
     is_zero_mat,
     mat_mul,
-    mat_vec,
+    mat_scale,
     scalar_str,
     transpose,
     unit_vec,
+    vec_scale,
 )
 from .operators import (
     LinearMap,
     WeightOp,
+    _operator_defect,
     o_operator_residual,
     residual_is_zero,
     residual_witness,
@@ -51,11 +52,6 @@ from .ybe import (
     nhacybe_residual,
     unit_square,
 )
-
-
-def _unit_outer(a: Algebra) -> Mat:
-    u = a.require_unit()
-    return tuple(tuple(ui * uj for uj in u) for ui in u)
 
 
 def solutions_from_rb(a: Algebra, s: Tensor2, p: LinearMap, lam: Scalar,
@@ -74,7 +70,7 @@ def solutions_from_rb(a: Algebra, s: Tensor2, p: LinearMap, lam: Scalar,
     pm = p.matrix
     lhs = [[x + y for x, y in zip(r1, r2)]
            for r1, r2 in zip(mat_mul(ss, transpose(pm)), mat_mul(pm, ss))]
-    uo = _unit_outer(a)
+    uo = unit_square(a).coeff
     rhs = [[-lam * ss[i][j] + mu * uo[i][j] for j in range(a.dim)]
            for i in range(a.dim)]
     if lhs != rhs:
@@ -219,7 +215,7 @@ def semidirect_solutions(a: Algebra, v: Bimodule, alpha: LinearMap,
     compat = mat_mul(bm, transpose(am))
     compat = tuple(tuple(x + y for x, y in zip(r1, r2))
                    for r1, r2 in zip(compat, mat_mul(am, transpose(bm))))
-    expect = _unit_outer(a)
+    expect = unit_square(a).coeff
     defect = tuple(tuple(x - mu * y for x, y in zip(r1, r2))
                    for r1, r2 in zip(compat, expect))
     if not is_zero_mat(defect):
@@ -275,23 +271,10 @@ def pair_identity_residual(a: Algebra, aug: Augmentation, r: Tensor2,
     """Defect of P(x)P(y) + P(x P'(y)) - P(P(x) y) = mu eps(y) P(x) on basis
     pairs; zero for every solution of the tensor equation, with no further
     hypotheses."""
-    n = a.dim
     p, pp = extract_rb_pair(a, aug, r)
-    pm, ppm = p.matrix, pp.matrix
-    pcols, ppcols = transpose(pm), transpose(ppm)
-    out = []
-    for i in range(n):
-        ei = unit_vec(n, i)
-        row = []
-        for j in range(n):
-            t0 = a.mul(pcols[i], pcols[j])
-            t1 = mat_vec(pm, a.mul(ei, ppcols[j]))
-            t2 = mat_vec(pm, a.mul(pcols[i], unit_vec(n, j)))
-            c = mu * aug.eps[j]
-            row.append(tuple(t0[k] + t1[k] - t2[k] - c * pcols[i][k]
-                             for k in range(n)))
-        out.append(tuple(row))
-    return tuple(out)
+    pcols = transpose(p.matrix)
+    return _operator_defect(a.sc, a._left, a._right, pcols, pcols,
+                            mat_scale(-1, transpose(pp.matrix)), vec_scale(mu, aug.eps))
 
 
 def extracted_weight_branch(inst: YbeInstance, aug: Augmentation,

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, Bimodule, make_algebra
+from .algebras import Algebra, Bimodule, apply_table, make_algebra
 from .errors import DimensionMismatch, NotDendriform, UndefinedProduct
 from .linalg import Scalar, Vec, unit_vec, vec
-from .operators import LinearMap, apply_table
+from .operators import LinearMap
 from .report import CheckReport
 
 

@@ -26,10 +26,20 @@ from .errors import (
     PreconditionViolated,
     SingularMatrix,
 )
-from .linalg import Scalar, invert, mat_mul, scalar_str, transpose, unit_vec, vec_dot
+from .linalg import (
+    Scalar,
+    invert,
+    mat_mul,
+    mat_scale,
+    scalar_str,
+    transpose,
+    unit_vec,
+    vec_dot,
+)
 from .operators import (
     LinearMap,
     WeightOp,
+    _operator_defect,
     o_operator_residual,
     residual_is_zero,
     rota_baxter_residual,
@@ -109,36 +119,19 @@ def frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) -> CheckRepor
     u = a.require_unit()
     inst = YbeInstance(a, mu)
     p, pt = induced_operators(f, r)
-    pm, ptm = p.matrix, pt.matrix
-    pcols, ptcols = transpose(pm), transpose(ptm)
-    b_unit = tuple(f.form.value(u, unit_vec(n, j)) for j in range(n))
+    pcols, ptcols = transpose(p.matrix), transpose(pt.matrix)
+    eps = tuple(mu * f.form.value(u, unit_vec(n, j)) for j in range(n))
 
     verdict_a = nhacybe_residual(inst, r).is_zero()
-
-    ok_b = True
-    ok_c = True
-    for i in range(n):
-        ei = unit_vec(n, i)
-        for j in range(n):
-            ej = unit_vec(n, j)
-            t0 = a.mul(pcols[i], pcols[j])
-            t1 = p.apply(a.mul(pcols[i], ej))
-            t2 = p.apply(a.mul(ei, ptcols[j]))
-            if any(t0[k] - t1[k] + t2[k] - mu * b_unit[j] * pcols[i][k]
-                   for k in range(n)):
-                ok_b = False
-            s0 = a.mul(ptcols[i], ptcols[j])
-            s1 = pt.apply(a.mul(pcols[i], ej))
-            s2 = pt.apply(a.mul(ei, ptcols[j]))
-            if any(s0[k] + s1[k] - s2[k] - mu * b_unit[i] * ptcols[j][k]
-                   for k in range(n)):
-                ok_c = False
-        if not ok_b and not ok_c:
-            break
+    ok_b = residual_is_zero(_operator_defect(
+        a.sc, a._left, a._right, pcols, pcols, mat_scale(-1, ptcols), eps))
+    # The companion identity is the same identity over the opposite algebra.
+    ok_c = residual_is_zero(_operator_defect(
+        tuple(zip(*a.sc)), a._right, a._left, ptcols, ptcols, mat_scale(-1, pcols), eps))
 
     sbar = extended_symmetrizer(inst, r)
     twist = mat_mul(transpose(sbar.coeff), transpose(f.form.gram))
-    neg_twist = tuple(tuple(-x for x in row) for row in twist)
+    neg_twist = mat_scale(-1, twist)
     adj = adjoint_bimodule(a)
     verdict_d = residual_is_zero(o_operator_residual(
         a, adj, p, WeightOp.right_twist(neg_twist)))

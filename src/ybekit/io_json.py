@@ -16,7 +16,7 @@ from .dendriform import Dendriform
 from .errors import DimensionMismatch
 from .linalg import Scalar, exact, scalar_str
 from .operators import LinearMap
-from .tensors import Tensor2, Tensor3
+from .tensors import Tensor2
 
 
 def dumps(obj) -> str:
@@ -70,11 +70,6 @@ def encode_tensor2(t: Tensor2) -> dict:
 def decode_tensor2(d: dict) -> Tensor2:
     d = _checked(d, dict, "tensor")
     return Tensor2(_dim_in(d), _mat_in(d["coeff"]))
-
-
-def encode_tensor3(t: Tensor3) -> dict:
-    return {"dim": t.dim,
-            "coeff": [[_vec_out(r) for r in plane] for plane in t.coeff]}
 
 
 def encode_algebra(a: Algebra) -> dict:

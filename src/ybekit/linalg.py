@@ -56,10 +56,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def zero_mat(rows: int, cols: int) -> Mat:
-    return ((0,) * cols,) * rows
-
-
 def identity(n: int) -> Mat:
     return tuple(unit_vec(n, i) for i in range(n))
 

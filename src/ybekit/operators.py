@@ -5,13 +5,30 @@ systems, and the equivalence suites tying them to the tensor equation.
 A LinearMap with domain "dual" sends dual-basis coordinates to primal
 coordinates; for a tensor r the induced map pairs the first slot against the
 dual argument, its transpose-companion pairs the second slot.
+
+Every operator identity here has one shape,
+
+    p(x)p(y) = p(q(x).y) + p(x.s(y)) + eps(y) p(x) + p(weight(x, y)),
+
+for maps p, q, s from a bimodule to the algebra, and one kernel,
+`_operator_defect`, evaluates its defect on all module basis pairs.  An
+O-operator alpha of weight zero is (alpha, alpha, alpha); a right twist T
+moves into s = alpha + T, a left twist into q = alpha + T, and a scalar
+weight becomes the weight table.  A Rota-Baxter operator P of weight lam is
+(P, P, P + lam id) on the adjoint bimodule.  The identities written with
+the product in the other order (the second-slot identity of
+`operator_form_suite`, the companion identity of the Frobenius suite) are
+the same kernel over the opposite algebra: structure constants sc[k][i] in
+place of sc[i][k], and the left and right actions exchanged.  Its table is
+then the transpose of the mirrored identity's, which leaves every verdict
+unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, Bimodule, dual_regular_bimodule
+from .algebras import Algebra, Bimodule, apply_table, dual_regular_bimodule
 from .errors import DimensionMismatch, NotInvariant, NotSymmetric, PreconditionViolated
 from .linalg import (
     Mat,
@@ -20,17 +37,21 @@ from .linalg import (
     is_zero_mat,
     is_zero_vec,
     mat,
+    mat_scale,
     mat_vec,
     scalar_str,
     transpose,
     unit_vec,
+    vec_add,
     vec_dot,
-    zero_vec,
+    vec_scale,
 )
 from .report import CheckReport
 from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
+    _nonzero_sc,
+    _sparse_rows,
     extended_symmetrizer,
     is_invariant,
     nhacybe_residual,
@@ -85,23 +106,6 @@ def dual_map(m: LinearMap) -> LinearMap:
 
 
 ProductTable = tuple  # table[i][j] = module coordinate vector
-
-
-def apply_table(table: ProductTable, x: Vec, y: Vec) -> Vec:
-    m = len(x)
-    out = [0] * len(table[0][0]) if m else []
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            c = xi * yj
-            for p, t in enumerate(row[j]):
-                if t:
-                    out[p] += c * t
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -229,21 +233,68 @@ class WeightOp:
         return cls("left_twist", twist=mat(twist))
 
 
-def _weight_term(w: WeightOp, v_mod: Bimodule, u: Vec, v: Vec) -> Vec:
-    if w.kind == "zero":
-        return zero_vec(v_mod.dim)
-    if w.kind == "scalar":
-        if w.lam == 0:
-            return zero_vec(v_mod.dim)
-        return tuple(w.lam * x for x in apply_table(w.table, u, v))
-    if w.kind == "right_twist":
-        return mat_vec(v_mod.rmat(mat_vec(w.twist, v)), u)
-    if w.kind == "left_twist":
-        return mat_vec(v_mod.lmat(mat_vec(w.twist, u)), v)
-    raise DimensionMismatch(f"unknown weight kind {w.kind}")
-
-
 ResidualTable = tuple  # table[i][j] = algebra coordinate vector
+
+
+def _columns(mx: Mat, n: int, m: int, what: str) -> Mat:
+    """The m columns of an n x m matrix; DimensionMismatch for any other shape."""
+    if len(mx) != n or any(len(row) != m for row in mx):
+        raise DimensionMismatch(what)
+    return transpose(mx) if n else ((),) * m
+
+
+def _by_coordinate(cols: Mat, n: int) -> list[list[tuple]]:
+    """For each algebra coordinate k, the pairs (i, cols[i][k]) with a nonzero value."""
+    return _sparse_rows(zip(*cols)) if cols else [[] for _ in range(n)]
+
+
+def _operator_defect(sc, left, right, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
+                     weight: ProductTable | None = None) -> ResidualTable:
+    """The table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j) - p(e_i.s(e_j))
+    - eps[j] p(e_i) - p(weight[i][j]) over all module basis pairs.
+
+    sc is the product of the algebra, left[k] and right[k] the actions of its
+    k-th basis vector on the module.  The maps p, q and s go from the module
+    to the algebra and are given by their columns: p[i] is p(e_i).  eps is a
+    vector and weight a table of module vectors, both optional.  The module
+    element q(e_i).e_j + e_i.s(e_j) + eps[j] e_i + weight[i][j] is summed
+    first and p is applied to it once.  Every product runs over nonzero
+    structure constants, action entries and map entries only.
+    """
+    n, m = len(sc), len(p)
+    # Module part, flat: coordinate c of the (i, j) element at (i * m + j) * m + c.
+    mod = [x for row in weight for w in row for x in w] if weight else [0] * m ** 3
+    q_at, s_at = _by_coordinate(q, n), _by_coordinate(s, n)
+    for k in range(n):
+        for c, row in enumerate(_sparse_rows(left[k])):  # e_k.e_j has a at e_c
+            for j, a in row:
+                for i, x in q_at[k]:
+                    mod[(i * m + j) * m + c] += x * a
+        for c, row in enumerate(_sparse_rows(right[k])):  # e_i.e_k has a at e_c
+            for i, a in row:
+                for j, y in s_at[k]:
+                    mod[(i * m + j) * m + c] += y * a
+    for j, y in enumerate(eps or ()):
+        if y:
+            for i in range(m):
+                mod[(i * m + j) * m + i] += y
+    out = [0] * (m * m * n)  # coordinate t of D[i][j] at (i * m + j) * n + t
+    p_at = _by_coordinate(p, n)
+    for a, b, k, c in _nonzero_sc(sc):
+        for i, x in p_at[a]:
+            cx = c * x
+            base = i * m * n + k
+            for j, y in p_at[b]:
+                out[base + j * n] += cx * y
+    p_cols = _sparse_rows(p)
+    for at, w in enumerate(mod):
+        if w:
+            ij, c = divmod(at, m)
+            base = ij * n
+            for t, x in p_cols[c]:
+                out[base + t] -= w * x
+    return tuple(tuple(tuple(out[(i * m + j) * n:(i * m + j + 1) * n]) for j in range(m))
+                 for i in range(m))
 
 
 def o_operator_residual(a: Algebra, v: Bimodule, alpha: LinearMap,
@@ -251,26 +302,25 @@ def o_operator_residual(a: Algebra, v: Bimodule, alpha: LinearMap,
     """Defect of alpha(u) alpha(w) = alpha(alpha(u).w) + alpha(u.alpha(w))
     + alpha(weight(u, w)) on all module basis pairs."""
     m = v.dim
-    am = alpha.matrix
-    if len(am) != a.dim or (am and len(am[0]) != m):
-        raise DimensionMismatch("operator shape does not match module -> algebra")
-    cols = transpose(am) if am else ()
-    out = []
-    for i in range(m):
-        ei = unit_vec(m, i)
-        ai = cols[i] if cols else zero_vec(a.dim)
-        row = []
-        for j in range(m):
-            ej = unit_vec(m, j)
-            aj = cols[j] if cols else zero_vec(a.dim)
-            t0 = a.mul(ai, aj)
-            t1 = mat_vec(am, mat_vec(v.lmat(ai), ej))
-            t2 = mat_vec(am, mat_vec(v.rmat(aj), ei))
-            tw = mat_vec(am, _weight_term(weight, v, ei, ej))
-            row.append(tuple(
-                t0[p] - t1[p] - t2[p] - tw[p] for p in range(a.dim)))
-        out.append(tuple(row))
-    return tuple(out)
+    cols = _columns(alpha.matrix, a.dim, m,
+                    "operator shape does not match module -> algebra")
+    q = s = cols
+    table = None
+    if weight.kind == "scalar":
+        if weight.lam != 0:
+            table = tuple(tuple(vec_scale(weight.lam, w) for w in row)
+                          for row in BimoduleAlgebra(v, weight.table).product)
+    elif weight.kind in ("right_twist", "left_twist"):
+        twist = _columns(weight.twist, a.dim, m,
+                         "twist shape does not match module -> algebra")
+        moved = tuple(vec_add(x, y) for x, y in zip(cols, twist))
+        if weight.kind == "right_twist":
+            s = moved
+        else:
+            q = moved
+    elif weight.kind != "zero":
+        raise DimensionMismatch(f"unknown weight kind {weight.kind}")
+    return _operator_defect(a.sc, v.left, v.right, cols, q, s, weight=table)
 
 
 def residual_is_zero(table: ResidualTable) -> bool:
@@ -288,61 +338,20 @@ def residual_witness(table: ResidualTable):
 def rota_baxter_residual(a: Algebra, p: LinearMap, lam: Scalar) -> ResidualTable:
     """Defect of P(x)P(y) = P(P(x)y) + P(xP(y)) + lam P(xy) on basis pairs."""
     n = a.dim
-    pm = p.matrix
-    if len(pm) != n or len(pm[0]) != n:
-        raise DimensionMismatch("operator is not an endomorphism of the algebra")
-    cols = transpose(pm)
-    out = []
-    for i in range(n):
-        ei = unit_vec(n, i)
-        pi = cols[i]
-        row = []
-        for j in range(n):
-            pj = cols[j]
-            t0 = a.mul(pi, pj)
-            t1 = mat_vec(pm, a.mul(pi, unit_vec(n, j)))
-            t2 = mat_vec(pm, a.mul(ei, pj))
-            d = [t0[k] - t1[k] - t2[k] for k in range(n)]
-            if lam != 0:
-                t3 = mat_vec(pm, a.sc[i][j])
-                d = [d[k] - lam * t3[k] for k in range(n)]
-            row.append(tuple(d))
-        out.append(tuple(row))
-    return tuple(out)
+    cols = _columns(p.matrix, n, n, "operator is not an endomorphism of the algebra")
+    shifted = tuple(tuple(x + lam if k == i else x for k, x in enumerate(col))
+                    for i, col in enumerate(cols)) if lam != 0 else cols
+    return _operator_defect(a.sc, a._left, a._right, cols, cols, shifted)
 
 
 def rb_system_residual(a: Algebra, p: LinearMap, s: LinearMap
                        ) -> tuple[ResidualTable, ResidualTable]:
     """Defects of P(x)P(y) = P(P(x)y + xS(y)) and S(x)S(y) = S(P(x)y + xS(y))."""
     n = a.dim
-    pm, sm = p.matrix, s.matrix
-    pc, sc_ = transpose(pm), transpose(sm)
-    out1, out2 = [], []
-    for i in range(n):
-        ei = unit_vec(n, i)
-        row1, row2 = [], []
-        for j in range(n):
-            ej = unit_vec(n, j)
-            mixed = tuple(x + y for x, y in zip(a.mul(pc[i], ej), a.mul(ei, sc_[j])))
-            d1 = tuple(x - y for x, y in zip(a.mul(pc[i], pc[j]), mat_vec(pm, mixed)))
-            d2 = tuple(x - y for x, y in zip(a.mul(sc_[i], sc_[j]), mat_vec(sm, mixed)))
-            row1.append(d1)
-            row2.append(d2)
-        out1.append(tuple(row1))
-        out2.append(tuple(row2))
-    return tuple(out1), tuple(out2)
-
-
-def _lstar_row(a: Algebra, y: Vec, i: int) -> Vec:
-    """Coordinates of the i-th dual basis vector right-acted by y."""
-    lm = a.left_matrix(y)
-    return tuple(lm[i][q] for q in range(a.dim))
-
-
-def _rstar_row(a: Algebra, y: Vec, j: int) -> Vec:
-    """Coordinates of the j-th dual basis vector left-acted by y."""
-    rm = a.right_matrix(y)
-    return tuple(rm[j][q] for q in range(a.dim))
+    what = "operator is not an endomorphism of the algebra"
+    pc, sc_ = _columns(p.matrix, n, n, what), _columns(s.matrix, n, n, what)
+    return (_operator_defect(a.sc, a._left, a._right, pc, pc, sc_),
+            _operator_defect(a.sc, a._left, a._right, sc_, pc, sc_))
 
 
 def _suite_report(name: str, verdicts: dict, **extra) -> CheckReport:
@@ -360,60 +369,29 @@ def operator_form_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     the two dual-basis operator identities, and the two twisted O-operator
     forms.  Passing means all five verdicts coincide."""
     a, mu = inst.algebra, inst.mu
-    n = a.dim
-    u = a.require_unit() if mu != 0 else (a.unit or zero_vec(n))
-    rs = transpose(r.coeff)
-    rt = r.coeff
+    eps = vec_scale(mu, a.require_unit()) if mu != 0 else None
     sbar = extended_symmetrizer(inst, r)
-    sb = transpose(sbar.coeff)
-    rs_cols = transpose(rs)
-    rt_cols = transpose(rt)
+    neg_sb = mat_scale(-1, transpose(sbar.coeff))
+    # r#(e_i*) is row i of the coefficients, r^t#(e_i*) is column i.
+    r_rows, r_cols = r.coeff, transpose(r.coeff)
+    dualmod = dual_regular_bimodule(a)
 
     verdict_a = nhacybe_residual(inst, r).is_zero()
-
-    ok_b = True
-    for i in range(n):
-        ai = rs_cols[i]
-        for j in range(n):
-            bj = rs_cols[j]
-            t0 = a.mul(ai, bj)
-            t1 = mat_vec(rs, _lstar_row(a, rt_cols[j], i))
-            t2 = mat_vec(rs, _rstar_row(a, ai, j))
-            d = tuple(t0[k] + t1[k] - t2[k] - mu * u[j] * ai[k] for k in range(n))
-            if not is_zero_vec(d):
-                ok_b = False
-                break
-        if not ok_b:
-            break
-
-    dualmod = dual_regular_bimodule(a)
-    neg_sb = tuple(tuple(-x for x in row) for row in sb)
+    verdict_b = residual_is_zero(_operator_defect(
+        a.sc, dualmod.left, dualmod.right, r_rows, r_rows, mat_scale(-1, r_cols), eps))
     verdict_c = residual_is_zero(o_operator_residual(
-        a, dualmod, LinearMap(rs, "dual"), WeightOp.right_twist(neg_sb)))
-
-    ok_d = True
-    for i in range(n):
-        ai = rt_cols[i]
-        for j in range(n):
-            bj = rt_cols[j]
-            t0 = a.mul(ai, bj)
-            t1 = mat_vec(rt, _lstar_row(a, rt_cols[j], i))
-            t2 = mat_vec(rt, _rstar_row(a, rs_cols[i], j))
-            d = tuple(t0[k] - t1[k] + t2[k] - mu * u[i] * bj[k] for k in range(n))
-            if not is_zero_vec(d):
-                ok_d = False
-                break
-        if not ok_d:
-            break
-
+        a, dualmod, sharp(r), WeightOp.right_twist(neg_sb)))
+    verdict_d = residual_is_zero(_operator_defect(
+        tuple(zip(*a.sc)), dualmod.right, dualmod.left, r_cols, r_cols,
+        mat_scale(-1, r_rows), eps))
     verdict_e = residual_is_zero(o_operator_residual(
-        a, dualmod, LinearMap(rt, "dual"), WeightOp.left_twist(neg_sb)))
+        a, dualmod, tsharp(r), WeightOp.left_twist(neg_sb)))
 
     return _suite_report("operator-form-suite", {
         "tensor_equation": verdict_a,
-        "first_slot_identity": ok_b,
+        "first_slot_identity": verdict_b,
         "first_slot_right_twist": verdict_c,
-        "second_slot_identity": ok_d,
+        "second_slot_identity": verdict_d,
         "second_slot_left_twist": verdict_e,
     })
 

@@ -152,8 +152,8 @@ def _slot_products(sc, terms, n: int) -> list:
 
 
 def _tensor3(n: int, flat: list) -> Tensor3:
-    return Tensor3(n, tuple(tuple(tuple(flat[b:b + n]) for b in range(pb, pb + n * n, n))
-                            for pb in range(0, n ** 3, n * n)))
+    return Tensor3(n, tuple(tuple(tuple(flat[(p * n + q) * n:(p * n + q + 1) * n])
+                                  for q in range(n)) for p in range(n)))
 
 
 def _equation_residual(inst: YbeInstance, r: Tensor2, sc) -> Tensor3:

@@ -1,22 +1,33 @@
-"""Shared fixtures-in-spirit for the test suite: catalog shortcuts and the
-frozen example tensors the tests reuse."""
+"""Shared fixtures-in-spirit for the test suite: catalog shortcuts, the
+frozen example tensors the tests reuse, and slow reference implementations
+that the fast paths are compared against."""
 
 from fractions import Fraction
 from itertools import product
 
 from ybekit import (
+    DimensionMismatch,
     LinearMap,
     SingularMatrix,
     Tensor2,
+    WeightOp,
     YbeInstance,
+    adjoint_bimodule,
+    dual_regular_bimodule,
     embed,
     exact,
+    extended_symmetrizer,
+    extract_rb_pair,
+    induced_operators,
     nhacybe_residual,
+    residual_is_zero,
     t2_from_entries,
     triple_mul,
 )
-from ybekit.algebras import make_algebra
+from ybekit.algebras import apply_table, make_algebra
 from ybekit.catalog import catalog_algebra
+from ybekit.linalg import is_zero_vec, mat_mul, mat_vec, transpose, unit_vec, zero_vec
+from ybekit.operators import _suite_report
 
 ALL_NAMES = ("A1", "A2", "B1", "B2", "B3", "B4", "B5", "M2")
 
@@ -210,3 +221,232 @@ def reference_invariant_symmetric_basis(a):
     basis = reference_kernel_basis(tuple(rows))
     return [Tensor2(n, tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
             for v in basis]
+
+
+# Reference operator identities: the per-pair loops the operator forms were
+# evaluated with before they went through operators._operator_defect.
+
+def _weight_term(w, v_mod, u, v):
+    if w.kind == "zero":
+        return zero_vec(v_mod.dim)
+    if w.kind == "scalar":
+        if w.lam == 0:
+            return zero_vec(v_mod.dim)
+        return tuple(w.lam * x for x in apply_table(w.table, u, v))
+    if w.kind == "right_twist":
+        return mat_vec(v_mod.rmat(mat_vec(w.twist, v)), u)
+    if w.kind == "left_twist":
+        return mat_vec(v_mod.lmat(mat_vec(w.twist, u)), v)
+    raise DimensionMismatch(f"unknown weight kind {w.kind}")
+
+
+def reference_o_operator_residual(a, v, alpha, weight):
+    m = v.dim
+    am = alpha.matrix
+    if len(am) != a.dim or (am and len(am[0]) != m):
+        raise DimensionMismatch("operator shape does not match module -> algebra")
+    cols = transpose(am) if am else ()
+    out = []
+    for i in range(m):
+        ei = unit_vec(m, i)
+        ai = cols[i] if cols else zero_vec(a.dim)
+        row = []
+        for j in range(m):
+            ej = unit_vec(m, j)
+            aj = cols[j] if cols else zero_vec(a.dim)
+            t0 = a.mul(ai, aj)
+            t1 = mat_vec(am, mat_vec(v.lmat(ai), ej))
+            t2 = mat_vec(am, mat_vec(v.rmat(aj), ei))
+            tw = mat_vec(am, _weight_term(weight, v, ei, ej))
+            row.append(tuple(
+                t0[p] - t1[p] - t2[p] - tw[p] for p in range(a.dim)))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_rota_baxter_residual(a, p, lam):
+    n = a.dim
+    pm = p.matrix
+    if len(pm) != n or len(pm[0]) != n:
+        raise DimensionMismatch("operator is not an endomorphism of the algebra")
+    cols = transpose(pm)
+    out = []
+    for i in range(n):
+        ei = unit_vec(n, i)
+        pi = cols[i]
+        row = []
+        for j in range(n):
+            pj = cols[j]
+            t0 = a.mul(pi, pj)
+            t1 = mat_vec(pm, a.mul(pi, unit_vec(n, j)))
+            t2 = mat_vec(pm, a.mul(ei, pj))
+            d = [t0[k] - t1[k] - t2[k] for k in range(n)]
+            if lam != 0:
+                t3 = mat_vec(pm, a.sc[i][j])
+                d = [d[k] - lam * t3[k] for k in range(n)]
+            row.append(tuple(d))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_rb_system_residual(a, p, s):
+    n = a.dim
+    pm, sm = p.matrix, s.matrix
+    pc, sc_ = transpose(pm), transpose(sm)
+    out1, out2 = [], []
+    for i in range(n):
+        ei = unit_vec(n, i)
+        row1, row2 = [], []
+        for j in range(n):
+            ej = unit_vec(n, j)
+            mixed = tuple(x + y for x, y in zip(a.mul(pc[i], ej), a.mul(ei, sc_[j])))
+            d1 = tuple(x - y for x, y in zip(a.mul(pc[i], pc[j]), mat_vec(pm, mixed)))
+            d2 = tuple(x - y for x, y in zip(a.mul(sc_[i], sc_[j]), mat_vec(sm, mixed)))
+            row1.append(d1)
+            row2.append(d2)
+        out1.append(tuple(row1))
+        out2.append(tuple(row2))
+    return tuple(out1), tuple(out2)
+
+
+def reference_pair_identity_residual(a, aug, r, mu):
+    n = a.dim
+    p, pp = extract_rb_pair(a, aug, r)
+    pm, ppm = p.matrix, pp.matrix
+    pcols, ppcols = transpose(pm), transpose(ppm)
+    out = []
+    for i in range(n):
+        ei = unit_vec(n, i)
+        row = []
+        for j in range(n):
+            t0 = a.mul(pcols[i], pcols[j])
+            t1 = mat_vec(pm, a.mul(ei, ppcols[j]))
+            t2 = mat_vec(pm, a.mul(pcols[i], unit_vec(n, j)))
+            c = mu * aug.eps[j]
+            row.append(tuple(t0[k] + t1[k] - t2[k] - c * pcols[i][k]
+                             for k in range(n)))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _lstar_row(a, y, i):
+    """Coordinates of the i-th dual basis vector right-acted by y."""
+    lm = a.left_matrix(y)
+    return tuple(lm[i][q] for q in range(a.dim))
+
+
+def _rstar_row(a, y, j):
+    """Coordinates of the j-th dual basis vector left-acted by y."""
+    rm = a.right_matrix(y)
+    return tuple(rm[j][q] for q in range(a.dim))
+
+
+def reference_operator_form_suite(inst, r):
+    a, mu = inst.algebra, inst.mu
+    n = a.dim
+    u = a.require_unit() if mu != 0 else (a.unit or zero_vec(n))
+    rs = transpose(r.coeff)
+    rt = r.coeff
+    sbar = extended_symmetrizer(inst, r)
+    sb = transpose(sbar.coeff)
+    rs_cols = transpose(rs)
+    rt_cols = transpose(rt)
+
+    verdict_a = nhacybe_residual(inst, r).is_zero()
+
+    ok_b = True
+    for i in range(n):
+        ai = rs_cols[i]
+        for j in range(n):
+            bj = rs_cols[j]
+            t0 = a.mul(ai, bj)
+            t1 = mat_vec(rs, _lstar_row(a, rt_cols[j], i))
+            t2 = mat_vec(rs, _rstar_row(a, ai, j))
+            d = tuple(t0[k] + t1[k] - t2[k] - mu * u[j] * ai[k] for k in range(n))
+            if not is_zero_vec(d):
+                ok_b = False
+                break
+        if not ok_b:
+            break
+
+    dualmod = dual_regular_bimodule(a)
+    neg_sb = tuple(tuple(-x for x in row) for row in sb)
+    verdict_c = residual_is_zero(reference_o_operator_residual(
+        a, dualmod, LinearMap(rs, "dual"), WeightOp.right_twist(neg_sb)))
+
+    ok_d = True
+    for i in range(n):
+        ai = rt_cols[i]
+        for j in range(n):
+            bj = rt_cols[j]
+            t0 = a.mul(ai, bj)
+            t1 = mat_vec(rt, _lstar_row(a, rt_cols[j], i))
+            t2 = mat_vec(rt, _rstar_row(a, rs_cols[i], j))
+            d = tuple(t0[k] - t1[k] + t2[k] - mu * u[i] * bj[k] for k in range(n))
+            if not is_zero_vec(d):
+                ok_d = False
+                break
+        if not ok_d:
+            break
+
+    verdict_e = residual_is_zero(reference_o_operator_residual(
+        a, dualmod, LinearMap(rt, "dual"), WeightOp.left_twist(neg_sb)))
+
+    return _suite_report("operator-form-suite", {
+        "tensor_equation": verdict_a,
+        "first_slot_identity": ok_b,
+        "first_slot_right_twist": verdict_c,
+        "second_slot_identity": ok_d,
+        "second_slot_left_twist": verdict_e,
+    })
+
+
+def reference_frobenius_suite(f, mu, r):
+    a = f.algebra
+    n = a.dim
+    u = a.require_unit()
+    inst = YbeInstance(a, mu)
+    p, pt = induced_operators(f, r)
+    pm, ptm = p.matrix, pt.matrix
+    pcols, ptcols = transpose(pm), transpose(ptm)
+    b_unit = tuple(f.form.value(u, unit_vec(n, j)) for j in range(n))
+
+    verdict_a = nhacybe_residual(inst, r).is_zero()
+
+    ok_b = True
+    ok_c = True
+    for i in range(n):
+        ei = unit_vec(n, i)
+        for j in range(n):
+            ej = unit_vec(n, j)
+            t0 = a.mul(pcols[i], pcols[j])
+            t1 = p.apply(a.mul(pcols[i], ej))
+            t2 = p.apply(a.mul(ei, ptcols[j]))
+            if any(t0[k] - t1[k] + t2[k] - mu * b_unit[j] * pcols[i][k]
+                   for k in range(n)):
+                ok_b = False
+            s0 = a.mul(ptcols[i], ptcols[j])
+            s1 = pt.apply(a.mul(pcols[i], ej))
+            s2 = pt.apply(a.mul(ei, ptcols[j]))
+            if any(s0[k] + s1[k] - s2[k] - mu * b_unit[i] * ptcols[j][k]
+                   for k in range(n)):
+                ok_c = False
+        if not ok_b and not ok_c:
+            break
+
+    sbar = extended_symmetrizer(inst, r)
+    twist = mat_mul(transpose(sbar.coeff), transpose(f.form.gram))
+    neg_twist = tuple(tuple(-x for x in row) for row in twist)
+    adj = adjoint_bimodule(a)
+    verdict_d = residual_is_zero(reference_o_operator_residual(
+        a, adj, p, WeightOp.right_twist(neg_twist)))
+    verdict_e = residual_is_zero(reference_o_operator_residual(
+        a, adj, pt, WeightOp.left_twist(neg_twist)))
+
+    return _suite_report("frobenius-operator-suite", {
+        "tensor_equation": verdict_a,
+        "induced_pair_identity": ok_b,
+        "companion_pair_identity": ok_c,
+        "right_twisted_rb": verdict_d,
+        "left_twisted_rb": verdict_e,
+    })

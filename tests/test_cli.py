@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import ybekit
 from ybekit import io_json
 from ybekit.algebras import make_algebra
-from ybekit.cli import run
+from ybekit import cli
+from ybekit.cli import build_parser, run
 
 from helpers import alg
 
@@ -121,3 +123,45 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["names"]
+
+
+_ZERO_DIM = {"a.json": {"dim": 0, "sc": [], "unit": None}, "p.json": {"matrix": []},
+             "r.json": {"dim": 0, "coeff": []}, "g.json": {"gram": []},
+             "e.json": {"eps": []}}
+
+
+@pytest.mark.parametrize("argv", [
+    "algebra check --algebra a.json",
+    "ybe check --algebra a.json --r r.json",
+    "ybe check --opposite --algebra a.json --r r.json",
+    "ybe symmetrizer --algebra a.json --r r.json",
+    "ybe invariant-basis --algebra a.json",
+    "ybe enumerate --algebra a.json --mu 0",
+    "op rb-check --algebra a.json --p p.json",
+    "op o-check --algebra a.json --alpha p.json",
+    "op suite --algebra a.json --r r.json --mu 0",
+    "frobenius build --algebra a.json --gram g.json",
+    "frobenius pr --algebra a.json --gram g.json --r r.json",
+    "frobenius bridge --algebra a.json --gram g.json --r r.json --mu 0 --lambda 0",
+    "construct unitize-extract --algebra a.json --eps e.json --r r.json --mu 0",
+])
+def test_zero_dimensional_algebra_passes(tmp_path, monkeypatch, capsys, argv):
+    for name, obj in _ZERO_DIM.items():
+        _write(tmp_path, name, obj)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)
+
+
+def _subcommands(parser):
+    """The (group, command) pairs of the parser's two levels of subparsers."""
+    [groups] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for group, sub in groups.choices.items():
+        [cmds] = [a for a in sub._actions if isinstance(a, argparse._SubParsersAction)]
+        for cmd in cmds.choices:
+            yield group, cmd
+
+
+def test_every_subcommand_has_one_handler():
+    assert sorted(_subcommands(build_parser())) == sorted(cli._DISPATCH)
