@@ -40,6 +40,7 @@ from .ybe import (
     grid_enumerate,
     invariant_symmetric_basis,
     is_invariant,
+    is_solution,
     nhacybe_residual,
     opposite_residual,
 )
@@ -326,6 +327,17 @@ def _provenance(kind, ns, fields):
             "inputs": {k: getattr(ns, k) for k in fields}}
 
 
+def _emit_solutions(out, ns, kind, **extra) -> int:
+    """The algebra and the two solutions a construction built, each checked."""
+    inst = YbeInstance(out.algebra, out.mu)
+    _emit({"algebra": io_json.encode_algebra(out.algebra),
+           "r1": io_json.encode_tensor2(out.r1),
+           "r2": io_json.encode_tensor2(out.r2), **extra,
+           "verified": is_solution(inst, out.r1) and is_solution(inst, out.r2),
+           "provenance": _provenance(kind, ns, ("lam", "mu"))}, ns.report)
+    return 0
+
+
 def _cmd_construct_from_rb(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     s = io_json.decode_tensor2(_load(ns.s))
@@ -357,18 +369,8 @@ def _cmd_construct_semidirect(ns) -> int:
     module = io_json.decode_bimodule(_load(ns.module), a)
     alpha = io_json.decode_linear_map(_load(ns.alpha))
     beta = io_json.decode_linear_map(_load(ns.beta))
-    out = semidirect_solutions(a, module, alpha, beta,
-                               _scalar(ns.lam), _scalar(ns.mu))
-    inst = YbeInstance(out.algebra, out.mu)
-    _emit({"algebra": io_json.encode_algebra(out.algebra),
-           "r1": io_json.encode_tensor2(out.r1),
-           "r2": io_json.encode_tensor2(out.r2),
-           "s": io_json.encode_tensor2(out.s),
-           "verified": nhacybe_residual(inst, out.r1).is_zero()
-           and nhacybe_residual(inst, out.r2).is_zero(),
-           "provenance": _provenance("semidirect", ns, ("lam", "mu"))},
-          ns.report)
-    return 0
+    out = semidirect_solutions(a, module, alpha, beta, _scalar(ns.lam), _scalar(ns.mu))
+    return _emit_solutions(out, ns, "semidirect", s=io_json.encode_tensor2(out.s))
 
 
 def _cmd_construct_unitize_extract(ns) -> int:
@@ -401,15 +403,7 @@ def _cmd_dendriform_build(ns) -> int:
     _, ud = unital_extension(d)
     beta = io_json.decode_linear_map(_load(ns.beta))
     out = dendriform_solutions(ud, beta, _scalar(ns.lam), _scalar(ns.mu))
-    inst = YbeInstance(out.algebra, out.mu)
-    _emit({"algebra": io_json.encode_algebra(out.algebra),
-           "r1": io_json.encode_tensor2(out.r1),
-           "r2": io_json.encode_tensor2(out.r2),
-           "verified": nhacybe_residual(inst, out.r1).is_zero()
-           and nhacybe_residual(inst, out.r2).is_zero(),
-           "provenance": _provenance("dendriform", ns, ("lam", "mu"))},
-          ns.report)
-    return 0
+    return _emit_solutions(out, ns, "dendriform")
 
 
 def _cmd_catalog_list(ns) -> int:

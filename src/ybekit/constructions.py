@@ -44,7 +44,7 @@ from .operators import (
     rota_baxter_residual,
 )
 from .report import CheckReport
-from .tensors import Tensor2
+from .tensors import Tensor2, t2_zero
 from .ybe import (
     YbeInstance,
     extended_symmetrizer,
@@ -70,7 +70,7 @@ def solutions_from_rb(a: Algebra, s: Tensor2, p: LinearMap, lam: Scalar,
     pm = p.matrix
     lhs = [[x + y for x, y in zip(r1, r2)]
            for r1, r2 in zip(mat_mul(ss, transpose(pm)), mat_mul(pm, ss))]
-    uo = unit_square(a).coeff
+    uo = unit_square(a).coeff if mu != 0 else t2_zero(a.dim).coeff  # no unit needed at mu = 0
     rhs = [[-lam * ss[i][j] + mu * uo[i][j] for j in range(a.dim)]
            for i in range(a.dim)]
     if lhs != rhs:
@@ -215,7 +215,7 @@ def semidirect_solutions(a: Algebra, v: Bimodule, alpha: LinearMap,
     compat = mat_mul(bm, transpose(am))
     compat = tuple(tuple(x + y for x, y in zip(r1, r2))
                    for r1, r2 in zip(compat, mat_mul(am, transpose(bm))))
-    expect = unit_square(a).coeff
+    expect = unit_square(a).coeff if mu != 0 else t2_zero(n).coeff  # no unit needed at mu = 0
     defect = tuple(tuple(x - mu * y for x, y in zip(r1, r2))
                    for r1, r2 in zip(compat, expect))
     if not is_zero_mat(defect):

@@ -30,9 +30,11 @@ def _checked(x, kind, what):
 
 
 def parse_scalar(s) -> Scalar:
-    """An exact scalar from an integer or a string such as "p/q"."""
+    """An exact scalar from an integer or a string such as "p/q", never "1e9"."""
     if not isinstance(s, str):
         return _checked(s, int, "scalar")
+    if "e" in s or "E" in s:
+        raise ValueError(f"scalar {s!r}: no exponents; write an integer, p/q or a decimal")
     try:
         return exact(Fraction(s))
     except ZeroDivisionError:
@@ -105,11 +107,6 @@ def decode_linear_map(d: dict) -> LinearMap:
     return LinearMap(matrix, d.get("domain", "primal"))
 
 
-def encode_bimodule(v: Bimodule) -> dict:
-    return {"left": [_mat_out(m) for m in v.left],
-            "right": [_mat_out(m) for m in v.right]}
-
-
 def decode_bimodule(d: dict, algebra: Algebra) -> Bimodule:
     d = _checked(d, dict, "bimodule")
     left = _table_in(d["left"])
@@ -132,12 +129,6 @@ def encode_augmentation(a: Augmentation) -> dict:
 
 def decode_augmentation(d: dict, algebra: Algebra) -> Augmentation:
     return Augmentation(algebra, _vec_in(_checked(d, dict, "augmentation")["eps"]))
-
-
-def encode_dendriform(dd: Dendriform) -> dict:
-    return {"dim": dd.dim,
-            "prec": [[_vec_out(v) for v in row] for row in dd.prec],
-            "succ": [[_vec_out(v) for v in row] for row in dd.succ]}
 
 
 def decode_dendriform(d: dict) -> Dendriform:

@@ -8,16 +8,19 @@ the unused slot; the equation reads
 Every residual comes from one kernel, `_slot_products`, which expands each
 product of two embedded tensors over the nonzero structure constants.  It
 only multiplies basis vectors pairwise, so a unit is needed only for the
-mu-term.  All checks are exact: pass means the residual is identically zero.
+mu-term (`_residual_flat`).  Run over `poly` variables they give the system
+that `grid_enumerate` searches.  Checks are exact: pass means zero residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .algebras import Algebra, check_algebra
 from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
 from .linalg import Scalar, exact, identity, kernel_basis, mat_mul, scalar_str
+from .poly import variables
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer
 
@@ -156,12 +159,10 @@ def _tensor3(n: int, flat: list) -> Tensor3:
                                   for q in range(n)) for p in range(n)))
 
 
-def _equation_residual(inst: YbeInstance, r: Tensor2, sc) -> Tensor3:
-    """r12 r13 + r13 r23 - r23 r12 - mu r13 with products taken by sc."""
-    _check_ybe_args(inst, r)
-    a, mu = inst.algebra, inst.mu
+def _residual_flat(a: Algebra, mu, c, sc) -> list:
+    """r12 r13 + r13 r23 - r23 r12 - mu r13 with products taken by sc, as the
+    flat row-major list of its n**3 coefficients, over any ring."""
     n = a.dim
-    c = r.coeff
     out = _slot_products(sc, ((1, "12.13", c, c), (1, "13.23", c, c),
                               (-1, "23.12", c, c)), n)
     if mu != 0:
@@ -174,12 +175,13 @@ def _equation_residual(inst: YbeInstance, r: Tensor2, sc) -> Tensor3:
                 for s, xs in enumerate(row):
                     if xs:
                         out[base + s] -= muq * xs
-    return _tensor3(n, out)
+    return out
 
 
 def nhacybe_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
     """r12 r13 + r13 r23 - r23 r12 - mu r13, expanded over basis products."""
-    return _equation_residual(inst, r, inst.algebra.sc)
+    _check_ybe_args(inst, r)
+    return _tensor3(r.dim, _residual_flat(inst.algebra, inst.mu, r.coeff, inst.algebra.sc))
 
 
 def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
@@ -188,7 +190,9 @@ def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
     This is the equation itself over the opposite algebra, whose structure
     constants are sc[k][i] in place of sc[i][k].
     """
-    return _equation_residual(inst, r, tuple(zip(*inst.algebra.sc)))
+    _check_ybe_args(inst, r)
+    a = inst.algebra
+    return _tensor3(a.dim, _residual_flat(a, inst.mu, r.coeff, tuple(zip(*a.sc))))
 
 
 def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
@@ -287,45 +291,17 @@ def aybp_residual(a: Algebra, r: Tensor2, s: Tensor2) -> tuple[Tensor3, Tensor3]
     return _tensor3(n, first), _tensor3(n, second)
 
 
-def _residual_form(inst: YbeInstance) -> list[tuple]:
-    """The residual of `nhacybe_residual` as a sparse quadratic form.
-
-    Entry r[a][b] is variable a * n + b.  Each component (p, q, s) whose
-    terms do not all cancel becomes ((p, q, s), quad, lin): quad holds
-    (coef, u, v) with u <= v for coef * x_u * x_v, lin holds (coef, u) for
-    coef * x_u.  Only the nonzero structure constants are visited.
-    """
-    a, mu = inst.algebra, inst.mu
-    n = a.dim
-    quad: dict = {}
-    lin: dict = {}
-
-    def add(table, comp, key, c):
-        terms = table.setdefault(comp, {})
-        terms[key] = terms.get(key, 0) + c
-
-    for i, k, p, c in _nonzero_sc(a.sc):
-        for q in range(n):
-            for s in range(n):
-                # r12 r13: (e_i e_k) (x) e_q (x) e_s
-                add(quad, (p, q, s), tuple(sorted((i * n + q, k * n + s))), c)
-                # r13 r23: e_q (x) e_s (x) (e_i e_k)
-                add(quad, (q, s, p), tuple(sorted((q * n + i, s * n + k))), c)
-                # r23 r12, subtracted: e_q (x) (e_i e_k) (x) e_s
-                add(quad, (q, p, s), tuple(sorted((q * n + k, i * n + s))), -c)
-    if mu != 0:
-        for q, uq in enumerate(a.require_unit()):
-            if uq:
-                for p in range(n):
-                    for s in range(n):
-                        add(lin, (p, q, s), p * n + s, -mu * uq)
-    form = []
-    for comp in sorted(set(quad) | set(lin)):
-        qt = tuple((c, u, v) for (u, v), c in sorted(quad.get(comp, {}).items()) if c)
-        lt = tuple((c, u) for u, c in sorted(lin.get(comp, {}).items()) if c)
-        if qt or lt:
-            form.append((comp, qt, lt))
-    return form
+def _search_checks(a: Algebra, mu: Scalar) -> list[list[tuple]]:
+    """checks[last]: (quad, lin) of each nonzero component whose highest variable
+    (r[i][j] is i * n + j) is last; quad has (coef, u, v), u <= v, lin (coef, u)."""
+    checks = [[] for _ in range(a.dim ** 2)]
+    for f in _residual_flat(a, mu, variables(a.dim), a.sc):
+        if f:
+            terms = sorted(f.items())
+            checks[max(m[-1] for m in f)].append(
+                (tuple((c, *m) for m, c in terms if len(m) == 2),
+                 tuple((c, *m) for m, c in terms if len(m) == 1)))
+    return checks
 
 
 def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Tensor2]:
@@ -335,20 +311,20 @@ def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Ten
 
     A depth-first search assigns the entries of r in row-major order, tries
     the values in increasing order, and tests each residual component as soon
-    as its last entry is fixed.  `budget` caps the search nodes, one node
-    being one value tried at one position; BudgetExceeded is raised when the
-    search would pass it.  Every solution found is confirmed once more by
-    `nhacybe_residual`.
+    as its last entry is fixed (`_search_checks`), over integers: with `scale`
+    the lcm of the denominators, R_mu(r / scale) = R_{scale mu}(r) / scale**2.
+    `budget` caps the search nodes, one node being one value tried at one
+    position; BudgetExceeded is raised when the search would pass it.  Every
+    solution found is confirmed once more by the kernel at the original mu.
     """
-    n = inst.algebra.dim
+    a, mu, n = inst.algebra, inst.mu, inst.algebra.dim
     vals = sorted({exact(v) for v in values})
     if not vals:
         return []
+    scale = lcm(*(v.denominator for v in vals + [mu]))
+    ints = [exact(scale * v) for v in vals]
+    checks = _search_checks(a, exact(scale * mu))
     size = n * n
-    checks = [[] for _ in range(size)]
-    for _, quad, lin in _residual_form(inst):
-        last = max([v for _, _, v in quad] + [u for _, u in lin])
-        checks[last].append((quad, lin))
     x = [0] * size
     tried = [0] * size  # values tried so far at each depth
     found = []
@@ -356,11 +332,11 @@ def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Ten
     d = 0
     while d >= 0:
         if d == size:
-            cand = Tensor2(n, tuple(tuple(x[i * n:(i + 1) * n]) for i in range(n)))
-            if not nhacybe_residual(inst, cand).is_zero():
+            cand = tuple(tuple(vals[t - 1] for t in tried[i * n:i * n + n]) for i in range(n))
+            if any(_residual_flat(a, mu, cand, a.sc)):
                 raise RuntimeError(
-                    f"compiled residual form disagrees with nhacybe_residual at {cand.coeff}")
-            found.append(cand)
+                    f"compiled residual form disagrees with the residual kernel at {cand}")
+            found.append(Tensor2(n, cand))
             d -= 1
             continue
         if tried[d] == len(vals):
@@ -370,7 +346,7 @@ def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Ten
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"search exceeds budget of {budget} nodes")
-        x[d] = vals[tried[d]]
+        x[d] = ints[tried[d]]
         tried[d] += 1
         for quad, lin in checks[d]:
             total = 0

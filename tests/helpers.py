@@ -28,6 +28,8 @@ from ybekit.algebras import apply_table, make_algebra
 from ybekit.catalog import catalog_algebra
 from ybekit.linalg import is_zero_vec, mat_mul, mat_vec, transpose, unit_vec, zero_vec
 from ybekit.operators import _suite_report
+from ybekit.poly import Poly
+from ybekit.ybe import _nonzero_sc
 
 ALL_NAMES = ("A1", "A2", "B1", "B2", "B3", "B4", "B5", "M2")
 
@@ -107,6 +109,63 @@ def brute_force_grid(i, values):
         if nhacybe_residual(i, t).is_zero():
             out.append(t)
     return out
+
+
+# The quadratic form grid_enumerate searched before it was compiled from the
+# residual kernel run over polynomials, kept as the reference for that
+# compilation.
+
+def reference_residual_form(inst: YbeInstance) -> list[tuple]:
+    """The residual of `nhacybe_residual` as a sparse quadratic form.
+
+    Entry r[a][b] is variable a * n + b.  Each component (p, q, s) whose
+    terms do not all cancel becomes ((p, q, s), quad, lin): quad holds
+    (coef, u, v) with u <= v for coef * x_u * x_v, lin holds (coef, u) for
+    coef * x_u.  Only the nonzero structure constants are visited.
+    """
+    a, mu = inst.algebra, inst.mu
+    n = a.dim
+    quad: dict = {}
+    lin: dict = {}
+
+    def add(table, comp, key, c):
+        terms = table.setdefault(comp, {})
+        terms[key] = terms.get(key, 0) + c
+
+    for i, k, p, c in _nonzero_sc(a.sc):
+        for q in range(n):
+            for s in range(n):
+                # r12 r13: (e_i e_k) (x) e_q (x) e_s
+                add(quad, (p, q, s), tuple(sorted((i * n + q, k * n + s))), c)
+                # r13 r23: e_q (x) e_s (x) (e_i e_k)
+                add(quad, (q, s, p), tuple(sorted((q * n + i, s * n + k))), c)
+                # r23 r12, subtracted: e_q (x) (e_i e_k) (x) e_s
+                add(quad, (q, p, s), tuple(sorted((q * n + k, i * n + s))), -c)
+    if mu != 0:
+        for q, uq in enumerate(a.require_unit()):
+            if uq:
+                for p in range(n):
+                    for s in range(n):
+                        add(lin, (p, q, s), p * n + s, -mu * uq)
+    form = []
+    for comp in sorted(set(quad) | set(lin)):
+        qt = tuple((c, u, v) for (u, v), c in sorted(quad.get(comp, {}).items()) if c)
+        lt = tuple((c, u) for u, c in sorted(lin.get(comp, {}).items()) if c)
+        if qt or lt:
+            form.append((comp, qt, lt))
+    return form
+
+
+def evaluate(f, x):
+    """A polynomial of ybekit.poly (or a plain number) at the point x."""
+    if not isinstance(f, Poly):
+        return f
+    total = 0
+    for m, c in f.items():
+        for v in m:
+            c *= x[v]
+        total += c
+    return total
 
 
 # Reference linear algebra: Fraction Gauss-Jordan elimination, as linalg did

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,27 @@ def test_zero_denominator_mu_is_an_input_error(tmp_path, capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["mu", "json"])
+def test_exponent_scalar_is_an_input_error(tmp_path, capsys, where):
+    # Fraction would expand the exponent into a 33-million-bit integer
+    big = "1e10000000"
+    a_path = _write(tmp_path, "a2.json", io_json.encode_algebra(alg("A2")))
+    coeff = [[big if where == "json" else 0, 0], [0, 0]]
+    r_path = _write(tmp_path, "r.json", {"dim": 2, "coeff": coeff})
+    argv = ["ybe", "check", "--algebra", a_path, "--r", r_path]
+    assert run(argv + (["--mu", big] if where == "mu" else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and big in err
+
+
+def test_scalars_without_exponent_still_parse():
+    assert [io_json.parse_scalar(s) for s in ("-3/6", "7", "0.25", "-1.5")] == \
+        [Fraction(-1, 2), 7, Fraction(1, 4), Fraction(-3, 2)]
+    for s in ("1E2", "2e-1", "1/2e3"):
+        with pytest.raises(ValueError):
+            io_json.parse_scalar(s)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
@@ -144,6 +166,7 @@ _ZERO_DIM = {"a.json": {"dim": 0, "sc": [], "unit": None}, "p.json": {"matrix": 
     "frobenius pr --algebra a.json --gram g.json --r r.json",
     "frobenius bridge --algebra a.json --gram g.json --r r.json --mu 0 --lambda 0",
     "construct unitize-extract --algebra a.json --eps e.json --r r.json --mu 0",
+    "construct from-rb --algebra a.json --s r.json --p p.json --lambda 0 --mu 0",
 ])
 def test_zero_dimensional_algebra_passes(tmp_path, monkeypatch, capsys, argv):
     for name, obj in _ZERO_DIM.items():

@@ -5,6 +5,7 @@ import pytest
 from ybekit import (
     Degenerate,
     LinearMap,
+    NotUnital,
     PreconditionViolated,
     WeightOp,
     YbeInstance,
@@ -37,6 +38,7 @@ from ybekit import (
     unit_square,
     unitization,
 )
+from ybekit.algebras import make_algebra
 from ybekit.sampling import random_matrix, random_tensor, rng
 
 from helpers import M2_SKEW, a2_solution, alg, entry, inst, zero_map
@@ -84,6 +86,26 @@ def test_solutions_from_rb_all_catalog(name, mu):
             assert nhacybe_residual(i, out).is_zero()
             assert extended_symmetrizer(i, out) == frob.phi.scale(-lam)
             assert is_symmetrized_invariant(i, out).passed
+
+
+def _zero_product(n):
+    return make_algebra(n, tuple(tuple((0,) * n for _ in range(n)) for _ in range(n)))
+
+
+def test_solutions_from_rb_needs_no_unit_at_mu_zero():
+    # on the zero-product line every map is Rota-Baxter and every tensor
+    # invariant; 2P = -lam makes s = 1 compatible with P = 1 at lam = -2
+    a = _zero_product(1)
+    r1, r2 = solutions_from_rb(a, t2_zero(1), zero_map(1), 0, 0)
+    assert r1.is_zero() and r2.is_zero()
+    s, p = t2_basis(1, 0, 0), LinearMap(((1,),))
+    r1, r2 = solutions_from_rb(a, s, p, -2, 0)
+    assert r1 == r2 == s
+    with pytest.raises(PreconditionViolated) as err:
+        solutions_from_rb(a, s, p, 0, 0)
+    assert err.value.equation == "operator-compatibility"
+    with pytest.raises(NotUnital):
+        solutions_from_rb(a, s, p, -2, 1)
 
 
 def test_solutions_from_rb_rejects_wrong_weight():
@@ -210,6 +232,16 @@ def test_semidirect_solutions_trivial():
     out = semidirect_solutions(a2, dual_regular_bimodule(a2),
                                zero_map(2, domain="dual"), zero_map(2), 1, 0)
     assert out.r1.is_zero() and out.r2.is_zero()
+
+
+def test_semidirect_solutions_need_no_unit_at_mu_zero():
+    a = _zero_product(1)
+    adj = adjoint_bimodule(a)
+    out = semidirect_solutions(a, adj, zero_map(1), zero_map(1), 1, 0)
+    assert out.algebra.dim == 2
+    assert out.r1.is_zero() and out.r2.is_zero()
+    with pytest.raises(NotUnital):
+        semidirect_solutions(a, adj, zero_map(1), zero_map(1), 1, 1)
 
 
 def test_semidirect_solutions_dual_route():

@@ -34,3 +34,27 @@ def test_unused_import_scan_sees_names_and_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def float_uses(source: str) -> list[str]:
+    """Float constants and float(...) calls, the ways a float gets in."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, f"{node.value!r} (line {node.lineno})"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "float":
+            found.append((node.lineno, f"float() (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_float_scan_sees_constants_and_calls():
+    source = ('"""1.5 in a docstring is text."""\nx = 2 * 0.5\ny = float("3")\n'
+              "z = 1e3\nw = 2j\nok = 7 // 2\n")
+    assert float_uses(source) == ["0.5 (line 2)", "float() (line 3)",
+                                  "1000.0 (line 4)", "2j (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_in_package(path):
+    assert float_uses(path.read_text(encoding="utf-8")) == []
