@@ -110,6 +110,7 @@ from .ybe import (
     aybp_residual,
     embed,
     extended_symmetrizer,
+    first_residual_entry,
     grid_enumerate,
     invariant_symmetric_basis,
     is_invariant,

@@ -15,6 +15,9 @@ Conventions, fixed once and relied on everywhere downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import DimensionMismatch, NotAssociative
 from .linalg import (
@@ -88,6 +91,37 @@ class Algebra:
             raise NotUnital("operation requires a unital algebra")
         return self.unit
 
+    # Derived data, computed on first use and kept: an Algebra never changes.
+
+    @cached_property
+    def _products(self) -> tuple[int, list[tuple]]:
+        """(d, nz): d the lcm of the denominators of the structure constants,
+        nz the nonzero ones as (i, k, p, d * c) where e_i e_k has c at e_p,
+        so that every entry of nz is an int."""
+        d = lcm(*(c.denominator for row in self.sc for v in row for c in v
+                  if type(c) is Fraction))
+        return d, [(i, k, p, int(c * d)) for i, row in enumerate(self.sc)
+                   for k, v in enumerate(row) for p, c in enumerate(v) if c]
+
+    @cached_property
+    def _opposite_products(self) -> tuple[int, list[tuple]]:
+        """`_products` of the opposite algebra, whose e_k e_i is e_i e_k."""
+        d, nz = self._products
+        return d, [(k, i, p, c) for i, k, p, c in nz]
+
+    @cached_property
+    def _axioms(self) -> CheckReport:
+        """check_algebra(self), run once however many instances use it."""
+        return check_algebra(self)
+
+    @cached_property
+    def _adjoint(self) -> "Bimodule":
+        return Bimodule(self, self.dim, self._left, self._right)
+
+    @cached_property
+    def _dual_regular(self) -> "Bimodule":
+        return dual_bimodule(self._adjoint)
+
 
 def apply_table(table, x: Vec, y: Vec) -> Vec:
     """The bilinear product sum x_i y_j table[i][j] of two coordinate vectors."""
@@ -125,7 +159,7 @@ def _action_matrix(table, x: Vec, m: int) -> Mat:
 
 def make_algebra(dim, sc, unit=None, basis=None) -> Algebra:
     names = tuple(basis) if basis else tuple(f"e{i + 1}" for i in range(dim))
-    return Algebra(dim, names, tuple(tuple(vec(v) for v in row) for row in sc), unit)
+    return Algebra(dim, names, sc, unit)
 
 
 def algebra_from_products(dim, products: dict, unit=None, basis=None) -> Algebra:
@@ -138,20 +172,39 @@ def algebra_from_products(dim, products: dict, unit=None, basis=None) -> Algebra
 
 
 def check_algebra(a: Algebra) -> CheckReport:
-    """Associativity on all basis triples plus two-sided unit, if declared."""
+    """Associativity on all basis triples plus two-sided unit, if declared.
+
+    (e_i e_j) e_k - e_i (e_j e_k) is summed over pairs of nonzero structure
+    constants only, in the integer numerators of `_products` (both sides
+    carry the same denominator).  The failing triple reported is the first
+    in row-major order.
+    """
     n = a.dim
-    for i in range(n):
-        for j in range(n):
-            ij = a.sc[i][j]
-            for k in range(n):
-                lhs = a.mul(ij, unit_vec(n, k))
-                rhs = a.mul(unit_vec(n, i), a.sc[j][k])
-                if lhs != rhs:
-                    return CheckReport(
-                        "algebra-axioms", False,
-                        witness={"kind": "associativity", "triple": [i, j, k],
-                                 "left": [scalar_str(x) for x in lhs],
-                                 "right": [scalar_str(x) for x in rhs]})
+    _, nz = a._products
+    by_first = [[] for _ in range(n)]  # by_first[p]: (k, q, c), e_p e_k has c at e_q
+    by_second = [[] for _ in range(n)]  # by_second[p]: (i, q, c), e_i e_p has c at e_q
+    for i, k, p, c in nz:
+        by_first[i].append((k, p, c))
+        by_second[k].append((i, p, c))
+    diff: dict[tuple, int] = {}  # (i, j, k, q): coordinate q of the difference
+    for i, j, p, c in nz:
+        for k, q, c2 in by_first[p]:
+            key = (i, j, k, q)
+            diff[key] = diff.get(key, 0) + c * c2
+    for j, k, p, c in nz:
+        for i, q, c2 in by_second[p]:
+            key = (i, j, k, q)
+            diff[key] = diff.get(key, 0) - c * c2
+    bad = [key[:3] for key, x in diff.items() if x]
+    if bad:
+        i, j, k = min(bad)
+        lhs = a.mul(a.sc[i][j], unit_vec(n, k))
+        rhs = a.mul(unit_vec(n, i), a.sc[j][k])
+        return CheckReport(
+            "algebra-axioms", False,
+            witness={"kind": "associativity", "triple": [i, j, k],
+                     "left": [scalar_str(x) for x in lhs],
+                     "right": [scalar_str(x) for x in rhs]})
     if a.unit is not None:
         for k in range(n):
             ek = unit_vec(n, k)
@@ -179,6 +232,17 @@ class Bimodule:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
+    @cached_property
+    def _actions(self) -> tuple[int, list[list[tuple]], list[list[tuple]]]:
+        """(d, left, right): d the lcm of the denominators of both actions,
+        left[k] the nonzero entries of left[k] as (c, j, d * left[k][c][j]),
+        all ints, and right[k] likewise."""
+        d = lcm(*(x.denominator for tab in (self.left, self.right) for mx in tab
+                  for row in mx for x in row if type(x) is Fraction))
+        return d, *([[(c, j, int(x * d)) for c, row in enumerate(mx)
+                      for j, x in enumerate(row) if x] for mx in tab]
+                    for tab in (self.left, self.right))
+
     def lmat(self, x: Vec) -> Mat:
         return _action_matrix(self.left, x, self.dim)
 
@@ -188,7 +252,7 @@ class Bimodule:
 
 def adjoint_bimodule(a: Algebra) -> Bimodule:
     """The algebra acting on itself by left and right multiplication."""
-    return Bimodule(a, a.dim, a._left, a._right)
+    return a._adjoint
 
 
 def dual_bimodule(v: Bimodule) -> Bimodule:
@@ -204,7 +268,7 @@ def dual_bimodule(v: Bimodule) -> Bimodule:
 def dual_regular_bimodule(a: Algebra) -> Bimodule:
     """The dual of the adjoint bimodule, i.e. the dual space with left action
     transpose-of-right-multiplication and right action transpose-of-left."""
-    return dual_bimodule(adjoint_bimodule(a))
+    return a._dual_regular
 
 
 def check_bimodule(v: Bimodule) -> CheckReport:

@@ -37,12 +37,11 @@ from .report import CheckReport
 from .ybe import (
     YbeInstance,
     extended_symmetrizer,
+    first_residual_entry,
     grid_enumerate,
     invariant_symmetric_basis,
     is_invariant,
     is_solution,
-    nhacybe_residual,
-    opposite_residual,
 )
 
 
@@ -82,28 +81,17 @@ def _report_exit(rep: CheckReport, fmt) -> int:
     return 0 if rep.passed else 1
 
 
-def _tensor3_witness(t3):
-    w = t3.first_nonzero()
-    if w is None:
-        return None
-    p, q, s, a = w
-    return {"slot": [p, q, s], "value": scalar_str(a)}
-
-
 def _add_common(p):
     p.add_argument("--report", choices=("json", "text"), default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="ybekit")
-    groups = top.add_subparsers(dest="group", required=True)
-
-    alg = groups.add_parser("algebra").add_subparsers(dest="cmd", required=True)
+def _algebra_commands(alg):
     p = alg.add_parser("check")
     p.add_argument("--algebra", required=True)
     _add_common(p)
 
-    ybe = groups.add_parser("ybe").add_subparsers(dest="cmd", required=True)
+
+def _ybe_commands(ybe):
     p = ybe.add_parser("check")
     p.add_argument("--algebra", required=True)
     p.add_argument("--r", required=True)
@@ -126,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum search nodes (values tried at one entry of r)")
     _add_common(p)
 
-    op = groups.add_parser("op").add_subparsers(dest="cmd", required=True)
+
+def _op_commands(op):
     p = op.add_parser("rb-check")
     p.add_argument("--algebra", required=True)
     p.add_argument("--p", required=True)
@@ -143,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", action="append", default=None)
     _add_common(p)
 
-    fro = groups.add_parser("frobenius").add_subparsers(dest="cmd", required=True)
+
+def _frobenius_commands(fro):
     for name in ("build", "pr", "bridge"):
         p = fro.add_parser(name)
         p.add_argument("--algebra", required=True)
@@ -155,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lambda", dest="lam", required=True)
         _add_common(p)
 
-    con = groups.add_parser("construct").add_subparsers(dest="cmd", required=True)
+
+def _construct_commands(con):
     p = con.add_parser("from-rb")
     p.add_argument("--algebra", required=True)
     p.add_argument("--s", required=True)
@@ -184,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     _add_common(p)
 
-    den = groups.add_parser("dendriform").add_subparsers(dest="cmd", required=True)
+
+def _dendriform_commands(den):
     p = den.add_parser("check")
     p.add_argument("--dendriform", required=True)
     _add_common(p)
@@ -195,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     _add_common(p)
 
-    cat = groups.add_parser("catalog").add_subparsers(dest="cmd", required=True)
+
+def _catalog_commands(cat):
     p = cat.add_parser("list")
     _add_common(p)
     p = cat.add_parser("export")
@@ -208,6 +201,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-grid", action="store_true")
     _add_common(p)
 
+
+# The command groups in the order `ybekit --help` lists them.
+_GROUPS = {
+    "algebra": _algebra_commands,
+    "ybe": _ybe_commands,
+    "op": _op_commands,
+    "frobenius": _frobenius_commands,
+    "construct": _construct_commands,
+    "dendriform": _dendriform_commands,
+    "catalog": _catalog_commands,
+}
+
+
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  Every group is listed, but when `group` is
+    given only that group gets its commands: argparse reads the commands of
+    the group the arguments name and of no other."""
+    top = argparse.ArgumentParser(prog="ybekit")
+    groups = top.add_subparsers(dest="group", required=True)
+    for name, add_commands in _GROUPS.items():
+        cmds = groups.add_parser(name).add_subparsers(dest="cmd", required=True)
+        if group is None or name == group:
+            add_commands(cmds)
     return top
 
 
@@ -220,9 +236,11 @@ def _cmd_ybe_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     r = io_json.decode_tensor2(_load(ns.r))
     inst = YbeInstance(a, _scalar(ns.mu))
-    res = opposite_residual(inst, r) if ns.opposite else nhacybe_residual(inst, r)
+    entry = first_residual_entry(inst, r, opposite=ns.opposite)
+    witness = None if entry is None else {"slot": list(entry[0]),
+                                          "value": scalar_str(entry[1])}
     rep = CheckReport("opposite-equation" if ns.opposite else "tensor-equation",
-                      res.is_zero(), witness=_tensor3_witness(res),
+                      entry is None, witness=witness,
                       details={"mu": scalar_str(inst.mu)})
     return _report_exit(rep, ns.report)
 
@@ -489,9 +507,12 @@ def _join_negative_values(argv):
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    argv = _join_negative_values(list(argv))
+    # The top-level parser has no option that takes a value, so its first
+    # argument that is not an option names the group argparse will read.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
-        ns = parser.parse_args(_join_negative_values(list(argv)))
+        ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -10,6 +10,7 @@ from .algebras import (
     Algebra,
     Augmentation,
     Bimodule,
+    adjoint_bimodule,
     dual_bimodule,
     is_unital_bimodule,
     semidirect_product,
@@ -273,7 +274,7 @@ def pair_identity_residual(a: Algebra, aug: Augmentation, r: Tensor2,
     hypotheses."""
     p, pp = extract_rb_pair(a, aug, r)
     pcols = transpose(p.matrix)
-    return _operator_defect(a.sc, a._left, a._right, pcols, pcols,
+    return _operator_defect(a, adjoint_bimodule(a), pcols, pcols,
                             mat_scale(-1, transpose(pp.matrix)), vec_scale(mu, aug.eps))
 
 

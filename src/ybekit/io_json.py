@@ -30,9 +30,16 @@ def _checked(x, kind, what):
 
 
 def parse_scalar(s) -> Scalar:
-    """An exact scalar from an integer or a string such as "p/q", never "1e9"."""
+    """An exact scalar from an integer or a string such as "p/q", never "1e9".
+
+    A plain ASCII integer literal, optionally negative, goes through int();
+    every other string goes through Fraction, which gives the same value on
+    those and decides everything else."""
     if not isinstance(s, str):
         return _checked(s, int, "scalar")
+    digits = s[1:] if s[:1] == "-" else s
+    if digits.isdigit() and digits.isascii():
+        return int(s)
     if "e" in s or "E" in s:
         raise ValueError(f"scalar {s!r}: no exponents; write an integer, p/q or a decimal")
     try:

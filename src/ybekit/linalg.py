@@ -23,7 +23,13 @@ HALF = Fraction(1, 2)
 
 
 def exact(x) -> Scalar:
-    """Coerce a number (or 'p/q' string) to an exact scalar."""
+    """Coerce a number (or 'p/q' string) to an exact scalar.  A float is
+    refused: its binary fraction is almost never the number that was meant."""
+    t = type(x)
+    if t is int or t is Fraction and x.denominator != 1:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"scalar: expected int, got {t.__name__}")
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     f = Fraction(x)

@@ -22,13 +22,24 @@ the same kernel over the opposite algebra: structure constants sc[k][i] in
 place of sc[i][k], and the left and right actions exchanged.  Its table is
 then the transpose of the mirrored identity's, which leaves every verdict
 unchanged.
+
+The kernel adds up integer numerators, as the residual kernel of `ybe`
+does.  The structure constants are cleared of denominators once per algebra
+(`Algebra._products`), the actions once per bimodule (`Bimodule._actions`)
+and each map, eps and weight once per call.  The module element is summed
+over one denominator, and each kind of term of the defect is scaled by the
+common denominator over the product of its own inputs' denominators.  The
+suites test the numerators (`_holds`); a division happens only where a
+public function forms a ResidualTable, giving an int when exact and a
+Fraction otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .algebras import Algebra, Bimodule, apply_table, dual_regular_bimodule
+from .algebras import Algebra, Bimodule, adjoint_bimodule, apply_table, dual_regular_bimodule
 from .errors import DimensionMismatch, NotInvariant, NotSymmetric, PreconditionViolated
 from .linalg import (
     Mat,
@@ -50,11 +61,12 @@ from .report import CheckReport
 from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
-    _nonzero_sc,
+    _cleared,
     _sparse_rows,
+    _values,
     extended_symmetrizer,
     is_invariant,
-    nhacybe_residual,
+    is_solution,
 )
 
 
@@ -166,7 +178,6 @@ def check_bimodule_algebra(b: BimoduleAlgebra) -> CheckReport:
 
 def regular_bimodule_algebra(a: Algebra) -> BimoduleAlgebra:
     """The algebra acting on itself with its own multiplication as product."""
-    from .algebras import adjoint_bimodule
     return BimoduleAlgebra(adjoint_bimodule(a), a.sc)
 
 
@@ -248,40 +259,57 @@ def _by_coordinate(cols: Mat, n: int) -> list[list[tuple]]:
     return _sparse_rows(zip(*cols)) if cols else [[] for _ in range(n)]
 
 
-def _operator_defect(sc, left, right, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
-                     weight: ProductTable | None = None) -> ResidualTable:
-    """The table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j) - p(e_i.s(e_j))
-    - eps[j] p(e_i) - p(weight[i][j]) over all module basis pairs.
+def _defect_num(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
+                weight: ProductTable | None = None, opposite: bool = False
+                ) -> tuple[list, int]:
+    """(num, den): the table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j)
+    - p(e_i.s(e_j)) - eps[j] p(e_i) - p(weight[i][j]) over all basis pairs
+    of the module v is num / den, coordinate t of D[i][j] at (i * m + j) * n + t.
 
-    sc is the product of the algebra, left[k] and right[k] the actions of its
-    k-th basis vector on the module.  The maps p, q and s go from the module
-    to the algebra and are given by their columns: p[i] is p(e_i).  eps is a
-    vector and weight a table of module vectors, both optional.  The module
-    element q(e_i).e_j + e_i.s(e_j) + eps[j] e_i + weight[i][j] is summed
-    first and p is applied to it once.  Every product runs over nonzero
-    structure constants, action entries and map entries only.
+    The product is that of the algebra a, or with opposite that of its
+    opposite algebra, with the left and right actions of v exchanged.  The
+    maps p, q and s go from the module to the algebra and are given by their
+    columns: p[i] is p(e_i).  eps is a vector and weight a table of module
+    vectors, both optional.  The module element q(e_i).e_j + e_i.s(e_j)
+    + eps[j] e_i + weight[i][j] is summed first and p is applied to it once.
+    Every product runs over nonzero structure constants, action entries and
+    map entries only.  num holds ints, or polynomials where the maps do.
     """
-    n, m = len(sc), len(p)
-    # Module part, flat: coordinate c of the (i, j) element at (i * m + j) * m + c.
-    mod = [x for row in weight for w in row for x in w] if weight else [0] * m ** 3
+    n, m = a.dim, len(p)
+    dsc, nz = a._opposite_products if opposite else a._products
+    dact, left, right = v._actions
+    if opposite:
+        left, right = right, left
+    (dp, p), (dq, q), (ds, s) = _cleared(p), _cleared(q), _cleared(s)
+    de, (eps,) = _cleared((eps or (),))
+    dw, (wflat,) = _cleared(([x for row in weight for w in row for x in w] if weight else (),))
+    # Module part over dm, flat: coordinate c of the (i, j) element at (i * m + j) * m + c.
+    dm = lcm(dq * dact, ds * dact, de, dw)
+    mod = [x * (dm // dw) for x in wflat] if weight else [0] * m ** 3
+    kq, ks = dm // (dq * dact), dm // (ds * dact)
     q_at, s_at = _by_coordinate(q, n), _by_coordinate(s, n)
     for k in range(n):
-        for c, row in enumerate(_sparse_rows(left[k])):  # e_k.e_j has a at e_c
-            for j, a in row:
-                for i, x in q_at[k]:
-                    mod[(i * m + j) * m + c] += x * a
-        for c, row in enumerate(_sparse_rows(right[k])):  # e_i.e_k has a at e_c
-            for i, a in row:
-                for j, y in s_at[k]:
-                    mod[(i * m + j) * m + c] += y * a
-    for j, y in enumerate(eps or ()):
+        for c, j, x in left[k]:  # e_k.e_j has x at e_c
+            x *= kq
+            for i, y in q_at[k]:
+                mod[(i * m + j) * m + c] += y * x
+        for c, i, x in right[k]:  # e_i.e_k has x at e_c
+            x *= ks
+            for j, y in s_at[k]:
+                mod[(i * m + j) * m + c] += y * x
+    for j, y in enumerate(eps):
         if y:
+            y *= dm // de
             for i in range(m):
                 mod[(i * m + j) * m + i] += y
-    out = [0] * (m * m * n)  # coordinate t of D[i][j] at (i * m + j) * n + t
+    # p(e_i)p(e_j) is over dsc * dp**2, p applied to the module part over dm * dp.
+    den = lcm(dsc * dp * dp, dm * dp)
+    kp, km = den // (dsc * dp * dp), den // (dm * dp)
+    out = [0] * (m * m * n)
     p_at = _by_coordinate(p, n)
-    for a, b, k, c in _nonzero_sc(sc):
-        for i, x in p_at[a]:
+    for a_, b, k, c in nz:
+        c *= kp
+        for i, x in p_at[a_]:
             cx = c * x
             base = i * m * n + k
             for j, y in p_at[b]:
@@ -289,18 +317,33 @@ def _operator_defect(sc, left, right, p: Mat, q: Mat, s: Mat, eps: Vec | None = 
     p_cols = _sparse_rows(p)
     for at, w in enumerate(mod):
         if w:
+            w *= km
             ij, c = divmod(at, m)
             base = ij * n
             for t, x in p_cols[c]:
                 out[base + t] -= w * x
-    return tuple(tuple(tuple(out[(i * m + j) * n:(i * m + j + 1) * n]) for j in range(m))
+    return out, den
+
+
+def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
+                     weight: ProductTable | None = None, opposite: bool = False
+                     ) -> ResidualTable:
+    """The defect table of `_defect_num` as values: table[i][j] is D[i][j]."""
+    n, m = a.dim, len(p)
+    flat = _values(*_defect_num(a, v, p, q, s, eps, weight, opposite))
+    return tuple(tuple(tuple(flat[(i * m + j) * n:(i * m + j + 1) * n]) for j in range(m))
                  for i in range(m))
 
 
-def o_operator_residual(a: Algebra, v: Bimodule, alpha: LinearMap,
-                        weight: WeightOp) -> ResidualTable:
-    """Defect of alpha(u) alpha(w) = alpha(alpha(u).w) + alpha(u.alpha(w))
-    + alpha(weight(u, w)) on all module basis pairs."""
+def _holds(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
+           weight: ProductTable | None = None, opposite: bool = False) -> bool:
+    """Whether the defect of `_defect_num` vanishes, read off its numerators."""
+    return not any(_defect_num(a, v, p, q, s, eps, weight, opposite)[0])
+
+
+def _o_operator_maps(a: Algebra, v: Bimodule, alpha: LinearMap, weight: WeightOp) -> tuple:
+    """(p, q, s, eps, weight table) of `_defect_num` for alpha as an
+    O-operator of the given weight on v."""
     m = v.dim
     cols = _columns(alpha.matrix, a.dim, m,
                     "operator shape does not match module -> algebra")
@@ -320,7 +363,19 @@ def o_operator_residual(a: Algebra, v: Bimodule, alpha: LinearMap,
             q = moved
     elif weight.kind != "zero":
         raise DimensionMismatch(f"unknown weight kind {weight.kind}")
-    return _operator_defect(a.sc, v.left, v.right, cols, q, s, weight=table)
+    return cols, q, s, None, table
+
+
+def o_operator_residual(a: Algebra, v: Bimodule, alpha: LinearMap,
+                        weight: WeightOp) -> ResidualTable:
+    """Defect of alpha(u) alpha(w) = alpha(alpha(u).w) + alpha(u.alpha(w))
+    + alpha(weight(u, w)) on all module basis pairs."""
+    return _operator_defect(a, v, *_o_operator_maps(a, v, alpha, weight))
+
+
+def _is_o_operator(a: Algebra, v: Bimodule, alpha: LinearMap, weight: WeightOp) -> bool:
+    """Whether `o_operator_residual` vanishes, read off its numerators."""
+    return _holds(a, v, *_o_operator_maps(a, v, alpha, weight))
 
 
 def residual_is_zero(table: ResidualTable) -> bool:
@@ -335,13 +390,23 @@ def residual_witness(table: ResidualTable):
     return None
 
 
-def rota_baxter_residual(a: Algebra, p: LinearMap, lam: Scalar) -> ResidualTable:
-    """Defect of P(x)P(y) = P(P(x)y) + P(xP(y)) + lam P(xy) on basis pairs."""
+def _rb_maps(a: Algebra, p: LinearMap, lam: Scalar) -> tuple:
+    """(p, q, s) of `_defect_num` on the adjoint bimodule for P of weight lam."""
     n = a.dim
     cols = _columns(p.matrix, n, n, "operator is not an endomorphism of the algebra")
     shifted = tuple(tuple(x + lam if k == i else x for k, x in enumerate(col))
                     for i, col in enumerate(cols)) if lam != 0 else cols
-    return _operator_defect(a.sc, a._left, a._right, cols, cols, shifted)
+    return cols, cols, shifted
+
+
+def rota_baxter_residual(a: Algebra, p: LinearMap, lam: Scalar) -> ResidualTable:
+    """Defect of P(x)P(y) = P(P(x)y) + P(xP(y)) + lam P(xy) on basis pairs."""
+    return _operator_defect(a, adjoint_bimodule(a), *_rb_maps(a, p, lam))
+
+
+def _is_rota_baxter(a: Algebra, p: LinearMap, lam: Scalar) -> bool:
+    """Whether `rota_baxter_residual` vanishes, read off its numerators."""
+    return _holds(a, adjoint_bimodule(a), *_rb_maps(a, p, lam))
 
 
 def rb_system_residual(a: Algebra, p: LinearMap, s: LinearMap
@@ -350,8 +415,8 @@ def rb_system_residual(a: Algebra, p: LinearMap, s: LinearMap
     n = a.dim
     what = "operator is not an endomorphism of the algebra"
     pc, sc_ = _columns(p.matrix, n, n, what), _columns(s.matrix, n, n, what)
-    return (_operator_defect(a.sc, a._left, a._right, pc, pc, sc_),
-            _operator_defect(a.sc, a._left, a._right, sc_, pc, sc_))
+    adj = adjoint_bimodule(a)
+    return _operator_defect(a, adj, pc, pc, sc_), _operator_defect(a, adj, sc_, pc, sc_)
 
 
 def _suite_report(name: str, verdicts: dict, **extra) -> CheckReport:
@@ -376,16 +441,12 @@ def operator_form_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     r_rows, r_cols = r.coeff, transpose(r.coeff)
     dualmod = dual_regular_bimodule(a)
 
-    verdict_a = nhacybe_residual(inst, r).is_zero()
-    verdict_b = residual_is_zero(_operator_defect(
-        a.sc, dualmod.left, dualmod.right, r_rows, r_rows, mat_scale(-1, r_cols), eps))
-    verdict_c = residual_is_zero(o_operator_residual(
-        a, dualmod, sharp(r), WeightOp.right_twist(neg_sb)))
-    verdict_d = residual_is_zero(_operator_defect(
-        tuple(zip(*a.sc)), dualmod.right, dualmod.left, r_cols, r_cols,
-        mat_scale(-1, r_rows), eps))
-    verdict_e = residual_is_zero(o_operator_residual(
-        a, dualmod, tsharp(r), WeightOp.left_twist(neg_sb)))
+    verdict_a = is_solution(inst, r)
+    verdict_b = _holds(a, dualmod, r_rows, r_rows, mat_scale(-1, r_cols), eps)
+    verdict_c = _is_o_operator(a, dualmod, sharp(r), WeightOp.right_twist(neg_sb))
+    verdict_d = _holds(a, dualmod, r_cols, r_cols, mat_scale(-1, r_rows), eps,
+                       opposite=True)
+    verdict_e = _is_o_operator(a, dualmod, tsharp(r), WeightOp.left_twist(neg_sb))
 
     return _suite_report("operator-form-suite", {
         "tensor_equation": verdict_a,
@@ -413,11 +474,9 @@ def invariant_operator_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
         circ = invariant_dual_product(a, sbar)
         weight = WeightOp.scalar(-1, circ.product)
         branch = "weight--1"
-    verdict_a = nhacybe_residual(inst, r).is_zero()
-    verdict_b = residual_is_zero(o_operator_residual(
-        a, dualmod, sharp(r), weight))
-    verdict_c = residual_is_zero(o_operator_residual(
-        a, dualmod, tsharp(r), weight))
+    verdict_a = is_solution(inst, r)
+    verdict_b = _is_o_operator(a, dualmod, sharp(r), weight)
+    verdict_c = _is_o_operator(a, dualmod, tsharp(r), weight)
     return _suite_report("invariant-operator-suite", {
         "tensor_equation": verdict_a,
         "first_slot_operator": verdict_b,
@@ -466,13 +525,11 @@ def dual_operator_suite(a: Algebra, b: BimoduleAlgebra, p: LinearMap,
         weight = WeightOp.scalar(-1, b.product)
         branch = "weight--1"
     inst = YbeInstance(a, mu)
+    v = b.bimodule
     verdicts = {
-        "map_operator": residual_is_zero(
-            o_operator_residual(a, b.bimodule, p, weight)),
-        "dual_map_operator": residual_is_zero(
-            o_operator_residual(a, b.bimodule, dual_map(p), weight)),
-        "first_slot_tensor": nhacybe_residual(inst, tensor_of_sharp(p)).is_zero(),
-        "second_slot_tensor": nhacybe_residual(
-            inst, Tensor2(n, p.matrix)).is_zero(),
+        "map_operator": _is_o_operator(a, v, p, weight),
+        "dual_map_operator": _is_o_operator(a, v, dual_map(p), weight),
+        "first_slot_tensor": is_solution(inst, tensor_of_sharp(p)),
+        "second_slot_tensor": is_solution(inst, Tensor2(n, p.matrix)),
     }
     return _suite_report("dual-operator-suite", verdicts, branch=branch)

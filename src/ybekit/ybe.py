@@ -8,19 +8,31 @@ the unused slot; the equation reads
 Every residual comes from one kernel, `_slot_products`, which expands each
 product of two embedded tensors over the nonzero structure constants.  It
 only multiplies basis vectors pairwise, so a unit is needed only for the
-mu-term (`_residual_flat`).  Run over `poly` variables they give the system
+mu-term (`_residual_num`).  Run over `poly` variables they give the system
 that `grid_enumerate` searches.  Checks are exact: pass means zero residual.
+
+The kernel adds up integer numerators.  The structure constants are cleared
+of denominators once per algebra (`Algebra._products`) and each input once
+per call (`_cleared`); each kind of term is then scaled by L over the
+product of its own inputs' denominators, so that a residual comes back as
+ints over one common denominator L.  A verdict tests the numerators without
+dividing (`is_solution`, `first_residual_entry`, the confirmation in
+`grid_enumerate`).  A division happens only where a value is formed: the
+Tensor3 of `nhacybe_residual`, `opposite_residual` and `aybp_residual`, and
+the one coefficient `first_residual_entry` returns.  Like `linalg._ratio`,
+it gives an int when exact and a Fraction otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
-from .algebras import Algebra, check_algebra
+from .algebras import Algebra
 from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
-from .linalg import Scalar, exact, identity, kernel_basis, mat_mul, scalar_str
-from .poly import variables
+from .linalg import Scalar, _ratio, exact, identity, kernel_basis, mat_mul, scalar_str
+from .poly import Poly, variables
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer
 
@@ -36,7 +48,7 @@ class YbeInstance:
         object.__setattr__(self, "mu", exact(self.mu))
         if self.mu != 0:
             self.algebra.require_unit()
-        rep = check_algebra(self.algebra)
+        rep = self.algebra._axioms  # check_algebra, once per algebra
         if not rep.passed:
             error = NotUnital if rep.witness["kind"] == "unit" else NotAssociative
             raise error(f"invalid algebra: {rep.witness}")
@@ -104,12 +116,6 @@ def _check_ybe_args(inst: YbeInstance, r: Tensor2):
             f"tensor dim {r.dim} != algebra dim {inst.algebra.dim}")
 
 
-def _nonzero_sc(sc) -> list[tuple]:
-    """The nonzero structure constants as (i, k, p, c): e_i e_k has c at e_p."""
-    return [(i, k, p, c) for i, row in enumerate(sc) for k, v in enumerate(row)
-            for p, c in enumerate(v) if c]
-
-
 # For a structure constant e_i e_k = ... + c e_p, each slot product adds
 # c x[.][.] y[.][.] at one position of the n x n x n result:
 #   x12 y13: c x[i][q] y[k][s] at (p, q, s)
@@ -128,60 +134,100 @@ def _sparse_rows(m) -> list[list[tuple]]:
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
 
-def _slot_products(sc, terms, n: int) -> list:
-    """The sum of sign * x?? y?? over terms (sign, slots, x, y), where x and y
-    are coefficient matrices and slots is "12.13", "13.23" or "23.12".
+def _slot_products(nz, terms, n: int) -> list:
+    """The sum of coef * x?? y?? over terms (coef, slots, x, y), where coef is
+    an int, x and y are coefficient matrices, slots is "12.13", "13.23" or "23.12",
+    and the products are taken by the integer structure constants nz, given
+    as (i, k, p, c) like `Algebra._products`.
 
-    One pass over the nonzero structure constants serves every term.  The
-    result is the flat row-major list of the n**3 coefficients.
+    One pass over nz serves every term.  The result is the flat row-major
+    list of the n**3 coefficients.
     """
     prepared = []
-    for sign, slots, x, y in terms:
+    for coef, slots, x, y in terms:
         x_cols, y_cols, (ep, eq, es) = _SLOT_PRODUCTS[slots]
-        prepared.append((sign,
+        prepared.append((coef,
                          _sparse_rows(zip(*x) if x_cols else x),
                          _sparse_rows(zip(*y) if y_cols else y),
                          n ** ep, n ** eq, n ** es))
     out = [0] * n ** 3
-    for i, k, p, c in _nonzero_sc(sc):
-        for sign, xs, ys, sp, sq, ss in prepared:
+    for i, k, p, c in nz:
+        for coef, xs, ys, sp, sq, ss in prepared:
             yk = ys[k]
             for q, xq in xs[i]:
                 base = p * sp + q * sq
-                cq = sign * c * xq
+                cq = coef * c * xq
                 for s, ysk in yk:
                     out[base + s * ss] += cq * ysk
     return out
 
 
-def _tensor3(n: int, flat: list) -> Tensor3:
+def _cleared(m) -> tuple[int, tuple]:
+    """(d, d * m): d is the lcm of the denominators of the entries of the
+    matrix m, so d * m holds ints, or polynomials where m does.  A matrix
+    without Fraction entries is returned as it is, with d = 1."""
+    d = lcm(*(x.denominator for row in m for x in row if type(x) is Fraction))
+    if d == 1:
+        return 1, m
+    return d, tuple(tuple(x.numerator * (d // x.denominator) if type(x) is Fraction
+                          else x * d for x in row) for row in m)
+
+
+def _values(num: list, den: int) -> list:
+    """Each entry of num divided by den: an int when exact, else a Fraction;
+    a Poly by coefficient."""
+    if den == 1:
+        return num
+    return [Poly({m: _ratio(c, den) for m, c in x.items()}) if isinstance(x, Poly)
+            else _ratio(x, den) for x in num]
+
+
+def _tensor3(n: int, num: list, den: int) -> Tensor3:
+    flat = _values(num, den)
     return Tensor3(n, tuple(tuple(tuple(flat[(p * n + q) * n:(p * n + q + 1) * n])
                                   for q in range(n)) for p in range(n)))
 
 
-def _residual_flat(a: Algebra, mu, c, sc) -> list:
-    """r12 r13 + r13 r23 - r23 r12 - mu r13 with products taken by sc, as the
-    flat row-major list of its n**3 coefficients, over any ring."""
+def _residual_num(a: Algebra, mu, c, opposite: bool = False) -> tuple[list, int]:
+    """(num, den): r12 r13 + r13 r23 - r23 r12 - mu r13 for the coefficient
+    matrix c is num / den, as the flat row-major list of its n**3
+    coefficients.  Products are taken in the algebra, or in its opposite,
+    whose structure constants are sc[k][i] in place of sc[i][k].  num holds
+    ints, or polynomials when c does; den is a positive int."""
     n = a.dim
-    out = _slot_products(sc, ((1, "12.13", c, c), (1, "13.23", c, c),
-                              (-1, "23.12", c, c)), n)
+    dsc, nz = a._opposite_products if opposite else a._products
+    dc, x = _cleared(c)
+    quad = dsc * dc * dc
+    den = quad
     if mu != 0:
-        for q, uq in enumerate(a.require_unit()):
+        du, (u,) = _cleared((a.require_unit(),))
+        lin = mu.denominator * du * dc
+        den = lcm(quad, lin)
+    kq = den // quad
+    out = _slot_products(nz, ((kq, "12.13", x, x), (kq, "13.23", x, x), (-kq, "23.12", x, x)), n)
+    if mu != 0:
+        f = den // lin * mu.numerator
+        for q, uq in enumerate(u):
             if not uq:
                 continue
-            muq = mu * uq
-            for p, row in enumerate(c):
+            fq = f * uq
+            for p, row in enumerate(x):
                 base = (p * n + q) * n
                 for s, xs in enumerate(row):
                     if xs:
-                        out[base + s] -= muq * xs
-    return out
+                        out[base + s] -= fq * xs
+    return out, den
+
+
+def _residual_flat(a: Algebra, mu, c, opposite: bool = False) -> list:
+    """The coefficients of `_residual_num` as values, over any ring."""
+    return _values(*_residual_num(a, mu, c, opposite))
 
 
 def nhacybe_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
     """r12 r13 + r13 r23 - r23 r12 - mu r13, expanded over basis products."""
     _check_ybe_args(inst, r)
-    return _tensor3(r.dim, _residual_flat(inst.algebra, inst.mu, r.coeff, inst.algebra.sc))
+    return _tensor3(r.dim, *_residual_num(inst.algebra, inst.mu, r.coeff))
 
 
 def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
@@ -191,12 +237,25 @@ def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
     constants are sc[k][i] in place of sc[i][k].
     """
     _check_ybe_args(inst, r)
-    a = inst.algebra
-    return _tensor3(a.dim, _residual_flat(a, inst.mu, r.coeff, tuple(zip(*a.sc))))
+    return _tensor3(r.dim, *_residual_num(inst.algebra, inst.mu, r.coeff, opposite=True))
 
 
 def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
-    return nhacybe_residual(inst, r).is_zero()
+    _check_ybe_args(inst, r)
+    return not any(_residual_num(inst.algebra, inst.mu, r.coeff)[0])
+
+
+def first_residual_entry(inst: YbeInstance, r: Tensor2, opposite: bool = False):
+    """The first nonzero coefficient of the residual (of the opposite
+    equation if opposite) in row-major order, as ((p, q, s), value), or
+    None when r solves the equation.  Only that coefficient is divided out."""
+    _check_ybe_args(inst, r)
+    n = r.dim
+    num, den = _residual_num(inst.algebra, inst.mu, r.coeff, opposite)
+    for at, x in enumerate(num):
+        if x:
+            return (at // (n * n), at // n % n, at % n), _ratio(x, den)
+    return None
 
 
 def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:
@@ -283,19 +342,25 @@ def aybp_residual(a: Algebra, r: Tensor2, s: Tensor2) -> tuple[Tensor3, Tensor3]
     n = a.dim
     if r.dim != n or s.dim != n:
         raise DimensionMismatch("tensor dims do not match algebra dim")
-    x, y = r.coeff, s.coeff
-    first = _slot_products(a.sc, ((1, "12.13", x, x), (-1, "23.12", x, x),
-                                  (1, "13.23", x, y)), n)
-    second = _slot_products(a.sc, ((1, "12.13", x, y), (-1, "23.12", y, y),
-                                   (1, "13.23", y, y)), n)
-    return _tensor3(n, first), _tensor3(n, second)
+    dsc, nz = a._products
+
+    def total(terms) -> Tensor3:
+        """The sum of sign * x?? y?? over terms (sign, slots, (dx, x), (dy, y))."""
+        den = lcm(*(dsc * dx * dy for _, _, (dx, _), (dy, _) in terms))
+        return _tensor3(n, _slot_products(
+            nz, [(sign * (den // (dsc * dx * dy)), slots, x, y)
+                 for sign, slots, (dx, x), (dy, y) in terms], n), den)
+
+    x, y = _cleared(r.coeff), _cleared(s.coeff)
+    return (total(((1, "12.13", x, x), (-1, "23.12", x, x), (1, "13.23", x, y))),
+            total(((1, "12.13", x, y), (-1, "23.12", y, y), (1, "13.23", y, y))))
 
 
 def _search_checks(a: Algebra, mu: Scalar) -> list[list[tuple]]:
     """checks[last]: (quad, lin) of each nonzero component whose highest variable
     (r[i][j] is i * n + j) is last; quad has (coef, u, v), u <= v, lin (coef, u)."""
     checks = [[] for _ in range(a.dim ** 2)]
-    for f in _residual_flat(a, mu, variables(a.dim), a.sc):
+    for f in _residual_flat(a, mu, variables(a.dim)):
         if f:
             terms = sorted(f.items())
             checks[max(m[-1] for m in f)].append(
@@ -315,7 +380,8 @@ def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Ten
     the lcm of the denominators, R_mu(r / scale) = R_{scale mu}(r) / scale**2.
     `budget` caps the search nodes, one node being one value tried at one
     position; BudgetExceeded is raised when the search would pass it.  Every
-    solution found is confirmed once more by the kernel at the original mu.
+    solution found is confirmed once more by the kernel at the original mu,
+    on its integer numerators.
     """
     a, mu, n = inst.algebra, inst.mu, inst.algebra.dim
     vals = sorted({exact(v) for v in values})
@@ -333,7 +399,7 @@ def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Ten
     while d >= 0:
         if d == size:
             cand = tuple(tuple(vals[t - 1] for t in tried[i * n:i * n + n]) for i in range(n))
-            if any(_residual_flat(a, mu, cand, a.sc)):
+            if any(_residual_num(a, mu, cand)[0]):
                 raise RuntimeError(
                     f"compiled residual form disagrees with the residual kernel at {cand}")
             found.append(Tensor2(n, cand))

@@ -26,10 +26,18 @@ from ybekit import (
 )
 from ybekit.algebras import apply_table, make_algebra
 from ybekit.catalog import catalog_algebra
-from ybekit.linalg import is_zero_vec, mat_mul, mat_vec, transpose, unit_vec, zero_vec
+from ybekit.linalg import (
+    is_zero_vec,
+    mat_mul,
+    mat_vec,
+    scalar_str,
+    transpose,
+    unit_vec,
+    zero_vec,
+)
 from ybekit.operators import _suite_report
 from ybekit.poly import Poly
-from ybekit.ybe import _nonzero_sc
+from ybekit.report import CheckReport
 
 ALL_NAMES = ("A1", "A2", "B1", "B2", "B3", "B4", "B5", "M2")
 
@@ -114,6 +122,12 @@ def brute_force_grid(i, values):
 # The quadratic form grid_enumerate searched before it was compiled from the
 # residual kernel run over polynomials, kept as the reference for that
 # compilation.
+
+def _nonzero_sc(sc) -> list[tuple]:
+    """The nonzero structure constants as (i, k, p, c): e_i e_k has c at e_p."""
+    return [(i, k, p, c) for i, row in enumerate(sc) for k, v in enumerate(row)
+            for p, c in enumerate(v) if c]
+
 
 def reference_residual_form(inst: YbeInstance) -> list[tuple]:
     """The residual of `nhacybe_residual` as a sparse quadratic form.
@@ -509,3 +523,29 @@ def reference_frobenius_suite(f, mu, r):
         "right_twisted_rb": verdict_d,
         "left_twisted_rb": verdict_e,
     })
+
+
+def reference_check_algebra(a):
+    """check_algebra as a dense loop of Algebra.mul calls on every basis
+    triple, as it was before it summed over nonzero structure constants."""
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            ij = a.sc[i][j]
+            for k in range(n):
+                lhs = a.mul(ij, unit_vec(n, k))
+                rhs = a.mul(unit_vec(n, i), a.sc[j][k])
+                if lhs != rhs:
+                    return CheckReport(
+                        "algebra-axioms", False,
+                        witness={"kind": "associativity", "triple": [i, j, k],
+                                 "left": [scalar_str(x) for x in lhs],
+                                 "right": [scalar_str(x) for x in rhs]})
+    if a.unit is not None:
+        for k in range(n):
+            ek = unit_vec(n, k)
+            if a.mul(a.unit, ek) != ek or a.mul(ek, a.unit) != ek:
+                return CheckReport(
+                    "algebra-axioms", False,
+                    witness={"kind": "unit", "basis_index": k})
+    return CheckReport("algebra-axioms", True, details={"dim": n, "unital": a.is_unital})

@@ -1,6 +1,11 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ybekit import (
+    SingularMatrix,
     Augmentation,
     NotAssociative,
     adjoint_bimodule,
@@ -20,7 +25,7 @@ from ybekit import (
 from ybekit.algebras import augmentation_kernel_basis, is_unital_bimodule
 from ybekit.linalg import transpose, unit_vec
 
-from helpers import ALL_NAMES, alg, entry
+from helpers import ALL_NAMES, alg, entry, rebased, reference_check_algebra, reference_invert
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -185,3 +190,47 @@ def test_matrix_algebra():
     assert m2.mul(e12, e21) == unit_vec(4, 0)  # E12 E21 = E11
     assert m2.mul(e21, e12) == unit_vec(4, 3)  # E21 E12 = E22
     assert m2.unit == (1, 0, 0, 1)
+
+
+_ENTRIES = st.sampled_from((0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@st.composite
+def _tables(draw):
+    """Random algebras: structure constants drawn at random (rarely
+    associative), catalog algebras on a random rational basis (associative),
+    and those with one constant changed; with no unit, the true one or a
+    wrong one."""
+    kind = draw(st.sampled_from(("random", "rebased", "perturbed")))
+    if kind == "random":
+        n = draw(st.integers(1, 4))
+        sc = [[[draw(_ENTRIES) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        unit = draw(st.sampled_from((None, tuple(int(i == 0) for i in range(n)))))
+        return make_algebra(n, sc, unit=unit)
+    base = alg(draw(st.sampled_from(ALL_NAMES)))
+    n = base.dim
+    p = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    try:
+        reference_invert(p)
+    except SingularMatrix:
+        assume(False)
+    a = rebased(base, p)
+    sc = [[list(v) for v in row] for row in a.sc]
+    if kind == "perturbed":
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        sc[i][j][k] += draw(st.sampled_from((1, -1, Fraction(1, 3))))
+    unit = draw(st.sampled_from((None, a.unit, tuple(int(i == n - 1) for i in range(n)))))
+    return make_algebra(n, sc, unit=unit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_tables())
+def test_check_algebra_matches_dense_reference(a):
+    assert check_algebra(a) == reference_check_algebra(a)
+
+
+@pytest.mark.parametrize("a", [matrix_algebra(3),
+                               semidirect_product(alg("B1"), dual_regular_bimodule(alg("B1"))),
+                               make_algebra(0, ())], ids=("M3", "B1-dual", "zero"))
+def test_check_algebra_matches_dense_reference_on_larger_algebras(a):
+    assert check_algebra(a) == reference_check_algebra(a)

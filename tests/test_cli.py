@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import ybekit
 from ybekit import io_json
 from ybekit.algebras import make_algebra
+from ybekit.linalg import exact
 from ybekit import cli
 from ybekit.cli import build_parser, run
 
@@ -188,3 +189,72 @@ def _subcommands(parser):
 
 def test_every_subcommand_has_one_handler():
     assert sorted(_subcommands(build_parser())) == sorted(cli._DISPATCH)
+
+
+def _reference_parse(s):
+    """parse_scalar on a string as it was before its integer fast path."""
+    if "e" in s or "E" in s:
+        raise ValueError(s)
+    try:
+        return exact(Fraction(s))
+    except ZeroDivisionError:
+        raise ValueError(s) from None
+
+
+def _outcome(parse, s):
+    try:
+        x = parse(s)
+    except ValueError:
+        return "refused"
+    return type(x), x
+
+
+_LITERALS = ["+1", " 1 ", "1_0", "-0", "007", "-007", "1e9", "\u0661", "-\u0663",
+             "\u00b2", "12\u0663", "-", "", "--1", "+-1", "1/2", "-3/6", "0.5", " -2",
+             "1 0", "1/0", "0x1", "\t7\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.sampled_from(_LITERALS)
+       | st.text(alphabet="0123456789+-_ /.eE\u0661\u00b2\t", max_size=6)
+       | st.integers(-10 ** 30, 10 ** 30).map(str))
+def test_parse_scalar_matches_fraction(s):
+    assert _outcome(io_json.parse_scalar, s) == _outcome(_reference_parse, s)
+
+
+_PARSER_CASES = [[], ["--help"], ["bogus"], ["ybe", "--help"], ["ybe", "check"]]
+
+
+def _run_captured(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda a: " ".join(a) or "none")
+def test_partial_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    got = _run_captured(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda group=None: full())
+    assert got == _run_captured(argv, capsys)
+    assert got[0] == (0 if "--help" in argv else 2)
+
+
+def test_partial_parser_builds_one_group():
+    commands = dict.fromkeys(g for g, _ in _subcommands(build_parser("ybe")))
+    assert list(commands) == ["ybe"]
+    groups = [a for a in build_parser("")._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(groups[0].choices) == list(cli._GROUPS)
+
+
+def test_op_suite_validates_the_algebra_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = ybekit.check_algebra
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ybekit") and getattr(module, "check_algebra", None) is real:
+            monkeypatch.setattr(module, "check_algebra", lambda a: calls.append(a) or real(a))
+    a = _write(tmp_path, "a.json", io_json.encode_algebra(alg("B1")))
+    r = _write(tmp_path, "r.json", {"dim": 3, "coeff": [["1/2", 0, 1], [0, 1, 0], [1, 0, 0]]})
+    assert run(["op", "suite", "--algebra", a, "--r", r,
+                "--mu", "1", "--mu", "-1/2", "--mu", "2"]) in (0, 1)
+    assert len(calls) == 1

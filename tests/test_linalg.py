@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybekit import SingularMatrix, exact, identity, invert, kernel_basis, scalar_str
+from ybekit import (
+    SingularMatrix,
+    Tensor2,
+    YbeInstance,
+    exact,
+    grid_enumerate,
+    identity,
+    invert,
+    kernel_basis,
+    make_algebra,
+    scalar_str,
+)
 from ybekit.linalg import in_span, is_zero_vec, mat_mul, mat_vec, rank, transpose
 
 from helpers import (
@@ -21,6 +32,24 @@ def test_exact_collapses_integral_fractions():
     assert isinstance(exact(Fraction(4, 2)), int)
     assert exact(Fraction(1, 2)) == Fraction(1, 2)
     assert exact(7) == 7
+
+
+def test_exact_refuses_floats():
+    for x in (0.5, 1.0, float("inf")):
+        with pytest.raises(ValueError, match="scalar: expected int, got float"):
+            exact(x)
+    assert exact("1/2") == Fraction(1, 2) and exact(True) == 1
+
+
+def test_entry_points_refuse_floats():
+    a = make_algebra(1, (((1,),),), unit=(1,))
+    inst = YbeInstance(a, 1)
+    calls = [lambda: YbeInstance(a, 0.1), lambda: grid_enumerate(inst, (0, 0.1)),
+             lambda: Tensor2(1, ((0.5,),)), lambda: make_algebra(1, (((0.5,),),)),
+             lambda: make_algebra(1, (((1,),),), unit=(1.0,))]
+    for call in calls:
+        with pytest.raises(ValueError, match="scalar: expected int, got float"):
+            call()
 
 
 def test_scalar_str():

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ybekit.ybe as ybe_module
-from ybekit import LinearMap, YbeInstance, grid_enumerate, rota_baxter_residual
+from ybekit import (
+    LinearMap,
+    YbeInstance,
+    adjoint_bimodule,
+    grid_enumerate,
+    rota_baxter_residual,
+)
 from ybekit.algebras import matrix_algebra
 from ybekit.operators import _operator_defect
 from ybekit.poly import Poly, variables
@@ -45,9 +51,9 @@ def test_residual_kernel_commutes_with_substitution(name, data):
     mu = data.draw(SCALARS)
     x = data.draw(st.lists(SCALARS, min_size=n * n, max_size=n * n))
     r = tuple(tuple(x[i * n:(i + 1) * n]) for i in range(n))
-    for sc in (a.sc, tuple(zip(*a.sc))):
-        symbolic = _residual_flat(a, mu, variables(n), sc)
-        assert [evaluate(f, x) for f in symbolic] == _residual_flat(a, mu, r, sc)
+    for opposite in (False, True):
+        symbolic = _residual_flat(a, mu, variables(n), opposite)
+        assert [evaluate(f, x) for f in symbolic] == _residual_flat(a, mu, r, opposite)
 
 
 @pytest.mark.parametrize("name", ("A2", "B1", "M2"))
@@ -64,7 +70,7 @@ def test_operator_kernel_commutes_with_substitution(name, data):
     cols = variables(n)
     shifted = tuple(tuple(x + lam if k == i else x for k, x in enumerate(col))
                     for i, col in enumerate(cols))
-    table = _operator_defect(a.sc, a._left, a._right, cols, cols, shifted)
+    table = _operator_defect(a, adjoint_bimodule(a), cols, cols, shifted)
     got = tuple(tuple(tuple(evaluate(f, flat) for f in v) for v in row) for row in table)
     assert got == rota_baxter_residual(a, LinearMap(p), lam)
 
