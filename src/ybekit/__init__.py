@@ -110,7 +110,6 @@ from .ybe import (
     aybp_residual,
     embed,
     extended_symmetrizer,
-    first_residual_entry,
     grid_enumerate,
     invariant_symmetric_basis,
     is_invariant,

@@ -27,7 +27,7 @@ from .frobenius import (
     trace_form,
 )
 from .linalg import Scalar, exact, in_span, mat_add, mat_scale
-from .operators import LinearMap, _is_rota_baxter
+from .operators import LinearMap, residual_is_zero, rota_baxter_residual
 from .report import CheckReport, combine
 from .tensors import Tensor2
 from .ybe import (
@@ -36,8 +36,8 @@ from .ybe import (
     grid_enumerate,
     invariant_symmetric_basis,
     is_invariant,
-    is_solution,
     is_symmetrized_invariant,
+    nhacybe_residual,
     unit_square,
 )
 
@@ -366,7 +366,8 @@ def _verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scalar
     inst = YbeInstance(alg, mu)
     r = fam.tensor(mu)
     tag = f"{entry.name}/{fam.name}@mu={mu}"
-    checks = [CheckReport(f"{tag}:residual", is_solution(inst, r))]
+    checks = [CheckReport(f"{tag}:residual",
+                          nhacybe_residual(inst, r).is_zero())]
     sbar = extended_symmetrizer(inst, r)
     checks.append(CheckReport(f"{tag}:symmetrizer",
                               sbar.coeff == fam.sbar_tensor(mu).coeff))
@@ -385,7 +386,7 @@ def _verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scalar
     q = fam.q_map(mu)
     checks.append(CheckReport(
         f"{tag}:rota-baxter-weight",
-        _is_rota_baxter(alg, q, fam.weight_sign * mu)))
+        residual_is_zero(rota_baxter_residual(alg, q, fam.weight_sign * mu))))
     if fam.form is not None:
         frob = entry.forms[fam.form]
         p, _ = induced_operators(frob, r)

@@ -37,11 +37,12 @@ from .report import CheckReport
 from .ybe import (
     YbeInstance,
     extended_symmetrizer,
-    first_residual_entry,
     grid_enumerate,
     invariant_symmetric_basis,
     is_invariant,
     is_solution,
+    nhacybe_residual,
+    opposite_residual,
 )
 
 
@@ -79,6 +80,14 @@ def _emit_text(obj, indent=0):
 def _report_exit(rep: CheckReport, fmt) -> int:
     _emit(rep.to_json(), fmt)
     return 0 if rep.passed else 1
+
+
+def _tensor3_witness(t3):
+    w = t3.first_nonzero()
+    if w is None:
+        return None
+    p, q, s, a = w
+    return {"slot": [p, q, s], "value": scalar_str(a)}
 
 
 def _add_common(p):
@@ -236,11 +245,9 @@ def _cmd_ybe_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     r = io_json.decode_tensor2(_load(ns.r))
     inst = YbeInstance(a, _scalar(ns.mu))
-    entry = first_residual_entry(inst, r, opposite=ns.opposite)
-    witness = None if entry is None else {"slot": list(entry[0]),
-                                          "value": scalar_str(entry[1])}
+    res = opposite_residual(inst, r) if ns.opposite else nhacybe_residual(inst, r)
     rep = CheckReport("opposite-equation" if ns.opposite else "tensor-equation",
-                      entry is None, witness=witness,
+                      res.is_zero(), witness=_tensor3_witness(res),
                       details={"mu": scalar_str(inst.mu)})
     return _report_exit(rep, ns.report)
 

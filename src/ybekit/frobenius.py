@@ -39,14 +39,15 @@ from .linalg import (
 from .operators import (
     LinearMap,
     WeightOp,
-    _holds,
-    _is_o_operator,
-    _is_rota_baxter,
+    _operator_defect,
+    o_operator_residual,
+    residual_is_zero,
+    rota_baxter_residual,
     _suite_report,
 )
 from .report import CheckReport
 from .tensors import Tensor2
-from .ybe import YbeInstance, extended_symmetrizer, is_solution
+from .ybe import YbeInstance, extended_symmetrizer, nhacybe_residual
 
 
 @dataclass(frozen=True)
@@ -122,16 +123,20 @@ def frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) -> CheckRepor
     eps = tuple(mu * f.form.value(u, unit_vec(n, j)) for j in range(n))
 
     adj = adjoint_bimodule(a)
-    verdict_a = is_solution(inst, r)
-    ok_b = _holds(a, adj, pcols, pcols, mat_scale(-1, ptcols), eps)
+    verdict_a = nhacybe_residual(inst, r).is_zero()
+    ok_b = residual_is_zero(_operator_defect(
+        a, adj, pcols, pcols, mat_scale(-1, ptcols), eps))
     # The companion identity is the same identity over the opposite algebra.
-    ok_c = _holds(a, adj, ptcols, ptcols, mat_scale(-1, pcols), eps, opposite=True)
+    ok_c = residual_is_zero(_operator_defect(
+        a, adj, ptcols, ptcols, mat_scale(-1, pcols), eps, opposite=True))
 
     sbar = extended_symmetrizer(inst, r)
     twist = mat_mul(transpose(sbar.coeff), transpose(f.form.gram))
     neg_twist = mat_scale(-1, twist)
-    verdict_d = _is_o_operator(a, adj, p, WeightOp.right_twist(neg_twist))
-    verdict_e = _is_o_operator(a, adj, pt, WeightOp.left_twist(neg_twist))
+    verdict_d = residual_is_zero(o_operator_residual(
+        a, adj, p, WeightOp.right_twist(neg_twist)))
+    verdict_e = residual_is_zero(o_operator_residual(
+        a, adj, pt, WeightOp.left_twist(neg_twist)))
 
     return _suite_report("frobenius-operator-suite", {
         "tensor_equation": verdict_a,
@@ -183,9 +188,9 @@ def rb_bridge_suite(f: FrobeniusStructure, mu: Scalar, lam: Scalar,
                                 for row in defect.coeff]})
     p, pt = induced_operators(f, r)
     verdicts = {
-        "tensor_equation": is_solution(inst, r),
-        "rb_first": _is_rota_baxter(a, p, lam),
-        "rb_second": _is_rota_baxter(a, pt, lam),
+        "tensor_equation": nhacybe_residual(inst, r).is_zero(),
+        "rb_first": residual_is_zero(rota_baxter_residual(a, p, lam)),
+        "rb_second": residual_is_zero(rota_baxter_residual(a, pt, lam)),
     }
     return _suite_report("rb-bridge-suite", verdicts)
 

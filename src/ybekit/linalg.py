@@ -30,8 +30,6 @@ def exact(x) -> Scalar:
         return x
     if isinstance(x, float):
         raise ValueError(f"scalar: expected int, got {t.__name__}")
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 

@@ -29,9 +29,9 @@ does.  The structure constants are cleared of denominators once per algebra
 and each map, eps and weight once per call.  The module element is summed
 over one denominator, and each kind of term of the defect is scaled by the
 common denominator over the product of its own inputs' denominators.  The
-suites test the numerators (`_holds`); a division happens only where a
-public function forms a ResidualTable, giving an int when exact and a
-Fraction otherwise.
+table is divided once (`_operator_defect`), giving an int when exact and a
+Fraction otherwise; when that denominator is 1 the numerators are the
+values and nothing is divided.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .ybe import (
     _values,
     extended_symmetrizer,
     is_invariant,
-    is_solution,
+    nhacybe_residual,
 )
 
 
@@ -335,15 +335,10 @@ def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec |
                  for i in range(m))
 
 
-def _holds(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
-           weight: ProductTable | None = None, opposite: bool = False) -> bool:
-    """Whether the defect of `_defect_num` vanishes, read off its numerators."""
-    return not any(_defect_num(a, v, p, q, s, eps, weight, opposite)[0])
-
-
-def _o_operator_maps(a: Algebra, v: Bimodule, alpha: LinearMap, weight: WeightOp) -> tuple:
-    """(p, q, s, eps, weight table) of `_defect_num` for alpha as an
-    O-operator of the given weight on v."""
+def o_operator_residual(a: Algebra, v: Bimodule, alpha: LinearMap,
+                        weight: WeightOp) -> ResidualTable:
+    """Defect of alpha(u) alpha(w) = alpha(alpha(u).w) + alpha(u.alpha(w))
+    + alpha(weight(u, w)) on all module basis pairs."""
     m = v.dim
     cols = _columns(alpha.matrix, a.dim, m,
                     "operator shape does not match module -> algebra")
@@ -363,19 +358,7 @@ def _o_operator_maps(a: Algebra, v: Bimodule, alpha: LinearMap, weight: WeightOp
             q = moved
     elif weight.kind != "zero":
         raise DimensionMismatch(f"unknown weight kind {weight.kind}")
-    return cols, q, s, None, table
-
-
-def o_operator_residual(a: Algebra, v: Bimodule, alpha: LinearMap,
-                        weight: WeightOp) -> ResidualTable:
-    """Defect of alpha(u) alpha(w) = alpha(alpha(u).w) + alpha(u.alpha(w))
-    + alpha(weight(u, w)) on all module basis pairs."""
-    return _operator_defect(a, v, *_o_operator_maps(a, v, alpha, weight))
-
-
-def _is_o_operator(a: Algebra, v: Bimodule, alpha: LinearMap, weight: WeightOp) -> bool:
-    """Whether `o_operator_residual` vanishes, read off its numerators."""
-    return _holds(a, v, *_o_operator_maps(a, v, alpha, weight))
+    return _operator_defect(a, v, cols, q, s, weight=table)
 
 
 def residual_is_zero(table: ResidualTable) -> bool:
@@ -390,23 +373,13 @@ def residual_witness(table: ResidualTable):
     return None
 
 
-def _rb_maps(a: Algebra, p: LinearMap, lam: Scalar) -> tuple:
-    """(p, q, s) of `_defect_num` on the adjoint bimodule for P of weight lam."""
+def rota_baxter_residual(a: Algebra, p: LinearMap, lam: Scalar) -> ResidualTable:
+    """Defect of P(x)P(y) = P(P(x)y) + P(xP(y)) + lam P(xy) on basis pairs."""
     n = a.dim
     cols = _columns(p.matrix, n, n, "operator is not an endomorphism of the algebra")
     shifted = tuple(tuple(x + lam if k == i else x for k, x in enumerate(col))
                     for i, col in enumerate(cols)) if lam != 0 else cols
-    return cols, cols, shifted
-
-
-def rota_baxter_residual(a: Algebra, p: LinearMap, lam: Scalar) -> ResidualTable:
-    """Defect of P(x)P(y) = P(P(x)y) + P(xP(y)) + lam P(xy) on basis pairs."""
-    return _operator_defect(a, adjoint_bimodule(a), *_rb_maps(a, p, lam))
-
-
-def _is_rota_baxter(a: Algebra, p: LinearMap, lam: Scalar) -> bool:
-    """Whether `rota_baxter_residual` vanishes, read off its numerators."""
-    return _holds(a, adjoint_bimodule(a), *_rb_maps(a, p, lam))
+    return _operator_defect(a, adjoint_bimodule(a), cols, cols, shifted)
 
 
 def rb_system_residual(a: Algebra, p: LinearMap, s: LinearMap
@@ -441,12 +414,15 @@ def operator_form_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     r_rows, r_cols = r.coeff, transpose(r.coeff)
     dualmod = dual_regular_bimodule(a)
 
-    verdict_a = is_solution(inst, r)
-    verdict_b = _holds(a, dualmod, r_rows, r_rows, mat_scale(-1, r_cols), eps)
-    verdict_c = _is_o_operator(a, dualmod, sharp(r), WeightOp.right_twist(neg_sb))
-    verdict_d = _holds(a, dualmod, r_cols, r_cols, mat_scale(-1, r_rows), eps,
-                       opposite=True)
-    verdict_e = _is_o_operator(a, dualmod, tsharp(r), WeightOp.left_twist(neg_sb))
+    verdict_a = nhacybe_residual(inst, r).is_zero()
+    verdict_b = residual_is_zero(_operator_defect(
+        a, dualmod, r_rows, r_rows, mat_scale(-1, r_cols), eps))
+    verdict_c = residual_is_zero(o_operator_residual(
+        a, dualmod, sharp(r), WeightOp.right_twist(neg_sb)))
+    verdict_d = residual_is_zero(_operator_defect(
+        a, dualmod, r_cols, r_cols, mat_scale(-1, r_rows), eps, opposite=True))
+    verdict_e = residual_is_zero(o_operator_residual(
+        a, dualmod, tsharp(r), WeightOp.left_twist(neg_sb)))
 
     return _suite_report("operator-form-suite", {
         "tensor_equation": verdict_a,
@@ -474,9 +450,11 @@ def invariant_operator_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
         circ = invariant_dual_product(a, sbar)
         weight = WeightOp.scalar(-1, circ.product)
         branch = "weight--1"
-    verdict_a = is_solution(inst, r)
-    verdict_b = _is_o_operator(a, dualmod, sharp(r), weight)
-    verdict_c = _is_o_operator(a, dualmod, tsharp(r), weight)
+    verdict_a = nhacybe_residual(inst, r).is_zero()
+    verdict_b = residual_is_zero(o_operator_residual(
+        a, dualmod, sharp(r), weight))
+    verdict_c = residual_is_zero(o_operator_residual(
+        a, dualmod, tsharp(r), weight))
     return _suite_report("invariant-operator-suite", {
         "tensor_equation": verdict_a,
         "first_slot_operator": verdict_b,
@@ -525,11 +503,13 @@ def dual_operator_suite(a: Algebra, b: BimoduleAlgebra, p: LinearMap,
         weight = WeightOp.scalar(-1, b.product)
         branch = "weight--1"
     inst = YbeInstance(a, mu)
-    v = b.bimodule
     verdicts = {
-        "map_operator": _is_o_operator(a, v, p, weight),
-        "dual_map_operator": _is_o_operator(a, v, dual_map(p), weight),
-        "first_slot_tensor": is_solution(inst, tensor_of_sharp(p)),
-        "second_slot_tensor": is_solution(inst, Tensor2(n, p.matrix)),
+        "map_operator": residual_is_zero(
+            o_operator_residual(a, b.bimodule, p, weight)),
+        "dual_map_operator": residual_is_zero(
+            o_operator_residual(a, b.bimodule, dual_map(p), weight)),
+        "first_slot_tensor": nhacybe_residual(inst, tensor_of_sharp(p)).is_zero(),
+        "second_slot_tensor": nhacybe_residual(
+            inst, Tensor2(n, p.matrix)).is_zero(),
     }
     return _suite_report("dual-operator-suite", verdicts, branch=branch)

@@ -15,12 +15,11 @@ The kernel adds up integer numerators.  The structure constants are cleared
 of denominators once per algebra (`Algebra._products`) and each input once
 per call (`_cleared`); each kind of term is then scaled by L over the
 product of its own inputs' denominators, so that a residual comes back as
-ints over one common denominator L.  A verdict tests the numerators without
-dividing (`is_solution`, `first_residual_entry`, the confirmation in
-`grid_enumerate`).  A division happens only where a value is formed: the
-Tensor3 of `nhacybe_residual`, `opposite_residual` and `aybp_residual`, and
-the one coefficient `first_residual_entry` returns.  Like `linalg._ratio`,
-it gives an int when exact and a Fraction otherwise.
+ints over one common denominator L.  `is_solution` and the confirmation in
+`grid_enumerate` test the numerators without dividing.  A division happens
+only where a value is formed: the Tensor3 of `nhacybe_residual`,
+`opposite_residual` and `aybp_residual`.  Like `linalg._ratio`, it gives an
+int when exact and a Fraction otherwise, and it is skipped when L is 1.
 """
 
 from __future__ import annotations
@@ -175,11 +174,11 @@ def _cleared(m) -> tuple[int, tuple]:
 
 def _values(num: list, den: int) -> list:
     """Each entry of num divided by den: an int when exact, else a Fraction;
-    a Poly by coefficient."""
+    a Poly by coefficient.  Zero entries are kept as they are."""
     if den == 1:
         return num
-    return [Poly({m: _ratio(c, den) for m, c in x.items()}) if isinstance(x, Poly)
-            else _ratio(x, den) for x in num]
+    return [x and (Poly({m: _ratio(c, den) for m, c in x.items()}) if isinstance(x, Poly)
+                   else _ratio(x, den)) for x in num]
 
 
 def _tensor3(n: int, num: list, den: int) -> Tensor3:
@@ -243,19 +242,6 @@ def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
 def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
     _check_ybe_args(inst, r)
     return not any(_residual_num(inst.algebra, inst.mu, r.coeff)[0])
-
-
-def first_residual_entry(inst: YbeInstance, r: Tensor2, opposite: bool = False):
-    """The first nonzero coefficient of the residual (of the opposite
-    equation if opposite) in row-major order, as ((p, q, s), value), or
-    None when r solves the equation.  Only that coefficient is divided out."""
-    _check_ybe_args(inst, r)
-    n = r.dim
-    num, den = _residual_num(inst.algebra, inst.mu, r.coeff, opposite)
-    for at, x in enumerate(num):
-        if x:
-            return (at // (n * n), at // n % n, at % n), _ratio(x, den)
-    return None
 
 
 def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:

@@ -4,6 +4,8 @@ constants and unit (rebased algebras), and polynomial entries over those.
 Values are compared exactly, and so are types: every entry a public
 function returns is an int where it is integral and a Fraction otherwise."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,9 +33,12 @@ from ybekit import (
     rb_system_residual,
     rota_baxter_residual,
 )
+from ybekit.cli import run
+from ybekit.io_json import encode_algebra, encode_tensor2
+from ybekit.linalg import scalar_str
 from ybekit.operators import _operator_defect
 from ybekit.poly import Poly, variables
-from ybekit.ybe import _residual_flat, first_residual_entry
+from ybekit.ybe import _residual_flat
 
 from helpers import (
     brute_force_grid,
@@ -129,10 +134,6 @@ def test_residuals_match_slotwise_on_rational_input(name, data):
         assert [(type(x), x) for x in _entries(got)] == [(type(x), x) for x in _entries(want)]
     want = slotwise_residual(i, r)
     assert is_solution(i, r) == want.is_zero()
-    first = want.first_nonzero()
-    entry_ = first_residual_entry(i, r)
-    assert entry_ == (None if first is None else (first[:3], first[3]))
-    assert entry_ is None or type(entry_[1]) is type(first[3])
 
 
 @pytest.mark.parametrize("name", tuple(BASES))
@@ -142,11 +143,36 @@ def test_carried_solutions_still_solve_after_a_rational_change_of_basis(name, mu
     i = YbeInstance(a, mu)
     for tensor in families:
         r = Tensor2(a.dim, carry(tensor(mu).coeff))
-        assert is_solution(i, r) and first_residual_entry(i, r) is None
+        assert is_solution(i, r)
         assert nhacybe_residual(i, r).is_zero()
         bumped = Tensor2(a.dim, tuple(tuple(x + Fraction(1, 3) * (k == j == 0) for j, x in enumerate(row))
                                       for k, row in enumerate(r.coeff)))
         assert not is_solution(i, bumped)
+
+
+@pytest.mark.parametrize("name", ("B1", "M2"))
+@pytest.mark.parametrize("opposite", (False, True), ids=("plain", "opposite"))
+def test_ybe_check_reports_the_first_nonzero_residual_entry(name, opposite, tmp_path, capsys):
+    a, carry, families, _ = _rebased(name)
+    n, mu = a.dim, Fraction(-1, 2)
+    rng = random.Random(7)
+    tensors = [Tensor2(n, carry(tensor(mu).coeff)) for tensor in families]
+    tensors += [Tensor2(n, tuple(tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                                       for _ in range(n)) for _ in range(n))) for _ in range(6)]
+    algebra = tmp_path / "a.json"
+    algebra.write_text(json.dumps(encode_algebra(a)), encoding="utf-8")
+    # The values of both residuals are checked against the slotwise references above.
+    residual = opposite_residual if opposite else nhacybe_residual
+    for k, r in enumerate(tensors):
+        path = tmp_path / f"r{k}.json"
+        path.write_text(json.dumps(encode_tensor2(r)), encoding="utf-8")
+        argv = ["ybe", "check", "--algebra", str(algebra), "--r", str(path), "--mu", "-1/2"]
+        code = run(argv + ["--opposite"] * opposite)
+        report = json.loads(capsys.readouterr().out)
+        first = residual(YbeInstance(a, mu), r).first_nonzero()
+        assert code == (first is not None) and report["passed"] is (first is None)
+        assert report.get("witness") == (None if first is None else
+                                         {"slot": list(first[:3]), "value": scalar_str(first[3])})
 
 
 @pytest.mark.parametrize("name", SMALL)
