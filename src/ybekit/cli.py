@@ -310,8 +310,10 @@ def _cmd_op_suite(ns) -> int:
     for mu in (ns.mu or ["1"]):
         inst = YbeInstance(a, _scalar(mu))
         reports.append(operator_form_suite(inst, r))
-        if is_invariant(a, extended_symmetrizer(inst, r)).passed:
+        try:  # the suite tests its own precondition, an invariant symmetrizer
             reports.append(invariant_operator_suite(inst, r))
+        except PreconditionViolated:
+            pass
     ok = all(rep.passed for rep in reports)
     _emit({"check": "operator-suites", "passed": ok,
            "details": {"subchecks": [rep.to_json() for rep in reports]}},

@@ -188,6 +188,12 @@ def invariant_dual_product(a: Algebra, s: Tensor2) -> BimoduleAlgebra:
         raise NotSymmetric("tensor must be symmetric")
     if not is_invariant(a, s).passed:
         raise NotInvariant("tensor must be invariant")
+    return _dual_product(a, s)
+
+
+def _dual_product(a: Algebra, s: Tensor2) -> BimoduleAlgebra:
+    """`invariant_dual_product` without its checks, for callers that have
+    already tested s."""
     n = a.dim
     table = []
     for i in range(n):
@@ -447,7 +453,7 @@ def invariant_operator_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
         weight = WeightOp.zero()
         branch = "weight-0"
     else:
-        circ = invariant_dual_product(a, sbar)
+        circ = _dual_product(a, sbar)  # sbar is symmetric and, above, invariant
         weight = WeightOp.scalar(-1, circ.product)
         branch = "weight--1"
     verdict_a = nhacybe_residual(inst, r).is_zero()

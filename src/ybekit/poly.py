@@ -6,7 +6,11 @@ coefficient is zero, so a Poly is false exactly when it is zero."""
 class Poly(dict):
     def __add__(self, other):
         out = Poly(self)
-        for m, c in other.items() if isinstance(other, Poly) else (((), other),):
+        if not isinstance(other, Poly):
+            if not other:
+                return out
+            other = {(): other}
+        for m, c in other.items():
             c += out.pop(m, 0)
             if c:
                 out[m] = c
@@ -16,7 +20,11 @@ class Poly(dict):
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly({m: c * other for m, c in self.items()} if other else ())
+            out = Poly()
+            if other:
+                for m, c in self.items():
+                    out[m] = c * other
+            return out
         out = {}
         for m1, c1 in self.items():
             for m2, c2 in other.items():

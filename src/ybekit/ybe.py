@@ -20,6 +20,12 @@ ints over one common denominator L.  `is_solution` and the confirmation in
 only where a value is formed: the Tensor3 of `nhacybe_residual`,
 `opposite_residual` and `aybp_residual`.  Like `linalg._ratio`, it gives an
 int when exact and a Fraction otherwise, and it is skipped when L is 1.
+
+The invariance identity s L(x)^T - R(x) s = 0 has one kernel too,
+`_invariance_num`, under the same rule: `is_invariant` tests its integer
+numerators and divides out only the witness block, and
+`invariant_symmetric_basis` reads its equations off the same kernel run
+over `poly` unknowns.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from math import lcm
 
 from .algebras import Algebra
 from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
-from .linalg import Scalar, _ratio, exact, identity, kernel_basis, mat_mul, scalar_str
+from .linalg import Scalar, _ratio, exact, identity, kernel_basis, scalar_str
 from .poly import Poly, variables
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer
@@ -247,34 +253,59 @@ def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
 def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:
     """r + flip(r) - mu (1 (x) 1); always a symmetric tensor."""
     _check_ybe_args(inst, r)
-    s = r.add(r.flip())
-    if inst.mu == 0:
-        return s
-    return s.sub(unit_square(inst.algebra).scale(inst.mu))
+    c, n, mu = r.coeff, r.dim, inst.mu
+    u = inst.algebra.require_unit() if mu != 0 else (0,) * n
+    return Tensor2(n, tuple(tuple(c[i][j] + c[j][i] - mu * (u[i] * u[j]) for j in range(n))
+                            for i in range(n)))
 
 
-def invariance_defect(a: Algebra, s: Tensor2, k: int) -> Tensor2:
-    """Defect of s under the k-th basis vector: s @ L(e_k)^T - R(e_k) @ s."""
-    lk = a.left_matrix(tuple(1 if i == k else 0 for i in range(a.dim)))
-    rk = a.right_matrix(tuple(1 if i == k else 0 for i in range(a.dim)))
-    left_piece = mat_mul(s.coeff, tuple(zip(*lk)))
-    right_piece = mat_mul(rk, s.coeff)
-    return Tensor2(a.dim, tuple(
-        tuple(x - y for x, y in zip(r1, r2))
-        for r1, r2 in zip(left_piece, right_piece)))
+def _invariance_num(a: Algebra, x) -> list:
+    """x L(e_k)^T - R(e_k) x for every basis vector e_k at once, as the flat
+    (k, p, q) row-major list of the n**3 coefficients, with the products
+    taken by the integer structure constants of `Algebra._products`.  For
+    an x cleared of its denominator d the true values are these over
+    d times the algebra's denominator.  Runs over any ring, like
+    `_slot_products`.
+
+    For e_i e_k = ... + c e_p, the k-th block gains c x[r][k] at (r, p) of
+    the i-th block (the left piece) and loses c x[i][q] at (p, q) of the
+    k-th block (the right piece).
+    """
+    n = a.dim
+    _, nz = a._products
+    rows = _sparse_rows(x)
+    cols = _sparse_rows(zip(*x))
+    out = [0] * n ** 3
+    for i, k, p, c in nz:
+        base = i * n * n + p
+        for r, xr in cols[k]:
+            out[base + r * n] += c * xr
+        base, c = (k * n + p) * n, -c
+        for q, xq in rows[i]:
+            out[base + q] += c * xq
+    return out
 
 
 def is_invariant(a: Algebra, s: Tensor2) -> CheckReport:
-    """Whether (id (x) L(x) - R(x) (x) id) s = 0 for every basis x."""
+    """Whether (id (x) L(x) - R(x) (x) id) s = 0 for every basis x.
+
+    The defect is tested on the integer numerators of `_invariance_num`;
+    only the first nonzero block, the witness, is divided out.
+    """
     if s.dim != a.dim:
         raise DimensionMismatch("tensor dim does not match algebra dim")
-    for k in range(a.dim):
-        d = invariance_defect(a, s, k)
-        if not d.is_zero():
+    n = a.dim
+    ds, x = _cleared(s.coeff)
+    num = _invariance_num(a, x)
+    for k in range(n):
+        block = num[k * n * n:(k + 1) * n * n]
+        if any(block):
+            d = _values(block, a._products[0] * ds)
             return CheckReport(
                 "invariant-tensor", False,
                 witness={"basis_index": k,
-                         "defect": [[scalar_str(x) for x in row] for row in d.coeff]})
+                         "defect": [[scalar_str(v) for v in d[p * n:(p + 1) * n]]
+                                    for p in range(n)]})
     return CheckReport("invariant-tensor", True)
 
 
@@ -284,7 +315,8 @@ def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
     The unknowns are the n(n+1)/2 entries s[i][j] with i >= j, in row-major
     order.  Every free column of the reduced system is then such an entry,
     exactly as in the n*n system with antisymmetry rows, so the basis is the
-    same as that system's.  Zero and repeated equations are dropped.
+    same as that system's.  The equations are `_invariance_num` run over a
+    symmetric matrix of these unknowns; zero and repeated ones are dropped.
     """
     n = a.dim
     unknown = [[0] * n for _ in range(n)]
@@ -292,22 +324,15 @@ def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
         for j in range(i + 1):
             unknown[i][j] = unknown[j][i] = i * (i + 1) // 2 + j
     m = n * (n + 1) // 2
-    rows: dict[tuple, None] = {}
-    for k in range(n):
-        ek = tuple(1 if i == k else 0 for i in range(n))
-        lk = a.left_matrix(ek)
-        rk = a.right_matrix(ek)
-        for p in range(n):
-            for q in range(n):
-                row = [0] * m
-                for j in range(n):
-                    if lk[q][j]:
-                        row[unknown[p][j]] += lk[q][j]
-                for i in range(n):
-                    if rk[p][i]:
-                        row[unknown[i][q]] -= rk[p][i]
-                if any(row):
-                    rows[tuple(row)] = None
+    # One row per distinct nonzero linear form, in the kernel's order.
+    forms = dict.fromkeys(frozenset(f.items()) for f in _invariance_num(
+        a, [[Poly({(v,): 1}) for v in row] for row in unknown]) if f)
+    rows = []
+    for f in forms:
+        row = [0] * m
+        for (v,), c in f:
+            row[v] = c
+        rows.append(tuple(row))
     # A zero-product algebra gives no equations: every symmetric tensor.
     basis = kernel_basis(tuple(rows)) if rows else identity(m)
     return [Tensor2(n, tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n)))

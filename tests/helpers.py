@@ -27,7 +27,9 @@ from ybekit import (
 from ybekit.algebras import apply_table, make_algebra
 from ybekit.catalog import catalog_algebra
 from ybekit.linalg import (
+    identity,
     is_zero_vec,
+    kernel_basis,
     mat_mul,
     mat_vec,
     scalar_str,
@@ -293,6 +295,74 @@ def reference_invariant_symmetric_basis(a):
             rows.append(tuple(row))
     basis = reference_kernel_basis(tuple(rows))
     return [Tensor2(n, tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
+            for v in basis]
+
+
+def invariance_defect(a, s, k):
+    """Defect of s under the k-th basis vector: s @ L(e_k)^T - R(e_k) @ s."""
+    lk = a.left_matrix(unit_vec(a.dim, k))
+    rk = a.right_matrix(unit_vec(a.dim, k))
+    left_piece = mat_mul(s.coeff, transpose(lk))
+    right_piece = mat_mul(rk, s.coeff)
+    return Tensor2(a.dim, tuple(
+        tuple(x - y for x, y in zip(r1, r2))
+        for r1, r2 in zip(left_piece, right_piece)))
+
+
+def reference_is_invariant(a, s):
+    """is_invariant as a loop over `invariance_defect`, one dense Fraction
+    matrix product per basis vector."""
+    for k in range(a.dim):
+        d = invariance_defect(a, s, k)
+        if not d.is_zero():
+            return CheckReport(
+                "invariant-tensor", False,
+                witness={"basis_index": k,
+                         "defect": [[scalar_str(x) for x in row] for row in d.coeff]})
+    return CheckReport("invariant-tensor", True)
+
+
+def _symmetric_unknowns(n):
+    """unknown[i][j] = unknown[j][i] = i(i+1)/2 + j for i >= j."""
+    unknown = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            unknown[i][j] = unknown[j][i] = i * (i + 1) // 2 + j
+    return unknown
+
+
+def dense_invariant_rows(a):
+    """The invariance system of invariant_symmetric_basis built from the
+    dense left and right multiplication matrices, one row per (k, p, q) in
+    row-major order, with zero and repeated rows dropped."""
+    n = a.dim
+    unknown = _symmetric_unknowns(n)
+    m = n * (n + 1) // 2
+    rows = {}
+    for k in range(n):
+        lk = a.left_matrix(unit_vec(n, k))
+        rk = a.right_matrix(unit_vec(n, k))
+        for p in range(n):
+            for q in range(n):
+                row = [0] * m
+                for j in range(n):
+                    if lk[q][j]:
+                        row[unknown[p][j]] += lk[q][j]
+                for i in range(n):
+                    if rk[p][i]:
+                        row[unknown[i][q]] -= rk[p][i]
+                if any(row):
+                    rows[tuple(row)] = None
+    return list(rows)
+
+
+def dense_invariant_symmetric_basis(a):
+    """invariant_symmetric_basis over `dense_invariant_rows`."""
+    n = a.dim
+    unknown = _symmetric_unknowns(n)
+    rows = dense_invariant_rows(a)
+    basis = kernel_basis(tuple(rows)) if rows else identity(n * (n + 1) // 2)
+    return [Tensor2(n, tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n)))
             for v in basis]
 
 

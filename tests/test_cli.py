@@ -258,3 +258,19 @@ def test_op_suite_validates_the_algebra_once(tmp_path, monkeypatch, capsys):
     assert run(["op", "suite", "--algebra", a, "--r", r,
                 "--mu", "1", "--mu", "-1/2", "--mu", "2"]) in (0, 1)
     assert len(calls) == 1
+
+
+def test_op_suite_tests_invariance_once_per_mu(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = ybekit.is_invariant
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ybekit") and getattr(module, "is_invariant", None) is real:
+            monkeypatch.setattr(module, "is_invariant", lambda a, s: calls.append(s) or real(a, s))
+    e = ybekit.catalog_algebra("B1")
+    a = _write(tmp_path, "a.json", io_json.encode_algebra(e.algebra))
+    r = _write(tmp_path, "r.json", io_json.encode_tensor2(e.families[0].tensor(1)))
+    # The symmetrizer is invariant at mu = 1 only: 1 (x) 1 is not invariant on B1.
+    assert run(["op", "suite", "--algebra", a, "--r", r, "--mu", "1", "--mu", "2"]) == 0
+    names = [rep["check"] for rep in json.loads(capsys.readouterr().out)["details"]["subchecks"]]
+    assert names == ["operator-form-suite", "invariant-operator-suite", "operator-form-suite"]
+    assert len(calls) == 2

@@ -1,0 +1,191 @@
+"""The sparse invariance kernel (`ybe._invariance_num`) against the dense
+Fraction references in helpers: `is_invariant` report for report, witness
+included, and `invariant_symmetric_basis` against the dense row builder,
+on catalog algebras, matrix algebras, algebras with fractional structure
+constants, a non-unital and a zero-dimensional algebra."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ybekit.ybe as ybe_module
+from ybekit import (
+    NotUnital,
+    Tensor2,
+    YbeInstance,
+    extended_symmetrizer,
+    invariant_symmetric_basis,
+    is_invariant,
+    is_symmetrized_invariant,
+    unit_square,
+)
+from ybekit.algebras import algebra_from_products, make_algebra, matrix_algebra
+
+from helpers import (
+    ALL_NAMES,
+    alg,
+    dense_invariant_rows,
+    dense_invariant_symmetric_basis,
+    entry,
+    rebased,
+    reference_is_invariant,
+    typed,
+)
+
+MUS = (1, 2, Fraction(-1, 2))
+SCALARS = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+def _nilpotent():
+    """e1 e2 = e3, every other product zero: associative, with no unit."""
+    return algebra_from_products(3, {(0, 1): {2: 1}})
+
+
+ALGEBRAS = {name: (lambda name=name: alg(name)) for name in ALL_NAMES}
+ALGEBRAS.update({
+    "M3": lambda: matrix_algebra(3),
+    "A2-rational": lambda: rebased(alg("A2"), ((Fraction(1, 2), 1), (Fraction(2, 3), 1))),
+    "B1-rational": lambda: rebased(alg("B1"), (
+        (1, Fraction(1, 2), 0), (Fraction(-1, 3), 1, 0), (Fraction(1, 4), 2, Fraction(3, 5)))),
+    "B3-rational": lambda: rebased(alg("B3"), (
+        (1, 0, Fraction(1, 2)), (Fraction(2, 3), 1, 0), (0, Fraction(-1, 2), 3))),
+    "M2-rational": lambda: rebased(alg("M2"), (
+        (1, 0, Fraction(1, 2), 0), (0, 1, 0, 0), (0, Fraction(-1, 3), 1, 0),
+        (Fraction(1, 2), 0, 0, 2))),
+    "nilpotent": _nilpotent,
+    "zero-dim": lambda: make_algebra(0, []),
+})
+
+
+def _random_tensor(rnd, n, values=(-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3))):
+    return Tensor2(n, tuple(tuple(rnd.choice(values) for _ in range(n)) for _ in range(n)))
+
+
+def _same(a, s):
+    got = is_invariant(a, s)
+    assert got.to_json() == reference_is_invariant(a, s).to_json()
+    return got
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("mu", MUS, ids=("1", "2", "-1/2"))
+def test_catalog_family_symmetrizers(name, mu):
+    e = entry(name)
+    i = YbeInstance(e.algebra, mu)
+    for fam in e.families:
+        r = fam.tensor(mu)
+        _same(e.algebra, extended_symmetrizer(i, r))
+        # A perturbed tensor whose symmetrizer is, in general, not invariant.
+        bump = Tensor2(r.dim, tuple(tuple(x + (j == 0) for j, x in enumerate(row))
+                                    for row in r.coeff))
+        rep = _same(e.algebra, extended_symmetrizer(i, bump))
+        assert is_symmetrized_invariant(i, bump).witness == rep.witness
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_catalog_invariant_spans_and_stated_tensors(name):
+    a = alg(name)
+    for t in invariant_symmetric_basis(a) + list(entry(name).inv_span):
+        assert _same(a, t).passed
+
+
+def test_witness_is_the_first_failing_block_divided_out():
+    # B1 is C x C x C: the symmetric e1 (x) e2 + e2 (x) e1 fails first at e1.
+    a = alg("B1")
+    third = Fraction(1, 3)
+    rep = _same(a, Tensor2(3, ((0, third, 0), (third, 0, 0), (0, 0, 0))))
+    assert rep.witness == {"basis_index": 0,
+                           "defect": [["0", "-1/3", "0"], ["1/3", "0", "0"], ["0", "0", "0"]]}
+    # B1 on a rational basis: both the tensor and the constants carry denominators.
+    b = ALGEBRAS["B1-rational"]()
+    rep = _same(b, Tensor2(3, ((0, third, 0), (third, 0, 0), (0, 0, 0))))
+    assert not rep.passed and any("/" in x for row in rep.witness["defect"] for x in row)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_matrix_algebras_trace_and_random(m):
+    a = matrix_algebra(m)
+    n = a.dim
+    tau = invariant_symmetric_basis(a)
+    assert len(tau) == 1
+    for c in (1, -3, Fraction(1, 2)):
+        assert _same(a, tau[0].scale(c)).passed
+    rnd = random.Random(m)
+    for _ in range(3 if m < 4 else 1):
+        assert not _same(a, _random_tensor(rnd, n)).passed
+    # A single off-trace entry: the witness is a sparse fractional block.
+    s = tau[0].add(Tensor2(n, tuple(tuple(Fraction(1, 3) if (i, j) == (n - 1, 1) else 0
+                                          for j in range(n)) for i in range(n))))
+    assert not _same(a, s).passed
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_random_tensors(name):
+    a = ALGEBRAS[name]()
+    rnd = random.Random(name)
+    for _ in range(4):
+        t = _random_tensor(rnd, a.dim)
+        _same(a, t)
+        _same(a, t.add(t.flip()))
+    for t in invariant_symmetric_basis(a):
+        assert _same(a, t).passed
+
+
+@pytest.mark.parametrize("name", ("A2-rational", "B1-rational", "B3-rational"))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hypothesis_rational_tensors(name, data):
+    a = ALGEBRAS[name]()
+    n = a.dim
+    flat = data.draw(st.lists(SCALARS, min_size=n * n, max_size=n * n))
+    s = Tensor2(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+    _same(a, s)
+    basis = invariant_symmetric_basis(a)
+    coefs = data.draw(st.lists(SCALARS, min_size=len(basis), max_size=len(basis)))
+    total = Tensor2(n, ((0,) * n,) * n)
+    for c, t in zip(coefs, basis):
+        total = total.add(t.scale(c))
+    assert _same(a, total).passed
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["M4"])
+def test_symmetric_basis_matches_dense_rows(name, monkeypatch):
+    a = matrix_algebra(4) if name == "M4" else ALGEBRAS[name]()
+    systems = []
+    kernel = ybe_module.kernel_basis
+    monkeypatch.setattr(ybe_module, "kernel_basis", lambda m: systems.append(m) or kernel(m))
+    got = [t.coeff for t in invariant_symmetric_basis(a)]
+    assert [typed(c) for c in got] \
+        == [typed(t.coeff) for t in dense_invariant_symmetric_basis(a)]
+    # The same rows in the same order, scaled by the denominator of the
+    # structure constants; a zero-product algebra gives no elimination.
+    dsc = a._products[0]
+    want = [tuple(dsc * x for x in row) for row in dense_invariant_rows(a)]
+    assert systems == ([tuple(want)] if want else [])
+
+
+def test_extended_symmetrizer_matches_tensor_operations():
+    rnd = random.Random(7)
+    for name in ALL_NAMES + ("A2-rational", "B1-rational", "M2-rational"):
+        a = ALGEBRAS[name]()
+        for mu in (0,) + MUS + (Fraction(2, 3),):
+            i = YbeInstance(a, mu)
+            for _ in range(3):
+                r = _random_tensor(rnd, a.dim)
+                want = r.add(r.flip()) if mu == 0 else \
+                    r.add(r.flip()).sub(unit_square(a).scale(mu))
+                got = extended_symmetrizer(i, r)
+                assert typed(got.coeff) == typed(want.coeff)
+
+
+def test_extended_symmetrizer_needs_no_unit_at_mu_zero():
+    a = _nilpotent()
+    r = Tensor2(3, ((0, 1, 0), (0, 0, Fraction(1, 2)), (2, 0, 0)))
+    s = extended_symmetrizer(YbeInstance(a, 0), r)
+    assert s.coeff == ((0, 1, 2), (1, 0, Fraction(1, 2)), (2, Fraction(1, 2), 0))
+    with pytest.raises(NotUnital):
+        YbeInstance(a, 1)
