@@ -1,11 +1,15 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are Python ints or fractions.Fraction.  Integer inputs stay integers
-through +,-,* so the hot paths avoid Fraction overhead.  The one elimination
-routine, `_echelon`, works on integer rows only: each input row is cleared of
-denominators first, and elimination cross-multiplies instead of dividing.
-A division happens only when `rank`, `kernel_basis`, `invert` or `in_span`
-forms an entry of its result.  Nothing here ever rounds.
+through +,-,* so the hot paths avoid Fraction overhead.  Matrices and
+vectors are dense tuples; elimination is not.  The one elimination routine,
+`_echelon`, works on sparse integer rows {column: entry}: each dense input
+row is cleared of denominators and stripped of zeros first (`_integer_rows`),
+elimination cross-multiplies instead of dividing, and a step touches only
+the rows that hold the pivot column.  `rank`, `kernel_basis`, `invert` and
+`in_span` all run through it, and `_kernel` takes sparse rows directly, as
+`ybe.invariant_symmetric_basis` builds them.  A division happens only when
+a result entry is formed.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -116,59 +120,86 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
-def _integer_rows(m) -> list[list[int]]:
-    """The rows of m, each scaled by the lcm of its denominators and divided
-    by the gcd of its entries: primitive integer rows with the same span."""
+def _integer_rows(m, ncols: int) -> list[dict[int, int]]:
+    """The rows of m as sparse integer rows {column: entry}, each scaled by
+    the lcm of its denominators, so they span the same space.  Every row
+    must have ncols entries."""
     out = []
     for row in m:
-        dens = [x.denominator for x in row if type(x) is not int]
-        d = lcm(*dens)
-        out.append(_primitive([int(x * d) for x in row] if dens else list(row)))
+        if len(row) != ncols:
+            raise DimensionMismatch(f"row of length {len(row)}, expected {ncols}")
+        nz = {c: x for c, x in enumerate(row) if x}
+        dens = [x.denominator for x in nz.values() if type(x) is not int]
+        if dens:
+            d = lcm(*dens)
+            nz = {c: x.numerator * (d // x.denominator) for c, x in nz.items()}
+        out.append(nz)
     return out
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return row if g < 2 else [x // g for x in row]
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g < 2 else {c: x // g for c, x in row.items()}
 
 
-def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
-    """row minus a multiple of prow that clears column c (prow[c] != 0),
+def _cancel(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """row minus a multiple of prow that clears column c (c is in prow),
     scaled by an integer to stay integral and then made primitive."""
     p, a = prow[c], row[c]
     g = gcd(p, a)
     p, a = p // g, a // g
-    return _primitive([p * x - a * y for x, y in zip(row, prow)])
+    out = {k: p * x for k, x in row.items()}
+    for k, y in prow.items():
+        x = out.pop(k, 0) - a * y
+        if x:
+            out[k] = x
+    return _primitive(out)
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination of integer rows in place, without division.
+def _echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Gauss-Jordan elimination of sparse integer rows {column: entry}, no
+    entry zero, without division.  The input rows are not modified.
 
-    Returns (rows, pivots).  Row i < len(pivots) has its pivot in column
-    pivots[i] and a zero in every other pivot column; the rows after those
-    are zero.  Every row is kept primitive (its entries have gcd 1), so
-    cross-multiplying does not make the entries grow step after step.  Row i
-    divided by rows[i][pivots[i]] is row i of the reduced row echelon form
-    over the rationals.
+    Returns (pivot rows, pivots): the pivot row of column pivots[i] is
+    rows[i], pivots increase, and each pivot row is zero in every other
+    pivot column; rows that reduce to zero are dropped.  Every row is made
+    primitive (its entries have gcd 1) on entry and after each step, so
+    cross-multiplying does not make the entries grow step after step.
+    Row i divided by its entry at pivots[i] is row i of the reduced row
+    echelon form over the rationals, which is unique.
+
+    Columns are taken left to right.  The pivot of a column is the sparsest
+    row holding it that is not yet a pivot row, the lowest index on a tie,
+    and an index from each column to the rows holding it means a step
+    visits only those rows.  The index is not pruned when a row loses a
+    column; such stale entries are skipped.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    rows = [_primitive(row) for row in rows]
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    order: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+    done: set[int] = set()
+    for c in sorted(holders):
+        hold = [i for i in holders[c] if c in rows[i]]
+        live = [(len(rows[i]), i) for i in hold if i not in done]
+        if not live:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                rows[i] = _cancel(rows[i], prow, c)
+        pr = min(live)[1]
+        prow = rows[pr]
+        for i in hold:
+            if i != pr:
+                row = rows[i]
+                rows[i] = new = _cancel(row, prow, c)
+                for k in new:
+                    if k not in row:
+                        holders[k].add(i)
+        done.add(pr)
+        order.append(pr)
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    return [rows[i] for i in order], pivots
 
 
 def _ratio(a: int, b: int) -> Scalar:
@@ -176,26 +207,30 @@ def _ratio(a: int, b: int) -> Scalar:
     return Fraction(a, b) if rem else q
 
 
+def _kernel(rows: list[dict[int, int]], ncols: int) -> list[Vec]:
+    """Basis of the null space of sparse integer rows over ncols columns:
+    one vector per free column, read off the reduced row echelon form."""
+    rows, pivots = _echelon(rows)
+    basis = {c: [0] * ncols for c in sorted(set(range(ncols)).difference(pivots))}
+    for c, v in basis.items():
+        v[c] = 1
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = _ratio(-x, p)
+    return [tuple(v) for v in basis.values()]
+
+
 def rank(m: Mat) -> int:
-    return len(_echelon(_integer_rows(m))[1])
+    return len(_echelon(_integer_rows(m, len(m[0]) if m else 0))[1])
 
 
 def kernel_basis(m: Mat) -> list[Vec]:
     """Basis of the null space of m; empty iff m is injective."""
     if not m:
         return []
-    ncols = len(m[0])
-    rows, pivots = _echelon(_integer_rows(m))
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v: list[Scalar] = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = _ratio(-row[fc], row[pc])
-        basis.append(tuple(v))
-    return basis
+    return _kernel(_integer_rows(m, len(m[0])), len(m[0]))
 
 
 def invert(m: Mat) -> Mat:
@@ -203,20 +238,22 @@ def invert(m: Mat) -> Mat:
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatch("invert requires a square matrix")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots = _echelon(_integer_rows(aug))
+    aug = [(*row, *(int(i == j) for j in range(n))) for i, row in enumerate(m)]
+    rows, pivots = _echelon(_integer_rows(aug, 2 * n))
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return tuple(tuple(_ratio(x, row[i]) for x in row[n:]) for i, row in enumerate(rows))
+    return tuple(tuple(_ratio(row.get(j, 0), row[i]) for j in range(n, 2 * n))
+                 for i, row in enumerate(rows))
 
 
 def in_span(basis: list[Vec], v: Vec) -> bool:
     """Whether v lies in the span of the given vectors."""
-    if is_zero_vec(v):
+    (w,) = _integer_rows((v,), len(v))
+    basis = _integer_rows(basis, len(v))
+    if not w:
         return True
-    rows, pivots = _echelon(_integer_rows(basis))
-    (w,) = _integer_rows((v,))
+    rows, pivots = _echelon(basis)
     for prow, pc in zip(rows, pivots):
-        if w[pc]:
+        if pc in w:
             w = _cancel(w, prow, pc)
-    return not any(w)
+    return not w

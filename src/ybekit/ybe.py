@@ -25,7 +25,7 @@ The invariance identity s L(x)^T - R(x) s = 0 has one kernel too,
 `_invariance_num`, under the same rule: `is_invariant` tests its integer
 numerators and divides out only the witness block, and
 `invariant_symmetric_basis` reads its equations off the same kernel run
-over `poly` unknowns.
+over `poly` unknowns and solves them as sparse rows.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import lcm
 
 from .algebras import Algebra
 from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
-from .linalg import Scalar, _ratio, exact, identity, kernel_basis, scalar_str
+from .linalg import Scalar, _kernel, _ratio, exact, scalar_str
 from .poly import Poly, variables
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer
@@ -316,25 +316,20 @@ def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
     order.  Every free column of the reduced system is then such an entry,
     exactly as in the n*n system with antisymmetry rows, so the basis is the
     same as that system's.  The equations are `_invariance_num` run over a
-    symmetric matrix of these unknowns; zero and repeated ones are dropped.
+    symmetric matrix of these unknowns; zero and repeated ones are dropped,
+    and the rest go to `linalg._kernel` as sparse integer rows, one per
+    distinct linear form in the kernel's order.  The system is never a
+    dense matrix: on M4 it is 444 x 136 with about 1.4 entries a row.  A
+    zero-product algebra gives no equations: every symmetric tensor.
     """
     n = a.dim
     unknown = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
             unknown[i][j] = unknown[j][i] = i * (i + 1) // 2 + j
-    m = n * (n + 1) // 2
-    # One row per distinct nonzero linear form, in the kernel's order.
     forms = dict.fromkeys(frozenset(f.items()) for f in _invariance_num(
         a, [[Poly({(v,): 1}) for v in row] for row in unknown]) if f)
-    rows = []
-    for f in forms:
-        row = [0] * m
-        for (v,), c in f:
-            row[v] = c
-        rows.append(tuple(row))
-    # A zero-product algebra gives no equations: every symmetric tensor.
-    basis = kernel_basis(tuple(rows)) if rows else identity(m)
+    basis = _kernel([{v: c for (v,), c in f} for f in forms], n * (n + 1) // 2)
     return [Tensor2(n, tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n)))
             for v in basis]
 

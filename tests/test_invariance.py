@@ -2,7 +2,9 @@
 Fraction references in helpers: `is_invariant` report for report, witness
 included, and `invariant_symmetric_basis` against the dense row builder,
 on catalog algebras, matrix algebras, algebras with fractional structure
-constants, a non-unital and a zero-dimensional algebra."""
+constants, a non-unital, a zero-product and a zero-dimensional algebra.
+The system goes to the elimination as sparse rows; a count of the entries
+that row operations write guards against it being solved densely."""
 
 import random
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ybekit.linalg as linalg_module
 import ybekit.ybe as ybe_module
 from ybekit import (
     NotUnital,
@@ -58,6 +61,7 @@ ALGEBRAS.update({
         (Fraction(1, 2), 0, 0, 2))),
     "nilpotent": _nilpotent,
     "zero-dim": lambda: make_algebra(0, []),
+    "zero-product": lambda: make_algebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]),
 })
 
 
@@ -152,20 +156,50 @@ def test_hypothesis_rational_tensors(name, data):
     assert _same(a, total).passed
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["M4"])
-def test_symmetric_basis_matches_dense_rows(name, monkeypatch):
-    a = matrix_algebra(4) if name == "M4" else ALGEBRAS[name]()
+def _capture_systems(monkeypatch):
+    """Record, densified, every system `invariant_symmetric_basis` hands to
+    the sparse elimination `linalg._kernel`."""
     systems = []
-    kernel = ybe_module.kernel_basis
-    monkeypatch.setattr(ybe_module, "kernel_basis", lambda m: systems.append(m) or kernel(m))
+    kernel = ybe_module._kernel
+
+    def capture(rows, ncols):
+        systems.append(tuple(tuple(row.get(c, 0) for c in range(ncols)) for row in rows))
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(ybe_module, "_kernel", capture)
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["M4", "M5"])
+def test_symmetric_basis_matches_dense_rows(name, monkeypatch):
+    a = matrix_algebra(int(name[1])) if name in ("M4", "M5") else ALGEBRAS[name]()
+    systems = _capture_systems(monkeypatch)
     got = [t.coeff for t in invariant_symmetric_basis(a)]
     assert [typed(c) for c in got] \
         == [typed(t.coeff) for t in dense_invariant_symmetric_basis(a)]
     # The same rows in the same order, scaled by the denominator of the
-    # structure constants; a zero-product algebra gives no elimination.
+    # structure constants; a zero-product algebra hands over no rows.
     dsc = a._products[0]
     want = [tuple(dsc * x for x in row) for row in dense_invariant_rows(a)]
-    assert systems == ([tuple(want)] if want else [])
+    assert systems == [tuple(want)]
+
+
+def test_m4_elimination_writes_few_entries(monkeypatch):
+    # A deterministic guard against dense elimination: count the entries of
+    # the rows that row operations produce while the M4 system (444 x 136,
+    # about 1.4 entries a row) is solved.  Sparse rows write 384 in 573
+    # operations; a dense row has 136 entries, so dense rows write 82,280.
+    written = []
+    cancel = linalg_module._cancel
+
+    def counted(row, prow, c):
+        out = cancel(row, prow, c)
+        written.append(len(out))
+        return out
+
+    monkeypatch.setattr(linalg_module, "_cancel", counted)
+    assert len(invariant_symmetric_basis(matrix_algebra(4))) == 1
+    assert written and sum(written) <= 1000
 
 
 def test_extended_symmetrizer_matches_tensor_operations():

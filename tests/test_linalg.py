@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybekit import (
+    DimensionMismatch,
     SingularMatrix,
     Tensor2,
     YbeInstance,
@@ -16,7 +17,7 @@ from ybekit import (
     make_algebra,
     scalar_str,
 )
-from ybekit.linalg import in_span, is_zero_vec, mat_mul, mat_vec, rank, transpose
+from ybekit.linalg import _kernel, in_span, is_zero_vec, mat_mul, mat_vec, rank, transpose
 
 from helpers import (
     reference_in_span,
@@ -98,11 +99,8 @@ def matrices(draw, max_dim=4):
     return tuple(tuple(draw(scalars) for _ in range(cols)) for _ in range(rows))
 
 
-@st.composite
-def degenerate_matrices(draw):
-    """Wide, tall and square matrices with zero rows, repeated rows and
-    multiples of rows inserted."""
-    m = list(draw(matrices(max_dim=7)))
+def _degenerate(draw, m):
+    """m with zero rows, repeated rows and multiples of rows inserted."""
     cols = len(m[0])
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         kind = draw(st.sampled_from(("zero", "repeat", "multiple")))
@@ -111,6 +109,13 @@ def degenerate_matrices(draw):
                  "multiple": tuple(draw(scalars) * x for x in row)}[kind]
         m.insert(draw(st.integers(min_value=0, max_value=len(m))), extra)
     return tuple(m)
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Wide, tall and square matrices with zero rows, repeated rows and
+    multiples of rows inserted."""
+    return _degenerate(draw, list(draw(matrices(max_dim=7))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,12 +144,6 @@ def test_invert_left_inverse(n, data):
     assert mat_mul(m, inv) == identity(n)
 
 
-@settings(max_examples=100, deadline=None)
-@given(degenerate_matrices())
-def test_elimination_matches_fraction_reference(m):
-    assert rank(m) == reference_rank(m)
-    assert typed(kernel_basis(m)) == typed(reference_kernel_basis(m))
-    assert in_span(list(m[1:]), m[0]) == reference_in_span(m[1:], m[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -176,6 +175,97 @@ def test_in_span():
     assert in_span(basis, (2, 3, 2))
     assert not in_span(basis, (1, 0, 0))
     assert in_span([], (0, 0))
+    assert not in_span([], (0, 1))
+
+
+def test_ragged_rows_and_wrong_vector_lengths_raise():
+    ragged = ((1, 2), (3,))
+    for call in (lambda: kernel_basis(ragged), lambda: rank(ragged),
+                 lambda: rank(((1,), (3, 4))), lambda: invert(ragged),
+                 lambda: invert(((1, 2, 0), (0, 1, 0))),
+                 lambda: in_span([(1, 0)], (1, 0, 5)), lambda: in_span([(1, 0)], (1,)),
+                 lambda: in_span([(1, 0)], (0, 0, 0)), lambda: in_span([(1, 0), (1,)], (1, 0))):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
+nonzero = scalars.filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=10):
+    """Mostly-zero matrices, wide, tall or square: each row holds at most
+    three nonzero entries (often one, sometimes none), and zero rows,
+    repeated rows and multiples of rows are inserted."""
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    m = []
+    for _ in range(rows):
+        row = [0] * cols
+        for c in draw(st.lists(st.integers(0, cols - 1), max_size=3)):
+            row[c] = draw(nonzero)
+        m.append(tuple(row))
+    return _degenerate(draw, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(degenerate_matrices(), sparse_matrices()), st.data())
+def test_elimination_matches_fraction_reference(m, data):
+    assert rank(m) == reference_rank(m)
+    assert typed(kernel_basis(m)) == typed(reference_kernel_basis(m))
+    cols = len(m[0])
+    coeffs = [data.draw(st.sampled_from((0, 1, -2, Fraction(1, 3)))) for _ in m]
+    inside = tuple(sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(cols))
+    unit = tuple(int(j == data.draw(st.integers(0, cols - 1))) for j in range(cols))
+    for v in (m[0], inside, unit, (0,) * cols):
+        assert in_span(list(m[1:]), v) == reference_in_span(m[1:], v)
+        assert in_span(list(m), v) == reference_in_span(m, v)
+    # The leading square block, singular or not.
+    k = min(len(m), cols)
+    block = tuple(row[:k] for row in m[:k])
+    try:
+        expected = reference_invert(block)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            invert(block)
+    else:
+        assert typed(invert(block)) == typed(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.data())
+def test_sparse_invert_matches_fraction_reference(n, data):
+    # A permuted diagonal with a few extra entries: sparse and mostly invertible.
+    perm = data.draw(st.permutations(range(n)))
+    m = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        m[i][j] = data.draw(nonzero)
+    for _ in range(data.draw(st.integers(0, n))):
+        m[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = data.draw(scalars)
+    m = tuple(tuple(row) for row in m)
+    try:
+        expected = reference_invert(m)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            invert(m)
+        return
+    assert typed(invert(m)) == typed(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices())
+def test_kernel_of_sparse_integer_rows(m):
+    # `_kernel` takes the integer rows {column: entry} that
+    # `invariant_symmetric_basis` builds; scaling a row leaves the kernel.
+    rows = []
+    for row in m:
+        d = 1
+        for x in row:
+            d = d * Fraction(x).denominator
+        rows.append({c: int(x * d) for c, x in enumerate(row) if x})
+    assert typed(_kernel(rows, len(m[0]))) == typed(reference_kernel_basis(m))
+    # No rows: every column is free.
+    assert _kernel([], len(m[0])) == list(identity(len(m[0])))
 
 
 def test_transpose_involution():
