@@ -10,6 +10,13 @@ Conventions, fixed once and relied on everywhere downstream:
   realises e_k acting on the right.  Right actions therefore compose
   contravariantly: rmat(x y) = rmat(y) @ rmat(x).
 * Semi-direct products order the algebra part before the module part.
+* Constructing an Algebra only validates and coerces sc, basis and unit.
+  Everything derived from them is built on first use and kept, since an
+  Algebra never changes: the dense multiplication matrices `_left`/`_right`
+  (2 n^3 entries, read by the adjoint bimodule and the dual product), the
+  sparse integer constants `_products` (read by `check_algebra` and the
+  residual, operator and invariance kernels), the axiom check `_axioms` and
+  the adjoint and dual regular bimodules.
 """
 
 from __future__ import annotations
@@ -54,19 +61,9 @@ class Algebra:
         unit = None if self.unit is None else vec(self.unit)
         if unit is not None and len(unit) != n:
             raise DimensionMismatch("unit vector has wrong length")
-        # Left/right multiplication matrices per basis vector, precomputed
-        # because every verification below loops over them.
-        left = tuple(
-            tuple(tuple(sc[k][j][p] for j in range(n)) for p in range(n))
-            for k in range(n))
-        right = tuple(
-            tuple(tuple(sc[j][k][p] for j in range(n)) for p in range(n))
-            for k in range(n))
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "basis", tuple(self.basis))
         object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "_left", left)
-        object.__setattr__(self, "_right", right)
 
     @property
     def is_unital(self) -> bool:
@@ -92,6 +89,20 @@ class Algebra:
         return self.unit
 
     # Derived data, computed on first use and kept: an Algebra never changes.
+
+    @cached_property
+    def _left(self) -> tuple[Mat, ...]:
+        """The matrix of y -> e_k y for each basis vector e_k."""
+        n, sc = self.dim, self.sc
+        return tuple(tuple(tuple(sc[k][j][p] for j in range(n)) for p in range(n))
+                     for k in range(n))
+
+    @cached_property
+    def _right(self) -> tuple[Mat, ...]:
+        """The matrix of y -> y e_k for each basis vector e_k."""
+        n, sc = self.dim, self.sc
+        return tuple(tuple(tuple(sc[j][k][p] for j in range(n)) for p in range(n))
+                     for k in range(n))
 
     @cached_property
     def _products(self) -> tuple[int, list[tuple]]:

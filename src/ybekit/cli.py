@@ -2,6 +2,11 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed (including a
 violated construction hypothesis), 2 usage or input errors.
+
+Every command is one entry of `_COMMANDS`, its handler and its options, and
+that table drives both the parser and the dispatch.  The parser is built per
+command: when the first two arguments name a command, only its parser and
+the two above it are built; any other argument list gets the full parser.
 """
 
 from __future__ import annotations
@@ -90,157 +95,63 @@ def _tensor3_witness(t3):
     return {"slot": [p, q, s], "value": scalar_str(a)}
 
 
-def _add_common(p):
-    p.add_argument("--report", choices=("json", "text"), default="json")
+# The command table: (group, command) -> (handler, options), in the order
+# `ybekit --help` lists them.  It drives both the parser and the dispatch.
+_COMMANDS: dict[tuple[str, str], tuple] = {}
 
 
-def _algebra_commands(alg):
-    p = alg.add_parser("check")
-    p.add_argument("--algebra", required=True)
-    _add_common(p)
+def _command(group, cmd, *options):
+    """Register the decorated function as the handler of `ybekit group cmd`.
+    A bare flag in options is a required option that takes a value; a pair
+    (flag, keywords) goes to `add_argument` as it is.  Every command also
+    takes `--report`."""
+    def register(handler):
+        _COMMANDS[(group, cmd)] = handler, options
+        return handler
+    return register
 
 
-def _ybe_commands(ybe):
-    p = ybe.add_parser("check")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--mu", default="0")
-    p.add_argument("--opposite", action="store_true")
-    _add_common(p)
-    p = ybe.add_parser("symmetrizer")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--mu", default="0")
-    _add_common(p)
-    p = ybe.add_parser("invariant-basis")
-    p.add_argument("--algebra", required=True)
-    _add_common(p)
-    p = ybe.add_parser("enumerate")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--mu", default="1")
-    p.add_argument("--grid", default=None, help="comma-separated values; default 0,mu")
-    p.add_argument("--budget", type=int, default=1 << 25,
-                   help="maximum search nodes (values tried at one entry of r)")
-    _add_common(p)
+def _opt(flag, **kw):
+    return flag, kw
 
 
-def _op_commands(op):
-    p = op.add_parser("rb-check")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--lambda", dest="lam", default="0")
-    _add_common(p)
-    p = op.add_parser("o-check")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--module", default=None, help="bimodule JSON; adjoint if omitted")
-    _add_common(p)
-    p = op.add_parser("suite")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--mu", action="append", default=None)
-    _add_common(p)
+_LAMBDA = _opt("--lambda", dest="lam", required=True)
+_MUS = _opt("--mu", action="append")
 
 
-def _frobenius_commands(fro):
-    for name in ("build", "pr", "bridge"):
-        p = fro.add_parser(name)
-        p.add_argument("--algebra", required=True)
-        p.add_argument("--gram", required=True)
-        if name in ("pr", "bridge"):
-            p.add_argument("--r", required=True)
-        if name == "bridge":
-            p.add_argument("--mu", required=True)
-            p.add_argument("--lambda", dest="lam", required=True)
-        _add_common(p)
-
-
-def _construct_commands(con):
-    p = con.add_parser("from-rb")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    _add_common(p)
-    p = con.add_parser("lift")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--module", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
-    p = con.add_parser("semidirect")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--module", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    _add_common(p)
-    p = con.add_parser("unitize-extract")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--mu", required=True)
-    _add_common(p)
-
-
-def _dendriform_commands(den):
-    p = den.add_parser("check")
-    p.add_argument("--dendriform", required=True)
-    _add_common(p)
-    p = den.add_parser("build")
-    p.add_argument("--dendriform", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    _add_common(p)
-
-
-def _catalog_commands(cat):
-    p = cat.add_parser("list")
-    _add_common(p)
-    p = cat.add_parser("export")
-    p.add_argument("--name", required=True)
-    p.add_argument("--mu", default="1")
-    _add_common(p)
-    p = cat.add_parser("verify")
-    p.add_argument("--name", required=True)
-    p.add_argument("--mu", action="append", default=None)
-    p.add_argument("--no-grid", action="store_true")
-    _add_common(p)
-
-
-# The command groups in the order `ybekit --help` lists them.
-_GROUPS = {
-    "algebra": _algebra_commands,
-    "ybe": _ybe_commands,
-    "op": _op_commands,
-    "frobenius": _frobenius_commands,
-    "construct": _construct_commands,
-    "dendriform": _dendriform_commands,
-    "catalog": _catalog_commands,
-}
-
-
-def build_parser(group: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  Every group is listed, but when `group` is
-    given only that group gets its commands: argparse reads the commands of
-    the group the arguments name and of no other."""
+def build_parser(group: str | None = None, cmd: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  When (group, cmd) names a command, only the
+    top-level, group and command parsers of that command are built, and the
+    top-level usage still names every group, so that whatever argparse
+    prints reads as it does from the full parser.  Otherwise every command
+    is built, and help, usage and errors come from the full parser."""
+    one = (group, cmd) in _COMMANDS
+    table = {(group, cmd): _COMMANDS[group, cmd]} if one else _COMMANDS
+    # argparse would list only the groups built; the full parser keeps the
+    # metavar unset because its errors name the argument by it.
+    every = "{%s}" % ",".join(dict.fromkeys(g for g, _ in _COMMANDS))
     top = argparse.ArgumentParser(prog="ybekit")
-    groups = top.add_subparsers(dest="group", required=True)
-    for name, add_commands in _GROUPS.items():
-        cmds = groups.add_parser(name).add_subparsers(dest="cmd", required=True)
-        if group is None or name == group:
-            add_commands(cmds)
+    groups = top.add_subparsers(dest="group", required=True, metavar=every if one else None)
+    cmds = {}
+    for (g, c), (_, options) in table.items():
+        if g not in cmds:
+            cmds[g] = groups.add_parser(g).add_subparsers(dest="cmd", required=True)
+        p = cmds[g].add_parser(c)
+        for option in options:
+            flag, kw = (option, {"required": True}) if isinstance(option, str) else option
+            p.add_argument(flag, **kw)
+        p.add_argument("--report", choices=("json", "text"), default="json")
     return top
 
 
+@_command("algebra", "check", "--algebra")
 def _cmd_algebra_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     return _report_exit(check_algebra(a), ns.report)
 
 
+@_command("ybe", "check", "--algebra", "--r", _opt("--mu", default="0"),
+          _opt("--opposite", action="store_true"))
 def _cmd_ybe_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     r = io_json.decode_tensor2(_load(ns.r))
@@ -252,6 +163,7 @@ def _cmd_ybe_check(ns) -> int:
     return _report_exit(rep, ns.report)
 
 
+@_command("ybe", "symmetrizer", "--algebra", "--r", _opt("--mu", default="0"))
 def _cmd_ybe_symmetrizer(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     r = io_json.decode_tensor2(_load(ns.r))
@@ -263,6 +175,7 @@ def _cmd_ybe_symmetrizer(ns) -> int:
     return 0
 
 
+@_command("ybe", "invariant-basis", "--algebra")
 def _cmd_ybe_invariant_basis(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     basis = invariant_symmetric_basis(a)
@@ -271,6 +184,10 @@ def _cmd_ybe_invariant_basis(ns) -> int:
     return 0
 
 
+@_command("ybe", "enumerate", "--algebra", _opt("--mu", default="1"),
+          _opt("--grid", help="comma-separated values; default 0,mu"),
+          _opt("--budget", type=int, default=1 << 25,
+               help="maximum search nodes (values tried at one entry of r)"))
 def _cmd_ybe_enumerate(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     mu = _scalar(ns.mu)
@@ -282,6 +199,7 @@ def _cmd_ybe_enumerate(ns) -> int:
     return 0
 
 
+@_command("op", "rb-check", "--algebra", "--p", _opt("--lambda", dest="lam", default="0"))
 def _cmd_op_rb_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     p = io_json.decode_linear_map(_load(ns.p))
@@ -292,6 +210,8 @@ def _cmd_op_rb_check(ns) -> int:
     return _report_exit(rep, ns.report)
 
 
+@_command("op", "o-check", "--algebra", "--alpha",
+          _opt("--module", help="bimodule JSON; adjoint if omitted"))
 def _cmd_op_o_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     alpha = io_json.decode_linear_map(_load(ns.alpha))
@@ -303,6 +223,7 @@ def _cmd_op_o_check(ns) -> int:
     return _report_exit(rep, ns.report)
 
 
+@_command("op", "suite", "--algebra", "--r", _MUS)
 def _cmd_op_suite(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     r = io_json.decode_tensor2(_load(ns.r))
@@ -326,6 +247,7 @@ def _frobenius(ns):
     return frobenius_from_form(a, io_json.decode_form(_load(ns.gram), a))
 
 
+@_command("frobenius", "build", "--algebra", "--gram")
 def _cmd_frobenius_build(ns) -> int:
     frob = _frobenius(ns)
     _emit({"phi": io_json.encode_tensor2(frob.phi),
@@ -334,6 +256,7 @@ def _cmd_frobenius_build(ns) -> int:
     return 0
 
 
+@_command("frobenius", "pr", "--algebra", "--gram", "--r")
 def _cmd_frobenius_pr(ns) -> int:
     frob = _frobenius(ns)
     p, pt = induced_operators(frob, io_json.decode_tensor2(_load(ns.r)))
@@ -342,6 +265,7 @@ def _cmd_frobenius_pr(ns) -> int:
     return 0
 
 
+@_command("frobenius", "bridge", "--algebra", "--gram", "--r", "--mu", _LAMBDA)
 def _cmd_frobenius_bridge(ns) -> int:
     frob = _frobenius(ns)
     r = io_json.decode_tensor2(_load(ns.r))
@@ -365,6 +289,7 @@ def _emit_solutions(out, ns, kind, **extra) -> int:
     return 0
 
 
+@_command("construct", "from-rb", "--algebra", "--s", "--p", _LAMBDA, "--mu")
 def _cmd_construct_from_rb(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     s = io_json.decode_tensor2(_load(ns.s))
@@ -377,6 +302,7 @@ def _cmd_construct_from_rb(ns) -> int:
     return 0
 
 
+@_command("construct", "lift", "--algebra", "--module", "--alpha", _LAMBDA)
 def _cmd_construct_lift(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     module = io_json.decode_bimodule(_load(ns.module), a)
@@ -391,6 +317,8 @@ def _cmd_construct_lift(ns) -> int:
     return 0
 
 
+@_command("construct", "semidirect", "--algebra", "--module", "--alpha", "--beta",
+          _LAMBDA, "--mu")
 def _cmd_construct_semidirect(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     module = io_json.decode_bimodule(_load(ns.module), a)
@@ -400,6 +328,7 @@ def _cmd_construct_semidirect(ns) -> int:
     return _emit_solutions(out, ns, "semidirect", s=io_json.encode_tensor2(out.s))
 
 
+@_command("construct", "unitize-extract", "--algebra", "--eps", "--r", "--mu")
 def _cmd_construct_unitize_extract(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     aug = io_json.decode_augmentation(_load(ns.eps), a)
@@ -420,11 +349,13 @@ def _cmd_construct_unitize_extract(ns) -> int:
     return 0
 
 
+@_command("dendriform", "check", "--dendriform")
 def _cmd_dendriform_check(ns) -> int:
     d = io_json.decode_dendriform(_load(ns.dendriform))
     return _report_exit(check_dendriform(d), ns.report)
 
 
+@_command("dendriform", "build", "--dendriform", "--beta", _LAMBDA, "--mu")
 def _cmd_dendriform_build(ns) -> int:
     d = io_json.decode_dendriform(_load(ns.dendriform))
     _, ud = unital_extension(d)
@@ -433,11 +364,13 @@ def _cmd_dendriform_build(ns) -> int:
     return _emit_solutions(out, ns, "dendriform")
 
 
+@_command("catalog", "list")
 def _cmd_catalog_list(ns) -> int:
     _emit({"names": list(catalog_names())}, ns.report)
     return 0
 
 
+@_command("catalog", "export", "--name", _opt("--mu", default="1"))
 def _cmd_catalog_export(ns) -> int:
     entry = catalog_algebra(ns.name)
     mu = _scalar(ns.mu)
@@ -465,35 +398,11 @@ def _cmd_catalog_export(ns) -> int:
     return 0
 
 
+@_command("catalog", "verify", "--name", _MUS, _opt("--no-grid", action="store_true"))
 def _cmd_catalog_verify(ns) -> int:
     mus = [(_scalar(m)) for m in (ns.mu or ["1"])]
     rep = verify_catalog(ns.name, mus, grid=not ns.no_grid)
     return _report_exit(rep, ns.report)
-
-
-# One handler per (group, command) of build_parser.
-_DISPATCH = {
-    ("algebra", "check"): _cmd_algebra_check,
-    ("ybe", "check"): _cmd_ybe_check,
-    ("ybe", "symmetrizer"): _cmd_ybe_symmetrizer,
-    ("ybe", "invariant-basis"): _cmd_ybe_invariant_basis,
-    ("ybe", "enumerate"): _cmd_ybe_enumerate,
-    ("op", "rb-check"): _cmd_op_rb_check,
-    ("op", "o-check"): _cmd_op_o_check,
-    ("op", "suite"): _cmd_op_suite,
-    ("frobenius", "build"): _cmd_frobenius_build,
-    ("frobenius", "pr"): _cmd_frobenius_pr,
-    ("frobenius", "bridge"): _cmd_frobenius_bridge,
-    ("construct", "from-rb"): _cmd_construct_from_rb,
-    ("construct", "lift"): _cmd_construct_lift,
-    ("construct", "semidirect"): _cmd_construct_semidirect,
-    ("construct", "unitize-extract"): _cmd_construct_unitize_extract,
-    ("dendriform", "check"): _cmd_dendriform_check,
-    ("dendriform", "build"): _cmd_dendriform_build,
-    ("catalog", "list"): _cmd_catalog_list,
-    ("catalog", "export"): _cmd_catalog_export,
-    ("catalog", "verify"): _cmd_catalog_verify,
-}
 
 
 _VALUE_FLAGS = ("--mu", "--lambda", "--grid")
@@ -517,15 +426,12 @@ def _join_negative_values(argv):
 
 def run(argv) -> int:
     argv = _join_negative_values(list(argv))
-    # The top-level parser has no option that takes a value, so its first
-    # argument that is not an option names the group argparse will read.
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser(*argv[:2]).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _DISPATCH[(ns.group, ns.cmd)](ns)
+        return _COMMANDS[(ns.group, ns.cmd)][0](ns)
     except PreconditionViolated as exc:
         print(io_json.dumps({"error": "precondition-violated",
                              "equation": exc.equation,

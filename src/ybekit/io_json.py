@@ -3,7 +3,8 @@
 Rationals are serialized as "p/q" strings, or "p" when the denominator is
 one.  Dumps are byte-deterministic: keys sorted, compact separators.
 Decoding is strict: a scalar is a JSON integer or a string, never a float or
-a boolean, and every value of the wrong JSON type raises ValueError.
+a boolean, and every value of the wrong JSON type or missing field raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -27,6 +28,20 @@ def _checked(x, kind, what):
     if not isinstance(x, kind) or isinstance(x, bool):
         raise ValueError(f"{what}: expected {kind.__name__}, got {type(x).__name__}")
     return x
+
+
+class _Object(dict):
+    """A decoded JSON object: reading a field it lacks raises ValueError
+    naming the object and the field."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what}: missing field {key!r}")
+
+
+def _object(d, what) -> _Object:
+    obj = _Object(_checked(d, dict, what))
+    obj.what = what
+    return obj
 
 
 def parse_scalar(s) -> Scalar:
@@ -77,7 +92,7 @@ def encode_tensor2(t: Tensor2) -> dict:
 
 
 def decode_tensor2(d: dict) -> Tensor2:
-    d = _checked(d, dict, "tensor")
+    d = _object(d, "tensor")
     return Tensor2(_dim_in(d), _mat_in(d["coeff"]))
 
 
@@ -91,7 +106,7 @@ def encode_algebra(a: Algebra) -> dict:
 
 
 def decode_algebra(d: dict) -> Algebra:
-    d = _checked(d, dict, "algebra")
+    d = _object(d, "algebra")
     dim, sc = _dim_in(d), _table_in(d["sc"])
     unit = _vec_in(d["unit"]) if d.get("unit") is not None else None
     basis = d.get("basis")
@@ -106,7 +121,7 @@ def encode_linear_map(m: LinearMap) -> dict:
 
 
 def decode_linear_map(d: dict) -> LinearMap:
-    d = _checked(d, dict, "linear map")
+    d = _object(d, "linear map")
     matrix = _mat_in(d["matrix"])
     if "rows" in d and (len(matrix) != _checked(d["rows"], int, "rows") or
                         (matrix and len(matrix[0]) != _checked(d["cols"], int, "cols"))):
@@ -115,7 +130,7 @@ def decode_linear_map(d: dict) -> LinearMap:
 
 
 def decode_bimodule(d: dict, algebra: Algebra) -> Bimodule:
-    d = _checked(d, dict, "bimodule")
+    d = _object(d, "bimodule")
     left = _table_in(d["left"])
     if not left:
         raise DimensionMismatch("bimodule needs at least one action matrix")
@@ -127,7 +142,7 @@ def encode_form(b: BilinearForm) -> dict:
 
 
 def decode_form(d: dict, algebra: Algebra) -> BilinearForm:
-    return BilinearForm(algebra, _mat_in(_checked(d, dict, "form")["gram"]))
+    return BilinearForm(algebra, _mat_in(_object(d, "form")["gram"]))
 
 
 def encode_augmentation(a: Augmentation) -> dict:
@@ -135,9 +150,9 @@ def encode_augmentation(a: Augmentation) -> dict:
 
 
 def decode_augmentation(d: dict, algebra: Algebra) -> Augmentation:
-    return Augmentation(algebra, _vec_in(_checked(d, dict, "augmentation")["eps"]))
+    return Augmentation(algebra, _vec_in(_object(d, "augmentation")["eps"]))
 
 
 def decode_dendriform(d: dict) -> Dendriform:
-    d = _checked(d, dict, "dendriform")
+    d = _object(d, "dendriform")
     return Dendriform(_dim_in(d), _table_in(d["prec"]), _table_in(d["succ"]))

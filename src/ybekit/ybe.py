@@ -170,10 +170,12 @@ def _slot_products(nz, terms, n: int) -> list:
 def _cleared(m) -> tuple[int, tuple]:
     """(d, d * m): d is the lcm of the denominators of the entries of the
     matrix m, so d * m holds ints, or polynomials where m does.  A matrix
-    without Fraction entries is returned as it is, with d = 1."""
-    d = lcm(*(x.denominator for row in m for x in row if type(x) is Fraction))
-    if d == 1:
+    without Fraction entries is returned as it is, with d = 1; one with
+    integral Fractions such as Fraction(2, 1) gets ints in their place."""
+    dens = [x.denominator for row in m for x in row if type(x) is Fraction]
+    if not dens:
         return 1, m
+    d = lcm(*dens)
     return d, tuple(tuple(x.numerator * (d // x.denominator) if type(x) is Fraction
                           else x * d for x in row) for row in m)
 

@@ -255,6 +255,15 @@ def typed(vectors):
     return [tuple((type(x), x) for x in v) for v in vectors]
 
 
+# Rational changes of basis for `rebased`: f_i = sum_x P[i][x] e_x.
+BASES = {
+    "A2": ((1, Fraction(1, 2)), (Fraction(-1, 3), 1)),
+    "B1": ((1, Fraction(1, 2), 0), (0, 1, Fraction(-2, 3)), (Fraction(1, 5), 0, 1)),
+    "M2": ((1, 0, Fraction(1, 2), 0), (0, 1, 0, 0), (0, Fraction(-1, 3), 1, 0),
+           (Fraction(1, 2), 0, 0, 2)),
+}
+
+
 def rebased(a, p):
     """The algebra a on the basis f_i = sum_x p[i][x] e_x."""
     n = a.dim
@@ -619,3 +628,17 @@ def reference_check_algebra(a):
                     "algebra-axioms", False,
                     witness={"kind": "unit", "basis_index": k})
     return CheckReport("algebra-axioms", True, details={"dim": n, "unital": a.is_unital})
+
+
+def eager_action_tables(a):
+    """(left, right): the multiplication matrix of each basis vector on the
+    left and on the right, built from the structure constants as `Algebra`
+    built them on construction before they became lazy."""
+    n, sc = a.dim, a.sc
+    left = tuple(
+        tuple(tuple(sc[k][j][p] for j in range(n)) for p in range(n))
+        for k in range(n))
+    right = tuple(
+        tuple(tuple(sc[j][k][p] for j in range(n)) for p in range(n))
+        for k in range(n))
+    return left, right

@@ -8,6 +8,8 @@ from ybekit import (
     SingularMatrix,
     Augmentation,
     NotAssociative,
+    Tensor2,
+    YbeInstance,
     adjoint_bimodule,
     algebra_from_products,
     check_algebra,
@@ -16,16 +18,28 @@ from ybekit import (
     dual_bimodule,
     dual_regular_bimodule,
     find_augmentations,
+    grid_enumerate,
     identity,
+    invariant_symmetric_basis,
     make_algebra,
     matrix_algebra,
+    nhacybe_residual,
     semidirect_product,
     unitization,
 )
 from ybekit.algebras import augmentation_kernel_basis, is_unital_bimodule
 from ybekit.linalg import transpose, unit_vec
 
-from helpers import ALL_NAMES, alg, entry, rebased, reference_check_algebra, reference_invert
+from helpers import (
+    ALL_NAMES,
+    BASES,
+    alg,
+    eager_action_tables,
+    entry,
+    rebased,
+    reference_check_algebra,
+    reference_invert,
+)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -234,3 +248,42 @@ def test_check_algebra_matches_dense_reference(a):
                                make_algebra(0, ())], ids=("M3", "B1-dual", "zero"))
 def test_check_algebra_matches_dense_reference_on_larger_algebras(a):
     assert check_algebra(a) == reference_check_algebra(a)
+
+
+def _fresh_algebra(name):
+    """A new Algebra, with no derived data built yet (the catalog keeps its
+    algebras, and theirs, between tests): a catalog algebra, M3, the
+    zero-dimensional algebra, or a catalog algebra on a rational basis."""
+    if name == "M3":
+        return matrix_algebra(3)
+    if name == "zero":
+        return make_algebra(0, ())
+    if name.endswith("-rebased"):
+        base = name.removesuffix("-rebased")
+        return rebased(alg(base), BASES[base])
+    a = alg(name)
+    return make_algebra(a.dim, a.sc, unit=a.unit, basis=a.basis)
+
+
+@pytest.mark.parametrize("name", (*ALL_NAMES, "M3", "zero", *(f"{b}-rebased" for b in BASES)))
+def test_lazy_action_tables_match_the_eager_ones(name):
+    a = _fresh_algebra(name)
+    assert "_left" not in a.__dict__ and "_right" not in a.__dict__
+    want = eager_action_tables(a)
+    assert (a._left, a._right) == want
+    v = adjoint_bimodule(a)
+    assert (v.left, v.right) == want
+
+
+@pytest.mark.parametrize("name", ("B1", "M3", "zero", "A2-rebased"))
+def test_kernels_never_build_the_action_tables(name):
+    a = _fresh_algebra(name)
+    n = a.dim
+    mu = 0 if a.unit is None else 1
+    check_algebra(a)
+    r = Tensor2(n, tuple(tuple((i + 2 * j) % 3 - 1 for j in range(n)) for i in range(n)))
+    nhacybe_residual(YbeInstance(a, mu), r)
+    invariant_symmetric_basis(a)
+    if n <= 3:  # the grid search is exponential in n * n
+        grid_enumerate(YbeInstance(a, mu), (0, 1))
+    assert "_left" not in a.__dict__ and "_right" not in a.__dict__

@@ -188,7 +188,7 @@ def _subcommands(parser):
 
 
 def test_every_subcommand_has_one_handler():
-    assert sorted(_subcommands(build_parser())) == sorted(cli._DISPATCH)
+    assert list(_subcommands(build_parser())) == list(cli._COMMANDS)
 
 
 def _reference_parse(s):
@@ -222,7 +222,22 @@ def test_parse_scalar_matches_fraction(s):
     assert _outcome(io_json.parse_scalar, s) == _outcome(_reference_parse, s)
 
 
-_PARSER_CASES = [[], ["--help"], ["bogus"], ["ybe", "--help"], ["ybe", "check"]]
+# Argument lists and their exit codes: help, usage errors and valid commands.
+# A and R stand for real files, an algebra and the zero tensor that solves it.
+_VALID = ["ybe", "check", "--algebra", "A", "--r", "R"]
+_PARSER_CASES = [
+    ([], 2), (["--help"], 0), (["--he"], 0), (["bogus"], 2), (["bogus", "check"], 2),
+    (["ybe"], 2), (["ybe", "--help"], 0), (["ybe", "--he"], 0), (["ybe", "bogus"], 2),
+    (["ybe", "--help", "check"], 0), (["ybe", "check", "--help"], 0),
+    (["ybe", "check", "--he"], 0), (["catalog", "list", "-h"], 0),
+    (["ybe", "check"], 2), (["ybe", "check", "--algebra", "A"], 2),
+    (["ybe", "check", "--bogus"], 2), (["ybe", "check", "--algebra"], 2),
+    (["--report", "json"] + _VALID, 2), (["-h"] + _VALID, 0),
+    (_VALID, 0), (_VALID + ["--mu", "-1/2", "--report", "text"], 0), (_VALID + ["--opposite"], 0),
+    (_VALID + ["--bogus"], 2), (_VALID + ["extra"], 2), (_VALID + ["--report", "xml"], 2),
+    (_VALID + ["--mu"], 2), (["ybe", "enumerate", "--algebra", "A", "--grid", "-1,0,1"], 0),
+    (["catalog", "verify", "--name", "A2", "--no-grid", "--mu", "2"], 0),
+]
 
 
 def _run_captured(argv, capsys):
@@ -231,20 +246,73 @@ def _run_captured(argv, capsys):
     return code, out, err
 
 
-@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda a: " ".join(a) or "none")
-def test_partial_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, code", _PARSER_CASES,
+                         ids=[" ".join(argv) or "none" for argv, _ in _PARSER_CASES])
+def test_partial_parser_prints_what_the_full_parser_prints(argv, code, capsys, monkeypatch,
+                                                           tmp_path):
+    files = {"A": _write(tmp_path, "a.json", io_json.encode_algebra(alg("A2"))),
+             "R": _write(tmp_path, "r.json", {"dim": 2, "coeff": [[0, 0], [0, 0]]})}
+    argv = [files.get(a, a) for a in argv]
     got = _run_captured(argv, capsys)
     full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda group=None: full())
+    monkeypatch.setattr(cli, "build_parser", lambda *names: full())
     assert got == _run_captured(argv, capsys)
-    assert got[0] == (0 if "--help" in argv else 2)
+    assert got[0] == code
+    if code == 2:
+        assert got[1] == "" and got[2].startswith("usage: ybekit")
+    else:
+        assert got[1] and got[2] == ""
 
 
 def test_partial_parser_builds_one_group():
-    commands = dict.fromkeys(g for g, _ in _subcommands(build_parser("ybe")))
-    assert list(commands) == ["ybe"]
-    groups = [a for a in build_parser("")._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(groups[0].choices) == list(cli._GROUPS)
+    assert list(_subcommands(build_parser("ybe", "check"))) == [("ybe", "check")]
+    assert build_parser("ybe", "check").format_usage() == build_parser().format_usage()
+    for names in [(), ("ybe",), ("ybe", "bogus"), ("bogus", "check"), ("--help", "ybe")]:
+        assert list(_subcommands(build_parser(*names))) == list(cli._COMMANDS)
+
+
+def test_a_valid_command_builds_three_parsers(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        built.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    a = _write(tmp_path, "a.json", io_json.encode_algebra(alg("A2")))
+    r = _write(tmp_path, "r.json", {"dim": 2, "coeff": [[0, 0], [0, 0]]})
+    assert run(["ybe", "check", "--algebra", a, "--r", r, "--mu", "2"]) == 0
+    assert built == ["ybekit", "ybekit ybe", "ybekit ybe check"]
+    built.clear()
+    build_parser()
+    assert len(built) == 1 + len({g for g, _ in cli._COMMANDS}) + len(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("decode, obj, message", [
+    (io_json.decode_tensor2, {"dim": 1}, "tensor: missing field 'coeff'"),
+    (io_json.decode_algebra, {"sc": [[[1]]]}, "algebra: missing field 'dim'"),
+    (io_json.decode_linear_map, {}, "linear map: missing field 'matrix'"),
+    (io_json.decode_linear_map, {"matrix": [[1]], "rows": 1}, "linear map: missing field 'cols'"),
+    (lambda d: io_json.decode_bimodule(d, alg("A2")), {"left": [[[1, 0], [0, 1]]] * 2},
+     "bimodule: missing field 'right'"),
+    (lambda d: io_json.decode_form(d, alg("A2")), {"matrix": [[1, 0], [0, 1]]},
+     "form: missing field 'gram'"),
+    (lambda d: io_json.decode_augmentation(d, alg("A2")), {}, "augmentation: missing field 'eps'"),
+    (io_json.decode_dendriform, {"dim": 1, "prec": [[[0]]]}, "dendriform: missing field 'succ'"),
+], ids=["tensor", "algebra", "linear-map", "linear-map-cols", "bimodule", "form",
+        "augmentation", "dendriform"])
+def test_a_missing_field_names_the_object_and_the_field(decode, obj, message):
+    with pytest.raises(ValueError) as exc:
+        decode(obj)
+    assert str(exc.value) == message
+
+
+def test_a_missing_field_is_an_input_error(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", io_json.encode_algebra(alg("A2")))
+    g = _write(tmp_path, "g.json", {"matrix": [[1, 0], [0, 1]]})
+    assert run(["frobenius", "build", "--algebra", a, "--gram", g]) == 2
+    assert capsys.readouterr() == ("", "error: form: missing field 'gram'\n")
 
 
 def test_op_suite_validates_the_algebra_once(tmp_path, monkeypatch, capsys):

@@ -36,11 +36,12 @@ from ybekit import (
 from ybekit.cli import run
 from ybekit.io_json import encode_algebra, encode_tensor2
 from ybekit.linalg import scalar_str
-from ybekit.operators import _operator_defect
+from ybekit.operators import _defect_num, _operator_defect
 from ybekit.poly import Poly, variables
-from ybekit.ybe import _residual_flat
+from ybekit.ybe import _residual_flat, _residual_num
 
 from helpers import (
+    BASES,
     brute_force_grid,
     entry,
     evaluate,
@@ -60,13 +61,6 @@ from helpers import (
 SCALARS = st.one_of(st.integers(-3, 3),
                     st.fractions(min_value=-2, max_value=2, max_denominator=4))
 
-# Rational changes of basis: f_i = sum_x P[i][x] e_x.
-BASES = {
-    "A2": ((1, Fraction(1, 2)), (Fraction(-1, 3), 1)),
-    "B1": ((1, Fraction(1, 2), 0), (0, 1, Fraction(-2, 3)), (Fraction(1, 5), 0, 1)),
-    "M2": ((1, 0, Fraction(1, 2), 0), (0, 1, 0, 0), (0, Fraction(-1, 3), 1, 0),
-           (Fraction(1, 2), 0, 0, 2)),
-}
 _REBASED = {}
 
 
@@ -173,6 +167,33 @@ def test_ybe_check_reports_the_first_nonzero_residual_entry(name, opposite, tmp_
         assert code == (first is not None) and report["passed"] is (first is None)
         assert report.get("witness") == (None if first is None else
                                          {"slot": list(first[:3]), "value": scalar_str(first[3])})
+
+
+# Fraction(2, 1) is an integer that was never reduced to an int.
+UNREDUCED = ((1, 2), (Fraction(2, 1), 0))
+REDUCED = ((1, 2), (2, 0))
+
+
+@pytest.mark.parametrize("rebase", (False, True), ids=("integer", "rebased"))
+@pytest.mark.parametrize("opposite", (False, True), ids=("plain", "opposite"))
+def test_residual_numerators_of_integral_fractions_are_ints(rebase, opposite):
+    a = _rebased("A2")[0] if rebase else entry("A2").algebra
+    for mu in (0, 1):
+        num, den = _residual_num(a, mu, UNREDUCED, opposite)
+        assert all(type(x) is int for x in num)
+        assert (num, den) == _residual_num(a, mu, REDUCED, opposite)
+        values = _residual_flat(a, mu, UNREDUCED, opposite)
+        assert all(_canonical(v) for v in values)
+
+
+@pytest.mark.parametrize("rebase", (False, True), ids=("integer", "rebased"))
+def test_defect_numerators_of_integral_fractions_are_ints(rebase):
+    a = _rebased("A2")[0] if rebase else entry("A2").algebra
+    v = adjoint_bimodule(a)
+    for maps in ((UNREDUCED, REDUCED, REDUCED), (REDUCED, UNREDUCED, UNREDUCED)):
+        num, den = _defect_num(a, v, *maps, eps=(Fraction(3, 1), 0))
+        assert all(type(x) is int for x in num)
+        assert (num, den) == _defect_num(a, v, REDUCED, REDUCED, REDUCED, eps=(3, 0))
 
 
 @pytest.mark.parametrize("name", SMALL)
