@@ -10,8 +10,12 @@ Conventions, fixed once and relied on everywhere downstream:
   realises e_k acting on the right.  Right actions therefore compose
   contravariantly: rmat(x y) = rmat(y) @ rmat(x).
 * Semi-direct products order the algebra part before the module part.
-* Constructing an Algebra only validates and coerces sc, basis and unit.
-  Everything derived from them is built on first use and kept, since an
+* Exact data is built once.  A public constructor coerces every entry to
+  an exact scalar, refusing floats, and then checks shapes (`_check`);
+  `io_json` parses exact entries itself and only checks the shapes; data
+  derived from exact data, such as the adjoint and dual bimodules, is
+  neither coerced nor checked again (`linalg._trusted`).  Everything
+  derived from sc, basis and unit is built on first use and kept, since an
   Algebra never changes: the dense multiplication matrices `_left`/`_right`
   (2 n^3 entries, read by the adjoint bimodule and the dual product), the
   sparse integer constants `_products` (read by `check_algebra` and the
@@ -30,6 +34,8 @@ from .errors import DimensionMismatch, NotAssociative
 from .linalg import (
     Mat,
     Vec,
+    _rectangular,
+    _trusted,
     identity,
     is_zero_vec,
     mat,
@@ -51,19 +57,20 @@ class Algebra:
     unit: Vec | None
 
     def __post_init__(self):
-        n = self.dim
-        sc = tuple(tuple(vec(v) for v in row) for row in self.sc)
+        object.__setattr__(self, "sc", tuple(tuple(vec(v) for v in row) for row in self.sc))
+        object.__setattr__(self, "basis", tuple(self.basis))
+        object.__setattr__(self, "unit", None if self.unit is None else vec(self.unit))
+        self._check()
+
+    def _check(self):
+        n, sc = self.dim, self.sc
         if len(sc) != n or any(len(row) != n for row in sc) or any(
                 len(v) != n for row in sc for v in row):
             raise DimensionMismatch(f"structure constants are not {n}x{n}x{n}")
         if len(self.basis) != n:
             raise DimensionMismatch("basis names do not match dim")
-        unit = None if self.unit is None else vec(self.unit)
-        if unit is not None and len(unit) != n:
+        if self.unit is not None and len(self.unit) != n:
             raise DimensionMismatch("unit vector has wrong length")
-        object.__setattr__(self, "sc", sc)
-        object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "unit", unit)
 
     @property
     def is_unital(self) -> bool:
@@ -127,7 +134,7 @@ class Algebra:
 
     @cached_property
     def _adjoint(self) -> "Bimodule":
-        return Bimodule(self, self.dim, self._left, self._right)
+        return _trusted(Bimodule, self, self.dim, self._left, self._right)
 
     @cached_property
     def _dual_regular(self) -> "Bimodule":
@@ -168,9 +175,13 @@ def _action_matrix(table, x: Vec, m: int) -> Mat:
     return tuple(tuple(r) for r in out)
 
 
+def _basis_names(dim, basis=None) -> tuple[str, ...]:
+    """The given basis names, or e1, ..., e<dim> when there are none."""
+    return tuple(basis) if basis else tuple(f"e{i + 1}" for i in range(dim))
+
+
 def make_algebra(dim, sc, unit=None, basis=None) -> Algebra:
-    names = tuple(basis) if basis else tuple(f"e{i + 1}" for i in range(dim))
-    return Algebra(dim, names, sc, unit)
+    return Algebra(dim, _basis_names(dim, basis), sc, unit)
 
 
 def algebra_from_products(dim, products: dict, unit=None, basis=None) -> Algebra:
@@ -234,14 +245,17 @@ class Bimodule:
     right: tuple[Mat, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "left", tuple(mat(x) for x in self.left))
+        object.__setattr__(self, "right", tuple(mat(x) for x in self.right))
+        self._check()
+
+    def _check(self):
         n, m = self.algebra.dim, self.dim
-        left = tuple(mat(x) for x in self.left)
-        right = tuple(mat(x) for x in self.right)
-        for tab in (left, right):
+        for mx in (*self.left, *self.right):
+            _rectangular(mx)
+        for tab in (self.left, self.right):
             if len(tab) != n or any(len(mx) != m or len(mx[0]) != m for mx in tab if mx):
                 raise DimensionMismatch("action tables do not match dims")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
     @cached_property
     def _actions(self) -> tuple[int, list[list[tuple]], list[list[tuple]]]:
@@ -269,11 +283,8 @@ def adjoint_bimodule(a: Algebra) -> Bimodule:
 def dual_bimodule(v: Bimodule) -> Bimodule:
     """Dual module: new left action is the transpose of the old right action,
     new right action the transpose of the old left action."""
-    return Bimodule(
-        v.algebra, v.dim,
-        tuple(transpose(m) for m in v.right),
-        tuple(transpose(m) for m in v.left),
-    )
+    return _trusted(Bimodule, v.algebra, v.dim, tuple(transpose(m) for m in v.right),
+                    tuple(transpose(m) for m in v.left))
 
 
 def dual_regular_bimodule(a: Algebra) -> Bimodule:
@@ -374,11 +385,13 @@ class BilinearForm:
     gram: Mat
 
     def __post_init__(self):
-        g = mat(self.gram)
-        n = self.algebra.dim
+        object.__setattr__(self, "gram", mat(self.gram))
+        self._check()
+
+    def _check(self):
+        g, n = _rectangular(self.gram), self.algebra.dim
         if len(g) != n or any(len(r) != n for r in g):
             raise DimensionMismatch("gram matrix does not match algebra dim")
-        object.__setattr__(self, "gram", g)
 
     def value(self, x: Vec, y: Vec):
         acc = 0
@@ -400,10 +413,12 @@ class Augmentation:
     eps: Vec
 
     def __post_init__(self):
-        e = vec(self.eps)
-        if len(e) != self.algebra.dim:
+        object.__setattr__(self, "eps", vec(self.eps))
+        self._check()
+
+    def _check(self):
+        if len(self.eps) != self.algebra.dim:
             raise DimensionMismatch("augmentation vector has wrong length")
-        object.__setattr__(self, "eps", e)
 
     def apply(self, x: Vec):
         return sum(c * xi for c, xi in zip(self.eps, x) if c and xi)

@@ -31,6 +31,8 @@ from .frobenius import frobenius_from_form, induced_operators, rb_bridge_suite
 from .linalg import scalar_str
 from .operators import (
     WeightOp,
+    _holds,
+    _rota_baxter,
     invariant_operator_suite,
     o_operator_residual,
     operator_form_suite,
@@ -309,10 +311,9 @@ def _cmd_construct_lift(ns) -> int:
     alpha = io_json.decode_linear_map(_load(ns.alpha))
     lam = _scalar(ns.lam)
     lifted = lift_o_operator(a, module, alpha, lam)
-    table = rota_baxter_residual(lifted.algebra, lifted.hat, lam)
     _emit({"algebra": io_json.encode_algebra(lifted.algebra),
            "hat": io_json.encode_linear_map(lifted.hat),
-           "rota_baxter": residual_is_zero(table),
+           "rota_baxter": _holds(*_rota_baxter(lifted.algebra, lifted.hat, lam)),
            "provenance": _provenance("lift", ns, ("lam",))}, ns.report)
     return 0
 
@@ -342,9 +343,8 @@ def _cmd_construct_unitize_extract(ns) -> int:
            "weight_branch": None if branch is None else scalar_str(branch),
            "provenance": _provenance("unitize-extract", ns, ("mu",))}
     if branch is not None:
-        out["rota_baxter"] = (
-            residual_is_zero(rota_baxter_residual(a, p, branch))
-            and residual_is_zero(rota_baxter_residual(a, pp, branch)))
+        out["rota_baxter"] = (_holds(*_rota_baxter(a, p, branch))
+                              and _holds(*_rota_baxter(a, pp, branch)))
     _emit(out, ns.report)
     return 0
 

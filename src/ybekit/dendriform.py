@@ -26,13 +26,18 @@ class Dendriform:
     succ: tuple  # succ[i][j] = coordinates of e_i > e_j
 
     def __post_init__(self):
+        for field in ("prec", "succ"):
+            object.__setattr__(self, field, tuple(tuple(vec(v) for v in row)
+                                                  for row in getattr(self, field)))
+        self._check()
+
+    def _check(self):
         m = self.dim
         for field in ("prec", "succ"):
-            tab = tuple(tuple(vec(v) for v in row) for row in getattr(self, field))
+            tab = getattr(self, field)
             if len(tab) != m or any(len(row) != m for row in tab) or any(
                     len(v) != m for row in tab for v in row):
                 raise DimensionMismatch(f"{field} table is not {m}x{m}x{m}")
-            object.__setattr__(self, field, tab)
 
     def left_product(self, x: Vec, y: Vec) -> Vec:
         return apply_table(self.prec, x, y)

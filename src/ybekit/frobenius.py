@@ -9,6 +9,7 @@ the inverse gram matrix as coefficient array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebras import (
     Algebra,
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .linalg import (
     Scalar,
+    exact,
     invert,
     mat_mul,
     mat_scale,
@@ -36,18 +38,10 @@ from .linalg import (
     unit_vec,
     vec_dot,
 )
-from .operators import (
-    LinearMap,
-    WeightOp,
-    _operator_defect,
-    o_operator_residual,
-    residual_is_zero,
-    rota_baxter_residual,
-    _suite_report,
-)
+from .operators import LinearMap, WeightOp, _holds, _o_operator, _rota_baxter, _suite_report
 from .report import CheckReport
 from .tensors import Tensor2
-from .ybe import YbeInstance, extended_symmetrizer, nhacybe_residual
+from .ybe import YbeInstance, extended_symmetrizer, is_solution
 
 
 @dataclass(frozen=True)
@@ -123,20 +117,16 @@ def frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) -> CheckRepor
     eps = tuple(mu * f.form.value(u, unit_vec(n, j)) for j in range(n))
 
     adj = adjoint_bimodule(a)
-    verdict_a = nhacybe_residual(inst, r).is_zero()
-    ok_b = residual_is_zero(_operator_defect(
-        a, adj, pcols, pcols, mat_scale(-1, ptcols), eps))
+    verdict_a = is_solution(inst, r)
+    ok_b = _holds(a, adj, pcols, pcols, mat_scale(-1, ptcols), eps)
     # The companion identity is the same identity over the opposite algebra.
-    ok_c = residual_is_zero(_operator_defect(
-        a, adj, ptcols, ptcols, mat_scale(-1, pcols), eps, opposite=True))
+    ok_c = _holds(a, adj, ptcols, ptcols, mat_scale(-1, pcols), eps, opposite=True)
 
     sbar = extended_symmetrizer(inst, r)
     twist = mat_mul(transpose(sbar.coeff), transpose(f.form.gram))
     neg_twist = mat_scale(-1, twist)
-    verdict_d = residual_is_zero(o_operator_residual(
-        a, adj, p, WeightOp.right_twist(neg_twist)))
-    verdict_e = residual_is_zero(o_operator_residual(
-        a, adj, pt, WeightOp.left_twist(neg_twist)))
+    verdict_d = _holds(*_o_operator(a, adj, p, WeightOp.right_twist(neg_twist)))
+    verdict_e = _holds(*_o_operator(a, adj, pt, WeightOp.left_twist(neg_twist)))
 
     return _suite_report("frobenius-operator-suite", {
         "tensor_equation": verdict_a,
@@ -153,23 +143,13 @@ def proportional_lambda(f: FrobeniusStructure, inst: YbeInstance,
     sbar = extended_symmetrizer(inst, r)
     if sbar.is_zero():
         return 0
-    anchor = None
-    for i in range(f.phi.dim):
-        for j in range(f.phi.dim):
-            if f.phi.coeff[i][j]:
-                anchor = (i, j)
-                break
-        if anchor:
-            break
+    n = f.phi.dim
+    anchor = next(((i, j) for i in range(n) for j in range(n) if f.phi.coeff[i][j]), None)
     if anchor is None:
         return None
     i, j = anchor
-    from fractions import Fraction
-    c = Fraction(sbar.coeff[i][j]) / Fraction(f.phi.coeff[i][j])
-    if sbar.coeff == f.phi.scale(c).coeff:
-        from .linalg import exact
-        return exact(-c)
-    return None
+    c = Fraction(sbar.coeff[i][j]) / f.phi.coeff[i][j]
+    return exact(-c) if sbar.coeff == f.phi.scale(c).coeff else None
 
 
 def rb_bridge_suite(f: FrobeniusStructure, mu: Scalar, lam: Scalar,
@@ -188,9 +168,9 @@ def rb_bridge_suite(f: FrobeniusStructure, mu: Scalar, lam: Scalar,
                                 for row in defect.coeff]})
     p, pt = induced_operators(f, r)
     verdicts = {
-        "tensor_equation": nhacybe_residual(inst, r).is_zero(),
-        "rb_first": residual_is_zero(rota_baxter_residual(a, p, lam)),
-        "rb_second": residual_is_zero(rota_baxter_residual(a, pt, lam)),
+        "tensor_equation": is_solution(inst, r),
+        "rb_first": _holds(*_rota_baxter(a, p, lam)),
+        "rb_second": _holds(*_rota_baxter(a, pt, lam)),
     }
     return _suite_report("rb-bridge-suite", verdicts)
 

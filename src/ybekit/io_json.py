@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebras import Algebra, Augmentation, BilinearForm, Bimodule, make_algebra
+from .algebras import Algebra, Augmentation, BilinearForm, Bimodule, _basis_names
 from .dendriform import Dendriform
 from .errors import DimensionMismatch
-from .linalg import Scalar, exact, scalar_str
+from .linalg import Scalar, _trusted, exact, scalar_str
 from .operators import LinearMap
 from .tensors import Tensor2
 
@@ -71,20 +71,37 @@ def _vec_out(v):
     return [scalar_str(x) for x in v]
 
 
-def _vec_in(v):
-    return tuple(parse_scalar(x) for x in _checked(v, list, "vector"))
+class _Literals(dict):
+    """The value of each string or integer literal already parsed in one
+    JSON document, so that each distinct literal is parsed once."""
+
+    def __missing__(self, s):
+        self[s] = x = parse_scalar(s)
+        return x
+
+
+def _vec_in(v, lits: _Literals):
+    return tuple([lits[x] if type(x) is str or type(x) is int else parse_scalar(x)
+                  for x in _checked(v, list, "vector")])
 
 
 def _mat_out(m):
     return [_vec_out(r) for r in m]
 
 
-def _mat_in(m):
-    return tuple(_vec_in(r) for r in _checked(m, list, "matrix"))
+def _mat_in(m, lits: _Literals):
+    return tuple([_vec_in(r, lits) for r in _checked(m, list, "matrix")])
 
 
-def _table_in(t):
-    return tuple(_mat_in(m) for m in _checked(t, list, "table"))
+def _table_in(t, lits: _Literals):
+    return tuple([_mat_in(m, lits) for m in _checked(t, list, "table")])
+
+
+def _built(cls, *fields):
+    """cls from fields parsed here: shapes checked, nothing coerced twice."""
+    obj = _trusted(cls, *fields)
+    obj._check()
+    return obj
 
 
 def encode_tensor2(t: Tensor2) -> dict:
@@ -93,7 +110,7 @@ def encode_tensor2(t: Tensor2) -> dict:
 
 def decode_tensor2(d: dict) -> Tensor2:
     d = _object(d, "tensor")
-    return Tensor2(_dim_in(d), _mat_in(d["coeff"]))
+    return _built(Tensor2, _dim_in(d), _mat_in(d["coeff"], _Literals()))
 
 
 def encode_algebra(a: Algebra) -> dict:
@@ -107,12 +124,15 @@ def encode_algebra(a: Algebra) -> dict:
 
 def decode_algebra(d: dict) -> Algebra:
     d = _object(d, "algebra")
-    dim, sc = _dim_in(d), _table_in(d["sc"])
-    unit = _vec_in(d["unit"]) if d.get("unit") is not None else None
+    lits = _Literals()
+    dim, sc = _dim_in(d), _table_in(d["sc"], lits)
+    unit = _vec_in(d["unit"], lits) if d.get("unit") is not None else None
     basis = d.get("basis")
     if basis is not None:
         basis = [_checked(b, str, "basis name") for b in _checked(basis, list, "basis")]
-    return make_algebra(dim, sc, unit=unit, basis=basis or None)
+    # Default names only once sc has dim rows: a bare "dim" could ask for 10**9.
+    names = _basis_names(dim, basis) if len(sc) == dim else ()
+    return _built(Algebra, dim, names, sc, unit)
 
 
 def encode_linear_map(m: LinearMap) -> dict:
@@ -122,19 +142,20 @@ def encode_linear_map(m: LinearMap) -> dict:
 
 def decode_linear_map(d: dict) -> LinearMap:
     d = _object(d, "linear map")
-    matrix = _mat_in(d["matrix"])
+    matrix = _mat_in(d["matrix"], _Literals())
     if "rows" in d and (len(matrix) != _checked(d["rows"], int, "rows") or
                         (matrix and len(matrix[0]) != _checked(d["cols"], int, "cols"))):
         raise DimensionMismatch("matrix shape disagrees with rows/cols")
-    return LinearMap(matrix, d.get("domain", "primal"))
+    return _built(LinearMap, matrix, d.get("domain", "primal"))
 
 
 def decode_bimodule(d: dict, algebra: Algebra) -> Bimodule:
     d = _object(d, "bimodule")
-    left = _table_in(d["left"])
+    lits = _Literals()
+    left = _table_in(d["left"], lits)
     if not left:
         raise DimensionMismatch("bimodule needs at least one action matrix")
-    return Bimodule(algebra, len(left[0]), left, _table_in(d["right"]))
+    return _built(Bimodule, algebra, len(left[0]), left, _table_in(d["right"], lits))
 
 
 def encode_form(b: BilinearForm) -> dict:
@@ -142,7 +163,7 @@ def encode_form(b: BilinearForm) -> dict:
 
 
 def decode_form(d: dict, algebra: Algebra) -> BilinearForm:
-    return BilinearForm(algebra, _mat_in(_object(d, "form")["gram"]))
+    return _built(BilinearForm, algebra, _mat_in(_object(d, "form")["gram"], _Literals()))
 
 
 def encode_augmentation(a: Augmentation) -> dict:
@@ -150,9 +171,10 @@ def encode_augmentation(a: Augmentation) -> dict:
 
 
 def decode_augmentation(d: dict, algebra: Algebra) -> Augmentation:
-    return Augmentation(algebra, _vec_in(_object(d, "augmentation")["eps"]))
+    return _built(Augmentation, algebra, _vec_in(_object(d, "augmentation")["eps"], _Literals()))
 
 
 def decode_dendriform(d: dict) -> Dendriform:
     d = _object(d, "dendriform")
-    return Dendriform(_dim_in(d), _table_in(d["prec"]), _table_in(d["succ"]))
+    lits = _Literals()
+    return _built(Dendriform, _dim_in(d), _table_in(d["prec"], lits), _table_in(d["succ"], lits))

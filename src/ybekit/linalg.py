@@ -50,10 +50,22 @@ def vec(xs) -> Vec:
 
 
 def mat(rows) -> Mat:
-    m = tuple(vec(r) for r in rows)
+    return _rectangular(tuple(vec(r) for r in rows))
+
+
+def _rectangular(m: Mat) -> Mat:
     if m and any(len(r) != len(m[0]) for r in m):
         raise DimensionMismatch("ragged matrix")
     return m
+
+
+def _trusted(cls, *fields):
+    """The frozen dataclass cls with fields, in declaration order, that are
+    already exact and shaped: its coercing __post_init__ is not run."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def zero_vec(n: int) -> Vec:

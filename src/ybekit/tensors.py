@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
-from .linalg import Mat, Scalar, exact, is_zero_mat, mat, transpose
+from .linalg import Mat, Scalar, _rectangular, exact, is_zero_mat, mat, transpose
 
 
 @dataclass(frozen=True)
@@ -18,10 +18,13 @@ class Tensor2:
     coeff: Mat
 
     def __post_init__(self):
-        c = mat(self.coeff)
+        object.__setattr__(self, "coeff", mat(self.coeff))
+        self._check()
+
+    def _check(self):
+        c = _rectangular(self.coeff)
         if len(c) != self.dim or any(len(r) != self.dim for r in c):
             raise DimensionMismatch(f"coeff is not {self.dim}x{self.dim}")
-        object.__setattr__(self, "coeff", c)
 
     def flip(self) -> "Tensor2":
         return Tensor2(self.dim, transpose(self.coeff))

@@ -15,11 +15,14 @@ The kernel adds up integer numerators.  The structure constants are cleared
 of denominators once per algebra (`Algebra._products`) and each input once
 per call (`_cleared`); each kind of term is then scaled by L over the
 product of its own inputs' denominators, so that a residual comes back as
-ints over one common denominator L.  `is_solution` and the confirmation in
-`grid_enumerate` test the numerators without dividing.  A division happens
-only where a value is formed: the Tensor3 of `nhacybe_residual`,
-`opposite_residual` and `aybp_residual`.  Like `linalg._ratio`, it gives an
-int when exact and a Fraction otherwise, and it is skipped when L is 1.
+ints over one common denominator L.  Values are formed only where they are
+printed; verdicts test numerators; exact data is built once.  A verdict
+(the suites, the catalog, the confirmation in `grid_enumerate`) is
+`is_solution`, which divides nothing.  The Tensor3 of `nhacybe_residual`,
+`opposite_residual` and `aybp_residual` is for a caller that prints it,
+such as `ybe check`: each entry is divided once, like `linalg._ratio` (an
+int when exact, else a Fraction; nothing when L is 1), and the tensor is
+built from those values without a second coercion (`linalg._trusted`).
 
 The invariance identity s L(x)^T - R(x) s = 0 has one kernel too,
 `_invariance_num`, under the same rule: `is_invariant` tests its integer
@@ -36,7 +39,7 @@ from math import lcm
 
 from .algebras import Algebra
 from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
-from .linalg import Scalar, _kernel, _ratio, exact, scalar_str
+from .linalg import Scalar, _kernel, _ratio, _trusted, exact, scalar_str
 from .poly import Poly, variables
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer
@@ -191,8 +194,8 @@ def _values(num: list, den: int) -> list:
 
 def _tensor3(n: int, num: list, den: int) -> Tensor3:
     flat = _values(num, den)
-    return Tensor3(n, tuple(tuple(tuple(flat[(p * n + q) * n:(p * n + q + 1) * n])
-                                  for q in range(n)) for p in range(n)))
+    return _trusted(Tensor3, n, tuple(tuple(tuple(flat[(p * n + q) * n:(p * n + q + 1) * n])
+                                            for q in range(n)) for p in range(n)))
 
 
 def _residual_num(a: Algebra, mu, c, opposite: bool = False) -> tuple[list, int]:
@@ -257,8 +260,8 @@ def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:
     _check_ybe_args(inst, r)
     c, n, mu = r.coeff, r.dim, inst.mu
     u = inst.algebra.require_unit() if mu != 0 else (0,) * n
-    return Tensor2(n, tuple(tuple(c[i][j] + c[j][i] - mu * (u[i] * u[j]) for j in range(n))
-                            for i in range(n)))
+    return _trusted(Tensor2, n, tuple(tuple(exact(c[i][j] + c[j][i] - mu * (u[i] * u[j]))
+                                            for j in range(n)) for i in range(n)))
 
 
 def _invariance_num(a: Algebra, x) -> list:

@@ -39,9 +39,18 @@ from ybekit import (
     unitization,
 )
 from ybekit.algebras import make_algebra
-from ybekit.sampling import random_matrix, random_tensor, rng
 
-from helpers import M2_SKEW, a2_solution, alg, entry, inst, zero_map
+from helpers import (
+    M2_SKEW,
+    a2_solution,
+    alg,
+    entry,
+    inst,
+    random_matrix,
+    random_tensor,
+    rng,
+    zero_map,
+)
 
 
 # ---------------------------------------------------------------- from-rb

@@ -27,9 +27,8 @@ from ybekit import (
     trace_form,
 )
 from ybekit.frobenius import form_is_invariant
-from ybekit.sampling import random_tensor, rng
 
-from helpers import M2_SKEW, a2_solution, alg, entry, inst
+from helpers import M2_SKEW, a2_solution, alg, entry, inst, random_tensor, rng
 
 
 def test_a2_forms_give_diagonal_tensors():

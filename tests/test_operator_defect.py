@@ -33,7 +33,6 @@ from ybekit.algebras import make_algebra
 from ybekit.dendriform import Dendriform
 from ybekit.frobenius import induced_operators
 from ybekit.linalg import unit_vec
-from ybekit.sampling import random_symmetrized_invariant, random_tensor, rng
 from ybekit.ybe import invariant_symmetric_basis
 
 from helpers import (
@@ -41,12 +40,15 @@ from helpers import (
     M2_SKEW,
     alg,
     entry,
+    random_symmetrized_invariant,
+    random_tensor,
     reference_frobenius_suite,
     reference_o_operator_residual,
     reference_operator_form_suite,
     reference_pair_identity_residual,
     reference_rb_system_residual,
     reference_rota_baxter_residual,
+    rng,
 )
 
 SCALARS = st.one_of(st.integers(-3, 3),

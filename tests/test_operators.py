@@ -38,14 +38,19 @@ from ybekit import (
 )
 from ybekit.frobenius import induced_operators
 from ybekit.operators import regular_bimodule_algebra
-from ybekit.sampling import (
+
+from helpers import (
+    M2_SKEW,
+    a2_solution,
+    alg,
+    entry,
+    inst,
     random_matrix,
     random_symmetrized_invariant,
     random_tensor,
     rng,
+    zero_map,
 )
-
-from helpers import M2_SKEW, a2_solution, alg, entry, inst, zero_map
 
 
 def test_sharp_reads_first_slot():

@@ -27,7 +27,6 @@ from ybekit import (
     unit_square,
 )
 from ybekit.algebras import make_algebra, matrix_algebra
-from ybekit.sampling import random_tensor, random_unit_symmetrizer, rng
 
 from helpers import (
     ALL_NAMES,
@@ -37,9 +36,12 @@ from helpers import (
     brute_force_grid,
     entry,
     inst,
+    random_tensor,
+    random_unit_symmetrizer,
     rebased,
     reference_invariant_symmetric_basis,
     reference_residual_form,
+    rng,
     slotwise_opposite_residual,
     slotwise_pair_residuals,
     slotwise_residual,
