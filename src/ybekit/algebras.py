@@ -18,9 +18,10 @@ Conventions, fixed once and relied on everywhere downstream:
   derived from sc, basis and unit is built on first use and kept, since an
   Algebra never changes: the dense multiplication matrices `_left`/`_right`
   (2 n^3 entries, read by the adjoint bimodule and the dual product), the
-  sparse integer constants `_products` (read by `check_algebra` and the
-  residual, operator and invariance kernels), the axiom check `_axioms` and
-  the adjoint and dual regular bimodules.
+  sparse integer constants `_products` (read by `check_algebra`), their
+  grouping `_groups` by output and by factor, for the algebra and for its
+  opposite (read by the residual, operator and invariance kernels), the
+  axiom check `_axioms` and the adjoint and dual regular bimodules.
 """
 
 from __future__ import annotations
@@ -122,10 +123,16 @@ class Algebra:
                    for k, v in enumerate(row) for p, c in enumerate(v) if c]
 
     @cached_property
-    def _opposite_products(self) -> tuple[int, list[tuple]]:
-        """`_products` of the opposite algebra, whose e_k e_i is e_i e_k."""
-        d, nz = self._products
-        return d, [(k, i, p, c) for i, k, p, c in nz]
+    def _groups(self) -> tuple[tuple[list, list, list], tuple[list, list, list]]:
+        """(by_p, by_i, by_k) for the algebra and for its opposite: the entries
+        (i, k, p, c) of `_products` as (i, k, c) in by_p[p], (k, p, c) in
+        by_i[i] and (i, p, c) in by_k[k].  The opposite's e_k e_i is e_i e_k."""
+        by_p, by_i, by_k = ([[] for _ in range(self.dim)] for _ in range(3))
+        for i, k, p, c in self._products[1]:
+            by_p[p].append((i, k, c))
+            by_i[i].append((k, p, c))
+            by_k[k].append((i, p, c))
+        return (by_p, by_i, by_k), ([[(k, i, c) for i, k, c in g] for g in by_p], by_k, by_i)
 
     @cached_property
     def _axioms(self) -> CheckReport:
@@ -267,6 +274,17 @@ class Bimodule:
         return d, *([[(c, j, int(x * d)) for c, row in enumerate(mx)
                       for j, x in enumerate(row) if x] for mx in tab]
                     for tab in (self.left, self.right))
+
+    @cached_property
+    def _by_module(self) -> tuple[list, list]:
+        """The left and right entries of `_actions` regrouped by the module
+        index acted on: [j] holds (k, c, x) for each (c, j, x) in [k]."""
+        groups = ([[] for _ in range(self.dim)], [[] for _ in range(self.dim)])
+        for g, tab in zip(groups, self._actions[1:]):
+            for k, entries in enumerate(tab):
+                for c, j, x in entries:
+                    g[j].append((k, c, x))
+        return groups
 
     def lmat(self, x: Vec) -> Mat:
         return _action_matrix(self.left, x, self.dim)

@@ -11,7 +11,7 @@ Every operator identity here has one shape,
     p(x)p(y) = p(q(x).y) + p(x.s(y)) + eps(y) p(x) + p(weight(x, y)),
 
 for maps p, q, s from a bimodule to the algebra, and one kernel,
-`_operator_defect`, evaluates its defect on all module basis pairs.  An
+`_defect_blocks`, evaluates its defect on all module basis pairs.  An
 O-operator alpha of weight zero is (alpha, alpha, alpha); a right twist T
 moves into s = alpha + T, a left twist into q = alpha + T, and a scalar
 weight becomes the weight table.  A Rota-Baxter operator P of weight lam is
@@ -30,11 +30,13 @@ and each map, eps and weight once per call.  The module element is summed
 over one denominator, and each kind of term of the defect is scaled by the
 common denominator over the product of its own inputs' denominators.
 
+The kernel yields the table one block, of first module index, at a time.
 Values are formed only where they are printed; verdicts test numerators;
-exact data is built once.  Each identity is written once, as the arguments
-it hands the kernel (`_o_operator`, `_rota_baxter`).  A verdict (every
-suite, the catalog's family check, the CLI's constructions) is `_holds`,
-which tests the numerators and divides nothing.  The values, for a caller
+exact data is built once; a verdict reads the blocks in order and stops at
+the first nonzero one.  Each identity is written once, as the arguments it
+hands the kernel (`_o_operator`, `_rota_baxter`).  A verdict (every suite,
+the catalog's family check, the CLI's constructions) is `_holds`, which
+tests the numerators and divides nothing.  The values, for a caller
 that prints a table or witness (`op o-check`, `op rb-check`, the
 preconditions of `constructions`), divide the table once, giving an int
 when exact and a Fraction otherwise, and nothing when the denominator is 1.
@@ -43,6 +45,7 @@ when exact and a Fraction otherwise, and nothing when the denominator is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 
 from .algebras import Algebra, Bimodule, adjoint_bimodule, apply_table, dual_regular_bimodule
@@ -272,75 +275,81 @@ def _columns(mx: Mat, n: int, m: int, what: str) -> Mat:
     return transpose(mx) if n else ((),) * m
 
 
-def _by_coordinate(cols: Mat, n: int) -> list[list[tuple]]:
-    """For each algebra coordinate k, the pairs (i, cols[i][k]) with a nonzero value."""
-    return _sparse_rows(zip(*cols)) if cols else [[] for _ in range(n)]
+def _by_coordinate(cols: Mat, n: int, f: int = 1) -> list[list[tuple]]:
+    """For each algebra coordinate k, the pairs (i, f * cols[i][k]) with a nonzero value."""
+    return _sparse_rows(zip(*cols), f) if cols else [[] for _ in range(n)]
 
 
-def _defect_num(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
-                weight: ProductTable | None = None, opposite: bool = False
-                ) -> tuple[list, int]:
-    """(num, den): the table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j)
+def _defect_blocks(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
+                   weight: ProductTable | None = None, opposite: bool = False) -> tuple:
+    """(blocks, den): the table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j)
     - p(e_i.s(e_j)) - eps[j] p(e_i) - p(weight[i][j]) over all basis pairs
-    of the module v is num / den, coordinate t of D[i][j] at (i * m + j) * n + t.
+    of the module v is num / den, with blocks yielding num one block at a
+    time: block i holds coordinate t of D[i][j] at j * n + t.
 
     The product is that of the algebra a, or with opposite that of its
     opposite algebra, with the left and right actions of v exchanged.  The
     maps p, q and s go from the module to the algebra and are given by their
     columns: p[i] is p(e_i).  eps is a vector and weight a table of module
     vectors, both optional.  The module element q(e_i).e_j + e_i.s(e_j)
-    + eps[j] e_i + weight[i][j] is summed first and p is applied to it once.
+    + eps[j] e_i + weight[i][j] is summed first and p is applied to it once;
+    block i reads p(e_i), q(e_i), the action on e_i and weight[i] only.
     Every product runs over nonzero structure constants, action entries and
     map entries only.  num holds ints, or polynomials where the maps do.
     """
     n, m = a.dim, len(p)
-    dsc, nz = a._opposite_products if opposite else a._products
+    dsc, by_i = a._products[0], a._groups[opposite][1]
     dact, left, right = v._actions
+    lmod, rmod = v._by_module  # e_i.e_k has x at e_c: (k, c, x) in rmod[i]
     if opposite:
-        left, right = right, left
-    (dp, p), (dq, q), (ds, s) = _cleared(p), _cleared(q), _cleared(s)
-    de, (eps,) = _cleared((eps or (),))
-    dw, (wflat,) = _cleared(([x for row in weight for w in row for x in w] if weight else (),))
-    # Module part over dm, flat: coordinate c of the (i, j) element at (i * m + j) * m + c.
+        left, rmod = right, lmod
+    cp = _cleared(p)  # q and s are often p itself
+    (dp, p), (dq, q), (ds, s) = cp, cp if q is p else _cleared(q), cp if s is p else _cleared(s)
+    de, (eps,) = _cleared((eps,)) if eps else (1, ((),))
+    dw, (wflat,) = _cleared(([x for row in weight for w in row for x in w],)) if weight \
+        else (1, ((),))
+    # p(e_i)p(e_j) is over dsc * dp**2, the module part (each piece) scaled to den / dp.
     dm = lcm(dq * dact, ds * dact, de, dw)
-    mod = [x * (dm // dw) for x in wflat] if weight else [0] * m ** 3
-    kq, ks = dm // (dq * dact), dm // (ds * dact)
-    q_at, s_at = _by_coordinate(q, n), _by_coordinate(s, n)
-    for k in range(n):
-        for c, j, x in left[k]:  # e_k.e_j has x at e_c
-            x *= kq
-            for i, y in q_at[k]:
-                mod[(i * m + j) * m + c] += y * x
-        for c, i, x in right[k]:  # e_i.e_k has x at e_c
-            x *= ks
-            for j, y in s_at[k]:
-                mod[(i * m + j) * m + c] += y * x
-    for j, y in enumerate(eps):
-        if y:
-            y *= dm // de
-            for i in range(m):
-                mod[(i * m + j) * m + i] += y
-    # p(e_i)p(e_j) is over dsc * dp**2, p applied to the module part over dm * dp.
     den = lcm(dsc * dp * dp, dm * dp)
-    kp, km = den // (dsc * dp * dp), den // (dm * dp)
-    out = [0] * (m * m * n)
-    p_at = _by_coordinate(p, n)
-    for a_, b, k, c in nz:
-        c *= kp
-        for i, x in p_at[a_]:
-            cx = c * x
-            base = i * m * n + k
-            for j, y in p_at[b]:
-                out[base + j * n] += cx * y
-    p_cols = _sparse_rows(p)
-    for at, w in enumerate(mod):
-        if w:
-            w *= km
-            ij, c = divmod(at, m)
-            base = ij * n
-            for t, x in p_cols[c]:
-                out[base + t] -= w * x
-    return out, den
+    km = den // (dm * dp)
+    kw, kq, ks, ke = km * dm // dw, km * dm // (dq * dact), km * dm // (ds * dact), km * dm // de
+    eps = [y * ke for y in eps] if ke != 1 else eps
+    wflat = [x * kw for x in wflat] if kw != 1 else wflat
+    p_rows = _sparse_rows(p)
+    q_rows = p_rows if q is p and kq == 1 else _sparse_rows(q, kq)
+    s_at, p_at = _by_coordinate(s, n, ks), _by_coordinate(p, n, den // (dsc * dp * dp))
+
+    def blocks():
+        for i in range(m):  # the module part of block i at j * m + c
+            mod = [*wflat[i * m * m:(i + 1) * m * m]] if weight else [0] * (m * m)
+            for k, y in q_rows[i]:  # e_k.e_j has x at e_c
+                for c, j, x in left[k]:
+                    mod[j * m + c] += y * x
+            for k, c, x in rmod[i]:
+                for j, y in s_at[k]:
+                    mod[j * m + c] += y * x
+            for j, y in enumerate(eps):
+                if y:
+                    mod[j * m + i] += y
+            out = [0] * (m * n)
+            for b, x in p_rows[i]:
+                for d, k, c in by_i[b]:  # e_b e_d has c at e_k
+                    cx = c * x
+                    for j, y in p_at[d]:
+                        out[j * n + k] += cx * y
+            for at, w in enumerate(mod):
+                if w:
+                    j, c = divmod(at, m)
+                    for t, x in p_rows[c]:
+                        out[j * n + t] -= w * x
+            yield out
+    return blocks(), den
+
+
+def _defect_num(*args, **kwargs) -> tuple[list, int]:
+    """`_defect_blocks` with its blocks joined: D[i][j] at (i * m + j) * n."""
+    blocks, den = _defect_blocks(*args, **kwargs)
+    return [*chain.from_iterable(blocks)], den
 
 
 def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
@@ -354,9 +363,10 @@ def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec |
 
 
 def _holds(*args, **kwargs) -> bool:
-    """Whether the identity that `_defect_num` evaluates for these arguments
-    holds: a verdict read off its integer numerators, with no value formed."""
-    return not any(_defect_num(*args, **kwargs)[0])
+    """Whether the identity that `_defect_blocks` evaluates for these arguments
+    holds: a verdict read off its integer numerators block by block, up to the
+    first nonzero one, with no value formed."""
+    return not any(map(any, _defect_blocks(*args, **kwargs)[0]))
 
 
 def _o_operator(a: Algebra, v: Bimodule, alpha: LinearMap, weight: WeightOp) -> tuple:

@@ -6,27 +6,27 @@ the unused slot; the equation reads
     r12 r13 + r13 r23 - r23 r12 = mu * r13.
 
 Every residual comes from one kernel, `_slot_products`, which expands each
-product of two embedded tensors over the nonzero structure constants.  It
-only multiplies basis vectors pairwise, so a unit is needed only for the
-mu-term (`_residual_num`).  Run over `poly` variables they give the system
-that `grid_enumerate` searches.  Checks are exact: pass means zero residual.
+product of two embedded tensors over the nonzero structure constants, one
+plane of first index at a time.  A unit is needed only for the mu-term
+(`_residual_blocks`).  Run over `poly` variables they give the system that
+`grid_enumerate` searches.  Checks are exact: pass means zero residual.
 
 The kernel adds up integer numerators.  The structure constants are cleared
 of denominators once per algebra (`Algebra._products`) and each input once
 per call (`_cleared`); each kind of term is then scaled by L over the
 product of its own inputs' denominators, so that a residual comes back as
 ints over one common denominator L.  Values are formed only where they are
-printed; verdicts test numerators; exact data is built once.  A verdict
-(the suites, the catalog, the confirmation in `grid_enumerate`) is
-`is_solution`, which divides nothing.  The Tensor3 of `nhacybe_residual`,
-`opposite_residual` and `aybp_residual` is for a caller that prints it,
-such as `ybe check`: each entry is divided once, like `linalg._ratio` (an
-int when exact, else a Fraction; nothing when L is 1), and the tensor is
-built from those values without a second coercion (`linalg._trusted`).
+printed; verdicts test numerators; exact data is built once; a verdict
+reads the blocks in order and stops at the first nonzero one.  A verdict
+(the suites, the catalog) is `is_solution`: it divides nothing.  The
+Tensor3 of `nhacybe_residual`, `opposite_residual` and `aybp_residual`,
+for a caller that prints it such as `ybe check`, divides each entry once,
+like `linalg._ratio` (an int when exact, else a Fraction; nothing when L
+is 1), and is built without a second coercion (`linalg._trusted`).
 
 The invariance identity s L(x)^T - R(x) s = 0 has one kernel too,
-`_invariance_num`, under the same rule: `is_invariant` tests its integer
-numerators and divides out only the witness block, and
+`_invariance_blocks`, under the same rule: `is_invariant` tests its
+integer numerators block by block and divides out only the witness, and
 `invariant_symmetric_basis` reads its equations off the same kernel run
 over `poly` unknowns and solves them as sparse rows.
 """
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .algebras import Algebra
@@ -124,50 +125,50 @@ def _check_ybe_args(inst: YbeInstance, r: Tensor2):
             f"tensor dim {r.dim} != algebra dim {inst.algebra.dim}")
 
 
-# For a structure constant e_i e_k = ... + c e_p, each slot product adds
-# c x[.][.] y[.][.] at one position of the n x n x n result:
-#   x12 y13: c x[i][q] y[k][s] at (p, q, s)
-#   x13 y23: c x[q][i] y[s][k] at (q, s, p)
-#   x23 y12: c x[i][q] y[s][k] at (s, p, q)
-# Per slots: whether x and y are read by columns, and the powers of n that
-# p, q and s are multiplied by in the row-major offset of that position.
-_SLOT_PRODUCTS = {
-    "12.13": (False, False, (2, 1, 0)),
-    "13.23": (True, True, (0, 2, 1)),
-    "23.12": (False, True, (1, 0, 2)),
-}
-
-
-def _sparse_rows(m) -> list[list[tuple]]:
+def _sparse_rows(m, f: int = 1) -> list[list[tuple]]:
+    """The nonzero entries of each row of m as (j, f * m[.][j]), unscaled when f is 1."""
+    if f != 1:
+        return [[(j, x * f) for j, x in enumerate(row) if x] for row in m]
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
 
-def _slot_products(nz, terms, n: int) -> list:
-    """The sum of coef * x?? y?? over terms (coef, slots, x, y), where coef is
-    an int, x and y are coefficient matrices, slots is "12.13", "13.23" or "23.12",
-    and the products are taken by the integer structure constants nz, given
-    as (i, k, p, c) like `Algebra._products`.
-
-    One pass over nz serves every term.  The result is the flat row-major
-    list of the n**3 coefficients.
-    """
-    prepared = []
-    for coef, slots, x, y in terms:
-        x_cols, y_cols, (ep, eq, es) = _SLOT_PRODUCTS[slots]
-        prepared.append((coef,
-                         _sparse_rows(zip(*x) if x_cols else x),
-                         _sparse_rows(zip(*y) if y_cols else y),
-                         n ** ep, n ** eq, n ** es))
-    out = [0] * n ** 3
-    for i, k, p, c in nz:
-        for coef, xs, ys, sp, sq, ss in prepared:
-            yk = ys[k]
-            for q, xq in xs[i]:
-                base = p * sp + q * sq
-                cq = coef * c * xq
-                for s, ysk in yk:
-                    out[base + s * ss] += cq * ysk
-    return out
+def _slot_products(groups, terms, n: int):
+    """Yields, for P = 0, 1, ..., the n x n plane of first index P, row-major,
+    of the sum of coef * x?? y?? over terms (coef, slots, x, y): coef an
+    int, x and y coefficient matrices, slots "12.13", "13.23" or "23.12",
+    the products taken by the integer structure constants grouped as in
+    `Algebra._groups`.  For e_i e_k = ... + c e_p, x12 y13 adds
+    c x[i][q] y[k][s] at (p, q, s), x13 y23 c x[q][i] y[s][k] at (q, s, p)
+    and x23 y12 c x[i][q] y[s][k] at (s, p, q), so plane P reads the
+    constants with output P, row P of x and row P of y respectively."""
+    by_p, by_i, by_k = groups
+    rows = {k: _sparse_rows(m) for k, m in {id(m): m for t in terms for m in t[2:]}.items()}
+    cols = {id(y): _sparse_rows(zip(*y)) for _, slots, _, y in terms if slots == "13.23"}
+    prepared = [(coef, slots, rows[id(x)], rows[id(y)], cols.get(id(y)))
+                for coef, slots, x, y in terms]
+    for P in range(n):
+        out = [0] * (n * n)
+        for coef, slots, xr, yr, yc in prepared:
+            if slots == "12.13":
+                for i, k, c in by_p[P]:
+                    c, yk = coef * c, yr[k]
+                    for q, xq in xr[i]:
+                        base, cq = q * n, c * xq
+                        for s, ys in yk:
+                            out[base + s] += cq * ys
+            elif slots == "13.23":
+                for i, xi in xr[P]:
+                    for k, p, c in by_i[i]:
+                        cx = coef * c * xi
+                        for s, ys in yc[k]:
+                            out[s * n + p] += cx * ys
+            else:
+                for k, yk in yr[P]:
+                    for i, p, c in by_k[k]:
+                        base, cy = p * n, coef * c * yk
+                        for q, xq in xr[i]:
+                            out[base + q] += cy * xq
+        yield out
 
 
 def _cleared(m) -> tuple[int, tuple]:
@@ -192,41 +193,43 @@ def _values(num: list, den: int) -> list:
                    else _ratio(x, den)) for x in num]
 
 
-def _tensor3(n: int, num: list, den: int) -> Tensor3:
-    flat = _values(num, den)
-    return _trusted(Tensor3, n, tuple(tuple(tuple(flat[(p * n + q) * n:(p * n + q + 1) * n])
-                                            for q in range(n)) for p in range(n)))
+def _tensor3(n: int, blocks, den: int) -> Tensor3:
+    return _trusted(Tensor3, n, tuple(tuple(tuple(plane[q * n:(q + 1) * n]) for q in range(n))
+                                      for plane in (_values(b, den) for b in blocks)))
+
+
+def _residual_blocks(a: Algebra, mu, c, opposite: bool = False) -> tuple:
+    """(planes, den): r12 r13 + r13 r23 - r23 r12 - mu r13 for the coefficient
+    matrix c is num / den, planes yielding num one n x n plane of first index
+    at a time, row-major.  Products are taken in the algebra, or in its
+    opposite, whose structure constants are sc[k][i] in place of sc[i][k].
+    num holds ints, or polynomials when c does; den is a positive int."""
+    n, dsc = a.dim, a._products[0]
+    dc, x = _cleared(c)
+    den = quad = dsc * dc * dc
+    u = ()  # (q, minus the numerator of mu u[q]) for the mu-term, over den
+    if mu != 0:
+        du, (unit,) = _cleared((a.require_unit(),))
+        lin = mu.denominator * du * dc
+        den = lcm(quad, lin)
+        u = [(q, -(den // lin) * mu.numerator * uq) for q, uq in enumerate(unit) if uq]
+    kq = den // quad
+    terms = ((kq, "12.13", x, x), (kq, "13.23", x, x), (-kq, "23.12", x, x))
+
+    def planes():
+        for out, row in zip(_slot_products(a._groups[opposite], terms, n), x):
+            for q, fq in u:
+                for s, xs in enumerate(row):
+                    if xs:
+                        out[q * n + s] += fq * xs
+            yield out
+    return planes(), den
 
 
 def _residual_num(a: Algebra, mu, c, opposite: bool = False) -> tuple[list, int]:
-    """(num, den): r12 r13 + r13 r23 - r23 r12 - mu r13 for the coefficient
-    matrix c is num / den, as the flat row-major list of its n**3
-    coefficients.  Products are taken in the algebra, or in its opposite,
-    whose structure constants are sc[k][i] in place of sc[i][k].  num holds
-    ints, or polynomials when c does; den is a positive int."""
-    n = a.dim
-    dsc, nz = a._opposite_products if opposite else a._products
-    dc, x = _cleared(c)
-    quad = dsc * dc * dc
-    den = quad
-    if mu != 0:
-        du, (u,) = _cleared((a.require_unit(),))
-        lin = mu.denominator * du * dc
-        den = lcm(quad, lin)
-    kq = den // quad
-    out = _slot_products(nz, ((kq, "12.13", x, x), (kq, "13.23", x, x), (-kq, "23.12", x, x)), n)
-    if mu != 0:
-        f = den // lin * mu.numerator
-        for q, uq in enumerate(u):
-            if not uq:
-                continue
-            fq = f * uq
-            for p, row in enumerate(x):
-                base = (p * n + q) * n
-                for s, xs in enumerate(row):
-                    if xs:
-                        out[base + s] -= fq * xs
-    return out, den
+    """`_residual_blocks` with its planes joined into one row-major list."""
+    planes, den = _residual_blocks(a, mu, c, opposite)
+    return [*chain.from_iterable(planes)], den
 
 
 def _residual_flat(a: Algebra, mu, c, opposite: bool = False) -> list:
@@ -237,7 +240,7 @@ def _residual_flat(a: Algebra, mu, c, opposite: bool = False) -> list:
 def nhacybe_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
     """r12 r13 + r13 r23 - r23 r12 - mu r13, expanded over basis products."""
     _check_ybe_args(inst, r)
-    return _tensor3(r.dim, *_residual_num(inst.algebra, inst.mu, r.coeff))
+    return _tensor3(r.dim, *_residual_blocks(inst.algebra, inst.mu, r.coeff))
 
 
 def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
@@ -247,12 +250,12 @@ def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
     constants are sc[k][i] in place of sc[i][k].
     """
     _check_ybe_args(inst, r)
-    return _tensor3(r.dim, *_residual_num(inst.algebra, inst.mu, r.coeff, opposite=True))
+    return _tensor3(r.dim, *_residual_blocks(inst.algebra, inst.mu, r.coeff, opposite=True))
 
 
 def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
     _check_ybe_args(inst, r)
-    return not any(_residual_num(inst.algebra, inst.mu, r.coeff)[0])
+    return not any(map(any, _residual_blocks(inst.algebra, inst.mu, r.coeff)[0]))
 
 
 def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:
@@ -264,46 +267,45 @@ def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:
                                             for j in range(n)) for i in range(n)))
 
 
-def _invariance_num(a: Algebra, x) -> list:
-    """x L(e_k)^T - R(e_k) x for every basis vector e_k at once, as the flat
-    (k, p, q) row-major list of the n**3 coefficients, with the products
-    taken by the integer structure constants of `Algebra._products`.  For
-    an x cleared of its denominator d the true values are these over
+def _invariance_blocks(a: Algebra, x):
+    """x L(e_k)^T - R(e_k) x for each basis vector e_k in turn: yields the
+    n x n block of e_k, (p, q) row-major, for k = 0, 1, ..., with the
+    products taken by the integer structure constants of `Algebra._groups`.
+    For an x cleared of its denominator d the true values are these over
     d times the algebra's denominator.  Runs over any ring, like
     `_slot_products`.
 
-    For e_i e_k = ... + c e_p, the k-th block gains c x[r][k] at (r, p) of
-    the i-th block (the left piece) and loses c x[i][q] at (p, q) of the
-    k-th block (the right piece).
+    For e_k e_i = ... + c e_p, the k-th block gains c x[r][i] at (r, p) (the
+    left piece); for e_i e_k = ... + c e_p, it loses c x[i][q] at (p, q)
+    (the right piece).
     """
     n = a.dim
-    _, nz = a._products
+    _, by_i, by_k = a._groups[False]
     rows = _sparse_rows(x)
     cols = _sparse_rows(zip(*x))
-    out = [0] * n ** 3
-    for i, k, p, c in nz:
-        base = i * n * n + p
-        for r, xr in cols[k]:
-            out[base + r * n] += c * xr
-        base, c = (k * n + p) * n, -c
-        for q, xq in rows[i]:
-            out[base + q] += c * xq
-    return out
+    for k in range(n):
+        out = [0] * (n * n)
+        for i, p, c in by_i[k]:
+            for r, xr in cols[i]:
+                out[r * n + p] += c * xr
+        for i, p, c in by_k[k]:
+            for q, xq in rows[i]:
+                out[p * n + q] += -c * xq  # -= would multiply a Poly product by -1 again
+        yield out
 
 
 def is_invariant(a: Algebra, s: Tensor2) -> CheckReport:
     """Whether (id (x) L(x) - R(x) (x) id) s = 0 for every basis x.
 
-    The defect is tested on the integer numerators of `_invariance_num`;
-    only the first nonzero block, the witness, is divided out.
+    The defect is tested block by block on the integer numerators of
+    `_invariance_blocks`; the first nonzero block, the witness, is the last
+    one formed and the only one divided out.
     """
     if s.dim != a.dim:
         raise DimensionMismatch("tensor dim does not match algebra dim")
     n = a.dim
     ds, x = _cleared(s.coeff)
-    num = _invariance_num(a, x)
-    for k in range(n):
-        block = num[k * n * n:(k + 1) * n * n]
+    for k, block in enumerate(_invariance_blocks(a, x)):
         if any(block):
             d = _values(block, a._products[0] * ds)
             return CheckReport(
@@ -320,7 +322,7 @@ def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
     The unknowns are the n(n+1)/2 entries s[i][j] with i >= j, in row-major
     order.  Every free column of the reduced system is then such an entry,
     exactly as in the n*n system with antisymmetry rows, so the basis is the
-    same as that system's.  The equations are `_invariance_num` run over a
+    same as that system's.  The equations are `_invariance_blocks` run over a
     symmetric matrix of these unknowns; zero and repeated ones are dropped,
     and the rest go to `linalg._kernel` as sparse integer rows, one per
     distinct linear form in the kernel's order.  The system is never a
@@ -332,8 +334,8 @@ def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
     for i in range(n):
         for j in range(i + 1):
             unknown[i][j] = unknown[j][i] = i * (i + 1) // 2 + j
-    forms = dict.fromkeys(frozenset(f.items()) for f in _invariance_num(
-        a, [[Poly({(v,): 1}) for v in row] for row in unknown]) if f)
+    forms = dict.fromkeys(frozenset(f.items()) for block in _invariance_blocks(
+        a, [[Poly({(v,): 1}) for v in row] for row in unknown]) for f in block if f)
     basis = _kernel([{v: c for (v,), c in f} for f in forms], n * (n + 1) // 2)
     return [Tensor2(n, tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n)))
             for v in basis]
@@ -353,14 +355,14 @@ def aybp_residual(a: Algebra, r: Tensor2, s: Tensor2) -> tuple[Tensor3, Tensor3]
     n = a.dim
     if r.dim != n or s.dim != n:
         raise DimensionMismatch("tensor dims do not match algebra dim")
-    dsc, nz = a._products
+    dsc = a._products[0]
 
     def total(terms) -> Tensor3:
         """The sum of sign * x?? y?? over terms (sign, slots, (dx, x), (dy, y))."""
         den = lcm(*(dsc * dx * dy for _, _, (dx, _), (dy, _) in terms))
         return _tensor3(n, _slot_products(
-            nz, [(sign * (den // (dsc * dx * dy)), slots, x, y)
-                 for sign, slots, (dx, x), (dy, y) in terms], n), den)
+            a._groups[False], [(sign * (den // (dsc * dx * dy)), slots, x, y)
+                               for sign, slots, (dx, x), (dy, y) in terms], n), den)
 
     x, y = _cleared(r.coeff), _cleared(s.coeff)
     return (total(((1, "12.13", x, x), (-1, "23.12", x, x), (1, "13.23", x, y))),

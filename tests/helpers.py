@@ -5,6 +5,7 @@ that the fast paths are compared against."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from ybekit import (
     Algebra,
@@ -58,9 +59,10 @@ from ybekit.linalg import (
     vec_scale,
     zero_vec,
 )
-from ybekit.operators import _dual_product, _operator_defect, _suite_report
+from ybekit.operators import _by_coordinate, _dual_product, _operator_defect, _suite_report
 from ybekit.poly import Poly
 from ybekit.report import CheckReport
+from ybekit.ybe import _cleared, _sparse_rows
 
 # Seeded random generators for the property suites.  Coefficients are drawn
 # uniformly from {-2, -1, 0, 1, 2} so products stay in small-integer
@@ -956,3 +958,135 @@ def value_path_verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scala
         checks.append(CheckReport(
             f"{tag}:bridge", bridge.passed and bridge.details["all_pass"]))
     return checks
+
+
+# The flat kernels as they were before they yielded their tables block by
+# block: each fills the whole table in one pass over the structure
+# constants.  The bodies are unchanged, except that the opposite algebra's
+# constants, once an `Algebra` property, come from `opposite_products`.
+# `tests/test_blocks.py` compares the joined blocks with them.
+_SLOT_PRODUCTS = {
+    "12.13": (False, False, (2, 1, 0)),
+    "13.23": (True, True, (0, 2, 1)),
+    "23.12": (False, True, (1, 0, 2)),
+}
+
+
+def opposite_products(a):
+    """`_products` of the opposite algebra, whose e_k e_i is e_i e_k."""
+    d, nz = a._products
+    return d, [(k, i, p, c) for i, k, p, c in nz]
+
+
+def flat_slot_products(nz, terms, n: int) -> list:
+    prepared = []
+    for coef, slots, x, y in terms:
+        x_cols, y_cols, (ep, eq, es) = _SLOT_PRODUCTS[slots]
+        prepared.append((coef,
+                         _sparse_rows(zip(*x) if x_cols else x),
+                         _sparse_rows(zip(*y) if y_cols else y),
+                         n ** ep, n ** eq, n ** es))
+    out = [0] * n ** 3
+    for i, k, p, c in nz:
+        for coef, xs, ys, sp, sq, ss in prepared:
+            yk = ys[k]
+            for q, xq in xs[i]:
+                base = p * sp + q * sq
+                cq = coef * c * xq
+                for s, ysk in yk:
+                    out[base + s * ss] += cq * ysk
+    return out
+
+
+def flat_residual_num(a, mu, c, opposite: bool = False) -> tuple[list, int]:
+    n = a.dim
+    dsc, nz = opposite_products(a) if opposite else a._products
+    dc, x = _cleared(c)
+    quad = dsc * dc * dc
+    den = quad
+    if mu != 0:
+        du, (u,) = _cleared((a.require_unit(),))
+        lin = mu.denominator * du * dc
+        den = lcm(quad, lin)
+    kq = den // quad
+    out = flat_slot_products(nz, ((kq, "12.13", x, x), (kq, "13.23", x, x), (-kq, "23.12", x, x)), n)
+    if mu != 0:
+        f = den // lin * mu.numerator
+        for q, uq in enumerate(u):
+            if not uq:
+                continue
+            fq = f * uq
+            for p, row in enumerate(x):
+                base = (p * n + q) * n
+                for s, xs in enumerate(row):
+                    if xs:
+                        out[base + s] -= fq * xs
+    return out, den
+
+
+def flat_defect_num(a, v, p, q, s, eps=None, weight=None, opposite: bool = False
+                    ) -> tuple[list, int]:
+    n, m = a.dim, len(p)
+    dsc, nz = opposite_products(a) if opposite else a._products
+    dact, left, right = v._actions
+    if opposite:
+        left, right = right, left
+    (dp, p), (dq, q), (ds, s) = _cleared(p), _cleared(q), _cleared(s)
+    de, (eps,) = _cleared((eps or (),))
+    dw, (wflat,) = _cleared(([x for row in weight for w in row for x in w] if weight else (),))
+    # Module part over dm, flat: coordinate c of the (i, j) element at (i * m + j) * m + c.
+    dm = lcm(dq * dact, ds * dact, de, dw)
+    mod = [x * (dm // dw) for x in wflat] if weight else [0] * m ** 3
+    kq, ks = dm // (dq * dact), dm // (ds * dact)
+    q_at, s_at = _by_coordinate(q, n), _by_coordinate(s, n)
+    for k in range(n):
+        for c, j, x in left[k]:  # e_k.e_j has x at e_c
+            x *= kq
+            for i, y in q_at[k]:
+                mod[(i * m + j) * m + c] += y * x
+        for c, i, x in right[k]:  # e_i.e_k has x at e_c
+            x *= ks
+            for j, y in s_at[k]:
+                mod[(i * m + j) * m + c] += y * x
+    for j, y in enumerate(eps):
+        if y:
+            y *= dm // de
+            for i in range(m):
+                mod[(i * m + j) * m + i] += y
+    # p(e_i)p(e_j) is over dsc * dp**2, p applied to the module part over dm * dp.
+    den = lcm(dsc * dp * dp, dm * dp)
+    kp, km = den // (dsc * dp * dp), den // (dm * dp)
+    out = [0] * (m * m * n)
+    p_at = _by_coordinate(p, n)
+    for a_, b, k, c in nz:
+        c *= kp
+        for i, x in p_at[a_]:
+            cx = c * x
+            base = i * m * n + k
+            for j, y in p_at[b]:
+                out[base + j * n] += cx * y
+    p_cols = _sparse_rows(p)
+    for at, w in enumerate(mod):
+        if w:
+            w *= km
+            ij, c = divmod(at, m)
+            base = ij * n
+            for t, x in p_cols[c]:
+                out[base + t] -= w * x
+    return out, den
+
+
+def flat_invariance_num(a, x) -> list:
+    n = a.dim
+    _, nz = a._products
+    rows = _sparse_rows(x)
+    cols = _sparse_rows(zip(*x))
+    out = [0] * n ** 3
+    for i, k, p, c in nz:
+        base = i * n * n + p
+        for r, xr in cols[k]:
+            out[base + r * n] += c * xr
+        base, c = (k * n + p) * n, -c
+        for q, xq in rows[i]:
+            out[base + q] += c * xq
+    return out

@@ -1,0 +1,305 @@
+"""The blocked kernels against the flat ones they replaced.
+
+The residual, operator-identity and invariance kernels yield their tables
+one block at a time (`ybe._residual_blocks` and `ybe._slot_products` by
+first index, `operators._defect_blocks` by first module index,
+`ybe._invariance_blocks` by basis vector), and a verdict stops at the first
+nonzero block.  Joined, the blocks must be the flat kernels' tables, kept in
+`helpers` (`flat_*`), entry for entry and type for type; the verdicts must
+be those of the flat tables.  A count of the blocks drawn guards against a
+verdict that evaluates the whole table."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ybekit.operators as operators_module
+import ybekit.ybe as ybe_module
+from ybekit import (
+    Bimodule,
+    LinearMap,
+    Tensor2,
+    WeightOp,
+    YbeInstance,
+    adjoint_bimodule,
+    dual_regular_bimodule,
+    extended_symmetrizer,
+    invariant_symmetric_basis,
+    is_invariant,
+    is_solution,
+    matrix_algebra,
+    operator_form_suite,
+)
+from ybekit.algebras import make_algebra
+from ybekit.operators import _defect_blocks, _defect_num, _holds, _o_operator, _rota_baxter
+from ybekit.poly import Poly, variables
+from ybekit.ybe import (
+    _cleared,
+    _invariance_blocks,
+    _residual_blocks,
+    _residual_num,
+    _slot_products,
+)
+
+from helpers import (
+    ALL_NAMES,
+    BASES,
+    alg,
+    entry,
+    flat_defect_num,
+    flat_invariance_num,
+    flat_residual_num,
+    flat_slot_products,
+    opposite_products,
+    rebased_entry,
+)
+
+MUS = (0, 1, Fraction(-1, 2))
+VALUES = (-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3))
+SCALARS = st.one_of(st.integers(-2, 2),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+ALGEBRAS = {name: (lambda name=name: alg(name)) for name in ALL_NAMES}
+ALGEBRAS.update({f"{name}-rebased": (lambda name=name: rebased_entry(name)[0]) for name in BASES})
+ALGEBRAS.update({
+    "M3": lambda: matrix_algebra(3),
+    "zero-dim": lambda: make_algebra(0, []),
+    "zero-product": lambda: make_algebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]),
+})
+
+
+def _typed(num):
+    return [(type(x), x) for x in num]
+
+
+def _joined(blocks):
+    return [x for block in blocks for x in block]
+
+
+def _matrix(rnd, rows, cols, values=VALUES):
+    return tuple(tuple(rnd.choice(values) for _ in range(cols)) for _ in range(rows))
+
+
+def _mus(a):
+    return MUS if a.unit is not None else (0,)
+
+
+def _direct_sum(v, w):
+    """The bimodule V (+) W, with block-diagonal actions."""
+    def blocks(x, y):
+        return tuple(tuple(r) + (0,) * w.dim for r in x) + \
+            tuple((0,) * v.dim + tuple(r) for r in y)
+    return Bimodule(v.algebra, v.dim + w.dim,
+                    tuple(blocks(x, y) for x, y in zip(v.left, w.left)),
+                    tuple(blocks(x, y) for x, y in zip(v.right, w.right)))
+
+
+def _same_residual(a, mu, c):
+    """The joined planes are the flat residual; is_solution is its verdict."""
+    for opposite in (False, True):
+        planes, den = _residual_blocks(a, mu, c, opposite)
+        got = _joined(planes)
+        want, want_den = flat_residual_num(a, mu, c, opposite)
+        assert _typed(got) == _typed(want) and den == want_den
+        assert _residual_num(a, mu, c, opposite) == (want, want_den)
+    if not any(isinstance(x, Poly) for row in c for x in row):
+        assert is_solution(YbeInstance(a, mu), Tensor2(a.dim, c)) == \
+            (not any(flat_residual_num(a, mu, c)[0]))
+
+
+def _same_defect(*args, **kwargs):
+    """The joined blocks are the flat defect table; _holds is its verdict."""
+    blocks, den = _defect_blocks(*args, **kwargs)
+    got = _joined(blocks)
+    want, want_den = flat_defect_num(*args, **kwargs)
+    assert _typed(got) == _typed(want) and den == want_den
+    assert _defect_num(*args, **kwargs) == (want, want_den)
+    assert _holds(*args, **kwargs) == (not any(want))
+
+
+def _same_invariance(a, s):
+    """The joined blocks are the flat invariance defect; is_invariant is its verdict."""
+    _, x = _cleared(s)
+    assert _typed(_joined(_invariance_blocks(a, x))) == _typed(flat_invariance_num(a, x))
+    if not any(isinstance(v, Poly) for row in s for v in row):
+        assert is_invariant(a, Tensor2(a.dim, s)).passed == (not any(flat_invariance_num(a, x)))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_residual_planes_join_to_the_flat_residual(name):
+    a = ALGEBRAS[name]()
+    n = a.dim
+    rnd = random.Random(name)
+    for mu in _mus(a):
+        tensors = [_matrix(rnd, n, n) for _ in range(3)] + [variables(n)]
+        if a.unit is not None:  # mu (1 (x) 1) solves the equation at mu
+            tensors.append(tuple(tuple(mu * x * y for y in a.unit) for x in a.unit))
+        for c in tensors:
+            _same_residual(a, mu, c)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_slot_product_planes_join_to_the_flat_sum(name):
+    # Different x and y in every slot, as in the Yang-Baxter-pair residuals.
+    a = ALGEBRAS[name]()
+    n = a.dim
+    rnd = random.Random(name)
+    for c in ([_cleared(_matrix(rnd, n, n))[1] for _ in range(2)], [variables(n)] * 2):
+        x, y = c
+        terms = ((2, "12.13", x, y), (-1, "13.23", y, x), (3, "23.12", x, y),
+                 (1, "13.23", x, x))
+        for opposite in (False, True):
+            nz = opposite_products(a)[1] if opposite else a._products[1]
+            got = _joined(_slot_products(a._groups[opposite], terms, n))
+            assert _typed(got) == _typed(flat_slot_products(nz, terms, n))
+
+
+def _weights(rnd, a, v):
+    n, m = a.dim, v.dim
+    table = tuple(_matrix(rnd, m, m) for _ in range(m))
+    return [WeightOp.zero(), WeightOp.scalar(Fraction(-1, 2), table), WeightOp.product(table),
+            WeightOp.right_twist(_matrix(rnd, n, m)), WeightOp.left_twist(_matrix(rnd, n, m))]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_defect_blocks_join_to_the_flat_table(name):
+    a = ALGEBRAS[name]()
+    n = a.dim
+    rnd = random.Random(name)
+    adj, dual = adjoint_bimodule(a), dual_regular_bimodule(a)
+    for v in (adj, dual, _direct_sum(adj, dual)):
+        m = v.dim
+        for weight in _weights(rnd, a, v):
+            alpha = LinearMap(_matrix(rnd, n, m))
+            args = _o_operator(a, v, alpha, weight)
+            for opposite in (False, True):
+                _same_defect(*args, opposite=opposite)
+        p, q, s = (_matrix(rnd, m, n) for _ in range(3))
+        for eps in (None, _matrix(rnd, 1, m)[0]):
+            for opposite in (False, True):
+                _same_defect(a, v, p, q, s, eps, opposite=opposite)
+                _same_defect(a, v, p, p, p, eps, opposite=opposite)
+    for lam in (0, 1, Fraction(-1, 2)):
+        _same_defect(*_rota_baxter(a, LinearMap(_matrix(rnd, n, n)), lam))
+    # Polynomial maps, as in the operator identities run over unknowns.
+    cols = variables(n)
+    shifted = tuple(tuple(x + 1 if k == i else x for k, x in enumerate(col))
+                    for i, col in enumerate(cols))
+    for v in (adj, dual):
+        _same_defect(a, v, cols, cols, shifted)
+        _same_defect(a, v, cols, shifted, cols, (1,) * n, opposite=True)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_invariance_blocks_join_to_the_flat_defect(name):
+    a = ALGEBRAS[name]()
+    n = a.dim
+    rnd = random.Random(name)
+    for _ in range(3):
+        s = _matrix(rnd, n, n)
+        _same_invariance(a, s)
+        _same_invariance(a, tuple(tuple(x + y for x, y in zip(r, c))
+                                  for r, c in zip(s, zip(*s))))
+    for t in invariant_symmetric_basis(a):
+        _same_invariance(a, t.coeff)
+    _same_invariance(a, variables(n))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_catalog_families_agree_with_the_flat_kernels(name):
+    e = entry(name)
+    a = e.algebra
+    for mu in (1, Fraction(-1, 2)):
+        for fam in e.families:
+            r = fam.tensor(mu)
+            _same_residual(a, mu, r.coeff)
+            _same_invariance(a, extended_symmetrizer(YbeInstance(a, mu), r).coeff)
+            _same_defect(*_rota_baxter(a, fam.q_map(mu), fam.weight_sign * mu))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rational_tensors_agree_with_the_flat_kernels(data):
+    name = data.draw(st.sampled_from(("A2", "B1", "M2")))
+    a = rebased_entry(name)[0] if data.draw(st.booleans()) else alg(name)
+    n = a.dim
+    flat = data.draw(st.lists(SCALARS, min_size=n * n, max_size=n * n))
+    r = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+    mu = data.draw(SCALARS)
+    _same_residual(a, mu, r)
+    _same_invariance(a, r)
+    v = dual_regular_bimodule(a) if data.draw(st.booleans()) else adjoint_bimodule(a)
+    cols = tuple(zip(*r))
+    eps = data.draw(st.one_of(st.none(), st.lists(SCALARS, min_size=n, max_size=n)))
+    _same_defect(a, v, r, r, tuple(tuple(-x for x in c) for c in cols), eps,
+                 opposite=data.draw(st.booleans()))
+
+
+# Work-count guard: wrap the block generators and count the blocks drawn.
+
+
+def _count_blocks(monkeypatch, module, name, with_den=True):
+    """Replace module.name by a wrapper that records, per call, the number
+    of blocks drawn from the generator it returns."""
+    drawn = []
+    kernel = getattr(module, name)
+
+    def counted(blocks, call):
+        for block in blocks:
+            drawn[call] += 1
+            yield block
+
+    def wrapper(*args, **kwargs):
+        drawn.append(0)
+        out = kernel(*args, **kwargs)
+        if with_den:
+            return counted(out[0], len(drawn) - 1), out[1]
+        return counted(out, len(drawn) - 1)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return drawn
+
+
+def _draws(monkeypatch, inst, r, s):
+    """Blocks drawn by the verdicts of operator_form_suite(inst, r) and by
+    is_invariant(inst.algebra, s)."""
+    planes = _count_blocks(monkeypatch, ybe_module, "_residual_blocks")
+    blocks = _count_blocks(monkeypatch, operators_module, "_defect_blocks")
+    inv = _count_blocks(monkeypatch, ybe_module, "_invariance_blocks", with_den=False)
+    suite = operator_form_suite(inst, r)
+    inv_passed = is_invariant(inst.algebra, s).passed
+    monkeypatch.undo()
+    return suite.details["all_pass"], inv_passed, planes, blocks, inv
+
+
+def test_failing_verdicts_draw_one_block(monkeypatch):
+    # A dense M4 tensor that solves nothing: each verdict reads block 0 only,
+    # where the flat kernels filled 16 blocks of 256 or 16 entries each.
+    a = matrix_algebra(4)
+    rnd = random.Random(5)
+    r = Tensor2(16, _matrix(rnd, 16, 16, (-2, -1, 0, 1, 2)))
+    inst = YbeInstance(a, 1)
+    passed, inv_passed, planes, blocks, inv = _draws(
+        monkeypatch, inst, r, extended_symmetrizer(inst, r))
+    assert not passed and not inv_passed
+    assert planes == [1] and blocks == [1, 1, 1, 1] and inv == [1]
+
+
+@pytest.mark.parametrize("case", ("M4-unit", "B1-family"))
+def test_passing_verdicts_draw_every_block(case, monkeypatch):
+    if case == "M4-unit":
+        a, mu = matrix_algebra(4), Fraction(-1, 2)
+        r = Tensor2(16, tuple(tuple(mu * x * y for y in a.unit) for x in a.unit))
+        s = invariant_symmetric_basis(a)[0]  # the trace form
+    else:
+        e = entry("B1")
+        a, mu = e.algebra, 2
+        r = e.families[0].tensor(mu)
+        s = extended_symmetrizer(YbeInstance(a, mu), r)
+    n = a.dim
+    passed, inv_passed, planes, blocks, inv = _draws(monkeypatch, YbeInstance(a, mu), r, s)
+    assert passed and inv_passed
+    assert planes == [n] and blocks == [n] * 4 and inv == [n]

@@ -1,4 +1,4 @@
-"""The sparse invariance kernel (`ybe._invariance_num`) against the dense
+"""The sparse invariance kernel (`ybe._invariance_blocks`) against the dense
 Fraction references in helpers: `is_invariant` report for report, witness
 included, and `invariant_symmetric_basis` against the dense row builder,
 on catalog algebras, matrix algebras, algebras with fractional structure
@@ -182,6 +182,16 @@ def test_symmetric_basis_matches_dense_rows(name, monkeypatch):
     dsc = a._products[0]
     want = [tuple(dsc * x for x in row) for row in dense_invariant_rows(a)]
     assert systems == [tuple(want)]
+
+
+@pytest.mark.parametrize("m, shape", [(3, (132, 45)), (4, (444, 136))])
+def test_matrix_algebra_systems_keep_their_shape(m, shape, monkeypatch):
+    # The equations are read off every block of `_invariance_blocks`, in
+    # order; repeated and zero ones are dropped as from the flat table.
+    systems = _capture_systems(monkeypatch)
+    assert len(invariant_symmetric_basis(matrix_algebra(m))) == 1
+    [rows] = systems
+    assert (len(rows), len(rows[0])) == shape
 
 
 def test_m4_elimination_writes_few_entries(monkeypatch):
