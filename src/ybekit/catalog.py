@@ -6,6 +6,12 @@ weights, and a one-shot verifier for all of it.
 Solution tensors scale linearly with mu, so each family stores an integer
 coefficient template with tensor(mu) = mu * template; the operator tables Q
 are normalised the same way and the induced operator must equal mu * Q.
+
+The residual scales the same way: R_mu(mu s) = mu^2 R_1(s).  So the grid
+{0, mu} is searched once per entry, as {0, 1} at mu = 1, and `verify_catalog`
+scales those solutions to each requested mu, where the residual kernel
+confirms every one.  Every other check, and every family's verdicts, run
+at each mu on exact data built once per (family, mu).
 """
 
 from __future__ import annotations
@@ -21,12 +27,12 @@ from .algebras import (
 )
 from .errors import UnknownName, ZeroMu
 from .frobenius import (
+    _rb_bridge,
     frobenius_from_form,
     induced_operators,
-    rb_bridge_suite,
     trace_form,
 )
-from .linalg import Scalar, exact, in_span, mat_add, mat_scale
+from .linalg import Scalar, _trusted, exact, in_span, mat_add, mat_scale
 from .operators import LinearMap, _holds, _rota_baxter
 from .report import CheckReport, combine
 from .tensors import Tensor2
@@ -54,13 +60,19 @@ class SolutionFamily:
     q: tuple  # integer operator table; induced operator = mu * q
 
     def tensor(self, mu: Scalar) -> Tensor2:
-        return Tensor2(len(self.coeff), mat_scale(exact(mu), self.coeff))
+        return _trusted(Tensor2, len(self.coeff), _scaled(mu, self.coeff))
 
     def sbar_tensor(self, mu: Scalar) -> Tensor2:
-        return Tensor2(len(self.sbar), mat_scale(exact(mu), self.sbar))
+        return _trusted(Tensor2, len(self.sbar), _scaled(mu, self.sbar))
 
     def q_map(self, mu: Scalar) -> LinearMap:
-        return LinearMap(mat_scale(exact(mu), self.q))
+        return _trusted(LinearMap, _scaled(mu, self.q), "primal")
+
+
+def _scaled(mu: Scalar, m) -> tuple:
+    """mu times the integer matrix m, with one `exact` per nonzero entry."""
+    mu = exact(mu)
+    return tuple(tuple(exact(mu * x) if x else 0 for x in row) for row in m)
 
 
 @dataclass(frozen=True)
@@ -366,7 +378,8 @@ def _verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scalar
     inst = YbeInstance(alg, mu)
     r = fam.tensor(mu)
     tag = f"{entry.name}/{fam.name}@mu={mu}"
-    checks = [CheckReport(f"{tag}:residual", is_solution(inst, r))]
+    residual = is_solution(inst, r)
+    checks = [CheckReport(f"{tag}:residual", residual)]
     sbar = extended_symmetrizer(inst, r)
     checks.append(CheckReport(f"{tag}:symmetrizer",
                               sbar.coeff == fam.sbar_tensor(mu).coeff))
@@ -381,16 +394,16 @@ def _verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scalar
             not is_invariant(alg, sbar).passed))
     else:
         checks.append(CheckReport(f"{tag}:symmetrized-invariant",
-                                  is_symmetrized_invariant(inst, r).passed))
+                                  is_invariant(alg, sbar).passed))
     q = fam.q_map(mu)
     checks.append(CheckReport(f"{tag}:rota-baxter-weight",
                               _holds(*_rota_baxter(alg, q, fam.weight_sign * mu))))
     if fam.form is not None:
         frob = entry.forms[fam.form]
-        p, _ = induced_operators(frob, r)
+        induced = induced_operators(frob, r)
         checks.append(CheckReport(f"{tag}:operator-table",
-                                  p.matrix == q.matrix))
-        bridge = rb_bridge_suite(frob, mu, fam.weight_sign * mu, r)
+                                  induced[0].matrix == q.matrix))
+        bridge = _rb_bridge(frob, fam.weight_sign * mu, sbar, induced, residual)
         checks.append(CheckReport(
             f"{tag}:bridge", bridge.passed and bridge.details["all_pass"]))
     return checks
@@ -439,11 +452,30 @@ def _verify_inv(entry: CatalogEntry) -> list[CheckReport]:
     return checks
 
 
-def _verify_grid(entry: CatalogEntry, mu: Scalar) -> tuple[list[CheckReport], int]:
-    """The grid subchecks at one mu, and the number of nonzero grid solutions."""
+def _scaled_grid(inst: YbeInstance, base: list[Tensor2]) -> list[Tensor2]:
+    """The solutions over the grid {0, mu}, in the order of `grid_enumerate`,
+    read off base, the solutions over {0, 1} at mu = 1: since
+    R_mu(mu s) = mu^2 R_1(s), r solves at mu exactly when r = mu s for some s
+    in base.  A negative mu reverses the lexicographic order.  Each scaled
+    solution is confirmed by the residual kernel at mu, as the search
+    confirms its own."""
+    mu, n = inst.mu, inst.algebra.dim
+    sols = [_trusted(Tensor2, n, _scaled(mu, s.coeff))
+            for s in (base if mu > 0 else reversed(base))]
+    for r in sols:
+        if not is_solution(inst, r):
+            raise RuntimeError(
+                f"compiled residual form disagrees with the residual kernel at {r.coeff}")
+    return sols
+
+
+def _verify_grid(entry: CatalogEntry, mu: Scalar, base: list[Tensor2]
+                 ) -> tuple[list[CheckReport], int]:
+    """The grid subchecks at one nonzero mu, on the grid solutions scaled from
+    base (see `_scaled_grid`), and the number of nonzero grid solutions."""
     alg = entry.algebra
     inst = YbeInstance(alg, mu)
-    sols = grid_enumerate(inst, (0, mu))
+    sols = _scaled_grid(inst, base)
     nonzero = [s for s in sols if not s.is_zero()]
     checks = []
     details = {"grid_solutions": len(sols), "grid_nonzero": len(nonzero)}
@@ -478,7 +510,12 @@ def _verify_grid(entry: CatalogEntry, mu: Scalar) -> tuple[list[CheckReport], in
 
 
 def verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
-    """Run every stored claim for one catalog entry at the given mu samples."""
+    """Run every stored claim for one catalog entry at the given mu samples.
+
+    With `grid`, the grid {0, 1} is searched once at mu = 1, and only when
+    some mu is nonzero; by R_mu(mu s) = mu^2 R_1(s) its solutions scaled by
+    mu are the solutions over {0, mu} at mu, each confirmed by the residual
+    kernel at that mu before the grid subchecks run on them."""
     entry = catalog_algebra(name)
     from .algebras import check_algebra, check_augmentation
     checks = [CheckReport(f"{name}:algebra", check_algebra(entry.algebra).passed)]
@@ -495,13 +532,15 @@ def verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
     checks.extend(_verify_structure(entry))
     mus = [exact(m) for m in mus]
     grid_nonzero = {}
+    if grid and any(mus):
+        base = grid_enumerate(YbeInstance(entry.algebra, 1), (0, 1))
     for mu in mus:
         if mu == 0:
             continue
         for fam in entry.families:
             checks.extend(_verify_family(entry, fam, mu))
         if grid:
-            grid_checks, grid_nonzero[mu] = _verify_grid(entry, mu)
+            grid_checks, grid_nonzero[mu] = _verify_grid(entry, mu, base)
             checks.extend(grid_checks)
     details = {"mus": [str(m) for m in mus]}
     if name == "B1" and grid and mus:

@@ -29,6 +29,8 @@ from .errors import (
 )
 from .linalg import (
     Scalar,
+    _ratio,
+    _trusted,
     exact,
     invert,
     mat_mul,
@@ -41,7 +43,7 @@ from .linalg import (
 from .operators import LinearMap, WeightOp, _holds, _o_operator, _rota_baxter, _suite_report
 from .report import CheckReport
 from .tensors import Tensor2
-from .ybe import YbeInstance, extended_symmetrizer, is_solution
+from .ybe import YbeInstance, _cleared, _sparse_rows, extended_symmetrizer, is_solution
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,18 @@ def trace_form(n: int) -> tuple[Algebra, FrobeniusStructure]:
 def induced_operators(f: FrobeniusStructure, r: Tensor2
                       ) -> tuple[LinearMap, LinearMap]:
     """The two endomorphisms obtained by composing the slot maps of r with
-    the primal-to-dual map of the form."""
-    lower = transpose(f.form.gram)
-    p = mat_mul(transpose(r.coeff), lower)
-    pt = mat_mul(r.coeff, lower)
-    return LinearMap(p), LinearMap(pt)
+    the primal-to-dual map of the form: P[i][j] = sum_k r[k][i] g[j][k] and
+    P'[i][j] = sum_k r[i][k] g[j][k] for the gram matrix g.  Both are summed
+    over the integer numerators of r and g, along the nonzero entries of
+    each gram row, and each entry is divided once."""
+    dr, x = _cleared(r.coeff)
+    dg, g = _cleared(f.form.gram)
+    den, rows = dr * dg, _sparse_rows(g)
+
+    def table(m) -> LinearMap:
+        return _trusted(LinearMap, tuple(tuple(_ratio(sum(mi[k] * c for k, c in gj), den)
+                                               for gj in rows) for mi in m), "primal")
+    return table(tuple(zip(*x))), table(x)
 
 
 def frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) -> CheckReport:
@@ -157,20 +166,26 @@ def rb_bridge_suite(f: FrobeniusStructure, mu: Scalar, lam: Scalar,
     """When the symmetrizer is exactly -lam times the form tensor, solving
     the tensor equation is equivalent to both induced operators being
     Rota-Baxter of weight lam."""
-    a = f.algebra
-    inst = YbeInstance(a, mu)
-    sbar = extended_symmetrizer(inst, r)
+    inst = YbeInstance(f.algebra, mu)
+    return _rb_bridge(f, lam, extended_symmetrizer(inst, r), induced_operators(f, r),
+                      is_solution(inst, r))
+
+
+def _rb_bridge(f: FrobeniusStructure, lam: Scalar, sbar: Tensor2,
+               induced: tuple[LinearMap, LinearMap], residual: bool) -> CheckReport:
+    """`rb_bridge_suite` on the symmetrizer, the induced pair and the residual
+    verdict of r, already formed by the caller."""
     defect = sbar.add(f.phi.scale(lam))
     if not defect.is_zero():
         raise PreconditionViolated(
             "proportional-symmetrizer",
             witness={"defect": [[scalar_str(x) for x in row]
                                 for row in defect.coeff]})
-    p, pt = induced_operators(f, r)
+    p, pt = induced
     verdicts = {
-        "tensor_equation": is_solution(inst, r),
-        "rb_first": _holds(*_rota_baxter(a, p, lam)),
-        "rb_second": _holds(*_rota_baxter(a, pt, lam)),
+        "tensor_equation": residual,
+        "rb_first": _holds(*_rota_baxter(f.algebra, p, lam)),
+        "rb_second": _holds(*_rota_baxter(f.algebra, pt, lam)),
     }
     return _suite_report("rb-bridge-suite", verdicts)
 

@@ -26,6 +26,7 @@ from ybekit import (
     exact,
     extended_symmetrizer,
     extract_rb_pair,
+    grid_enumerate,
     induced_operators,
     is_invariant,
     is_symmetrized_invariant,
@@ -41,8 +42,14 @@ from ybekit import (
     tsharp,
     unit_square,
 )
-from ybekit.algebras import apply_table, make_algebra
-from ybekit.catalog import CatalogEntry, SolutionFamily, catalog_algebra
+from ybekit.algebras import apply_table, find_augmentations, make_algebra
+from ybekit.catalog import (
+    CatalogEntry,
+    SolutionFamily,
+    _verify_inv,
+    _verify_structure,
+    catalog_algebra,
+)
 from ybekit.linalg import (
     HALF,
     Scalar,
@@ -61,7 +68,7 @@ from ybekit.linalg import (
 )
 from ybekit.operators import _by_coordinate, _dual_product, _operator_defect, _suite_report
 from ybekit.poly import Poly
-from ybekit.report import CheckReport
+from ybekit.report import CheckReport, combine
 from ybekit.ybe import _cleared, _sparse_rows
 
 # Seeded random generators for the property suites.  Coefficients are drawn
@@ -899,6 +906,23 @@ def value_path_frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) ->
     })
 
 
+def reference_mat_mul(a, b):
+    """`linalg.mat_mul` as `frobenius.induced_operators` used it: a dense
+    product of rows by columns over whatever scalars the inputs hold."""
+    if a and b and len(a[0]) != len(b):
+        raise DimensionMismatch(f"inner dims {len(a[0])} != {len(b)}")
+    bt = transpose(b)
+    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
+
+
+def reference_induced_operators(f: FrobeniusStructure, r: Tensor2
+                                ) -> tuple[LinearMap, LinearMap]:
+    """`induced_operators` as dense Fraction matrix products."""
+    lower = transpose(f.form.gram)
+    return (LinearMap(reference_mat_mul(transpose(r.coeff), lower)),
+            LinearMap(reference_mat_mul(r.coeff, lower)))
+
+
 def value_path_rb_bridge_suite(f: FrobeniusStructure, mu: Scalar, lam: Scalar,
                     r: Tensor2) -> CheckReport:
     """When the symmetrizer is exactly -lam times the form tensor, solving
@@ -913,7 +937,7 @@ def value_path_rb_bridge_suite(f: FrobeniusStructure, mu: Scalar, lam: Scalar,
             "proportional-symmetrizer",
             witness={"defect": [[scalar_str(x) for x in row]
                                 for row in defect.coeff]})
-    p, pt = induced_operators(f, r)
+    p, pt = reference_induced_operators(f, r)
     verdicts = {
         "tensor_equation": nhacybe_residual(inst, r).is_zero(),
         "rb_first": residual_is_zero(rota_baxter_residual(a, p, lam)),
@@ -951,13 +975,88 @@ def value_path_verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scala
         residual_is_zero(rota_baxter_residual(alg, q, fam.weight_sign * mu))))
     if fam.form is not None:
         frob = entry.forms[fam.form]
-        p, _ = induced_operators(frob, r)
+        p, _ = reference_induced_operators(frob, r)
         checks.append(CheckReport(f"{tag}:operator-table",
                                   p.matrix == q.matrix))
         bridge = value_path_rb_bridge_suite(frob, mu, fam.weight_sign * mu, r)
         checks.append(CheckReport(
             f"{tag}:bridge", bridge.passed and bridge.details["all_pass"]))
     return checks
+
+
+# `catalog.verify_catalog` and `_verify_grid` as they were when the grid
+# {0, mu} was searched once per nonzero mu, with `_verify_family` replaced by
+# its value path above.
+def value_path_verify_grid(entry: CatalogEntry, mu: Scalar) -> tuple[list[CheckReport], int]:
+    """The grid subchecks at one mu, and the number of nonzero grid solutions."""
+    alg = entry.algebra
+    inst = YbeInstance(alg, mu)
+    sols = grid_enumerate(inst, (0, mu))
+    nonzero = [s for s in sols if not s.is_zero()]
+    checks = []
+    details = {"grid_solutions": len(sols), "grid_nonzero": len(nonzero)}
+    if entry.name in ("A1", "B3", "B5"):
+        expected = [unit_square(alg).scale(mu).coeff]
+        checks.append(CheckReport(
+            f"{entry.name}:grid@mu={mu}",
+            [s.coeff for s in nonzero] == expected, details=details))
+        checks.append(CheckReport(
+            f"{entry.name}:grid-not-symmetrized-invariant@mu={mu}",
+            all(not is_symmetrized_invariant(inst, s).passed for s in nonzero)))
+        return checks, len(nonzero)
+    if entry.grid_nonzero is not None:
+        checks.append(CheckReport(f"{entry.name}:grid-nonzero-count@mu={mu}",
+                                  len(nonzero) == entry.grid_nonzero,
+                                  details=details))
+    stored = {f.tensor(mu).coeff for f in entry.families}
+    if entry.name in ("A2", "B1"):
+        checks.append(CheckReport(f"{entry.name}:grid-contains-stored@mu={mu}",
+                                  stored <= {s.coeff for s in nonzero}, details=details))
+        invariant_subset = {s.coeff for s in nonzero
+                            if is_symmetrized_invariant(inst, s).passed}
+        checks.append(CheckReport(
+            f"{entry.name}:grid-invariant-subset@mu={mu}",
+            invariant_subset == stored, details=details))
+    if entry.name == "B4":
+        checks.append(CheckReport(
+            f"B4:grid-no-symmetrized-invariant@mu={mu}",
+            all(not is_symmetrized_invariant(inst, s).passed for s in nonzero),
+            details=details))
+    return checks, len(nonzero)
+
+
+def value_path_verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
+    """Run every stored claim for one catalog entry at the given mu samples."""
+    entry = catalog_algebra(name)
+    from ybekit.algebras import check_algebra, check_augmentation
+    checks = [CheckReport(f"{name}:algebra", check_algebra(entry.algebra).passed)]
+    for aug in entry.augmentations:
+        checks.append(CheckReport(
+            f"{name}:augmentation{tuple(aug.eps)}",
+            check_augmentation(entry.algebra, aug).passed))
+    found = find_augmentations(entry.algebra)
+    checks.append(CheckReport(
+        f"{name}:augmentations-complete",
+        {a.eps for a in found} == {a.eps for a in entry.augmentations},
+        details={"found": [list(a.eps) for a in found]}))
+    checks.extend(_verify_inv(entry))
+    checks.extend(_verify_structure(entry))
+    mus = [exact(m) for m in mus]
+    grid_nonzero = {}
+    for mu in mus:
+        if mu == 0:
+            continue
+        for fam in entry.families:
+            checks.extend(value_path_verify_family(entry, fam, mu))
+        if grid:
+            grid_checks, grid_nonzero[mu] = value_path_verify_grid(entry, mu)
+            checks.extend(grid_checks)
+    details = {"mus": [str(m) for m in mus]}
+    if name == "B1" and grid and mus:
+        # At mu = 0 the grid {0, mu} holds only the zero tensor.
+        details["grid_nonzero"] = grid_nonzero.get(mus[0], 0)
+        details["reported_nonzero_total"] = 73  # reference count, not asserted
+    return combine(f"catalog:{name}", checks, **details)
 
 
 # The flat kernels as they were before they yielded their tables block by
