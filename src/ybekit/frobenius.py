@@ -21,6 +21,7 @@ from .algebras import (
 )
 from .errors import (
     Degenerate,
+    DimensionMismatch,
     InvalidAugmentation,
     NotInvariantForm,
     NotSymmetricForm,
@@ -103,6 +104,8 @@ def induced_operators(f: FrobeniusStructure, r: Tensor2
     P'[i][j] = sum_k r[i][k] g[j][k] for the gram matrix g.  Both are summed
     over the integer numerators of r and g, along the nonzero entries of
     each gram row, and each entry is divided once."""
+    if r.dim != f.algebra.dim:
+        raise DimensionMismatch(f"inner dims {r.dim} != {f.algebra.dim}")
     dr, x = _cleared(r.coeff)
     dg, g = _cleared(f.form.gram)
     den, rows = dr * dg, _sparse_rows(g)

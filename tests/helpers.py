@@ -906,21 +906,12 @@ def value_path_frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) ->
     })
 
 
-def reference_mat_mul(a, b):
-    """`linalg.mat_mul` as `frobenius.induced_operators` used it: a dense
-    product of rows by columns over whatever scalars the inputs hold."""
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatch(f"inner dims {len(a[0])} != {len(b)}")
-    bt = transpose(b)
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
 def reference_induced_operators(f: FrobeniusStructure, r: Tensor2
                                 ) -> tuple[LinearMap, LinearMap]:
-    """`induced_operators` as dense Fraction matrix products."""
+    """`induced_operators` as two dense `linalg.mat_mul` products."""
     lower = transpose(f.form.gram)
-    return (LinearMap(reference_mat_mul(transpose(r.coeff), lower)),
-            LinearMap(reference_mat_mul(r.coeff, lower)))
+    return (LinearMap(mat_mul(transpose(r.coeff), lower)),
+            LinearMap(mat_mul(r.coeff, lower)))
 
 
 def value_path_rb_bridge_suite(f: FrobeniusStructure, mu: Scalar, lam: Scalar,

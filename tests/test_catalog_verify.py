@@ -18,9 +18,11 @@ import ybekit.catalog as catalog_module
 import ybekit.ybe as ybe_module
 from ybekit import (
     BilinearForm,
+    DimensionMismatch,
     Tensor2,
     YbeInstance,
     frobenius_from_form,
+    frobenius_suite,
     grid_enumerate,
     induced_operators,
     io_json,
@@ -180,3 +182,23 @@ def test_frobenius_pr_prints_the_dense_products(tmp_path, monkeypatch, capsys):
                 assert cli.run(argv) == 0
                 outs.append(capsys.readouterr())
             assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_induced_operators_reject_a_tensor_of_another_dim(tmp_path, capsys, n):
+    f = entry("M2").forms["trace"]
+    r = Tensor2(n, tuple(tuple((i + j) % 3 for j in range(n)) for i in range(n)))
+    for call in (lambda: induced_operators(f, r), lambda: frobenius_suite(f, 1, r)):
+        with pytest.raises(DimensionMismatch):
+            call()
+    paths = []
+    for name, obj in (("a", io_json.encode_algebra(f.algebra)),
+                      ("g", {"gram": [[str(x) for x in row] for row in f.form.gram]}),
+                      ("r", io_json.encode_tensor2(r))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj), encoding="utf-8")
+    argv = ["frobenius", "pr"] + [x for flag, path in zip(("--algebra", "--gram", "--r"), paths)
+                                  for x in (flag, str(path))]
+    assert cli.run(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: inner dims {n} != 4\n")
