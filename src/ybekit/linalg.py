@@ -6,10 +6,13 @@ vectors are dense tuples; elimination is not.  The one elimination routine,
 `_echelon`, works on sparse integer rows {column: entry}: each dense input
 row is cleared of denominators and stripped of zeros first (`_integer_rows`),
 elimination cross-multiplies instead of dividing, and a step touches only
-the rows that hold the pivot column.  `rank`, `kernel_basis`, `invert` and
-`in_span` all run through it, and `_kernel` takes sparse rows directly, as
-`ybe.invariant_symmetric_basis` builds them.  A division happens only when
-a result entry is formed.  Nothing here ever rounds.
+the rows that hold the pivot column.  One-entry rows are peeled before
+that: each makes its column a pivot, and the column is deleted from the
+other rows without any cross-multiplication.  `rank`, `kernel_basis`,
+`invert` and `in_span` all run through it, and `_kernel` takes sparse rows
+directly, as `ybe.invariant_symmetric_basis` unpacks them from its packed
+integer forms.  A division happens only when a result entry is formed.
+Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ def exact(x) -> Scalar:
 
 
 def scalar_str(x: Scalar) -> str:
+    if type(x) is int:  # not bool, which Fraction prints as 0 or 1
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -180,13 +185,23 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int
     Row i divided by its entry at pivots[i] is row i of the reduced row
     echelon form over the rationals, which is unique.
 
-    Columns are taken left to right.  The pivot of a column is the sparsest
-    row holding it that is not yet a pivot row, the lowest index on a tie,
-    and an index from each column to the rows holding it means a step
-    visits only those rows.  The index is not pruned when a row loses a
-    column; such stale entries are skipped.
+    One-entry rows are peeled first: a column that some one-entry row holds
+    is a pivot with row {column: 1}, and it is deleted from every other row,
+    which needs no cross-multiplication; rows left empty are dropped.  The
+    rows that are left hold no peeled column, so eliminating them and
+    merging both sets of pivots in column order gives the same form.
+
+    The rest is taken column by column, left to right.  The pivot of a
+    column is the sparsest row holding it that is not yet a pivot row, the
+    lowest index on a tie, and an index from each column to the rows
+    holding it means a step visits only those rows.  The index is not
+    pruned when a row loses a column; such stale entries are skipped.
     """
-    rows = [_primitive(row) for row in rows]
+    peeled = {c for row in rows if len(row) == 1 for c in row}
+    if peeled:
+        rows = [{c: x for c, x in row.items() if c not in peeled}
+                for row in rows if len(row) > 1]
+    rows = [_primitive(row) for row in rows if row]
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -211,7 +226,10 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int
         done.add(pr)
         order.append(pr)
         pivots.append(c)
-    return [rows[i] for i in order], pivots
+    found = {c: rows[i] for c, i in zip(pivots, order)}
+    found.update((c, {c: 1}) for c in peeled)
+    pivots = sorted(found)
+    return [found[c] for c in pivots], pivots
 
 
 def _ratio(a: int, b: int) -> Scalar:

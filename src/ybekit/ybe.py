@@ -28,7 +28,9 @@ The invariance identity s L(x)^T - R(x) s = 0 has one kernel too,
 `_invariance_blocks`, under the same rule: `is_invariant` tests its
 integer numerators block by block and divides out only the witness, and
 `invariant_symmetric_basis` reads its equations off the same kernel run
-over `poly` unknowns and solves them as sparse rows.
+over packed integer unknowns, unknown v being 2**(w v) for a digit width w
+set by the structure constants (`_invariant_forms`), and solves them as
+sparse integer rows.  No symbolic ring is involved.
 """
 
 from __future__ import annotations
@@ -259,12 +261,29 @@ def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
 
 
 def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:
-    """r + flip(r) - mu (1 (x) 1); always a symmetric tensor."""
+    """r + flip(r) - mu (1 (x) 1); always a symmetric tensor.
+
+    Added up on integer numerators: r is cleared once (`_cleared`), mu and
+    the unit are taken as numerator over denominator, and each entry is
+    divided once by the common denominator (`_values`)."""
     _check_ybe_args(inst, r)
-    c, n, mu = r.coeff, r.dim, inst.mu
-    u = inst.algebra.require_unit() if mu != 0 else (0,) * n
-    return _trusted(Tensor2, n, tuple(tuple(exact(c[i][j] + c[j][i] - mu * (u[i] * u[j]))
-                                            for j in range(n)) for i in range(n)))
+    n, mu = r.dim, inst.mu
+    dr, x = _cleared(r.coeff)
+    den, lin, u = dr, 1, ()
+    if mu != 0:
+        du, (u,) = _cleared((inst.algebra.require_unit(),))
+        lin = mu.denominator * du * du
+        den = lcm(dr, lin)
+    kr, f = den // dr, den // lin * mu.numerator
+    num = [kr * (x[i][j] + x[j][i]) for i in range(n) for j in range(n)]
+    for i, ui in enumerate(u):
+        if ui:
+            fi = f * ui
+            for j, uj in enumerate(u):
+                if uj:
+                    num[i * n + j] -= fi * uj
+    vals = _values(num, den)
+    return _trusted(Tensor2, n, tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def _invariance_blocks(a: Algebra, x):
@@ -272,8 +291,8 @@ def _invariance_blocks(a: Algebra, x):
     n x n block of e_k, (p, q) row-major, for k = 0, 1, ..., with the
     products taken by the integer structure constants of `Algebra._groups`.
     For an x cleared of its denominator d the true values are these over
-    d times the algebra's denominator.  Runs over any ring, like
-    `_slot_products`.
+    d times the algebra's denominator.  x holds ints: the numerators of a
+    tensor, or the packed unknowns of `_invariant_forms`.
 
     For e_k e_i = ... + c e_p, the k-th block gains c x[r][i] at (r, p) (the
     left piece); for e_i e_k = ... + c e_p, it loses c x[i][q] at (p, q)
@@ -290,7 +309,7 @@ def _invariance_blocks(a: Algebra, x):
                 out[r * n + p] += c * xr
         for i, p, c in by_k[k]:
             for q, xq in rows[i]:
-                out[p * n + q] += -c * xq  # -= would multiply a Poly product by -1 again
+                out[p * n + q] -= c * xq
         yield out
 
 
@@ -316,29 +335,73 @@ def is_invariant(a: Algebra, s: Tensor2) -> CheckReport:
     return CheckReport("invariant-tensor", True)
 
 
+def _symmetric_unknowns(n: int) -> list[list[int]]:
+    """unknown[i][j] = unknown[j][i] = i(i+1)/2 + j for i >= j: the row-major
+    position of the lower-triangle entry (max, min) of each pair {i, j}."""
+    unknown = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            unknown[i][j] = unknown[j][i] = i * (i + 1) // 2 + j
+    return unknown
+
+
+def _unpacked(f: int, w: int) -> dict[int, int]:
+    """{v: d} for the nonzero signed base-2**w digits d of f = sum d 2**(w v),
+    each d strictly between -2**(w-1) and 2**(w-1).  The lowest set bit of f
+    lies in its lowest nonzero digit, so the digits are read from there up."""
+    out = {}
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    while f:
+        v = ((f & -f).bit_length() - 1) // w
+        d = (f >> (w * v)) & mask
+        if d >= half:
+            d -= 1 << w
+        out[v] = d
+        f -= d << (w * v)
+    return out
+
+
+def _invariant_forms(a: Algebra) -> list[dict[int, int]]:
+    """The distinct nonzero equations of `_invariance_blocks` over a symmetric
+    matrix of unknowns (`_symmetric_unknowns`), in the order they first
+    occur, as sparse integer rows {unknown: coefficient}.
+
+    The kernel runs over plain ints (Kronecker substitution): unknown v is
+    2**(w v), so each entry comes out as the int sum c_v 2**(w v) of its
+    form.  Entry (r, p) of block k is the sum of c x[r][i] over e_k e_i =
+    ... + c e_p minus that of c x[i][p] over e_i e_k = ... + c e_r, and an
+    unknown {r, i} or {i, p} fixes i, so each coefficient is at most one
+    constant minus another: never more than 2 max|c| over the integer
+    constants of `Algebra._products` in size.  With 2 max|c| < 2**(w-1)
+    every coefficient is one signed base-2**w digit, so equal forms are equal
+    ints and are dropped on the int, and each distinct int is read back once
+    (`_unpacked`).
+    """
+    bound = 2 * max((abs(c) for *_, c in a._products[1]), default=0)
+    w = bound.bit_length() + 1
+    packed = [[1 << (w * v) for v in row] for row in _symmetric_unknowns(a.dim)]
+    forms = dict.fromkeys(f for block in _invariance_blocks(a, packed) for f in block if f)
+    return [_unpacked(f, w) for f in forms]
+
+
 def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
     """Basis of the space of symmetric invariant tensors, by a linear solve.
 
     The unknowns are the n(n+1)/2 entries s[i][j] with i >= j, in row-major
     order.  Every free column of the reduced system is then such an entry,
     exactly as in the n*n system with antisymmetry rows, so the basis is the
-    same as that system's.  The equations are `_invariance_blocks` run over a
-    symmetric matrix of these unknowns; zero and repeated ones are dropped,
-    and the rest go to `linalg._kernel` as sparse integer rows, one per
-    distinct linear form in the kernel's order.  The system is never a
-    dense matrix: on M4 it is 444 x 136 with about 1.4 entries a row.  A
-    zero-product algebra gives no equations: every symmetric tensor.
+    same as that system's.  The equations are the distinct nonzero forms of
+    `_invariance_blocks` over packed integer unknowns (`_invariant_forms`);
+    they go to `linalg._kernel` as sparse integer rows in the kernel's order,
+    which peels the one-entry rows before it eliminates.  The system is never
+    a dense matrix: on M4 it is 444 x 136, and peeling its one-entry rows
+    takes 126 columns and leaves 48 two-entry rows.  A zero-product algebra
+    gives no equations: every symmetric tensor.
     """
     n = a.dim
-    unknown = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            unknown[i][j] = unknown[j][i] = i * (i + 1) // 2 + j
-    forms = dict.fromkeys(frozenset(f.items()) for block in _invariance_blocks(
-        a, [[Poly({(v,): 1}) for v in row] for row in unknown]) for f in block if f)
-    basis = _kernel([{v: c for (v,), c in f} for f in forms], n * (n + 1) // 2)
+    unknown = _symmetric_unknowns(n)
     return [Tensor2(n, tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n)))
-            for v in basis]
+            for v in _kernel(_invariant_forms(a), n * (n + 1) // 2)]
 
 
 def is_symmetrized_invariant(inst: YbeInstance, r: Tensor2) -> CheckReport:
@@ -394,7 +457,8 @@ def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Ten
     `budget` caps the search nodes, one node being one value tried at one
     position; BudgetExceeded is raised when the search would pass it.  Every
     solution found is confirmed once more by the kernel at the original mu,
-    on its integer numerators.
+    on its integer numerators, and built from the exact grid values without
+    a second coercion (`linalg._trusted`).
     """
     a, mu, n = inst.algebra, inst.mu, inst.algebra.dim
     vals = sorted({exact(v) for v in values})
@@ -415,7 +479,7 @@ def grid_enumerate(inst: YbeInstance, values, budget: int = 1 << 25) -> list[Ten
             if any(_residual_num(a, mu, cand)[0]):
                 raise RuntimeError(
                     f"compiled residual form disagrees with the residual kernel at {cand}")
-            found.append(Tensor2(n, cand))
+            found.append(_trusted(Tensor2, n, cand))
             d -= 1
             continue
         if tried[d] == len(vals):

@@ -481,6 +481,25 @@ def dense_invariant_symmetric_basis(a):
             for v in basis]
 
 
+def poly_invariant_forms(a):
+    """The equations of invariant_symmetric_basis as they were built over
+    `Poly` unknowns: the flat invariance table over a symmetric matrix of
+    one-variable polynomials, its distinct nonzero forms kept in the order
+    they first occur (equal as frozensets of terms), as rows {unknown: c}."""
+    unknown = _symmetric_unknowns(a.dim)
+    table = flat_invariance_num(a, [[Poly({(v,): 1}) for v in row] for row in unknown])
+    forms = dict.fromkeys(frozenset(f.items()) for f in table if f)
+    return [{v: c for (v,), c in f} for f in forms]
+
+
+def reference_extended_symmetrizer(inst, r):
+    """r + flip(r) - mu (1 (x) 1) entry by entry in Fraction arithmetic."""
+    c, n, mu = r.coeff, r.dim, inst.mu
+    u = inst.algebra.require_unit() if mu != 0 else (0,) * n
+    return Tensor2(n, tuple(tuple(c[i][j] + c[j][i] - mu * (u[i] * u[j]) for j in range(n))
+                            for i in range(n)))
+
+
 # Reference operator identities: the per-pair loops the operator forms were
 # evaluated with before they went through operators._operator_defect.
 

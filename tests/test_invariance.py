@@ -4,7 +4,10 @@ included, and `invariant_symmetric_basis` against the dense row builder,
 on catalog algebras, matrix algebras, algebras with fractional structure
 constants, a non-unital, a zero-product and a zero-dimensional algebra.
 The system goes to the elimination as sparse rows; a count of the entries
-that row operations write guards against it being solved densely."""
+that row operations write guards against it being solved densely.  Its
+rows are read off packed integer unknowns and equal the rows built over
+`Poly` unknowns, on random structure constants and at the coefficient
+bound; the extended symmetrizer equals the Fraction formula."""
 
 import random
 from fractions import Fraction
@@ -26,6 +29,7 @@ from ybekit import (
     unit_square,
 )
 from ybekit.algebras import algebra_from_products, make_algebra, matrix_algebra
+from ybekit.poly import Poly
 
 from helpers import (
     ALL_NAMES,
@@ -33,7 +37,9 @@ from helpers import (
     dense_invariant_rows,
     dense_invariant_symmetric_basis,
     entry,
+    poly_invariant_forms,
     rebased,
+    reference_extended_symmetrizer,
     reference_is_invariant,
     typed,
 )
@@ -233,3 +239,89 @@ def test_extended_symmetrizer_needs_no_unit_at_mu_zero():
     assert s.coeff == ((0, 1, 2), (1, 0, Fraction(1, 2)), (2, Fraction(1, 2), 0))
     with pytest.raises(NotUnital):
         YbeInstance(a, 1)
+
+
+_BUILT = {}
+
+
+def _cached(name):
+    if name not in _BUILT:
+        _BUILT[name] = ALGEBRAS[name]()
+    return _BUILT[name]
+
+
+@pytest.mark.parametrize("name", ("A2", "M2", "A2-rational", "B1-rational", "B3-rational",
+                                  "M2-rational"))
+@settings(max_examples=25, deadline=None)
+@given(mu=st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+       data=st.data())
+def test_extended_symmetrizer_matches_fraction_formula(name, mu, data):
+    # The rebased algebras have Fraction units (but A2-rational, whose unit
+    # is (-2, 3)); r and mu are rational.
+    a = _cached(name)
+    n = a.dim
+    flat = data.draw(st.lists(SCALARS, min_size=n * n, max_size=n * n))
+    r = Tensor2(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+    i = YbeInstance(a, mu)
+    assert typed(extended_symmetrizer(i, r).coeff) \
+        == typed(reference_extended_symmetrizer(i, r).coeff)
+
+
+CONSTANTS = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                      st.integers(-10 ** 40, 10 ** 40))
+
+
+@st.composite
+def constant_algebras(draw):
+    """Algebras of dimension 1 to 4 with a few random structure constants,
+    negative, fractional or large, associative or not."""
+    n = draw(st.integers(1, 4))
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2 * n * n))):
+        sc[draw(index)][draw(index)][draw(index)] = draw(CONSTANTS)
+    return make_algebra(n, sc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(constant_algebras())
+def test_packed_forms_match_poly_forms(a):
+    # The same rows in the same order as the forms built over `Poly` unknowns.
+    assert ybe_module._invariant_forms(a) == poly_invariant_forms(a)
+
+
+@pytest.mark.parametrize("c", (1, -1, 7, 2 ** 70 - 1, -(2 ** 70 - 1), Fraction(2 ** 31 - 1, 3)))
+def test_packed_forms_at_the_coefficient_bound(c):
+    # e0 e1 = c e1 and e1 e0 = -c e1: entry (1, 1) of the block of e0 gains
+    # c s11 from the left piece and c s11 from the right one, so s11 has
+    # coefficient 2c, the most that constants of size |c| allow.  For
+    # |c| = 2**k - 1 that is 2**(k+1) - 2, one below the largest digit of
+    # the width it sets.
+    a = algebra_from_products(2, {(0, 1): {1: c}, (1, 0): {1: -c}})
+    c = a._products[1][0][3]  # the integer constant
+    forms = ybe_module._invariant_forms(a)
+    assert {2: 2 * c} in forms
+    assert max(abs(x) for f in forms for x in f.values()) == 2 * abs(c)
+    assert forms == poly_invariant_forms(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 70), st.data())
+def test_unpacked_reads_signed_digits(w, data):
+    top = (1 << (w - 1)) - 1  # the largest digit of width w
+    digit = st.one_of(st.sampled_from((top, -top)), st.integers(-top, top)).filter(bool)
+    digits = data.draw(st.dictionaries(st.integers(0, 40), digit, max_size=6))
+    packed = sum(d << (w * v) for v, d in digits.items())
+    assert ybe_module._unpacked(packed, w) == digits
+
+
+def test_symmetric_basis_uses_no_polynomial_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic on the invariant basis path")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    for a in (matrix_algebra(4), ALGEBRAS["B1-rational"](), alg("A2")):
+        assert invariant_symmetric_basis(a)

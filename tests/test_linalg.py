@@ -17,8 +17,18 @@ from ybekit import (
     make_algebra,
     scalar_str,
 )
-from ybekit.linalg import _kernel, in_span, is_zero_vec, mat_mul, mat_vec, rank, transpose
+from ybekit.linalg import (
+    _echelon,
+    _kernel,
+    in_span,
+    is_zero_vec,
+    mat_mul,
+    mat_vec,
+    rank,
+    transpose,
+)
 
+from helpers import _echelon as reference_echelon
 from helpers import (
     reference_in_span,
     reference_invert,
@@ -57,6 +67,17 @@ def test_scalar_str():
     assert scalar_str(3) == "3"
     assert scalar_str(Fraction(-3, 5)) == "-3/5"
     assert scalar_str(Fraction(6, 2)) == "3"
+
+
+def test_scalar_str_of_ints_matches_fraction_formatting():
+    def via_fraction(x):
+        f = Fraction(x)
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+    big = 10 ** 199 + 7  # 200 digits
+    for x in (0, -1, -42, big, -big, Fraction(0), Fraction(-3, 5), Fraction(6, 2),
+              Fraction(big, 3), Fraction(-big, 10 ** 150), True, False):
+        assert scalar_str(x) == via_fraction(x)
 
 
 def test_kernel_of_identity_is_empty():
@@ -271,3 +292,48 @@ def test_kernel_of_sparse_integer_rows(m):
 def test_transpose_involution():
     m = ((1, 2, 3), (4, 5, 6))
     assert transpose(transpose(m)) == m
+
+
+def _same_echelon(rows, cols):
+    """`_echelon` of sparse integer rows is the Fraction reference's reduced
+    row echelon form once each pivot row is divided by its pivot entry, and
+    leaves its input as it was."""
+    before = [dict(row) for row in rows]
+    got, pivots = _echelon(rows)
+    want, want_pivots = reference_echelon(
+        [[Fraction(row.get(c, 0)) for c in range(cols)] for row in rows])
+    assert rows == before
+    assert pivots == want_pivots
+    assert [[Fraction(row.get(c, 0), row[pc]) for c in range(cols)]
+            for row, pc in zip(got, pivots)] == want[:len(pivots)]
+    assert all(x for row in got for x in row.values())
+
+
+def test_echelon_peels_one_entry_rows():
+    # {0: 4, 1: 5} is empty once the peeled columns 0 and 1 are deleted.
+    _same_echelon([{0: 2}, {1: -3}, {0: 4, 1: 5}, {1: 1, 2: 3}, {2: 6, 3: -4}], 4)
+    # Two one-entry rows with different coefficients on column 2.
+    _same_echelon([{2: 3}, {0: 1, 2: 7}, {2: -5}, {0: 2, 1: 4}, {1: 2, 3: 6}], 4)
+    rows, pivots = _echelon([{2: 3}, {2: -5}, {0: 6, 2: 1}])
+    assert (rows, pivots) == ([{0: 1}, {2: 1}], [0, 2])
+    # Every row peeled away, and nothing left to eliminate.
+    assert _echelon([{1: -7}, {1: 7, 3: 2}, {3: 5}]) == ([{1: 1}, {3: 1}], [1, 3])
+
+
+@st.composite
+def one_entry_heavy_rows(draw):
+    """Sparse integer rows over up to 8 columns, most of them one-entry."""
+    cols = draw(st.integers(1, 8))
+    entry = st.integers(-6, 6).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        at = draw(st.lists(st.integers(0, cols - 1), min_size=1, unique=True,
+                           max_size=draw(st.sampled_from((1, 1, 1, 2, 3)))))
+        rows.append({c: draw(entry) for c in at})
+    return rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_entry_heavy_rows())
+def test_echelon_matches_fraction_reference_on_one_entry_rows(case):
+    _same_echelon(*case)

@@ -218,7 +218,9 @@ def test_m4_op_suite_forms_no_table(tmp_path, monkeypatch, capsys):
     # tables and the residual, at each mu) and built two Tensor3s.  What is left
     # is the witness of the failed invariance precondition at mu = -1/2,
     # whose symmetrizer has denominator 2: `is_invariant` forms its first
-    # nonzero n x n block, and nothing else is divided.
+    # nonzero n x n block.  Besides it, only the symmetrizer itself is divided
+    # out, one division per nonzero entry, in each of the two suites at
+    # mu = -1/2 (at mu = 1 its denominator is 1).
     a, r, apath, rpath = _m4_files(tmp_path)
     counts = {"ratio": 0, "t3": 0, "parse": 0}
     ratio, parse = ybekit.linalg._ratio, io_json.parse_scalar
@@ -245,8 +247,11 @@ def test_m4_op_suite_forms_no_table(tmp_path, monkeypatch, capsys):
     assert counts["t3"] == 0
     docs = [json.loads(open(p, encoding="utf-8").read()) for p in (apath, rpath)]
     assert counts["parse"] <= sum(len(_literals(d)) for d in docs) + 2  # + the two --mu
-    witness = is_invariant(a, extended_symmetrizer(YbeInstance(a, Fraction(-1, 2)), r)).witness
-    assert counts["ratio"] == sum(x != "0" for row in witness["defect"] for x in row) <= 256
+    sbar = extended_symmetrizer(YbeInstance(a, Fraction(-1, 2)), r)
+    witness = is_invariant(a, sbar).witness
+    formed = sum(x != "0" for row in witness["defect"] for x in row)
+    assert formed <= 256
+    assert counts["ratio"] == formed + 2 * sum(x != 0 for row in sbar.coeff for x in row)
     subs = json.loads(capsys.readouterr().out)["details"]["subchecks"]
     assert [s["check"] for s in subs] == ["operator-form-suite"] * 2
 

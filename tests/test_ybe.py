@@ -420,6 +420,20 @@ def test_grid_m2_wide():
     assert _strictly_increasing(sols)
 
 
+def test_grid_builds_its_solutions_without_coercing(monkeypatch):
+    # Each solution is built from the exact grid values, Fraction(2, 2)
+    # already the int 1, with no second coercion of its entries.
+    i = inst("A2", Fraction(-1, 2))
+    values = (0, Fraction(-1, 2), Fraction(2, 2))
+    want = brute_force_grid(i, values)
+    built = []
+    monkeypatch.setattr(Tensor2, "__post_init__", built.append)
+    got = grid_enumerate(i, values)
+    monkeypatch.undo()
+    assert built == [] and len(got) > 1
+    assert [typed(t.coeff) for t in got] == [typed(t.coeff) for t in want]
+
+
 def test_grid_budget():
     with pytest.raises(BudgetExceeded):
         grid_enumerate(inst("B1", 1), (0, 1, 2), budget=100)
