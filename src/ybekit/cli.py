@@ -61,10 +61,6 @@ def _load(path):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _scalar(s):
-    return io_json.parse_scalar(s)
-
-
 def _emit(obj, fmt):
     if fmt == "json":
         print(io_json.dumps(obj))
@@ -157,7 +153,7 @@ def _cmd_algebra_check(ns) -> int:
 def _cmd_ybe_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     r = io_json.decode_tensor2(_load(ns.r))
-    inst = YbeInstance(a, _scalar(ns.mu))
+    inst = YbeInstance(a, io_json.parse_scalar(ns.mu))
     res = opposite_residual(inst, r) if ns.opposite else nhacybe_residual(inst, r)
     rep = CheckReport("opposite-equation" if ns.opposite else "tensor-equation",
                       res.is_zero(), witness=_tensor3_witness(res),
@@ -169,7 +165,7 @@ def _cmd_ybe_check(ns) -> int:
 def _cmd_ybe_symmetrizer(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     r = io_json.decode_tensor2(_load(ns.r))
-    inst = YbeInstance(a, _scalar(ns.mu))
+    inst = YbeInstance(a, io_json.parse_scalar(ns.mu))
     sbar = extended_symmetrizer(inst, r)
     inv = is_invariant(a, sbar)
     _emit({"symmetrizer": io_json.encode_tensor2(sbar),
@@ -192,10 +188,10 @@ def _cmd_ybe_invariant_basis(ns) -> int:
                help="maximum search nodes (values tried at one entry of r)"))
 def _cmd_ybe_enumerate(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
-    mu = _scalar(ns.mu)
+    mu = io_json.parse_scalar(ns.mu)
     inst = YbeInstance(a, mu)
     values = ((0, mu) if ns.grid is None
-              else tuple(_scalar(v) for v in ns.grid.split(",")))
+              else tuple(io_json.parse_scalar(v) for v in ns.grid.split(",")))
     for sol in grid_enumerate(inst, values, budget=ns.budget):
         print(io_json.dumps(io_json.encode_tensor2(sol)))
     return 0
@@ -205,7 +201,7 @@ def _cmd_ybe_enumerate(ns) -> int:
 def _cmd_op_rb_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     p = io_json.decode_linear_map(_load(ns.p))
-    table = rota_baxter_residual(a, p, _scalar(ns.lam))
+    table = rota_baxter_residual(a, p, io_json.parse_scalar(ns.lam))
     rep = CheckReport("rota-baxter", residual_is_zero(table),
                       witness=residual_witness(table),
                       details={"weight": ns.lam})
@@ -231,7 +227,7 @@ def _cmd_op_suite(ns) -> int:
     r = io_json.decode_tensor2(_load(ns.r))
     reports = []
     for mu in (ns.mu or ["1"]):
-        inst = YbeInstance(a, _scalar(mu))
+        inst = YbeInstance(a, io_json.parse_scalar(mu))
         reports.append(operator_form_suite(inst, r))
         try:  # the suite tests its own precondition, an invariant symmetrizer
             reports.append(invariant_operator_suite(inst, r))
@@ -271,7 +267,7 @@ def _cmd_frobenius_pr(ns) -> int:
 def _cmd_frobenius_bridge(ns) -> int:
     frob = _frobenius(ns)
     r = io_json.decode_tensor2(_load(ns.r))
-    rep = rb_bridge_suite(frob, _scalar(ns.mu), _scalar(ns.lam), r)
+    rep = rb_bridge_suite(frob, io_json.parse_scalar(ns.mu), io_json.parse_scalar(ns.lam), r)
     return _report_exit(rep, ns.report)
 
 
@@ -296,7 +292,8 @@ def _cmd_construct_from_rb(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     s = io_json.decode_tensor2(_load(ns.s))
     p = io_json.decode_linear_map(_load(ns.p))
-    r1, r2 = solutions_from_rb(a, s, p, _scalar(ns.lam), _scalar(ns.mu))
+    r1, r2 = solutions_from_rb(a, s, p, io_json.parse_scalar(ns.lam),
+                               io_json.parse_scalar(ns.mu))
     _emit({"r1": io_json.encode_tensor2(r1),
            "r2": io_json.encode_tensor2(r2),
            "provenance": _provenance("from-rb", ns, ("lam", "mu"))},
@@ -309,7 +306,7 @@ def _cmd_construct_lift(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     module = io_json.decode_bimodule(_load(ns.module), a)
     alpha = io_json.decode_linear_map(_load(ns.alpha))
-    lam = _scalar(ns.lam)
+    lam = io_json.parse_scalar(ns.lam)
     lifted = lift_o_operator(a, module, alpha, lam)
     _emit({"algebra": io_json.encode_algebra(lifted.algebra),
            "hat": io_json.encode_linear_map(lifted.hat),
@@ -325,7 +322,8 @@ def _cmd_construct_semidirect(ns) -> int:
     module = io_json.decode_bimodule(_load(ns.module), a)
     alpha = io_json.decode_linear_map(_load(ns.alpha))
     beta = io_json.decode_linear_map(_load(ns.beta))
-    out = semidirect_solutions(a, module, alpha, beta, _scalar(ns.lam), _scalar(ns.mu))
+    out = semidirect_solutions(a, module, alpha, beta, io_json.parse_scalar(ns.lam),
+                               io_json.parse_scalar(ns.mu))
     return _emit_solutions(out, ns, "semidirect", s=io_json.encode_tensor2(out.s))
 
 
@@ -334,7 +332,7 @@ def _cmd_construct_unitize_extract(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     aug = io_json.decode_augmentation(_load(ns.eps), a)
     r = io_json.decode_tensor2(_load(ns.r))
-    mu = _scalar(ns.mu)
+    mu = io_json.parse_scalar(ns.mu)
     p, pp = extract_rb_pair(a, aug, r)
     inst = YbeInstance(a, mu)
     branch = extracted_weight_branch(inst, aug, r)
@@ -360,7 +358,8 @@ def _cmd_dendriform_build(ns) -> int:
     d = io_json.decode_dendriform(_load(ns.dendriform))
     _, ud = unital_extension(d)
     beta = io_json.decode_linear_map(_load(ns.beta))
-    out = dendriform_solutions(ud, beta, _scalar(ns.lam), _scalar(ns.mu))
+    out = dendriform_solutions(ud, beta, io_json.parse_scalar(ns.lam),
+                               io_json.parse_scalar(ns.mu))
     return _emit_solutions(out, ns, "dendriform")
 
 
@@ -373,7 +372,7 @@ def _cmd_catalog_list(ns) -> int:
 @_command("catalog", "export", "--name", _opt("--mu", default="1"))
 def _cmd_catalog_export(ns) -> int:
     entry = catalog_algebra(ns.name)
-    mu = _scalar(ns.mu)
+    mu = io_json.parse_scalar(ns.mu)
     out = {
         "name": entry.name,
         "algebra": io_json.encode_algebra(entry.algebra),
@@ -400,7 +399,7 @@ def _cmd_catalog_export(ns) -> int:
 
 @_command("catalog", "verify", "--name", _MUS, _opt("--no-grid", action="store_true"))
 def _cmd_catalog_verify(ns) -> int:
-    mus = [(_scalar(m)) for m in (ns.mu or ["1"])]
+    mus = [io_json.parse_scalar(m) for m in (ns.mu or ["1"])]
     rep = verify_catalog(ns.name, mus, grid=not ns.no_grid)
     return _report_exit(rep, ns.report)
 

@@ -24,6 +24,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import (
+    Mat,
     Scalar,
     identity,
     invert,
@@ -32,7 +33,6 @@ from .linalg import (
     mat_scale,
     scalar_str,
     transpose,
-    unit_vec,
     vec_scale,
 )
 from .operators import (
@@ -79,9 +79,13 @@ def solutions_from_rb(a: Algebra, s: Tensor2, p: LinearMap, lam: Scalar,
             "operator-compatibility",
             witness={"defect": [[scalar_str(x - y) for x, y in zip(r1, r2)]
                                 for r1, r2 in zip(lhs, rhs)]})
-    r1 = Tensor2(a.dim, mat_mul(pm, s.coeff))
-    r2 = Tensor2(a.dim, mat_mul(s.coeff, transpose(pm)))
-    return r1, r2
+    return _push_forward(s, pm)
+
+
+def _push_forward(s: Tensor2, pm: Mat) -> tuple[Tensor2, Tensor2]:
+    """(P s, s P^t): the tensor s pushed through the operator with matrix pm
+    in its first slot and in its second."""
+    return Tensor2(s.dim, mat_mul(pm, s.coeff)), Tensor2(s.dim, mat_mul(s.coeff, transpose(pm)))
 
 
 def rb_from_solution(a: Algebra, s: Tensor2, r: Tensor2, lam: Scalar,
@@ -144,8 +148,7 @@ def check_balanced_hom(a: Algebra, v: Bimodule, beta: LinearMap) -> CheckReport:
     if len(bm) != n or (bm and len(bm[0]) != m):
         raise DimensionMismatch("map shape does not match module -> algebra")
     for k in range(n):
-        lk = a.left_matrix(unit_vec(n, k))
-        rk = a.right_matrix(unit_vec(n, k))
+        lk, rk = a._left[k], a._right[k]
         if mat_mul(bm, v.left[k]) != mat_mul(lk, bm):
             return CheckReport("balanced-homomorphism", False,
                                witness={"kind": "left-intertwine", "basis_index": k})
@@ -203,7 +206,7 @@ def semidirect_solutions(a: Algebra, v: Bimodule, alpha: LinearMap,
     alpha maps the module to the algebra, beta maps the dual module to the
     algebra; the two must add up to mu times the unit pairing.
     """
-    n, m = a.dim, v.dim
+    n = a.dim
     res = o_operator_residual(a, v, alpha, WeightOp.zero())
     if not residual_is_zero(res):
         raise PreconditionViolated("weight-zero-operator",
@@ -225,19 +228,10 @@ def semidirect_solutions(a: Algebra, v: Bimodule, alpha: LinearMap,
             witness={"defect": [[scalar_str(x) for x in row] for row in defect]})
     if mu != 0 and not (a.is_unital and is_unital_bimodule(v)):
         raise PreconditionViolated("unital-module")
-    hat_alg = semidirect_product(a, v)
-    d = n + m
     # beta goes out of the dual module, so its tensor lives on A x| V itself
-    _, s_tilde = hom_tensor(a, dual_v, beta)
+    hat_alg, s_tilde = hom_tensor(a, dual_v, beta)
     hat = lift_o_operator(a, v, alpha, lam).hat
-    bsharp = transpose(s_tilde.coeff)
-    r1_sharp = mat_mul(bsharp, transpose(hat.matrix))
-    r2_sharp = mat_mul(hat.matrix, bsharp)
-    return SemidirectSolutions(
-        hat_alg,
-        Tensor2(d, transpose(r1_sharp)),
-        Tensor2(d, transpose(r2_sharp)),
-        s_tilde, lam, mu)
+    return SemidirectSolutions(hat_alg, *_push_forward(s_tilde, hat.matrix), s_tilde, lam, mu)
 
 
 def extract_rb_pair(a: Algebra, aug: Augmentation, r: Tensor2

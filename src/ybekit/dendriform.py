@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, Bimodule, apply_table, make_algebra
+from .algebras import Algebra, Bimodule, _adjoin_unit, apply_table, make_algebra
 from .errors import DimensionMismatch, NotDendriform, UndefinedProduct
 from .linalg import Scalar, Vec, unit_vec, vec
 from .operators import LinearMap
@@ -141,22 +141,7 @@ class UnitalDendriform:
 
 def unital_extension(d: Dendriform) -> tuple[Algebra, UnitalDendriform]:
     """Adjoin a star-unit to the associated algebra of a dendriform algebra."""
-    _require_dendriform(d)
-    m = d.dim
-    dd = m + 1
-    sc = [[[0] * dd for _ in range(dd)] for _ in range(dd)]
-    for i in range(dd):
-        sc[0][i][i] = 1
-        sc[i][0][i] = 1
-    sc[0][0] = [0] * dd
-    sc[0][0][0] = 1
-    for i in range(m):
-        for j in range(m):
-            star = tuple(p + s for p, s in zip(d.prec[i][j], d.succ[i][j]))
-            for p, c in enumerate(star):
-                sc[1 + i][1 + j][1 + p] = c
-    alg = make_algebra(dd, sc, unit=unit_vec(dd, 0),
-                       basis=("u",) + tuple(f"a{i + 1}" for i in range(m)))
+    alg = _adjoin_unit(associated_algebra(d).sc, "a")
     return alg, UnitalDendriform(d, alg)
 
 

@@ -41,7 +41,7 @@ from .linalg import (
     unit_vec,
     vec_dot,
 )
-from .operators import LinearMap, WeightOp, _holds, _o_operator, _rota_baxter, _suite_report
+from .operators import LinearMap, _holds, _operator_forms, _rota_baxter, _suite_report
 from .report import CheckReport
 from .tensors import Tensor2
 from .ybe import YbeInstance, _cleared, _sparse_rows, extended_symmetrizer, is_solution
@@ -125,27 +125,18 @@ def frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) -> CheckRepor
     u = a.require_unit()
     inst = YbeInstance(a, mu)
     p, pt = induced_operators(f, r)
-    pcols, ptcols = transpose(p.matrix), transpose(pt.matrix)
     eps = tuple(mu * f.form.value(u, unit_vec(n, j)) for j in range(n))
-
-    adj = adjoint_bimodule(a)
     verdict_a = is_solution(inst, r)
-    ok_b = _holds(a, adj, pcols, pcols, mat_scale(-1, ptcols), eps)
-    # The companion identity is the same identity over the opposite algebra.
-    ok_c = _holds(a, adj, ptcols, ptcols, mat_scale(-1, pcols), eps, opposite=True)
-
     sbar = extended_symmetrizer(inst, r)
     twist = mat_mul(transpose(sbar.coeff), transpose(f.form.gram))
-    neg_twist = mat_scale(-1, twist)
-    verdict_d = _holds(*_o_operator(a, adj, p, WeightOp.right_twist(neg_twist)))
-    verdict_e = _holds(*_o_operator(a, adj, pt, WeightOp.left_twist(neg_twist)))
-
+    pair, companion, right, left = _operator_forms(a, adjoint_bimodule(a), p, pt, eps,
+                                                   mat_scale(-1, twist))
     return _suite_report("frobenius-operator-suite", {
         "tensor_equation": verdict_a,
-        "induced_pair_identity": ok_b,
-        "companion_pair_identity": ok_c,
-        "right_twisted_rb": verdict_d,
-        "left_twisted_rb": verdict_e,
+        "induced_pair_identity": pair,
+        "companion_pair_identity": companion,
+        "right_twisted_rb": right,
+        "left_twisted_rb": left,
     })
 
 

@@ -34,7 +34,8 @@ The kernel yields the table one block, of first module index, at a time.
 Values are formed only where they are printed; verdicts test numerators;
 exact data is built once; a verdict reads the blocks in order and stops at
 the first nonzero one.  Each identity is written once, as the arguments it
-hands the kernel (`_o_operator`, `_rota_baxter`).  A verdict (every suite,
+hands the kernel (`_o_operator`, `_rota_baxter`, and `_operator_forms` for
+the four forms that `operator_form_suite` and the Frobenius suite share).  A verdict (every suite,
 the catalog's family check, the CLI's constructions) is `_holds`, which
 tests the numerators and divides nothing.  The values, for a caller
 that prints a table or witness (`op o-check`, `op rb-check`, the
@@ -446,6 +447,19 @@ def _suite_report(name: str, verdicts: dict, **extra) -> CheckReport:
                        details=details)
 
 
+def _operator_forms(a: Algebra, v: Bimodule, p: LinearMap, pt: LinearMap, eps: Vec | None,
+                    neg_twist: Mat) -> tuple[bool, bool, bool, bool]:
+    """The verdicts of the four operator forms of a pair of maps p, pt from
+    the module v to the algebra: the pair identity of p with eps, its
+    companion for pt over the opposite algebra, and the O-operator forms of
+    p twisted on the right and of pt twisted on the left by neg_twist."""
+    pcols, ptcols = transpose(p.matrix), transpose(pt.matrix)
+    return (_holds(a, v, pcols, pcols, mat_scale(-1, ptcols), eps),
+            _holds(a, v, ptcols, ptcols, mat_scale(-1, pcols), eps, opposite=True),
+            _holds(*_o_operator(a, v, p, WeightOp.right_twist(neg_twist))),
+            _holds(*_o_operator(a, v, pt, WeightOp.left_twist(neg_twist))))
+
+
 def operator_form_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     """Five equivalent characterisations of one tensor: the equation itself,
     the two dual-basis operator identities, and the two twisted O-operator
@@ -453,23 +467,16 @@ def operator_form_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     a, mu = inst.algebra, inst.mu
     eps = vec_scale(mu, a.require_unit()) if mu != 0 else None
     sbar = extended_symmetrizer(inst, r)
-    neg_sb = mat_scale(-1, transpose(sbar.coeff))
-    # r#(e_i*) is row i of the coefficients, r^t#(e_i*) is column i.
-    r_rows, r_cols = r.coeff, transpose(r.coeff)
-    dualmod = dual_regular_bimodule(a)
-
     verdict_a = is_solution(inst, r)
-    verdict_b = _holds(a, dualmod, r_rows, r_rows, mat_scale(-1, r_cols), eps)
-    verdict_c = _holds(*_o_operator(a, dualmod, sharp(r), WeightOp.right_twist(neg_sb)))
-    verdict_d = _holds(a, dualmod, r_cols, r_cols, mat_scale(-1, r_rows), eps, opposite=True)
-    verdict_e = _holds(*_o_operator(a, dualmod, tsharp(r), WeightOp.left_twist(neg_sb)))
-
+    first, second, right, left = _operator_forms(
+        a, dual_regular_bimodule(a), sharp(r), tsharp(r), eps,
+        mat_scale(-1, transpose(sbar.coeff)))
     return _suite_report("operator-form-suite", {
         "tensor_equation": verdict_a,
-        "first_slot_identity": verdict_b,
-        "first_slot_right_twist": verdict_c,
-        "second_slot_identity": verdict_d,
-        "second_slot_left_twist": verdict_e,
+        "first_slot_identity": first,
+        "first_slot_right_twist": right,
+        "second_slot_identity": second,
+        "second_slot_left_twist": left,
     })
 
 
@@ -517,12 +524,11 @@ def dual_operator_suite(a: Algebra, b: BimoduleAlgebra, p: LinearMap,
                     "symmetric-unit-pairing", witness={"pair": [i, j]})
     s = tensor_from_dual_product(b)
     s_sharp = sharp(s)
+    induced = _dual_product(a, s).product  # induced[j][i][k] is (s#(e_i*) e_k)[j]
     for i in range(n):
-        si = s_sharp.apply(unit_vec(n, i))
         for k in range(n):
-            prod = a.mul(si, unit_vec(n, k))
             for j in range(n):
-                if prod[j] != b.product[j][i][k]:
+                if b.product[j][i][k] != induced[j][i][k]:
                     raise PreconditionViolated(
                         "product-pairing", witness={"data": [i, j, k]})
     pm = p.matrix

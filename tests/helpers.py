@@ -3,6 +3,7 @@ frozen example tensors the tests reuse, and slow reference implementations
 that the fast paths are compared against."""
 
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -14,10 +15,12 @@ from ybekit import (
     DimensionMismatch,
     FrobeniusStructure,
     LinearMap,
+    NotAssociative,
     PreconditionViolated,
     SingularMatrix,
     Tensor2,
     WeightOp,
+    YbeError,
     YbeInstance,
     adjoint_bimodule,
     dual_map,
@@ -27,9 +30,11 @@ from ybekit import (
     extended_symmetrizer,
     extract_rb_pair,
     grid_enumerate,
+    hom_tensor,
     induced_operators,
     is_invariant,
     is_symmetrized_invariant,
+    lift_o_operator,
     nhacybe_residual,
     o_operator_residual,
     residual_is_zero,
@@ -42,7 +47,15 @@ from ybekit import (
     tsharp,
     unit_square,
 )
-from ybekit.algebras import apply_table, find_augmentations, make_algebra
+from ybekit.algebras import (
+    Augmentation,
+    apply_table,
+    check_algebra,
+    dual_bimodule,
+    find_augmentations,
+    make_algebra,
+    semidirect_product,
+)
 from ybekit.catalog import (
     CatalogEntry,
     SolutionFamily,
@@ -334,6 +347,25 @@ def reference_in_span(basis, v):
 def typed(vectors):
     """Entries with their types, so that 1 and Fraction(1) differ."""
     return [tuple((type(x), x) for x in v) for v in vectors]
+
+
+def typed_tree(x):
+    """x with the type of every scalar in it, dataclasses field by field, so
+    that 1 and Fraction(1) differ."""
+    if is_dataclass(x):
+        return type(x).__name__, tuple(typed_tree(getattr(x, f.name)) for f in fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(typed_tree(y) for y in x)
+    return type(x), x
+
+
+def outcome(f, *args):
+    """typed_tree of what f(*args) returns, or the type, message and witness
+    of the library error it raises."""
+    try:
+        return typed_tree(f(*args))
+    except YbeError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
 
 
 # Rational changes of basis for `rebased`: f_i = sum_x P[i][x] e_x.
@@ -753,6 +785,96 @@ def reference_check_algebra(a):
                     "algebra-axioms", False,
                     witness={"kind": "unit", "basis_index": k})
     return CheckReport("algebra-axioms", True, details={"dim": n, "unital": a.is_unital})
+
+
+def reference_check_augmentation(a, aug):
+    """check_augmentation as it was with the cyclic trace identity tested on
+    every basis triple after multiplicativity and normalisation."""
+    n = a.dim
+    eps = aug.apply
+    for i in range(n):
+        for j in range(n):
+            lhs = eps(a.sc[i][j])
+            rhs = aug.eps[i] * aug.eps[j]
+            if lhs != rhs:
+                return CheckReport(
+                    "augmentation", False,
+                    witness={"kind": "multiplicative", "pair": [i, j],
+                             "left": scalar_str(lhs), "right": scalar_str(rhs)})
+    if a.unit is not None and eps(a.unit) != 1:
+        return CheckReport("augmentation", False,
+                           witness={"kind": "unit-normalisation",
+                                    "value": scalar_str(eps(a.unit))})
+    for i in range(n):
+        ei = unit_vec(n, i)
+        for j in range(n):
+            for k in range(n):
+                xyz = a.mul(a.sc[i][j], unit_vec(n, k))
+                yzx = a.mul(a.sc[j][k], ei)
+                if eps(xyz) != eps(yzx):
+                    return CheckReport("augmentation", False,
+                                       witness={"kind": "cyclic", "triple": [i, j, k]})
+    return CheckReport("augmentation", True)
+
+
+def reference_unitization(sc):
+    """unitization as it was, with its own copy of the unit rows."""
+    inner = make_algebra(len(sc), sc, unit=None)
+    rep = check_algebra(inner)
+    if not rep.passed:
+        raise NotAssociative(f"input multiplication is not associative: {rep.witness}")
+    m = inner.dim
+    d = m + 1
+    out = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        out[0][i][i] = 1
+        out[i][0][i] = 1
+    out[0][0] = [0] * d
+    out[0][0][0] = 1
+    for i in range(m):
+        for j in range(m):
+            for p, c in enumerate(inner.sc[i][j]):
+                out[1 + i][1 + j][1 + p] = c
+    names = ("u",) + tuple(f"e{i + 1}" for i in range(m))
+    alg = make_algebra(d, out, unit=unit_vec(d, 0), basis=names)
+    return alg, Augmentation(alg, unit_vec(d, 0))
+
+
+def reference_unital_extension(d):
+    """unital_extension as it was, with its own copy of the unit rows and of
+    the star product."""
+    from ybekit.dendriform import UnitalDendriform, _require_dendriform
+    _require_dendriform(d)
+    m = d.dim
+    dd = m + 1
+    sc = [[[0] * dd for _ in range(dd)] for _ in range(dd)]
+    for i in range(dd):
+        sc[0][i][i] = 1
+        sc[i][0][i] = 1
+    sc[0][0] = [0] * dd
+    sc[0][0][0] = 1
+    for i in range(m):
+        for j in range(m):
+            star = tuple(p + s for p, s in zip(d.prec[i][j], d.succ[i][j]))
+            for p, c in enumerate(star):
+                sc[1 + i][1 + j][1 + p] = c
+    alg = make_algebra(dd, sc, unit=unit_vec(dd, 0),
+                       basis=("u",) + tuple(f"a{i + 1}" for i in range(m)))
+    return alg, UnitalDendriform(d, alg)
+
+
+def reference_semidirect_tail(a, v, alpha, beta, lam):
+    """(algebra, r1, r2, s) of semidirect_solutions, built as they were after
+    its preconditions: a semi-direct product of its own and the two tensors
+    through four transposes of the lifted operator and the hom tensor."""
+    hat_alg = semidirect_product(a, v)
+    d = a.dim + v.dim
+    _, s_tilde = hom_tensor(a, dual_bimodule(v), beta)
+    hat = lift_o_operator(a, v, alpha, lam).hat
+    bsharp = transpose(s_tilde.coeff)
+    r1_sharp = mat_mul(bsharp, transpose(hat.matrix))
+    r2_sharp = mat_mul(hat.matrix, bsharp)
+    return hat_alg, Tensor2(d, transpose(r1_sharp)), Tensor2(d, transpose(r2_sharp)), s_tilde
 
 
 def eager_action_tables(a):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,9 +37,12 @@ from helpers import (
     alg,
     eager_action_tables,
     entry,
+    outcome,
     rebased,
     reference_check_algebra,
+    reference_check_augmentation,
     reference_invert,
+    reference_unitization,
 )
 
 
@@ -287,3 +291,75 @@ def test_kernels_never_build_the_action_tables(name):
     if n <= 3:  # the grid search is exponential in n * n
         grid_enumerate(YbeInstance(a, mu), (0, 1))
     assert "_left" not in a.__dict__ and "_right" not in a.__dict__
+
+
+# Unitization and augmentations against the bodies they had before the unit
+# rows were shared with `unital_extension` and the cyclic loop was dropped.
+
+_UNITIZE_EDGES = (
+    (), (((0,),),), (((1,),),), (((-1,),),), (((2,),),), (((Fraction(1, 2),),),),
+    (((0, 1), (1, 0)), ((0, 0), (0, 0))),  # not associative
+)
+
+
+@pytest.mark.parametrize("sc", [*_UNITIZE_EDGES, *(alg(name).sc for name in ALL_NAMES)],
+                         ids=[*(f"edge{i}" for i in range(len(_UNITIZE_EDGES))), *ALL_NAMES])
+def test_unitization_matches_its_reference(sc):
+    assert outcome(unitization, sc) == outcome(reference_unitization, sc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_tables())
+def test_unitization_matches_its_reference_on_random_tables(a):
+    assert outcome(unitization, a.sc) == outcome(reference_unitization, a.sc)
+
+
+_EPS = st.sampled_from((-1, 0, 1, Fraction(1, 2)))
+
+
+@st.composite
+def _augmented(draw):
+    """An algebra of `_tables` (often not associative, with no unit, the true
+    one or a wrong one) and eps over {-1, 0, 1, 1/2}.  Half the time the
+    structure constants are moved so that eps is multiplicative on basis
+    pairs, the only case in which the old cyclic loop ran at all."""
+    a = draw(_tables())
+    n = a.dim
+    eps = [draw(_EPS) for _ in range(n)]
+    if any(eps) and draw(st.booleans()):
+        p = next(i for i, e in enumerate(eps) if e)
+        sc = [[list(v) for v in row] for row in a.sc]
+        for i in range(n):
+            for j in range(n):
+                v = sc[i][j]
+                v[p] += Fraction(eps[i] * eps[j] - sum(e * x for e, x in zip(eps, v))) / eps[p]
+        a = make_algebra(n, sc, unit=a.unit)
+    return a, Augmentation(a, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_augmented())
+def test_check_augmentation_matches_the_cyclic_reference(case):
+    a, aug = case
+    assert check_augmentation(a, aug) == reference_check_augmentation(a, aug)
+
+
+@pytest.mark.parametrize("a, eps", [
+    (make_algebra(0, ()), ()),
+    (make_algebra(1, (((0,),),)), (0,)),
+    (make_algebra(1, (((0,),),)), (1,)),
+    (make_algebra(1, (((1,),),), unit=(1,)), (1,)),
+    (make_algebra(1, (((2,),),)), (2,)),
+    (make_algebra(1, (((Fraction(1, 2),),),), unit=(2,)), (Fraction(1, 2),)),
+])
+def test_check_augmentation_in_dimension_zero_and_one(a, eps):
+    aug = Augmentation(a, eps)
+    assert check_augmentation(a, aug) == reference_check_augmentation(a, aug)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_find_augmentations_matches_the_cyclic_reference(name):
+    a = alg(name)
+    grid = [Augmentation(a, e) for e in product((0, 1, -1), repeat=a.dim) if any(e)]
+    assert find_augmentations(a) == [g for g in grid
+                                     if reference_check_augmentation(a, g).passed]

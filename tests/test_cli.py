@@ -342,3 +342,81 @@ def test_op_suite_tests_invariance_once_per_mu(tmp_path, monkeypatch, capsys):
     names = [rep["check"] for rep in json.loads(capsys.readouterr().out)["details"]["subchecks"]]
     assert names == ["operator-form-suite", "invariant-operator-suite", "operator-form-suite"]
     assert len(calls) == 2
+
+
+_ZERO_PLANE = [[[0, 0], [0, 0]]] * 2
+
+# Inputs, with the stdout the three constructions printed before they shared
+# the unit rows, the push-forward and the four operator forms.
+_CONSTRUCTION_BYTES = {
+    "dendriform-build": (
+        "dendriform build --dendriform d.json --beta beta.json --lambda 1 --mu 0",
+        {"d.json": {"dim": 2, "prec": _ZERO_PLANE, "succ": _ZERO_PLANE},
+         "beta.json": {"matrix": [[0, 0, 0], [0, 0, 2], [0, -2, 0]]}},
+        '{"algebra":{"basis":["u","a1","a2","v1","v2","v3"],"dim":6,"sc":[[["1","0",'
+        '"0","0","0","0"],["0","1","0","0","0","0"],["0","0","1","0","0","0"],["0","0",'
+        '"0","0","0","0"],["0","0","0","0","1","0"],["0","0","0","0","0","1"]],[["0",'
+        '"1","0","0","0","0"],["0","0","0","0","0","0"],["0","0","0","0","0","0"],["0",'
+        '"0","0","0","0","0"],["0","0","0","0","0","0"],["0","0","0","0","0","0"]],'
+        '[["0","0","1","0","0","0"],["0","0","0","0","0","0"],["0","0","0","0","0",'
+        '"0"],["0","0","0","0","0","0"],["0","0","0","0","0","0"],["0","0","0","0","0",'
+        '"0"]],[["0","0","0","1","0","0"],["0","0","0","0","0","0"],["0","0","0","0",'
+        '"0","0"],["0","0","0","0","0","0"],["0","0","0","0","0","0"],["0","0","0","0",'
+        '"0","0"]],[["0","0","0","0","1","0"],["0","0","0","0","0","0"],["0","0","0",'
+        '"0","0","0"],["0","0","0","0","0","0"],["0","0","0","0","0","0"],["0","0","0",'
+        '"0","0","0"]],[["0","0","0","0","0","1"],["0","0","0","0","0","0"],["0","0",'
+        '"0","0","0","0"],["0","0","0","0","0","0"],["0","0","0","0","0","0"],["0","0",'
+        '"0","0","0","0"]]],"unit":null},"provenance":{"construction":"dendriform",'
+        '"inputs":{"lam":"1","mu":"0"}},"r1":{"coeff":[["0","0","0","0","0","0"],["0",'
+        '"0","-2","0","0","0"],["0","2","0","0","0","0"],["0","0","0","0","0","0"],'
+        '["0","0","2","0","0","0"],["0","-2","0","0","0","0"]],"dim":6},'
+        '"r2":{"coeff":[["0","0","0","0","0","0"],["0","0","2","0","0","-2"],["0","-2",'
+        '"0","0","2","0"],["0","0","0","0","0","0"],["0","0","0","0","0","0"],["0","0",'
+        '"0","0","0","0"]],"dim":6},"verified":true}\n'),
+    "construct-semidirect": (
+        "construct semidirect --algebra a.json --module v.json --alpha alpha.json "
+        "--beta beta.json --lambda -1/2 --mu 0",
+        {"a.json": "A2", "v.json": {"left": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                                    "right": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+         "alpha.json": {"matrix": [[0, 0], [0, 0]]}, "beta.json": {"matrix": [[1, 0], [0, 1]]}},
+        '{"algebra":{"basis":["e1","e2","v1","v2"],"dim":4,"sc":[[["1","0","0","0"],'
+        '["0","0","0","0"],["0","0","1","0"],["0","0","0","0"]],[["0","0","0","0"],'
+        '["0","1","0","0"],["0","0","0","0"],["0","0","0","1"]],[["0","0","1","0"],'
+        '["0","0","0","0"],["0","0","0","0"],["0","0","0","0"]],[["0","0","0","0"],'
+        '["0","0","0","1"],["0","0","0","0"],["0","0","0","0"]]],"unit":["1","1","0",'
+        '"0"]},"provenance":{"construction":"semidirect","inputs":{"lam":"-1/2",'
+        '"mu":"0"}},"r1":{"coeff":[["0","0","0","0"],["0","0","0","0"],["1/2","0","0",'
+        '"0"],["0","1/2","0","0"]],"dim":4},"r2":{"coeff":[["0","0","1/2","0"],["0",'
+        '"0","0","1/2"],["0","0","0","0"],["0","0","0","0"]],"dim":4},'
+        '"s":{"coeff":[["0","0","1","0"],["0","0","0","1"],["1","0","0","0"],["0","1",'
+        '"0","0"]],"dim":4},"verified":true}\n'),
+    "op-suite": (
+        "op suite --algebra a.json --r r.json --mu 1 --mu -1/2 --mu 0",
+        {"a.json": "B1", "r.json": {"dim": 3, "coeff": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]}},
+        '{"check":"operator-suites",'
+        '"details":{"subchecks":[{"check":"operator-form-suite",'
+        '"details":{"all_pass":true,"verdicts":{"first_slot_identity":true,'
+        '"first_slot_right_twist":true,"second_slot_identity":true,'
+        '"second_slot_left_twist":true,"tensor_equation":true}},"passed":true},'
+        '{"check":"invariant-operator-suite","details":{"all_pass":true,'
+        '"branch":"weight--1","verdicts":{"first_slot_operator":true,'
+        '"second_slot_operator":true,"tensor_equation":true}},"passed":true},'
+        '{"check":"operator-form-suite","details":{"all_pass":false,'
+        '"verdicts":{"first_slot_identity":false,"first_slot_right_twist":false,'
+        '"second_slot_identity":false,"second_slot_left_twist":false,'
+        '"tensor_equation":false}},"passed":true},{"check":"operator-form-suite",'
+        '"details":{"all_pass":false,"verdicts":{"first_slot_identity":false,'
+        '"first_slot_right_twist":false,"second_slot_identity":false,'
+        '"second_slot_left_twist":false,"tensor_equation":false}},"passed":true}]},'
+        '"passed":true}\n'),
+}
+
+
+@pytest.mark.parametrize("case", _CONSTRUCTION_BYTES)
+def test_construction_commands_print_the_same_bytes(case, tmp_path, monkeypatch, capsys):
+    argv, files, stdout = _CONSTRUCTION_BYTES[case]
+    for name, obj in files.items():
+        _write(tmp_path, name, io_json.encode_algebra(alg(obj)) if isinstance(obj, str) else obj)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 0
+    assert capsys.readouterr() == (stdout, "")

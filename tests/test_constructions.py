@@ -4,11 +4,14 @@ import pytest
 
 from ybekit import (
     Degenerate,
+    Dendriform,
     LinearMap,
     NotUnital,
     PreconditionViolated,
     WeightOp,
+    YbeError,
     YbeInstance,
+    action_bimodule,
     adjoint_bimodule,
     check_balanced_hom,
     dual_regular_bimodule,
@@ -36,11 +39,13 @@ from ybekit import (
     t2_from_entries,
     t2_zero,
     unit_square,
+    unital_extension,
     unitization,
 )
 from ybekit.algebras import make_algebra
 
 from helpers import (
+    ALL_NAMES,
     M2_SKEW,
     a2_solution,
     alg,
@@ -48,7 +53,9 @@ from helpers import (
     inst,
     random_matrix,
     random_tensor,
+    reference_semidirect_tail,
     rng,
+    typed_tree,
     zero_map,
 )
 
@@ -398,3 +405,43 @@ def test_extracted_weight_branch():
     i1 = inst("A2", 1)
     assert extracted_weight_branch(i1, e.augmentations[0], a2_solution(1)) \
         is None
+
+
+def _semidirect_inputs():
+    """(a, v, alpha, beta) on every catalog algebra with its adjoint and dual
+    regular bimodules, the zero-product line, and the unital extension of
+    the zero dendriform plane with its slanted-action module."""
+    for name in ALL_NAMES:
+        e = entry(name)
+        a, n = e.algebra, e.algebra.dim
+        betas = [zero_map(n), LinearMap(identity(n)),
+                 LinearMap(tuple(tuple(Fraction(int(i == j), 2) for j in range(n))
+                                 for i in range(n)))]
+        betas += [LinearMap(sharp(f.phi).matrix) for _, f in sorted(e.forms.items())]
+        alphas = [zero_map(n)] + ([sharp(M2_SKEW)] if name == "M2" else [])
+        for v in (adjoint_bimodule(a), dual_regular_bimodule(a)):
+            for alpha in alphas:
+                for beta in betas:
+                    yield a, v, alpha, beta
+    line = _zero_product(1)
+    yield line, adjoint_bimodule(line), zero_map(1), LinearMap(((1,),))
+    zero = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    alg3, ud = unital_extension(Dendriform(2, zero, zero))
+    for beta in (zero_map(3), LinearMap(((0, 0, 0), (0, 0, 2), (0, -2, 0)))):
+        yield alg3, action_bimodule(ud), LinearMap(identity(3)), beta
+
+
+def test_semidirect_solutions_match_the_old_tail():
+    built = nonzero_alpha = 0
+    for a, v, alpha, beta in _semidirect_inputs():
+        for lam in (1, Fraction(-1, 2)):
+            for mu in (0, 1):
+                try:
+                    out = semidirect_solutions(a, v, alpha, beta, lam, mu)
+                except YbeError:
+                    continue  # the preconditions are the same code as before
+                want = reference_semidirect_tail(a, v, alpha, beta, lam)
+                assert typed_tree((out.algebra, out.r1, out.r2, out.s)) == typed_tree(want)
+                built += 1
+                nonzero_alpha += not alpha.is_zero() and not out.r1.is_zero()
+    assert built >= 100 and nonzero_alpha >= 6

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ybekit import (
@@ -27,7 +29,7 @@ from ybekit import (
 from ybekit.frobenius import induced_operators
 from ybekit.linalg import unit_vec
 
-from helpers import M2_SKEW, entry
+from helpers import ALL_NAMES, M2_SKEW, entry, outcome, reference_unital_extension
 
 
 def _line(p, q):
@@ -184,3 +186,28 @@ def test_dendriform_solutions_rejects_unbalanced_beta():
     with pytest.raises(PreconditionViolated) as err:
         dendriform_solutions(ud, bad, 1, 0)
     assert err.value.equation == "balanced-homomorphism"
+
+
+def _split_catalog(name, side):
+    """A catalog algebra's product put whole on one side: prec = sc, succ = 0
+    or the other way round, a dendriform algebra for any associative sc."""
+    a = entry(name).algebra
+    zero = tuple(tuple((0,) * a.dim for _ in range(a.dim)) for _ in range(a.dim))
+    return Dendriform(a.dim, *((a.sc, zero) if side == "prec" else (zero, a.sc)))
+
+
+_EXTENSION_CASES = {
+    "zero0": lambda: Dendriform(0, (), ()),
+    **{f"line{p}{q}": (lambda p=p, q=q: _line(p, q))
+       for p, q in ((1, 0), (0, 1), (0, 0), (2, 0), (Fraction(1, 2), 0), (1, 1), (2, 3))},
+    "zero2": _zero2,
+    "rb-split": _from_weight_zero_rb,
+    **{f"{name}-{side}": (lambda name=name, side=side: _split_catalog(name, side))
+       for name in ALL_NAMES for side in ("prec", "succ")},
+}
+
+
+@pytest.mark.parametrize("case", _EXTENSION_CASES)
+def test_unital_extension_matches_its_reference(case):
+    d = _EXTENSION_CASES[case]()
+    assert outcome(unital_extension, d) == outcome(reference_unital_extension, d)

@@ -23,6 +23,7 @@ import ybekit.catalog as catalog_module
 from ybekit import (
     Algebra,
     Bimodule,
+    BimoduleAlgebra,
     DimensionMismatch,
     LinearMap,
     PreconditionViolated,
@@ -149,6 +150,41 @@ def test_dense_m3_tensors_match_the_value_path(mu):
     reports = [_compare_suites(a, r, mu, [frob]) for r in tensors]
     assert [rep["details"]["all_pass"] for rep in reports] == [True, False, False]
     assert all(rep["passed"] for rep in reports)
+
+
+def _corrupted(b, entries):
+    """b with 1 added to product[j][i][k], the entry the product-pairing
+    check names as data [i, j, k], for each (i, j, k) in entries."""
+    table = [[list(v) for v in row] for row in b.product]
+    for i, j, k in entries:
+        table[j][i][k] += 1
+    return BimoduleAlgebra(b.bimodule, table)
+
+
+def test_dual_operator_suite_names_the_first_bad_entry_in_scan_order():
+    # Both entries lie off the coordinates of the unit E11 + E22 of M2, so
+    # the unit pairing and the tensor read off the product stay the same.
+    # Scanning (i, k, j) meets data [0, 1, 1] first; (i, j, k) would meet [0, 0, 2].
+    e = entry("M2")
+    b = _corrupted(invariant_dual_product(e.algebra, e.forms["trace"].phi),
+                   [(0, 0, 2), (0, 1, 1)])
+    p = LinearMap(((0,) * 4,) * 4, "dual")
+    got = _same(dual_operator_suite, value_path_dual_operator_suite, e.algebra, b, p, 1)
+    assert got == ("precondition", "product-pairing", {"data": [0, 1, 1]})
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_dual_operator_suite_refuses_corrupted_products_as_before(name):
+    e = entry(name)
+    a, n = e.algebra, e.algebra.dim
+    rnd = random.Random(n)
+    for form in e.forms.values():
+        b = invariant_dual_product(a, form.phi)
+        for _ in range(8):
+            entries = [tuple(rnd.randrange(n) for _ in range(3))
+                       for _ in range(rnd.randint(1, 3))]
+            _same(dual_operator_suite, value_path_dual_operator_suite, a,
+                  _corrupted(b, entries), sharp(form.phi), 1)
 
 
 SCALARS = st.one_of(st.integers(-2, 2),
