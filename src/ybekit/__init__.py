@@ -83,7 +83,7 @@ from .frobenius import (
     rb_bridge_suite,
     trace_form,
 )
-from .linalg import exact, identity, invert, kernel_basis, scalar_str
+from .linalg import exact, identity, invert, kernel_basis, rank, scalar_str
 from .operators import (
     BimoduleAlgebra,
     LinearMap,

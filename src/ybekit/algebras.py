@@ -480,11 +480,6 @@ def find_augmentations(a: Algebra) -> list[Augmentation]:
     return found
 
 
-def augmentation_kernel_basis(aug: Augmentation) -> list[Vec]:
-    from .linalg import kernel_basis
-    return kernel_basis((aug.eps,))
-
-
 def matrix_algebra(n: int) -> Algebra:
     """Full matrix algebra on the elementary-matrix basis, row-major order."""
     if n < 1:

@@ -31,14 +31,12 @@ from .frobenius import frobenius_from_form, induced_operators, rb_bridge_suite
 from .linalg import scalar_str
 from .operators import (
     WeightOp,
+    _defect_witness,
     _holds,
+    _o_operator,
     _rota_baxter,
     invariant_operator_suite,
-    o_operator_residual,
     operator_form_suite,
-    residual_is_zero,
-    residual_witness,
-    rota_baxter_residual,
 )
 from .report import CheckReport
 from .ybe import (
@@ -201,9 +199,8 @@ def _cmd_ybe_enumerate(ns) -> int:
 def _cmd_op_rb_check(ns) -> int:
     a = io_json.decode_algebra(_load(ns.algebra))
     p = io_json.decode_linear_map(_load(ns.p))
-    table = rota_baxter_residual(a, p, io_json.parse_scalar(ns.lam))
-    rep = CheckReport("rota-baxter", residual_is_zero(table),
-                      witness=residual_witness(table),
+    witness = _defect_witness(*_rota_baxter(a, p, io_json.parse_scalar(ns.lam)))
+    rep = CheckReport("rota-baxter", witness is None, witness=witness,
                       details={"weight": ns.lam})
     return _report_exit(rep, ns.report)
 
@@ -215,10 +212,9 @@ def _cmd_op_o_check(ns) -> int:
     alpha = io_json.decode_linear_map(_load(ns.alpha))
     module = (adjoint_bimodule(a) if ns.module is None
               else io_json.decode_bimodule(_load(ns.module), a))
-    table = o_operator_residual(a, module, alpha, WeightOp.zero())
-    rep = CheckReport("weight-zero-operator", residual_is_zero(table),
-                      witness=residual_witness(table))
-    return _report_exit(rep, ns.report)
+    witness = _defect_witness(*_o_operator(a, module, alpha, WeightOp.zero()))
+    return _report_exit(CheckReport("weight-zero-operator", witness is None, witness=witness),
+                        ns.report)
 
 
 @_command("op", "suite", "--algebra", "--r", _MUS)

@@ -1,6 +1,15 @@
 """Producing solutions from Rota-Baxter and O-operators (directly, and in
 semi-direct products), and extracting Rota-Baxter operators from solutions
-in augmented algebras."""
+in augmented algebras.
+
+A failed hypothesis raises PreconditionViolated naming its equation.  Each
+is written once.  The symmetrizer relation x + x^t - mu (1 (x) 1) = -lam s,
+with the x and lam of each construction, has one raise site,
+`ybe._require_symmetrizer`, which the dual operator suite and the Frobenius
+bridge share; its witness is the whole defect.  An operator identity or the
+tensor equation is a kernel verdict, whose witness is read off the first
+nonzero block (`operators._defect_witness`, `ybe._residual_witness`).
+"""
 
 from __future__ import annotations
 
@@ -15,43 +24,37 @@ from .algebras import (
     is_unital_bimodule,
     semidirect_product,
 )
-from .errors import (
-    Degenerate,
-    DimensionMismatch,
-    NotInvariant,
-    NotSymmetric,
-    PreconditionViolated,
-    SingularMatrix,
-)
+from .errors import Degenerate, DimensionMismatch, PreconditionViolated, SingularMatrix
 from .linalg import (
     Mat,
     Scalar,
     identity,
     invert,
-    is_zero_mat,
     mat_mul,
     mat_scale,
     scalar_str,
     transpose,
+    vec_dot,
     vec_scale,
 )
 from .operators import (
     LinearMap,
     WeightOp,
+    _columns,
+    _defect_witness,
+    _o_operator,
     _operator_defect,
-    o_operator_residual,
-    residual_is_zero,
-    residual_witness,
-    rota_baxter_residual,
+    _require_symmetric_invariant,
+    _rota_baxter,
 )
 from .report import CheckReport
-from .tensors import Tensor2, t2_zero
+from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
+    _require_symmetrizer,
+    _residual_witness,
+    _symmetrizer_num,
     extended_symmetrizer,
-    is_invariant,
-    nhacybe_residual,
-    unit_square,
 )
 
 
@@ -59,27 +62,15 @@ def solutions_from_rb(a: Algebra, s: Tensor2, p: LinearMap, lam: Scalar,
                       mu: Scalar) -> tuple[Tensor2, Tensor2]:
     """Push a symmetric invariant tensor through a Rota-Baxter operator of
     weight lam, slot by slot.  Requires the compatibility identity between
-    the operator, the tensor and the unit to hold exactly."""
-    if not s.is_symmetric():
-        raise NotSymmetric("tensor must be symmetric")
-    if not is_invariant(a, s).passed:
-        raise NotInvariant("tensor must be invariant")
-    rb = rota_baxter_residual(a, p, lam)
-    if not residual_is_zero(rb):
-        raise PreconditionViolated("rota-baxter", witness=residual_witness(rb))
-    ss = transpose(s.coeff)
-    pm = p.matrix
-    lhs = [[x + y for x, y in zip(r1, r2)]
-           for r1, r2 in zip(mat_mul(ss, transpose(pm)), mat_mul(pm, ss))]
-    uo = unit_square(a).coeff if mu != 0 else t2_zero(a.dim).coeff  # no unit needed at mu = 0
-    rhs = [[-lam * ss[i][j] + mu * uo[i][j] for j in range(a.dim)]
-           for i in range(a.dim)]
-    if lhs != rhs:
-        raise PreconditionViolated(
-            "operator-compatibility",
-            witness={"defect": [[scalar_str(x - y) for x, y in zip(r1, r2)]
-                                for r1, r2 in zip(lhs, rhs)]})
-    return _push_forward(s, pm)
+    the operator, the tensor and the unit to hold exactly: the symmetrizer
+    of P s is -lam s."""
+    _require_symmetric_invariant(a, s)
+    witness = _defect_witness(*_rota_baxter(a, p, lam))
+    if witness is not None:
+        raise PreconditionViolated("rota-baxter", witness=witness)
+    _require_symmetrizer("operator-compatibility",
+                         _symmetrizer_num(a, mat_mul(p.matrix, s.coeff), mu), lam, s)
+    return _push_forward(s, p.matrix)
 
 
 def _push_forward(s: Tensor2, pm: Mat) -> tuple[Tensor2, Tensor2]:
@@ -92,24 +83,17 @@ def rb_from_solution(a: Algebra, s: Tensor2, r: Tensor2, lam: Scalar,
                      mu: Scalar) -> tuple[LinearMap, LinearMap]:
     """Invert a nondegenerate symmetric invariant tensor to turn a solution
     into a pair of Rota-Baxter operators of weight lam."""
-    if not s.is_symmetric():
-        raise NotSymmetric("tensor must be symmetric")
-    if not is_invariant(a, s).passed:
-        raise NotInvariant("tensor must be invariant")
+    _require_symmetric_invariant(a, s)
     try:
         s_inv = invert(transpose(s.coeff))
     except SingularMatrix as exc:
         raise Degenerate("tensor is degenerate") from exc
-    relation = r.add(r.flip()).add(s.scale(lam)).sub(unit_square(a).scale(mu)) \
-        if mu != 0 else r.add(r.flip()).add(s.scale(lam))
-    if not relation.is_zero():
-        raise PreconditionViolated(
-            "symmetrizer-relation",
-            witness={"defect": [[scalar_str(x) for x in row]
-                                for row in relation.coeff]})
-    res = nhacybe_residual(YbeInstance(a, mu), r)
-    if not res.is_zero():
-        raise PreconditionViolated("tensor-equation", witness=res.first_nonzero())
+    if r.dim != s.dim:
+        raise DimensionMismatch(f"tensor dims {r.dim} != {s.dim}")
+    _require_symmetrizer("symmetrizer-relation", _symmetrizer_num(a, r.coeff, mu), lam, s)
+    witness = _residual_witness(YbeInstance(a, mu), r)
+    if witness is not None:
+        raise PreconditionViolated("tensor-equation", witness=witness)
     p = LinearMap(mat_mul(transpose(r.coeff), s_inv))
     pt = LinearMap(mat_mul(r.coeff, s_inv))
     return p, pt
@@ -127,17 +111,17 @@ def lift_o_operator(a: Algebra, v: Bimodule, alpha: LinearMap,
                     lam: Scalar) -> LiftedOperator:
     """Lift a module-to-algebra map to the semi-direct product, acting as
     (x, u) -> (alpha(u), -lam u)."""
+    hat = _lift(a, v, alpha, lam)
+    return LiftedOperator(semidirect_product(a, v), hat, alpha, lam)
+
+
+def _lift(a: Algebra, v: Bimodule, alpha: LinearMap, lam: Scalar) -> LinearMap:
+    """The matrix of `lift_o_operator` on A x| V, without building A x| V."""
     n, m = a.dim, v.dim
-    am = alpha.matrix
-    if len(am) != n or (am and len(am[0]) != m):
-        raise DimensionMismatch("operator shape does not match module -> algebra")
-    rows = []
-    for i in range(n):
-        rows.append((0,) * n + tuple(am[i]))
-    for j in range(m):
-        rows.append((0,) * n + tuple(-lam if k == j else 0 for k in range(m)))
-    return LiftedOperator(semidirect_product(a, v), LinearMap(tuple(rows)),
-                          alpha, lam)
+    _columns(alpha.matrix, n, m, "operator shape does not match module -> algebra")
+    rows = [(0,) * n + row for row in alpha.matrix]
+    rows += [(0,) * n + tuple(-lam if k == j else 0 for k in range(m)) for j in range(m)]
+    return LinearMap(tuple(rows))
 
 
 def check_balanced_hom(a: Algebra, v: Bimodule, beta: LinearMap) -> CheckReport:
@@ -145,8 +129,7 @@ def check_balanced_hom(a: Algebra, v: Bimodule, beta: LinearMap) -> CheckReport:
     the two module-valued pairings."""
     n, m = a.dim, v.dim
     bm = beta.matrix
-    if len(bm) != n or (bm and len(bm[0]) != m):
-        raise DimensionMismatch("map shape does not match module -> algebra")
+    cols = _columns(bm, n, m, "map shape does not match module -> algebra")
     for k in range(n):
         lk, rk = a._left[k], a._right[k]
         if mat_mul(bm, v.left[k]) != mat_mul(lk, bm):
@@ -155,10 +138,8 @@ def check_balanced_hom(a: Algebra, v: Bimodule, beta: LinearMap) -> CheckReport:
         if mat_mul(bm, v.right[k]) != mat_mul(rk, bm):
             return CheckReport("balanced-homomorphism", False,
                                witness={"kind": "right-intertwine", "basis_index": k})
-    cols = transpose(bm) if bm else ()
     for i in range(m):
-        bi = cols[i] if cols else ()
-        li = v.lmat(bi)
+        li = v.lmat(cols[i])
         for j in range(m):
             bj = cols[j]
             lhs = tuple(li[p][j] for p in range(m))
@@ -204,34 +185,25 @@ def semidirect_solutions(a: Algebra, v: Bimodule, alpha: LinearMap,
     the dual module into two solutions on the semi-direct product.
 
     alpha maps the module to the algebra, beta maps the dual module to the
-    algebra; the two must add up to mu times the unit pairing.
+    algebra; the two must add up to mu times the unit pairing: the
+    symmetrizer of beta alpha^t is zero.
     """
-    n = a.dim
-    res = o_operator_residual(a, v, alpha, WeightOp.zero())
-    if not residual_is_zero(res):
-        raise PreconditionViolated("weight-zero-operator",
-                                   witness=residual_witness(res))
+    witness = _defect_witness(*_o_operator(a, v, alpha, WeightOp.zero()))
+    if witness is not None:
+        raise PreconditionViolated("weight-zero-operator", witness=witness)
     dual_v = dual_bimodule(v)
     bal = check_balanced_hom(a, dual_v, beta)
     if not bal.passed:
         raise PreconditionViolated("balanced-homomorphism", witness=bal.witness)
-    am, bm = alpha.matrix, beta.matrix
-    compat = mat_mul(bm, transpose(am))
-    compat = tuple(tuple(x + y for x, y in zip(r1, r2))
-                   for r1, r2 in zip(compat, mat_mul(am, transpose(bm))))
-    expect = unit_square(a).coeff if mu != 0 else t2_zero(n).coeff  # no unit needed at mu = 0
-    defect = tuple(tuple(x - mu * y for x, y in zip(r1, r2))
-                   for r1, r2 in zip(compat, expect))
-    if not is_zero_mat(defect):
-        raise PreconditionViolated(
-            "unit-compatibility",
-            witness={"defect": [[scalar_str(x) for x in row] for row in defect]})
+    # beta alpha^t, row by row, so that it is n x n also for a zero module
+    compat = tuple(tuple(vec_dot(b, c) for c in alpha.matrix) for b in beta.matrix)
+    _require_symmetrizer("unit-compatibility", _symmetrizer_num(a, compat, mu))
     if mu != 0 and not (a.is_unital and is_unital_bimodule(v)):
         raise PreconditionViolated("unital-module")
     # beta goes out of the dual module, so its tensor lives on A x| V itself
     hat_alg, s_tilde = hom_tensor(a, dual_v, beta)
-    hat = lift_o_operator(a, v, alpha, lam).hat
-    return SemidirectSolutions(hat_alg, *_push_forward(s_tilde, hat.matrix), s_tilde, lam, mu)
+    return SemidirectSolutions(hat_alg, *_push_forward(s_tilde, _lift(a, v, alpha, lam).matrix),
+                               s_tilde, lam, mu)
 
 
 def extract_rb_pair(a: Algebra, aug: Augmentation, r: Tensor2

@@ -25,7 +25,6 @@ from .errors import (
     InvalidAugmentation,
     NotInvariantForm,
     NotSymmetricForm,
-    PreconditionViolated,
     SingularMatrix,
 )
 from .linalg import (
@@ -36,7 +35,6 @@ from .linalg import (
     invert,
     mat_mul,
     mat_scale,
-    scalar_str,
     transpose,
     unit_vec,
     vec_dot,
@@ -44,7 +42,14 @@ from .linalg import (
 from .operators import LinearMap, _holds, _operator_forms, _rota_baxter, _suite_report
 from .report import CheckReport
 from .tensors import Tensor2
-from .ybe import YbeInstance, _cleared, _sparse_rows, extended_symmetrizer, is_solution
+from .ybe import (
+    YbeInstance,
+    _cleared,
+    _require_symmetrizer,
+    _sparse_rows,
+    extended_symmetrizer,
+    is_solution,
+)
 
 
 @dataclass(frozen=True)
@@ -169,12 +174,7 @@ def _rb_bridge(f: FrobeniusStructure, lam: Scalar, sbar: Tensor2,
                induced: tuple[LinearMap, LinearMap], residual: bool) -> CheckReport:
     """`rb_bridge_suite` on the symmetrizer, the induced pair and the residual
     verdict of r, already formed by the caller."""
-    defect = sbar.add(f.phi.scale(lam))
-    if not defect.is_zero():
-        raise PreconditionViolated(
-            "proportional-symmetrizer",
-            witness={"defect": [[scalar_str(x) for x in row]
-                                for row in defect.coeff]})
+    _require_symmetrizer("proportional-symmetrizer", _cleared(sbar.coeff), lam, f.phi)
     p, pt = induced
     verdicts = {
         "tensor_equation": residual,

@@ -26,9 +26,6 @@ Scalar = int | Fraction
 Vec = tuple[Scalar, ...]
 Mat = tuple[Vec, ...]
 
-HALF = Fraction(1, 2)
-
-
 def exact(x) -> Scalar:
     """Coerce a number (or 'p/q' string) to an exact scalar.  A float is
     refused: its binary fraction is almost never the number that was meant."""

@@ -37,10 +37,10 @@ the first nonzero one.  Each identity is written once, as the arguments it
 hands the kernel (`_o_operator`, `_rota_baxter`, and `_operator_forms` for
 the four forms that `operator_form_suite` and the Frobenius suite share).  A verdict (every suite,
 the catalog's family check, the CLI's constructions) is `_holds`, which
-tests the numerators and divides nothing.  The values, for a caller
-that prints a table or witness (`op o-check`, `op rb-check`, the
-preconditions of `constructions`), divide the table once, giving an int
-when exact and a Fraction otherwise, and nothing when the denominator is 1.
+tests the numerators and divides nothing.  A witness (`op o-check`, `op
+rb-check`, the preconditions of `constructions`) is `_defect_witness`,
+which stops at the same block and divides out only its first nonzero entry.
+A table divides every entry once: an int when exact, else a Fraction.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
     _cleared,
+    _require_symmetrizer,
     _sparse_rows,
+    _symmetrizer_num,
     _values,
     extended_symmetrizer,
     is_invariant,
@@ -192,19 +194,19 @@ def check_bimodule_algebra(b: BimoduleAlgebra) -> CheckReport:
     return CheckReport("bimodule-algebra", True)
 
 
-def regular_bimodule_algebra(a: Algebra) -> BimoduleAlgebra:
-    """The algebra acting on itself with its own multiplication as product."""
-    return BimoduleAlgebra(adjoint_bimodule(a), a.sc)
-
-
 def invariant_dual_product(a: Algebra, s: Tensor2) -> BimoduleAlgebra:
     """Product on the dual space induced by a symmetric invariant tensor:
     the dual vector picks up a right action by the image of its partner."""
+    _require_symmetric_invariant(a, s)
+    return _dual_product(a, s)
+
+
+def _require_symmetric_invariant(a: Algebra, s: Tensor2):
+    """The hypothesis on the tensor s of a construction."""
     if not s.is_symmetric():
         raise NotSymmetric("tensor must be symmetric")
     if not is_invariant(a, s).passed:
         raise NotInvariant("tensor must be invariant")
-    return _dual_product(a, s)
 
 
 def _dual_product(a: Algebra, s: Tensor2) -> BimoduleAlgebra:
@@ -370,6 +372,21 @@ def _holds(*args, **kwargs) -> bool:
     return not any(map(any, _defect_blocks(*args, **kwargs)[0]))
 
 
+def _defect_witness(*args, **kwargs) -> dict | None:
+    """The witness of the identity `_holds` tests, None when it holds: the
+    pair (i, j) of the first nonzero D[i][j] and its value, read off the
+    first nonzero block, whose entry is the only one divided out."""
+    blocks, den = _defect_blocks(*args, **kwargs)
+    n = args[0].dim
+    for i, block in enumerate(blocks):
+        for t, x in enumerate(block):
+            if x:
+                j = t // n
+                return {"pair": [i, j], "defect": [
+                    scalar_str(y) for y in _values(block[j * n:(j + 1) * n], den)]}
+    return None
+
+
 def _o_operator(a: Algebra, v: Bimodule, alpha: LinearMap, weight: WeightOp) -> tuple:
     """The arguments of `_defect_num` for the identity of `o_operator_residual`."""
     m = v.dim
@@ -403,14 +420,6 @@ def o_operator_residual(a: Algebra, v: Bimodule, alpha: LinearMap,
 
 def residual_is_zero(table: ResidualTable) -> bool:
     return all(is_zero_vec(v) for row in table for v in row)
-
-
-def residual_witness(table: ResidualTable):
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            if not is_zero_vec(v):
-                return {"pair": [i, j], "defect": [scalar_str(x) for x in v]}
-    return None
 
 
 def _rota_baxter(a: Algebra, p: LinearMap, lam: Scalar) -> tuple:
@@ -522,8 +531,7 @@ def dual_operator_suite(a: Algebra, b: BimoduleAlgebra, p: LinearMap,
             if pair_u(b.product[i][j]) != pair_u(b.product[j][i]):
                 raise PreconditionViolated(
                     "symmetric-unit-pairing", witness={"pair": [i, j]})
-    s = tensor_from_dual_product(b)
-    s_sharp = sharp(s)
+    s = tensor_from_dual_product(b)  # symmetric, by the pairing check above
     induced = _dual_product(a, s).product  # induced[j][i][k] is (s#(e_i*) e_k)[j]
     for i in range(n):
         for k in range(n):
@@ -531,15 +539,8 @@ def dual_operator_suite(a: Algebra, b: BimoduleAlgebra, p: LinearMap,
                 if b.product[j][i][k] != induced[j][i][k]:
                     raise PreconditionViolated(
                         "product-pairing", witness={"data": [i, j, k]})
-    pm = p.matrix
-    lhs = tuple(tuple(pm[m_][k] + pm[k][m_] for k in range(n)) for m_ in range(n))
-    rhs = tuple(tuple(s_sharp.matrix[m_][k] + mu * u[m_] * u[k] for k in range(n))
-                for m_ in range(n))
-    if lhs != rhs:
-        raise PreconditionViolated(
-            "symmetrizer-relation",
-            witness={"defect": [[scalar_str(x - y) for x, y in zip(r1, r2)]
-                                for r1, r2 in zip(lhs, rhs)]})
+    _columns(p.matrix, n, n, "operator shape does not match module -> algebra")
+    _require_symmetrizer("symmetrizer-relation", _symmetrizer_num(a, p.matrix, mu), -1, s)
     if s.is_zero():
         weight = WeightOp.zero()
         branch = "weight-0"

@@ -127,7 +127,3 @@ class Tensor3:
     def _match(self, other: "Tensor3"):
         if self.dim != other.dim:
             raise DimensionMismatch(f"tensor dims {self.dim} != {other.dim}")
-
-
-def t3_zero(n: int) -> Tensor3:
-    return Tensor3(n, (((0,) * n,) * n,) * n)

@@ -41,7 +41,13 @@ from itertools import chain
 from math import lcm
 
 from .algebras import Algebra
-from .errors import BudgetExceeded, DimensionMismatch, NotAssociative, NotUnital
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    NotAssociative,
+    NotUnital,
+    PreconditionViolated,
+)
 from .linalg import Scalar, _kernel, _ratio, _trusted, exact, scalar_str
 from .poly import Poly, variables
 from .report import CheckReport
@@ -260,30 +266,65 @@ def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
     return not any(map(any, _residual_blocks(inst.algebra, inst.mu, r.coeff)[0]))
 
 
-def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:
-    """r + flip(r) - mu (1 (x) 1); always a symmetric tensor.
-
-    Added up on integer numerators: r is cleared once (`_cleared`), mu and
-    the unit are taken as numerator over denominator, and each entry is
-    divided once by the common denominator (`_values`)."""
+def _residual_witness(inst: YbeInstance, r: Tensor2) -> tuple | None:
+    """(p, q, s, value) of the first nonzero residual entry of r, read off
+    the first nonzero plane of `_residual_blocks`; None for a solution."""
     _check_ybe_args(inst, r)
-    n, mu = r.dim, inst.mu
-    dr, x = _cleared(r.coeff)
-    den, lin, u = dr, 1, ()
+    planes, den = _residual_blocks(inst.algebra, inst.mu, r.coeff)
+    for p, plane in enumerate(planes):
+        for t, x in enumerate(plane):
+            if x:
+                return (p, *divmod(t, r.dim), _ratio(x, den))
+    return None
+
+
+def _symmetrizer_num(a: Algebra, x, mu) -> tuple[int, list[list[int]]]:
+    """(den, num): x + x^t - mu (1 (x) 1) is num / den for an n x n matrix x
+    over the algebra a, num as rows of ints.  x is cleared once (`_cleared`),
+    and mu and the unit are taken as numerator over denominator."""
+    n = a.dim
+    dx, c = _cleared(x)
+    den, lin, u = dx, 1, ()
     if mu != 0:
-        du, (u,) = _cleared((inst.algebra.require_unit(),))
+        du, (u,) = _cleared((a.require_unit(),))
         lin = mu.denominator * du * du
-        den = lcm(dr, lin)
-    kr, f = den // dr, den // lin * mu.numerator
-    num = [kr * (x[i][j] + x[j][i]) for i in range(n) for j in range(n)]
-    for i, ui in enumerate(u):
+        den = lcm(dx, lin)
+    kx, f = den // dx, den // lin * mu.numerator
+    num = [[kx * (c[i][j] + c[j][i]) for j in range(n)] for i in range(n)]
+    for ui, row in zip(u, num):
         if ui:
             fi = f * ui
             for j, uj in enumerate(u):
                 if uj:
-                    num[i * n + j] -= fi * uj
-    vals = _values(num, den)
-    return _trusted(Tensor2, n, tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
+                    row[j] -= fi * uj
+    return den, num
+
+
+def extended_symmetrizer(inst: YbeInstance, r: Tensor2) -> Tensor2:
+    """r + flip(r) - mu (1 (x) 1); always a symmetric tensor.
+
+    Added up on integer numerators (`_symmetrizer_num`), each entry divided
+    once by the common denominator (`_values`)."""
+    _check_ybe_args(inst, r)
+    den, num = _symmetrizer_num(inst.algebra, r.coeff, inst.mu)
+    return _trusted(Tensor2, r.dim, tuple(tuple(_values(row, den)) for row in num))
+
+
+def _require_symmetrizer(equation: str, sym: tuple[int, list], lam=0, s: Tensor2 | None = None):
+    """The hypothesis of every construction: the symmetrizer sym, (den, num)
+    from `_symmetrizer_num` or `_cleared`, is -lam s.  Tested on integer
+    numerators; PreconditionViolated(equation) carries the whole defect."""
+    den, num = sym
+    lam = exact(lam)
+    if lam != 0:
+        ds, y = _cleared(s.coeff)
+        lin = lam.denominator * ds
+        d = lcm(den, lin)
+        k, f = d // den, d // lin * lam.numerator
+        den, num = d, [[k * v + f * w for v, w in zip(r1, r2)] for r1, r2 in zip(num, y)]
+    if any(map(any, num)):
+        raise PreconditionViolated(equation, witness={
+            "defect": [[scalar_str(v) for v in _values(row, den)] for row in num]})
 
 
 def _invariance_blocks(a: Algebra, x):

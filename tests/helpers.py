@@ -12,17 +12,22 @@ from ybekit import (
     Algebra,
     BilinearForm,
     BimoduleAlgebra,
+    Degenerate,
     DimensionMismatch,
     FrobeniusStructure,
     LinearMap,
     NotAssociative,
+    NotInvariant,
+    NotSymmetric,
     PreconditionViolated,
+    SemidirectSolutions,
     SingularMatrix,
     Tensor2,
     WeightOp,
     YbeError,
     YbeInstance,
     adjoint_bimodule,
+    check_balanced_hom,
     dual_map,
     dual_regular_bimodule,
     embed,
@@ -32,7 +37,9 @@ from ybekit import (
     grid_enumerate,
     hom_tensor,
     induced_operators,
+    invert,
     is_invariant,
+    is_solution,
     is_symmetrized_invariant,
     lift_o_operator,
     nhacybe_residual,
@@ -41,6 +48,7 @@ from ybekit import (
     rota_baxter_residual,
     sharp,
     t2_from_entries,
+    t2_zero,
     tensor_from_dual_product,
     tensor_of_sharp,
     triple_mul,
@@ -53,6 +61,7 @@ from ybekit.algebras import (
     check_algebra,
     dual_bimodule,
     find_augmentations,
+    is_unital_bimodule,
     make_algebra,
     semidirect_product,
 )
@@ -64,7 +73,6 @@ from ybekit.catalog import (
     catalog_algebra,
 )
 from ybekit.linalg import (
-    HALF,
     Scalar,
     identity,
     is_zero_vec,
@@ -79,10 +87,21 @@ from ybekit.linalg import (
     vec_scale,
     zero_vec,
 )
-from ybekit.operators import _by_coordinate, _dual_product, _operator_defect, _suite_report
+from ybekit.operators import (
+    _by_coordinate,
+    _dual_product,
+    _holds,
+    _o_operator,
+    _operator_defect,
+    _rota_baxter,
+    _suite_report,
+)
 from ybekit.poly import Poly
 from ybekit.report import CheckReport, combine
+from ybekit.tensors import Tensor3
 from ybekit.ybe import _cleared, _sparse_rows
+
+HALF = Fraction(1, 2)
 
 # Seeded random generators for the property suites.  Coefficients are drawn
 # uniformly from {-2, -1, 0, 1, 2} so products stay in small-integer
@@ -1321,3 +1340,174 @@ def flat_invariance_num(a, x) -> list:
         for q, xq in rows[i]:
             out[base + q] += c * xq
     return out
+
+
+def augmentation_kernel_basis(aug: Augmentation) -> list:
+    """A basis of the kernel of the augmentation's linear form."""
+    return kernel_basis((aug.eps,))
+
+
+def regular_bimodule_algebra(a: Algebra) -> BimoduleAlgebra:
+    """The algebra acting on itself with its own multiplication as product."""
+    return BimoduleAlgebra(adjoint_bimodule(a), a.sc)
+
+
+def t3_zero(n: int) -> Tensor3:
+    return Tensor3(n, (((0,) * n,) * n,) * n)
+
+
+# The construction hypotheses as each construction wrote them out before
+# they shared one symmetrizer relation and one witness rule.
+
+def reference_residual_witness(table):
+    """The pair and value of the first nonzero entry of a defect table."""
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if not is_zero_vec(v):
+                return {"pair": [i, j], "defect": [scalar_str(x) for x in v]}
+    return None
+
+
+def _reference_symmetric_invariant(a, s):
+    if not s.is_symmetric():
+        raise NotSymmetric("tensor must be symmetric")
+    if not is_invariant(a, s).passed:
+        raise NotInvariant("tensor must be invariant")
+
+
+def reference_solutions_from_rb(a, s, p, lam, mu):
+    _reference_symmetric_invariant(a, s)
+    rb = rota_baxter_residual(a, p, lam)
+    if not residual_is_zero(rb):
+        raise PreconditionViolated("rota-baxter", witness=reference_residual_witness(rb))
+    ss = transpose(s.coeff)
+    pm = p.matrix
+    lhs = [[x + y for x, y in zip(r1, r2)]
+           for r1, r2 in zip(mat_mul(ss, transpose(pm)), mat_mul(pm, ss))]
+    uo = unit_square(a).coeff if mu != 0 else t2_zero(a.dim).coeff
+    rhs = [[-lam * ss[i][j] + mu * uo[i][j] for j in range(a.dim)]
+           for i in range(a.dim)]
+    if lhs != rhs:
+        raise PreconditionViolated(
+            "operator-compatibility",
+            witness={"defect": [[scalar_str(x - y) for x, y in zip(r1, r2)]
+                                for r1, r2 in zip(lhs, rhs)]})
+    return Tensor2(s.dim, mat_mul(pm, s.coeff)), Tensor2(s.dim, mat_mul(s.coeff, transpose(pm)))
+
+
+def reference_rb_from_solution(a, s, r, lam, mu):
+    _reference_symmetric_invariant(a, s)
+    try:
+        s_inv = invert(transpose(s.coeff))
+    except SingularMatrix as exc:
+        raise Degenerate("tensor is degenerate") from exc
+    relation = r.add(r.flip()).add(s.scale(lam)).sub(unit_square(a).scale(mu)) \
+        if mu != 0 else r.add(r.flip()).add(s.scale(lam))
+    if not relation.is_zero():
+        raise PreconditionViolated(
+            "symmetrizer-relation",
+            witness={"defect": [[scalar_str(x) for x in row]
+                                for row in relation.coeff]})
+    res = nhacybe_residual(YbeInstance(a, mu), r)
+    if not res.is_zero():
+        raise PreconditionViolated("tensor-equation", witness=res.first_nonzero())
+    return LinearMap(mat_mul(transpose(r.coeff), s_inv)), LinearMap(mat_mul(r.coeff, s_inv))
+
+
+def reference_semidirect_solutions(a, v, alpha, beta, lam, mu):
+    """`semidirect_solutions` with its hypotheses written out, its tail
+    through `lift_o_operator` (a second semi-direct product) and its unit
+    compatibility through dense products of the two maps."""
+    n = a.dim
+    res = o_operator_residual(a, v, alpha, WeightOp.zero())
+    if not residual_is_zero(res):
+        raise PreconditionViolated("weight-zero-operator",
+                                   witness=reference_residual_witness(res))
+    dual_v = dual_bimodule(v)
+    bal = check_balanced_hom(a, dual_v, beta)
+    if not bal.passed:
+        raise PreconditionViolated("balanced-homomorphism", witness=bal.witness)
+    am, bm = alpha.matrix, beta.matrix
+    compat = mat_mul(bm, transpose(am))
+    compat = tuple(tuple(x + y for x, y in zip(r1, r2))
+                   for r1, r2 in zip(compat, mat_mul(am, transpose(bm))))
+    expect = unit_square(a).coeff if mu != 0 else t2_zero(n).coeff
+    defect = tuple(tuple(x - mu * y for x, y in zip(r1, r2))
+                   for r1, r2 in zip(compat, expect))
+    if not all(is_zero_vec(row) for row in defect):
+        raise PreconditionViolated(
+            "unit-compatibility",
+            witness={"defect": [[scalar_str(x) for x in row] for row in defect]})
+    if mu != 0 and not (a.is_unital and is_unital_bimodule(v)):
+        raise PreconditionViolated("unital-module")
+    hat_alg, s_tilde = hom_tensor(a, dual_v, beta)
+    hm = lift_o_operator(a, v, alpha, lam).hat.matrix
+    return SemidirectSolutions(hat_alg, Tensor2(s_tilde.dim, mat_mul(hm, s_tilde.coeff)),
+                               Tensor2(s_tilde.dim, mat_mul(s_tilde.coeff, transpose(hm))),
+                               s_tilde, lam, mu)
+
+
+def reference_invariant_dual_product(a, s):
+    _reference_symmetric_invariant(a, s)
+    return _dual_product(a, s)
+
+
+def reference_dual_operator_suite(a, b, p, mu):
+    u = a.require_unit()
+    n = a.dim
+    if b.bimodule.dim != n:
+        raise DimensionMismatch("product must live on the dual of the algebra")
+    pair_u = lambda w: vec_dot(w, u)
+    for i in range(n):
+        for j in range(n):
+            if pair_u(b.product[i][j]) != pair_u(b.product[j][i]):
+                raise PreconditionViolated(
+                    "symmetric-unit-pairing", witness={"pair": [i, j]})
+    s = tensor_from_dual_product(b)
+    s_sharp = sharp(s)
+    induced = _dual_product(a, s).product
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                if b.product[j][i][k] != induced[j][i][k]:
+                    raise PreconditionViolated(
+                        "product-pairing", witness={"data": [i, j, k]})
+    pm = p.matrix
+    lhs = tuple(tuple(pm[m_][k] + pm[k][m_] for k in range(n)) for m_ in range(n))
+    rhs = tuple(tuple(s_sharp.matrix[m_][k] + mu * u[m_] * u[k] for k in range(n))
+                for m_ in range(n))
+    if lhs != rhs:
+        raise PreconditionViolated(
+            "symmetrizer-relation",
+            witness={"defect": [[scalar_str(x - y) for x, y in zip(r1, r2)]
+                                for r1, r2 in zip(lhs, rhs)]})
+    if s.is_zero():
+        weight, branch = WeightOp.zero(), "weight-0"
+    else:
+        weight, branch = WeightOp.scalar(-1, b.product), "weight--1"
+    inst = YbeInstance(a, mu)
+    verdicts = {
+        "map_operator": _holds(*_o_operator(a, b.bimodule, p, weight)),
+        "dual_map_operator": _holds(*_o_operator(a, b.bimodule, dual_map(p), weight)),
+        "first_slot_tensor": is_solution(inst, tensor_of_sharp(p)),
+        "second_slot_tensor": is_solution(inst, Tensor2(n, p.matrix)),
+    }
+    return _suite_report("dual-operator-suite", verdicts, branch=branch)
+
+
+def reference_rb_bridge_suite(f, mu, lam, r):
+    inst = YbeInstance(f.algebra, mu)
+    sbar, induced = extended_symmetrizer(inst, r), induced_operators(f, r)
+    residual = is_solution(inst, r)
+    defect = sbar.add(f.phi.scale(lam))
+    if not defect.is_zero():
+        raise PreconditionViolated(
+            "proportional-symmetrizer",
+            witness={"defect": [[scalar_str(x) for x in row]
+                                for row in defect.coeff]})
+    p, pt = induced
+    return _suite_report("rb-bridge-suite", {
+        "tensor_equation": residual,
+        "rb_first": _holds(*_rota_baxter(f.algebra, p, lam)),
+        "rb_second": _holds(*_rota_baxter(f.algebra, pt, lam)),
+    })

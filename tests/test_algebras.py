@@ -28,13 +28,14 @@ from ybekit import (
     semidirect_product,
     unitization,
 )
-from ybekit.algebras import augmentation_kernel_basis, is_unital_bimodule
+from ybekit.algebras import is_unital_bimodule
 from ybekit.linalg import transpose, unit_vec
 
 from helpers import (
     ALL_NAMES,
     BASES,
     alg,
+    augmentation_kernel_basis,
     eager_action_tables,
     entry,
     outcome,

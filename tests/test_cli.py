@@ -420,3 +420,96 @@ def test_construction_commands_print_the_same_bytes(case, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert run(argv.split()) == 0
     assert capsys.readouterr() == (stdout, "")
+
+
+_A2_DUAL = {"left": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            "right": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
+_FROM_RB = "construct from-rb --algebra a.json --s s.json --p p.json"
+_SEMIDIRECT = ("construct semidirect --algebra a.json --module v.json --alpha alpha.json "
+               "--beta beta.json --lambda 1")
+_ID2, _ZERO2 = {"matrix": [[1, 0], [0, 1]]}, {"matrix": [[0, 0], [0, 0]]}
+_S2 = {"dim": 2, "coeff": [[1, 0], [0, 1]]}
+
+# Inputs that violate one construction hypothesis each, with the stderr that
+# the commands printed before the hypotheses shared one relation and one
+# witness rule.  Each exits 1 and prints nothing on stdout.
+_PRECONDITION_BYTES = {
+    "from-rb-rota-baxter": (
+        _FROM_RB + " --lambda -1 --mu 1",
+        {"a.json": "A2", "s.json": _S2, "p.json": {"matrix": [[0, 0], [0, "1/2"]]}},
+        '{"equation":"rota-baxter","error":"precondition-violated",'
+        '"witness":{"defect":["0","1/4"],"pair":[1,1]}}\n'),
+    "from-rb-operator-compatibility": (
+        _FROM_RB + " --lambda -1 --mu 1",
+        {"a.json": "A2", "s.json": _S2, "p.json": {"matrix": [[1, 0], [0, 0]]}},
+        '{"equation":"operator-compatibility","error":"precondition-violated",'
+        '"witness":{"defect":[["0","-1"],["-1","-2"]]}}\n'),
+    "from-rb-operator-compatibility-fraction": (
+        _FROM_RB + " --lambda 1/2 --mu 1",
+        {"a.json": "A2", "s.json": _S2, "p.json": _ZERO2},
+        '{"equation":"operator-compatibility","error":"precondition-violated",'
+        '"witness":{"defect":[["-1/2","-1"],["-1","-1/2"]]}}\n'),
+    "semidirect-weight-zero-operator": (
+        _SEMIDIRECT + " --mu 0",
+        {"a.json": "A2", "v.json": _A2_DUAL, "alpha.json": {"matrix": [[0, 0], [0, 1]]},
+         "beta.json": _ID2},
+        '{"equation":"weight-zero-operator","error":"precondition-violated",'
+        '"witness":{"defect":["0","-1"],"pair":[1,1]}}\n'),
+    "semidirect-balanced-homomorphism": (
+        _SEMIDIRECT + " --mu 0",
+        {"a.json": "A2", "v.json": _A2_DUAL, "alpha.json": _ZERO2,
+         "beta.json": {"matrix": [[1, 1], [0, 0]]}},
+        '{"equation":"balanced-homomorphism","error":"precondition-violated",'
+        '"witness":{"basis_index":0,"kind":"left-intertwine"}}\n'),
+    "semidirect-unit-compatibility": (
+        _SEMIDIRECT + " --mu 1/2",
+        {"a.json": "A2", "v.json": _A2_DUAL, "alpha.json": _ZERO2, "beta.json": _ID2},
+        '{"equation":"unit-compatibility","error":"precondition-violated",'
+        '"witness":{"defect":[["-1/2","-1/2"],["-1/2","-1/2"]]}}\n'),
+    "bridge-proportional-symmetrizer": (
+        "frobenius bridge --algebra a.json --gram g.json --r r.json --mu 1 --lambda 1/3",
+        {"a.json": "A2", "g.json": {"gram": [[1, 0], [0, 2]]},
+         "r.json": {"dim": 2, "coeff": [["1/2", 1], [0, 0]]}},
+        '{"equation":"proportional-symmetrizer","error":"precondition-violated",'
+        '"witness":{"defect":[["1/3","0"],["0","-5/6"]]}}\n'),
+}
+
+
+@pytest.mark.parametrize("case", _PRECONDITION_BYTES)
+def test_precondition_failures_print_the_same_stderr(case, tmp_path, monkeypatch, capsys):
+    argv, files, stderr = _PRECONDITION_BYTES[case]
+    for name, obj in files.items():
+        _write(tmp_path, name, io_json.encode_algebra(alg(obj)) if isinstance(obj, str) else obj)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 1
+    assert capsys.readouterr() == ("", stderr)
+
+
+# Failing operator checks, with the stdout they printed before the witness
+# was read off the first nonzero block of the operator kernel.
+_OPERATOR_CHECK_BYTES = {
+    "rb-check-text": (
+        "op rb-check --algebra a.json --p p.json --lambda -1/2 --report text",
+        {"a.json": "B1", "p.json": {"matrix": [[0, 0, 0], [0, "1/3", 1], [0, 0, 0]]}},
+        'FAIL rota-baxter\n  witness: {"defect": ["0", "1/18", "0"], "pair": [1, 1]}\n'),
+    "rb-check": (
+        "op rb-check --algebra a.json --p p.json --lambda 2",
+        {"a.json": "A2", "p.json": {"matrix": [[-2, 0], [0, "1/2"]]}},
+        '{"check":"rota-baxter","details":{"weight":"2"},"passed":false,'
+        '"witness":{"defect":["0","-5/4"],"pair":[1,1]}}\n'),
+    "o-check": (
+        "op o-check --algebra a.json --alpha p.json --module v.json",
+        {"a.json": "A2", "p.json": {"matrix": [[0, 0], [0, "2/3"]]}, "v.json": _A2_DUAL},
+        '{"check":"weight-zero-operator","passed":false,'
+        '"witness":{"defect":["0","-4/9"],"pair":[1,1]}}\n'),
+}
+
+
+@pytest.mark.parametrize("case", _OPERATOR_CHECK_BYTES)
+def test_failing_operator_checks_print_the_same_bytes(case, tmp_path, monkeypatch, capsys):
+    argv, files, stdout = _OPERATOR_CHECK_BYTES[case]
+    for name, obj in files.items():
+        _write(tmp_path, name, io_json.encode_algebra(alg(obj)) if isinstance(obj, str) else obj)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 1
+    assert capsys.readouterr() == (stdout, "")

@@ -37,7 +37,6 @@ from ybekit import (
     tsharp,
 )
 from ybekit.frobenius import induced_operators
-from ybekit.operators import regular_bimodule_algebra
 
 from helpers import (
     M2_SKEW,
@@ -48,6 +47,7 @@ from helpers import (
     random_matrix,
     random_symmetrized_invariant,
     random_tensor,
+    regular_bimodule_algebra,
     rng,
     zero_map,
 )

@@ -58,3 +58,56 @@ def test_float_scan_sees_constants_and_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_float_in_package(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
+
+
+def unread_names(sources: dict[str, str]) -> list[str]:
+    """Top-level names of the modules in sources, {file name: source}, that
+    no line of any of them reads: never loaded, imported, re-exported by
+    `__init__.py` or read as an attribute.  A function handed to a decorator
+    other than `dataclass` counts as read, since the decorator takes it."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in sorted(trees.items()):
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+                if any(getattr(d, "id", None) != "dataclass" for d in decorators):
+                    continue
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{name}: {d} (line {node.lineno})" for d in defined if d not in read]
+    return found
+
+
+def test_unread_name_scan_sees_definitions_reads_and_exports():
+    sources = {
+        "__init__.py": "from .m import exported\n",
+        "m.py": ("from dataclasses import dataclass\nHALF = 1\nUSED = 2\n"
+                 "def exported(): return USED\ndef unused(): return other.attr\n"
+                 "def attr(): pass\n@register('x')\ndef handler(): pass\n"
+                 "@dataclass(frozen=True)\nclass Dead:\n    x: int\n"),
+        "other.py": "from .m import helper\nimport m\nm.attr\n",
+    }
+    assert unread_names(sources) == ["m.py: HALF (line 2)", "m.py: unused (line 5)",
+                                     "m.py: Dead (line 10)"]
+
+
+def test_every_top_level_name_is_read():
+    package = Path(ybekit.__file__).parent
+    assert unread_names({p.name: p.read_text(encoding="utf-8")
+                         for p in package.glob("*.py")}) == []

@@ -1,9 +1,9 @@
 import pytest
 
 from ybekit import DimensionMismatch, Tensor2, outer, t2_basis, t2_from_entries, t2_zero
-from ybekit.tensors import Tensor3, t3_zero
+from ybekit.tensors import Tensor3
 
-from helpers import random_tensor, rng
+from helpers import random_tensor, rng, t3_zero
 
 
 def test_flip_basis_tensor():
