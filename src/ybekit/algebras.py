@@ -207,7 +207,8 @@ def check_algebra(a: Algebra) -> CheckReport:
     (e_i e_j) e_k - e_i (e_j e_k) is summed over pairs of nonzero structure
     constants only, in the integer numerators of `_products` (both sides
     carry the same denominator).  The failing triple reported is the first
-    in row-major order.
+    in row-major order.  The unit is tested the same way: u e_k and e_k u
+    from the products with e_k, against e_k, for the first failing k.
     """
     n = a.dim
     _, nz = a._products
@@ -234,12 +235,18 @@ def check_algebra(a: Algebra) -> CheckReport:
                      "left": [scalar_str(x) for x in lhs],
                      "right": [scalar_str(x) for x in rhs]})
     if a.unit is not None:
+        d, u = a._products[0], a.unit
         for k in range(n):
-            ek = unit_vec(n, k)
-            if a.mul(a.unit, ek) != ek or a.mul(ek, a.unit) != ek:
-                return CheckReport(
-                    "algebra-axioms", False,
-                    witness={"kind": "unit", "basis_index": k})
+            # u e_k and e_k u, times d, against d e_k
+            for group in (by_second[k], by_first[k]):
+                prod = {k: -d}
+                for i, q, c in group:
+                    if u[i]:
+                        prod[q] = prod.get(q, 0) + u[i] * c
+                if any(prod.values()):
+                    return CheckReport(
+                        "algebra-axioms", False,
+                        witness={"kind": "unit", "basis_index": k})
     return CheckReport("algebra-axioms", True, details={"dim": n, "unital": a.is_unital})
 
 

@@ -4,16 +4,18 @@ Exit codes: 0 all checks passed, 1 at least one check failed (including a
 violated construction hypothesis), 2 usage or input errors.
 
 Every command is one entry of `_COMMANDS`, its handler and its options, and
-that table drives both the parser and the dispatch.  The parser is built per
-command: when the first two arguments name a command, only its parser and
-the two above it are built; any other argument list gets the full parser.
+that table drives the reader, the parser and the dispatch.  A well-formed
+command line is read straight off the table (`_read_argv`), so a command
+builds no parser and imports no argparse; anything else (help, `--`,
+abbreviated or repeated options, bad or missing values) goes to the argparse
+parser built from the same table, which prints the help, usage and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import io_json
 from .algebras import adjoint_bimodule, check_algebra
@@ -92,8 +94,16 @@ def _tensor3_witness(t3):
 
 
 # The command table: (group, command) -> (handler, options), in the order
-# `ybekit --help` lists them.  It drives both the parser and the dispatch.
+# `ybekit --help` lists them, each option a (flag, add_argument keywords)
+# pair.  It drives the reader, the parser and the dispatch.
 _COMMANDS: dict[tuple[str, str], tuple] = {}
+
+
+def _opt(flag, **kw):
+    return flag, kw
+
+
+_REPORT = _opt("--report", choices=("json", "text"), default="json")
 
 
 def _command(group, cmd, *options):
@@ -101,42 +111,33 @@ def _command(group, cmd, *options):
     A bare flag in options is a required option that takes a value; a pair
     (flag, keywords) goes to `add_argument` as it is.  Every command also
     takes `--report`."""
+    options = [_opt(o, required=True) if isinstance(o, str) else o for o in options]
+
     def register(handler):
-        _COMMANDS[(group, cmd)] = handler, options
+        _COMMANDS[(group, cmd)] = handler, (*options, _REPORT)
         return handler
     return register
-
-
-def _opt(flag, **kw):
-    return flag, kw
 
 
 _LAMBDA = _opt("--lambda", dest="lam", required=True)
 _MUS = _opt("--mu", action="append")
 
 
-def build_parser(group: str | None = None, cmd: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  When (group, cmd) names a command, only the
-    top-level, group and command parsers of that command are built, and the
-    top-level usage still names every group, so that whatever argparse
-    prints reads as it does from the full parser.  Otherwise every command
-    is built, and help, usage and errors come from the full parser."""
-    one = (group, cmd) in _COMMANDS
-    table = {(group, cmd): _COMMANDS[group, cmd]} if one else _COMMANDS
-    # argparse would list only the groups built; the full parser keeps the
-    # metavar unset because its errors name the argument by it.
-    every = "{%s}" % ",".join(dict.fromkeys(g for g, _ in _COMMANDS))
+def build_parser():
+    """The argparse parser of every command.  Only argument lists that
+    `_read_argv` refuses reach it, so it prints the help, usage and errors,
+    and parses what is well formed but not exactly spelled (abbreviations,
+    repeated options, `--`)."""
+    import argparse
     top = argparse.ArgumentParser(prog="ybekit")
-    groups = top.add_subparsers(dest="group", required=True, metavar=every if one else None)
+    groups = top.add_subparsers(dest="group", required=True)
     cmds = {}
-    for (g, c), (_, options) in table.items():
+    for (g, c), (_, options) in _COMMANDS.items():
         if g not in cmds:
             cmds[g] = groups.add_parser(g).add_subparsers(dest="cmd", required=True)
         p = cmds[g].add_parser(c)
-        for option in options:
-            flag, kw = (option, {"required": True}) if isinstance(option, str) else option
+        for flag, kw in options:
             p.add_argument(flag, **kw)
-        p.add_argument("--report", choices=("json", "text"), default="json")
     return top
 
 
@@ -404,8 +405,8 @@ _VALUE_FLAGS = ("--mu", "--lambda", "--grid")
 
 
 def _join_negative_values(argv):
-    """Fold `--mu -3/5` into `--mu=-3/5` so argparse does not read the value
-    as an option string."""
+    """Fold `--mu -3/5` into `--mu=-3/5` so that neither the reader nor
+    argparse reads the value as an option string."""
     out = []
     i = 0
     while i < len(argv):
@@ -419,12 +420,60 @@ def _join_negative_values(argv):
     return out
 
 
+def _read_argv(argv):
+    """The namespace argparse would return for `ybekit group cmd` and
+    exactly spelled options of that command, each once (but `--mu` of
+    `op suite` and `catalog verify`) and with a valid value, the required
+    ones all present.  None for any other list: help, `--` (also as a
+    value), abbreviations, empty values and a value of its own that starts
+    with `-`, which argparse mostly reads as an option."""
+    if tuple(argv[:2]) not in _COMMANDS:
+        return None
+    options = dict(_COMMANDS[argv[0], argv[1]][1])
+    given = {}
+    tokens = iter(argv[2:])
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        kw = options.get(flag)
+        if kw is None or flag in given and kw.get("action") != "append":
+            return None
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "")
+                if value.startswith("-"):
+                    return None
+            if value in ("", "--"):  # argparse drops a "--" value, even after "="
+                return None
+            try:
+                value = kw.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+            if kw.get("action") == "append":
+                value = given.get(flag, kw.get("default") or []) + [value]
+        given[flag] = value
+    ns = {"group": argv[0], "cmd": argv[1]}
+    for flag, kw in options.items():
+        if kw.get("required") and flag not in given:
+            return None
+        default = kw.get("default", False if kw.get("action") == "store_true" else None)
+        ns[kw.get("dest", flag[2:].replace("-", "_"))] = given.get(flag, default)
+    return SimpleNamespace(**ns)
+
+
 def run(argv) -> int:
     argv = _join_negative_values(list(argv))
-    try:
-        ns = build_parser(*argv[:2]).parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    ns = _read_argv(argv)
+    if ns is None:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     try:
         return _COMMANDS[(ns.group, ns.cmd)][0](ns)
     except PreconditionViolated as exc:

@@ -149,13 +149,28 @@ def decode_linear_map(d: dict) -> LinearMap:
     return _built(LinearMap, matrix, d.get("domain", "primal"))
 
 
+# The largest module dimension that no action matrix backs (a module over the
+# zero-dimensional algebra): a few bytes must not ask for a module whose
+# semi-direct product has billions of structure constants.
+_MAX_BARE_DIM = 64
+
+
 def decode_bimodule(d: dict, algebra: Algebra) -> Bimodule:
+    """A bimodule from its action matrices.  Its dimension is that of the
+    matrices; the field "dim" must agree with them, and gives the dimension
+    when there are none."""
     d = _object(d, "bimodule")
     lits = _Literals()
     left = _table_in(d["left"], lits)
-    if not left:
-        raise DimensionMismatch("bimodule needs at least one action matrix")
-    return _built(Bimodule, algebra, len(left[0]), left, _table_in(d["right"], lits))
+    if left:
+        dim = len(left[0])
+        if "dim" in d and _dim_in(d) != dim:
+            raise DimensionMismatch("bimodule dim disagrees with its action matrices")
+    else:
+        dim = _dim_in(d)
+        if not 0 <= dim <= _MAX_BARE_DIM:
+            raise DimensionMismatch(f"bimodule dim {dim} is not between 0 and {_MAX_BARE_DIM}")
+    return _built(Bimodule, algebra, dim, left, _table_in(d["right"], lits))
 
 
 def encode_form(b: BilinearForm) -> dict:

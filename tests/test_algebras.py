@@ -255,6 +255,48 @@ def test_check_algebra_matches_dense_reference_on_larger_algebras(a):
     assert check_algebra(a) == reference_check_algebra(a)
 
 
+def _named_algebra(name):
+    if name in ("M3", "M4"):
+        return matrix_algebra(int(name[1]))
+    if name == "zero":
+        return make_algebra(0, (), unit=())
+    if name.endswith("-rebased"):
+        base = name.removesuffix("-rebased")
+        return rebased(alg(base), BASES[base])
+    return alg(name)
+
+
+@pytest.mark.parametrize("name", (*ALL_NAMES, "M3", "M4", "zero",
+                                  *(f"{b}-rebased" for b in BASES)))
+def test_unit_axiom_matches_dense_reference(name):
+    a = _named_algebra(name)
+    n = a.dim
+    assert a.unit is not None
+    wrong = [unit_vec(n, k) for k in range(n)]
+    if n:
+        shift = unit_vec(n, n - 1)
+        wrong += [tuple(x + Fraction(c, 3) for x, c in zip(a.unit, shift)),
+                  tuple(2 * x for x in a.unit)]
+    for unit in (a.unit, None, *wrong):
+        b = make_algebra(n, a.sc, unit=unit, basis=a.basis)
+        assert check_algebra(b) == reference_check_algebra(b)
+    # a shifted or a doubled unit is never a unit, nor is every basis vector
+    assert sum(not check_algebra(make_algebra(n, a.sc, unit=u)).passed
+               for u in wrong) >= min(n, 3)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_one_sided_unit_is_not_a_unit(side):
+    # e_i e_j = e_i (or e_j): every basis vector is a unit on one side only
+    n = 3
+    sc = [[unit_vec(n, i if side == "right" else j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        a = make_algebra(n, sc, unit=unit_vec(n, k))
+        rep = check_algebra(a)
+        assert rep == reference_check_algebra(a)
+        assert rep.witness == {"kind": "unit", "basis_index": 0 if k else 1}
+
+
 def _fresh_algebra(name):
     """A new Algebra, with no derived data built yet (the catalog keeps its
     algebras, and theirs, between tests): a catalog algebra, M3, the

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ybekit
@@ -17,6 +17,7 @@ from ybekit.algebras import make_algebra
 from ybekit.linalg import exact
 from ybekit import cli
 from ybekit.cli import build_parser, run
+from ybekit.errors import YbeError
 
 from helpers import alg
 
@@ -250,12 +251,13 @@ def _run_captured(argv, capsys):
                          ids=[" ".join(argv) or "none" for argv, _ in _PARSER_CASES])
 def test_partial_parser_prints_what_the_full_parser_prints(argv, code, capsys, monkeypatch,
                                                            tmp_path):
+    # The reader stands in for the parser on well-formed lists; with it
+    # switched off, argparse parses every list.
     files = {"A": _write(tmp_path, "a.json", io_json.encode_algebra(alg("A2"))),
              "R": _write(tmp_path, "r.json", {"dim": 2, "coeff": [[0, 0], [0, 0]]})}
     argv = [files.get(a, a) for a in argv]
     got = _run_captured(argv, capsys)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *names: full())
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert got == _run_captured(argv, capsys)
     assert got[0] == code
     if code == 2:
@@ -264,14 +266,91 @@ def test_partial_parser_prints_what_the_full_parser_prints(argv, code, capsys, m
         assert got[1] and got[2] == ""
 
 
-def test_partial_parser_builds_one_group():
-    assert list(_subcommands(build_parser("ybe", "check"))) == [("ybe", "check")]
-    assert build_parser("ybe", "check").format_usage() == build_parser().format_usage()
-    for names in [(), ("ybe",), ("ybe", "bogus"), ("bogus", "check"), ("--help", "ybe")]:
-        assert list(_subcommands(build_parser(*names))) == list(cli._COMMANDS)
+def _argparse_outcome(parser, argv):
+    """vars() of argparse's namespace, or "exit" when argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return "exit"
 
 
-def test_a_valid_command_builds_three_parsers(tmp_path, monkeypatch, capsys):
+_PARSER = build_parser()
+_FLAGS = sorted({flag for _, options in cli._COMMANDS.values() for flag, _ in options})
+_VALUES = ["A", "1", "-1/2", "-3", "", "-", "--", "-h", "--help", "json", "text", "xml",
+           "0,1", "-1,0,1", "x=y", " 5 ", "2.5", "ybe", "check"]
+
+
+@st.composite
+def _argv_lists(draw):
+    """A command (or a near miss), most of its required options and a few
+    more tokens, in any order: flags, their prefixes, `=` forms, values
+    (negative and empty ones included), help, `--` and repeats."""
+    key = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[key][1]
+    names = list(key)
+    if draw(st.integers(0, 9)) == 0:
+        names[draw(st.integers(0, 1))] = draw(st.sampled_from(["bogus", "-h", "--", "yb", ""]))
+        names = names[:draw(st.integers(0, 2))]
+    flag = st.sampled_from([f for f, _ in options]) | st.sampled_from(_FLAGS)
+    value = st.sampled_from(_VALUES)
+    token = st.one_of(
+        flag, value,
+        st.tuples(flag, st.integers(2, 8)).map(lambda t: [t[0][:t[1]]]),
+        st.tuples(flag, value).map(lambda t: ["=".join(t)]),
+        st.tuples(flag, value))
+    groups = [(f, draw(st.sampled_from(["A", "1", "-1/2", "0,1"])))
+              for f, kw in options if kw.get("required") and draw(st.integers(0, 9))]
+    groups += draw(st.lists(token, max_size=4))
+    out = names
+    for tok in draw(st.permutations(groups)):
+        out.extend([tok] if isinstance(tok, str) else tok)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv_lists())
+@example(argv=["ybe", "invariant-basis", "--algebra=--"])
+@example(argv=["op", "suite", "--algebra", "A", "--r", "R", "--mu=--"])
+@example(argv=["ybe", "enumerate", "--algebra=-h", "--budget", " 5 ", "--mu", "-1/2"])
+@example(argv=["catalog", "verify", "--name", "A2", "--no-grid=1"])
+@example(argv=["catalog", "list", "--report", "xml"])
+def test_the_reader_returns_what_argparse_returns_or_none(argv):
+    argv = cli._join_negative_values(argv)
+    ns = cli._read_argv(argv)
+    if ns is not None:
+        assert vars(ns) == _argparse_outcome(_PARSER, argv)
+
+
+def _valid_lists(tmp_path):
+    """One list per command with every required option, the valid lists of
+    _PARSER_CASES and every command of the benchmark's workloads."""
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    try:
+        from perfbench import workloads
+    finally:
+        sys.path.pop(0)
+    for (group, cmd), (_, options) in cli._COMMANDS.items():
+        yield [group, cmd] + [a for flag, kw in options if kw.get("required") for a in (flag, "x")]
+    for argv, code in _PARSER_CASES:
+        if code == 0 and not {"-h", "--help", "--he"} & set(argv):
+            yield argv
+    for workload in workloads.WORKLOADS:
+        for command in workloads.commands(workload, tmp_path, seed=11):
+            yield list(command.argv)
+
+
+def test_the_reader_reads_every_valid_list(tmp_path):
+    lists = list(_valid_lists(tmp_path))
+    assert len(lists) > len(cli._COMMANDS) + 5 + 60  # the benchmark has 66 commands
+    for argv in lists:
+        argv = cli._join_negative_values(argv)
+        ns = cli._read_argv(argv)
+        assert ns is not None, argv
+        assert vars(ns) == _argparse_outcome(_PARSER, argv)
+
+
+def test_a_valid_command_builds_no_parser(tmp_path, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -283,10 +362,24 @@ def test_a_valid_command_builds_three_parsers(tmp_path, monkeypatch, capsys):
     a = _write(tmp_path, "a.json", io_json.encode_algebra(alg("A2")))
     r = _write(tmp_path, "r.json", {"dim": 2, "coeff": [[0, 0], [0, 0]]})
     assert run(["ybe", "check", "--algebra", a, "--r", r, "--mu", "2"]) == 0
-    assert built == ["ybekit", "ybekit ybe", "ybekit ybe check"]
-    built.clear()
+    assert built == []
     build_parser()
     assert len(built) == 1 + len({g for g, _ in cli._COMMANDS}) + len(cli._COMMANDS)
+
+
+def test_a_valid_command_imports_neither_argparse_nor_gettext(tmp_path):
+    a = _write(tmp_path, "a.json", io_json.encode_algebra(alg("A2")))
+    r = _write(tmp_path, "r.json", {"dim": 2, "coeff": [[0, 0], [0, 0]]})
+    src = os.path.dirname(os.path.dirname(ybekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\nfrom ybekit.cli import run\n"
+              f"code = run(['ybe', 'check', '--algebra', {a!r}, '--r', {r!r}])\n"
+              "print(code, [m for m in ('argparse', 'gettext') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("decode, obj, message", [
@@ -296,12 +389,14 @@ def test_a_valid_command_builds_three_parsers(tmp_path, monkeypatch, capsys):
     (io_json.decode_linear_map, {"matrix": [[1]], "rows": 1}, "linear map: missing field 'cols'"),
     (lambda d: io_json.decode_bimodule(d, alg("A2")), {"left": [[[1, 0], [0, 1]]] * 2},
      "bimodule: missing field 'right'"),
+    (lambda d: io_json.decode_bimodule(d, make_algebra(0, (), unit=())),
+     {"left": [], "right": []}, "bimodule: missing field 'dim'"),
     (lambda d: io_json.decode_form(d, alg("A2")), {"matrix": [[1, 0], [0, 1]]},
      "form: missing field 'gram'"),
     (lambda d: io_json.decode_augmentation(d, alg("A2")), {}, "augmentation: missing field 'eps'"),
     (io_json.decode_dendriform, {"dim": 1, "prec": [[[0]]]}, "dendriform: missing field 'succ'"),
-], ids=["tensor", "algebra", "linear-map", "linear-map-cols", "bimodule", "form",
-        "augmentation", "dendriform"])
+], ids=["tensor", "algebra", "linear-map", "linear-map-cols", "bimodule", "bimodule-dim",
+        "form", "augmentation", "dendriform"])
 def test_a_missing_field_names_the_object_and_the_field(decode, obj, message):
     with pytest.raises(ValueError) as exc:
         decode(obj)
@@ -432,7 +527,9 @@ _S2 = {"dim": 2, "coeff": [[1, 0], [0, 1]]}
 
 # Inputs that violate one construction hypothesis each, with the stderr that
 # the commands printed before the hypotheses shared one relation and one
-# witness rule.  Each exits 1 and prints nothing on stdout.
+# witness rule.  Each exits 1 and prints nothing on stdout.  The unital-module
+# case needs a module over the zero-dimensional algebra, which only the "dim"
+# field of a bimodule can describe.
 _PRECONDITION_BYTES = {
     "from-rb-rota-baxter": (
         _FROM_RB + " --lambda -1 --mu 1",
@@ -466,6 +563,11 @@ _PRECONDITION_BYTES = {
         {"a.json": "A2", "v.json": _A2_DUAL, "alpha.json": _ZERO2, "beta.json": _ID2},
         '{"equation":"unit-compatibility","error":"precondition-violated",'
         '"witness":{"defect":[["-1/2","-1/2"],["-1/2","-1/2"]]}}\n'),
+    "semidirect-unital-module": (
+        _SEMIDIRECT + " --mu 1",
+        {"a.json": {"dim": 0, "sc": [], "unit": []}, "v.json": {"dim": 1, "left": [], "right": []},
+         "alpha.json": {"matrix": []}, "beta.json": {"matrix": []}},
+        '{"equation":"unital-module","error":"precondition-violated","witness":null}\n'),
     "bridge-proportional-symmetrizer": (
         "frobenius bridge --algebra a.json --gram g.json --r r.json --mu 1 --lambda 1/3",
         {"a.json": "A2", "g.json": {"gram": [[1, 0], [0, 2]]},
@@ -483,6 +585,26 @@ def test_precondition_failures_print_the_same_stderr(case, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     assert run(argv.split()) == 1
     assert capsys.readouterr() == ("", stderr)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"dim": -1, "left": [], "right": []}, "bimodule dim -1 is not between 0 and 64"),
+    ({"dim": 65, "left": [], "right": []}, "bimodule dim 65 is not between 0 and 64"),
+    ({"dim": 1.0, "left": [], "right": []}, "dim: expected int, got float"),
+    ({"dim": 3, **_A2_DUAL}, "bimodule dim disagrees with its action matrices"),
+], ids=["negative", "too-large", "float", "disagrees"])
+def test_a_bimodule_dim_is_checked(obj, message):
+    algebra = alg("A2") if obj.get("left") else make_algebra(0, (), unit=())
+    with pytest.raises((ValueError, YbeError)) as exc:
+        io_json.decode_bimodule(obj, algebra)
+    assert str(exc.value) == message
+
+
+def test_a_bimodule_dim_may_restate_the_matrices():
+    a2, a0 = alg("A2"), make_algebra(0, (), unit=())
+    assert io_json.decode_bimodule({"dim": 2, **_A2_DUAL}, a2) == \
+        io_json.decode_bimodule(_A2_DUAL, a2)
+    assert io_json.decode_bimodule({"dim": 3, "left": [], "right": []}, a0).dim == 3
 
 
 # Failing operator checks, with the stdout they printed before the witness
