@@ -17,12 +17,15 @@ Conventions, fixed once and relied on everywhere downstream:
   neither coerced nor checked again (`linalg._trusted`).  Everything
   derived from sc, basis and unit is built on first use and kept, since an
   Algebra never changes: the dense multiplication matrices `_left`/`_right`
-  (2 n^3 entries, read by the adjoint bimodule, the dual product and
-  `check_balanced_hom`), the sparse integer constants `_products` (read by
-  `check_algebra`), their grouping `_groups` by output and by factor, for
-  the algebra and for its opposite (read by `check_algebra` and the
-  residual, operator and invariance kernels), the axiom check `_axioms` and
-  the adjoint and dual regular bimodules.
+  (2 n^3 entries, transposed slices of sc, read by the adjoint bimodule,
+  the dual product and `check_balanced_hom`), the sparse integer constants
+  `_products` (read by `check_algebra`), their grouping `_groups` by output
+  and by factor, for the algebra and for its opposite (read by
+  `check_algebra` and the residual, operator and invariance kernels), the
+  axiom check `_axioms` and the adjoint and dual regular bimodules.  The
+  dual regular bimodule is read off sc without the adjoint one: e_k acts on
+  the left by the slice (sc[j][k] for j) and on the right by sc[k], and its
+  integer action entries (`Bimodule._actions`) are the `_groups` by factor.
 """
 
 from __future__ import annotations
@@ -101,17 +104,14 @@ class Algebra:
 
     @cached_property
     def _left(self) -> tuple[Mat, ...]:
-        """The matrix of y -> e_k y for each basis vector e_k."""
-        n, sc = self.dim, self.sc
-        return tuple(tuple(tuple(sc[k][j][p] for j in range(n)) for p in range(n))
-                     for k in range(n))
+        """The matrix of y -> e_k y for each basis vector e_k: sc[k] transposed."""
+        return tuple(map(transpose, self.sc))
 
     @cached_property
     def _right(self) -> tuple[Mat, ...]:
-        """The matrix of y -> y e_k for each basis vector e_k."""
-        n, sc = self.dim, self.sc
-        return tuple(tuple(tuple(sc[j][k][p] for j in range(n)) for p in range(n))
-                     for k in range(n))
+        """The matrix of y -> y e_k for each basis vector e_k: the slice
+        (sc[j][k] for j) transposed."""
+        return tuple(map(transpose, zip(*self.sc)))
 
     @cached_property
     def _products(self) -> tuple[int, list[tuple]]:
@@ -146,7 +146,11 @@ class Algebra:
 
     @cached_property
     def _dual_regular(self) -> "Bimodule":
-        return dual_bimodule(self._adjoint)
+        """The dual of the adjoint bimodule, read off sc (see above)."""
+        v = _trusted(Bimodule, self, self.dim, tuple(zip(*self.sc)), self.sc)
+        _, by_i, by_k = self._groups[False]
+        v.__dict__["_actions"] = self._products[0], by_k, by_i  # kept as Bimodule._actions
+        return v
 
 
 def apply_table(table, x: Vec, y: Vec) -> Vec:

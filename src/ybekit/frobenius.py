@@ -34,7 +34,6 @@ from .linalg import (
     exact,
     invert,
     mat_mul,
-    mat_scale,
     transpose,
     unit_vec,
     vec_dot,
@@ -45,8 +44,10 @@ from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
     _cleared,
+    _operands,
     _require_symmetrizer,
     _sparse_rows,
+    _symmetrizer_num,
     extended_symmetrizer,
     is_solution,
 )
@@ -132,10 +133,10 @@ def frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) -> CheckRepor
     p, pt = induced_operators(f, r)
     eps = tuple(mu * f.form.value(u, unit_vec(n, j)) for j in range(n))
     verdict_a = is_solution(inst, r)
-    sbar = extended_symmetrizer(inst, r)
-    twist = mat_mul(transpose(sbar.coeff), transpose(f.form.gram))
-    pair, companion, right, left = _operator_forms(a, adjoint_bimodule(a), p, pt, eps,
-                                                   mat_scale(-1, twist))
+    (ds, s), (dg, g) = _symmetrizer_num(a, r.coeff, inst.mu), _cleared(f.form.gram)
+    pair, companion, right, left = _operator_forms(  # the twist is g times the symmetrizer
+        a, adjoint_bimodule(a), _operands(transpose(p.matrix), transpose(pt.matrix)),
+        (dg * ds, mat_mul(g, s)), eps)
     return _suite_report("frobenius-operator-suite", {
         "tensor_equation": verdict_a,
         "induced_pair_identity": pair,

@@ -26,9 +26,12 @@ unchanged.
 The kernel adds up integer numerators, as the residual kernel of `ybe`
 does.  The structure constants are cleared of denominators once per algebra
 (`Algebra._products`), the actions once per bimodule (`Bimodule._actions`)
-and each map, eps and weight once per call.  The module element is summed
-over one denominator, and each kind of term of the defect is scaled by the
-common denominator over the product of its own inputs' denominators.
+and each map, eps and weight once per tensor: the suites hand the kernel
+the operands of `Tensor2._operands`, which keep what is read off them for
+every identity at every mu, and other callers plain matrices, cleared per
+call.  The module element is summed over one denominator, and each kind of
+term of the defect is scaled by the common denominator over the product of
+its own inputs' denominators.
 
 The kernel yields the table one block, of first module index, at a time.
 Values are formed only where they are printed; verdicts test numerators;
@@ -60,7 +63,6 @@ from .linalg import (
     is_zero_mat,
     is_zero_vec,
     mat,
-    mat_scale,
     mat_vec,
     scalar_str,
     transpose,
@@ -73,7 +75,10 @@ from .report import CheckReport
 from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
+    _check_ybe_args,
     _cleared,
+    _invariance_blocks,
+    _Operand,
     _require_symmetrizer,
     _sparse_rows,
     _symmetrizer_num,
@@ -211,23 +216,24 @@ def _require_symmetric_invariant(a: Algebra, s: Tensor2):
 
 def _dual_product(a: Algebra, s: Tensor2) -> BimoduleAlgebra:
     """`invariant_dual_product` without its checks, for callers that have
-    already tested s."""
-    n = a.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = [0] * n
-            for k, c in enumerate(s.coeff[j]):
-                if not c:
-                    continue
-                lk = a._left[k]
-                for p in range(n):
-                    if lk[i][p]:
-                        entry[p] += c * lk[i][p]
-            row.append(tuple(entry))
-        table.append(tuple(row))
-    return BimoduleAlgebra(dual_regular_bimodule(a), tuple(table))
+    already tested s: `_dual_num` of its numerators, each entry divided once."""
+    n, (ds, x) = a.dim, _cleared(s.coeff)
+    flat = _values(_dual_num(a, x), ds * a._products[0])
+    return BimoduleAlgebra(dual_regular_bimodule(a), tuple(
+        tuple(flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)) for i in range(n)))
+
+
+def _dual_num(a: Algebra, x) -> list:
+    """The dual product of an integer matrix x as ints over the denominator
+    of the structure constants, coordinate p of entry [i][j] at
+    (i * n + j) * n + p: it gains x[j][k] c for each e_k e_p = ... + c e_i."""
+    n, by_i = a.dim, a._groups[False][1]
+    flat = [0] * n ** 3
+    for j, row in enumerate(x):
+        for k, y in enumerate(row):
+            for p, i, c in by_i[k] if y else ():  # e_k e_p has c at e_i
+                flat[(i * n + j) * n + p] += y * c
+    return flat
 
 
 def tensor_from_dual_product(b: BimoduleAlgebra) -> Tensor2:
@@ -278,13 +284,22 @@ def _columns(mx: Mat, n: int, m: int, what: str) -> Mat:
     return transpose(mx) if n else ((),) * m
 
 
-def _by_coordinate(cols: Mat, n: int, f: int = 1) -> list[list[tuple]]:
+def _by_coordinate(cols: Mat, f: int = 1) -> list[list[tuple]]:
     """For each algebra coordinate k, the pairs (i, f * cols[i][k]) with a nonzero value."""
-    return _sparse_rows(zip(*cols), f) if cols else [[] for _ in range(n)]
+    return _sparse_rows(zip(*cols), f)
 
 
-def _defect_blocks(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
-                   weight: ProductTable | None = None, opposite: bool = False) -> tuple:
+def _lists(x: tuple, build, f: int) -> list[list[tuple]]:
+    """build(cols, f) for x = (d, cols), kept on x when it is an `_Operand`."""
+    if type(x) is not _Operand:
+        return build(x[1], f)
+    if (build, f) not in x.lists:
+        x.lists[build, f] = build(x[1], f)
+    return x.lists[build, f]
+
+
+def _defect_blocks(a: Algebra, v: Bimodule, p, q, s, eps: Vec | None = None,
+                   weight: tuple | None = None, opposite: bool = False) -> tuple:
     """(blocks, den): the table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j)
     - p(e_i.s(e_j)) - eps[j] p(e_i) - p(weight[i][j]) over all basis pairs
     of the module v is num / den, with blocks yielding num one block at a
@@ -293,24 +308,26 @@ def _defect_blocks(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | N
     The product is that of the algebra a, or with opposite that of its
     opposite algebra, with the left and right actions of v exchanged.  The
     maps p, q and s go from the module to the algebra and are given by their
-    columns: p[i] is p(e_i).  eps is a vector and weight a table of module
-    vectors, both optional.  The module element q(e_i).e_j + e_i.s(e_j)
+    columns, p[i] being p(e_i), as matrices or `ybe._Operand`s.  eps is a
+    vector and weight (dw, flat) the table weight[i][j][c] = flat[(i * m + j)
+    * m + c] / dw, both optional.  The module element q(e_i).e_j + e_i.s(e_j)
     + eps[j] e_i + weight[i][j] is summed first and p is applied to it once;
     block i reads p(e_i), q(e_i), the action on e_i and weight[i] only.
     Every product runs over nonzero structure constants, action entries and
     map entries only.  num holds ints, or polynomials where the maps do.
     """
-    n, m = a.dim, len(p)
+    n = a.dim
     dsc, by_i = a._products[0], a._groups[opposite][1]
     dact, left, right = v._actions
     lmod, rmod = v._by_module  # e_i.e_k has x at e_c: (k, c, x) in rmod[i]
     if opposite:
         left, rmod = right, lmod
     cp = _cleared(p)  # q and s are often p itself
-    (dp, p), (dq, q), (ds, s) = cp, cp if q is p else _cleared(q), cp if s is p else _cleared(s)
+    P, Q, S = cp, cp if q is p else _cleared(q), cp if s is p else _cleared(s)
+    (dp, p), (dq, q), (ds, s) = P, Q, S
+    m = len(p)
     de, (eps,) = _cleared((eps,)) if eps else (1, ((),))
-    dw, (wflat,) = _cleared(([x for row in weight for w in row for x in w],)) if weight \
-        else (1, ((),))
+    dw, wflat = weight or (1, ())
     # p(e_i)p(e_j) is over dsc * dp**2, the module part (each piece) scaled to den / dp.
     dm = lcm(dq * dact, ds * dact, de, dw)
     den = lcm(dsc * dp * dp, dm * dp)
@@ -318,9 +335,9 @@ def _defect_blocks(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | N
     kw, kq, ks, ke = km * dm // dw, km * dm // (dq * dact), km * dm // (ds * dact), km * dm // de
     eps = [y * ke for y in eps] if ke != 1 else eps
     wflat = [x * kw for x in wflat] if kw != 1 else wflat
-    p_rows = _sparse_rows(p)
-    q_rows = p_rows if q is p and kq == 1 else _sparse_rows(q, kq)
-    s_at, p_at = _by_coordinate(s, n, ks), _by_coordinate(p, n, den // (dsc * dp * dp))
+    p_rows = _lists(P, _sparse_rows, 1)
+    q_rows = p_rows if Q is P and kq == 1 else _lists(Q, _sparse_rows, kq)
+    s_at, p_at = _lists(S, _by_coordinate, ks), _lists(P, _by_coordinate, den // (dsc * dp * dp))
 
     def blocks():
         for i in range(m):  # the module part of block i at j * m + c
@@ -356,8 +373,7 @@ def _defect_num(*args, **kwargs) -> tuple[list, int]:
 
 
 def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
-                     weight: ProductTable | None = None, opposite: bool = False
-                     ) -> ResidualTable:
+                     weight: tuple | None = None, opposite: bool = False) -> ResidualTable:
     """The defect table of `_defect_num` as values: table[i][j] is D[i][j]."""
     n, m = a.dim, len(p)
     flat = _values(*_defect_num(a, v, p, q, s, eps, weight, opposite))
@@ -396,8 +412,9 @@ def _o_operator(a: Algebra, v: Bimodule, alpha: LinearMap, weight: WeightOp) -> 
     table = None
     if weight.kind == "scalar":
         if weight.lam != 0:
-            table = tuple(tuple(vec_scale(weight.lam, w) for w in row)
-                          for row in BimoduleAlgebra(v, weight.table).product)
+            product = BimoduleAlgebra(v, weight.table).product
+            dw, (flat,) = _cleared(([weight.lam * x for row in product for w in row for x in w],))
+            table = dw, flat
     elif weight.kind in ("right_twist", "left_twist"):
         twist = _columns(weight.twist, a.dim, m,
                          "twist shape does not match module -> algebra")
@@ -456,30 +473,38 @@ def _suite_report(name: str, verdicts: dict, **extra) -> CheckReport:
                        details=details)
 
 
-def _operator_forms(a: Algebra, v: Bimodule, p: LinearMap, pt: LinearMap, eps: Vec | None,
-                    neg_twist: Mat) -> tuple[bool, bool, bool, bool]:
-    """The verdicts of the four operator forms of a pair of maps p, pt from
-    the module v to the algebra: the pair identity of p with eps, its
-    companion for pt over the opposite algebra, and the O-operator forms of
-    p twisted on the right and of pt twisted on the left by neg_twist."""
-    pcols, ptcols = transpose(p.matrix), transpose(pt.matrix)
-    return (_holds(a, v, pcols, pcols, mat_scale(-1, ptcols), eps),
-            _holds(a, v, ptcols, ptcols, mat_scale(-1, pcols), eps, opposite=True),
-            _holds(*_o_operator(a, v, p, WeightOp.right_twist(neg_twist))),
-            _holds(*_o_operator(a, v, pt, WeightOp.left_twist(neg_twist))))
+def _minus(x: tuple, y: tuple) -> _Operand:
+    """x - y for matrices given as (d, d * x) pairs, over the lcm of the denominators."""
+    (dx, x), (dy, y) = x, y
+    d = lcm(dx, dy)
+    return _Operand(d, tuple(tuple(d // dx * u - d // dy * w for u, w in zip(rx, ry))
+                             for rx, ry in zip(x, y)))
+
+
+def _operator_forms(a: Algebra, v: Bimodule, ops: tuple, twist: tuple, eps: Vec | None
+                    ) -> tuple[bool, bool, bool, bool]:
+    """The verdicts of the four operator forms of maps p, pt from the module
+    v to the algebra, given as the operands (p, pt, -p, -pt): the pair
+    identity of p with eps, its companion for pt over the opposite algebra,
+    and the O-operator forms of p twisted on the right and of pt twisted on
+    the left by -t, for the columns t of the twist, given as (d, d * t)."""
+    p, pt, neg_p, neg_pt = ops
+    return (_holds(a, v, p, p, neg_pt, eps),
+            _holds(a, v, pt, pt, neg_p, eps, opposite=True),
+            _holds(a, v, p, p, _minus(p, twist)),
+            _holds(a, v, pt, _minus(pt, twist), pt))
 
 
 def operator_form_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     """Five equivalent characterisations of one tensor: the equation itself,
     the two dual-basis operator identities, and the two twisted O-operator
-    forms.  Passing means all five verdicts coincide."""
+    forms.  Passing means all five verdicts coincide.  r# and r^t# are the
+    operands of r, twisted by the numerators of its extended symmetrizer."""
     a, mu = inst.algebra, inst.mu
-    eps = vec_scale(mu, a.require_unit()) if mu != 0 else None
-    sbar = extended_symmetrizer(inst, r)
     verdict_a = is_solution(inst, r)
     first, second, right, left = _operator_forms(
-        a, dual_regular_bimodule(a), sharp(r), tsharp(r), eps,
-        mat_scale(-1, transpose(sbar.coeff)))
+        a, dual_regular_bimodule(a), r._operands, _symmetrizer_num(a, r._operands[0], mu),
+        vec_scale(mu, a.require_unit()) if mu != 0 else None)
     return _suite_report("operator-form-suite", {
         "tensor_equation": verdict_a,
         "first_slot_identity": first,
@@ -489,31 +514,37 @@ def operator_form_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     })
 
 
+def _invariant_operator_suite(inst: YbeInstance, r: Tensor2) -> CheckReport | None:
+    """`invariant_operator_suite`, None when the symmetrizer is not invariant:
+    invariance is tested and the weight table summed on the numerators of
+    the symmetrizer, and nothing is divided."""
+    _check_ybe_args(inst, r)
+    a = inst.algebra
+    p, pt = r._operands[:2]
+    den, num = _symmetrizer_num(a, p, inst.mu)
+    if any(map(any, _invariance_blocks(a, num))):
+        return None
+    weight, branch = None, "weight-0"
+    if any(map(any, num)):  # minus the dual product of the symmetrizer
+        weight = den * a._products[0], [-y for y in _dual_num(a, num)]
+        branch = "weight--1"
+    dualmod = dual_regular_bimodule(a)
+    return _suite_report("invariant-operator-suite", {
+        "tensor_equation": is_solution(inst, r),
+        "first_slot_operator": _holds(a, dualmod, p, p, p, None, weight),
+        "second_slot_operator": _holds(a, dualmod, pt, pt, pt, None, weight),
+    }, branch=branch)
+
+
 def invariant_operator_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     """With an invariant symmetrizer the twisted forms collapse to plain
     weighted O-operators: weight zero when the symmetrizer vanishes, weight
     -1 against the induced dual product otherwise."""
-    a = inst.algebra
-    sbar = extended_symmetrizer(inst, r)
-    inv = is_invariant(a, sbar)
-    if not inv.passed:
+    rep = _invariant_operator_suite(inst, r)
+    if rep is None:
+        inv = is_invariant(inst.algebra, extended_symmetrizer(inst, r))
         raise PreconditionViolated("invariant-symmetrizer", witness=inv.witness)
-    dualmod = dual_regular_bimodule(a)
-    if sbar.is_zero():
-        weight = WeightOp.zero()
-        branch = "weight-0"
-    else:
-        circ = _dual_product(a, sbar)  # sbar is symmetric and, above, invariant
-        weight = WeightOp.scalar(-1, circ.product)
-        branch = "weight--1"
-    verdict_a = is_solution(inst, r)
-    verdict_b = _holds(*_o_operator(a, dualmod, sharp(r), weight))
-    verdict_c = _holds(*_o_operator(a, dualmod, tsharp(r), weight))
-    return _suite_report("invariant-operator-suite", {
-        "tensor_equation": verdict_a,
-        "first_slot_operator": verdict_b,
-        "second_slot_operator": verdict_c,
-    }, branch=branch)
+    return rep
 
 
 def dual_operator_suite(a: Algebra, b: BimoduleAlgebra, p: LinearMap,

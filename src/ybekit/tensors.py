@@ -7,6 +7,7 @@ for e_i (x) e_j (x) e_k, over a fixed ambient dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch
 from .linalg import Mat, Scalar, _rectangular, exact, is_zero_mat, mat, transpose
@@ -51,6 +52,13 @@ class Tensor2:
     def _match(self, other: "Tensor2"):
         if self.dim != other.dim:
             raise DimensionMismatch(f"tensor dims {self.dim} != {other.dim}")
+
+    @cached_property
+    def _operands(self) -> tuple:
+        """`ybe._operands` of C and C^t for the coefficients C, the columns of
+        r# and r^t#: built once for every operator identity tested on r."""
+        from .ybe import _operands
+        return _operands(self.coeff, transpose(self.coeff))
 
 
 def t2_zero(n: int) -> Tensor2:

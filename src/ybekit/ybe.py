@@ -48,7 +48,7 @@ from .errors import (
     NotUnital,
     PreconditionViolated,
 )
-from .linalg import Scalar, _kernel, _ratio, _trusted, exact, scalar_str
+from .linalg import Scalar, _kernel, _ratio, _trusted, exact, mat_scale, scalar_str
 from .poly import Poly, variables
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer
@@ -183,13 +183,34 @@ def _cleared(m) -> tuple[int, tuple]:
     """(d, d * m): d is the lcm of the denominators of the entries of the
     matrix m, so d * m holds ints, or polynomials where m does.  A matrix
     without Fraction entries is returned as it is, with d = 1; one with
-    integral Fractions such as Fraction(2, 1) gets ints in their place."""
+    integral Fractions such as Fraction(2, 1) gets ints in their place.  An
+    `_Operand` is cleared already and is returned as it is."""
+    if type(m) is _Operand:
+        return m
     dens = [x.denominator for row in m for x in row if type(x) is Fraction]
     if not dens:
         return 1, m
     d = lcm(*dens)
     return d, tuple(tuple(x.numerator * (d // x.denominator) if type(x) is Fraction
                           else x * d for x in row) for row in m)
+
+
+class _Operand(tuple):
+    """(d, d * m) for a matrix m, as `_cleared` returns it, kept by what it
+    derives from, with the lists kernels read off d * m kept in `lists`."""
+
+    def __new__(cls, d: int, m):
+        op = super().__new__(cls, (d, m))
+        op.lists = {}
+        return op
+
+
+def _operands(c, ct) -> tuple:
+    """c, ct, -c and -ct as `_Operand`s over one denominator: the columns of
+    a pair of maps from a module to the algebra and of their negatives."""
+    d, rows = _cleared((*c, *ct))
+    c, ct = rows[:len(c)], rows[len(c):]
+    return tuple(_Operand(d, m) for m in (c, ct, mat_scale(-1, c), mat_scale(-1, ct)))
 
 
 def _values(num: list, den: int) -> list:

@@ -57,6 +57,7 @@ from ybekit import (
 )
 from ybekit.algebras import (
     Augmentation,
+    Bimodule,
     apply_table,
     check_algebra,
     dual_bimodule,
@@ -88,7 +89,6 @@ from ybekit.linalg import (
     zero_vec,
 )
 from ybekit.operators import (
-    _by_coordinate,
     _dual_product,
     _holds,
     _o_operator,
@@ -1274,8 +1274,16 @@ def flat_residual_num(a, mu, c, opposite: bool = False) -> tuple[list, int]:
     return out, den
 
 
+def by_coordinate(cols, n: int) -> list[list[tuple]]:
+    """For each of the n algebra coordinates k, the pairs (i, cols[i][k])
+    with a nonzero value."""
+    return _sparse_rows(zip(*cols)) if cols else [[] for _ in range(n)]
+
+
 def flat_defect_num(a, v, p, q, s, eps=None, weight=None, opposite: bool = False
                     ) -> tuple[list, int]:
+    """`operators._defect_num` as one flat pass over the whole table; weight
+    is (dw, flat) as the kernel takes it."""
     n, m = a.dim, len(p)
     dsc, nz = opposite_products(a) if opposite else a._products
     dact, left, right = v._actions
@@ -1283,12 +1291,12 @@ def flat_defect_num(a, v, p, q, s, eps=None, weight=None, opposite: bool = False
         left, right = right, left
     (dp, p), (dq, q), (ds, s) = _cleared(p), _cleared(q), _cleared(s)
     de, (eps,) = _cleared((eps or (),))
-    dw, (wflat,) = _cleared(([x for row in weight for w in row for x in w] if weight else (),))
+    dw, wflat = weight or (1, ())
     # Module part over dm, flat: coordinate c of the (i, j) element at (i * m + j) * m + c.
     dm = lcm(dq * dact, ds * dact, de, dw)
     mod = [x * (dm // dw) for x in wflat] if weight else [0] * m ** 3
     kq, ks = dm // (dq * dact), dm // (ds * dact)
-    q_at, s_at = _by_coordinate(q, n), _by_coordinate(s, n)
+    q_at, s_at = by_coordinate(q, n), by_coordinate(s, n)
     for k in range(n):
         for c, j, x in left[k]:  # e_k.e_j has x at e_c
             x *= kq
@@ -1307,7 +1315,7 @@ def flat_defect_num(a, v, p, q, s, eps=None, weight=None, opposite: bool = False
     den = lcm(dsc * dp * dp, dm * dp)
     kp, km = den // (dsc * dp * dp), den // (dm * dp)
     out = [0] * (m * m * n)
-    p_at = _by_coordinate(p, n)
+    p_at = by_coordinate(p, n)
     for a_, b, k, c in nz:
         c *= kp
         for i, x in p_at[a_]:
@@ -1510,4 +1518,87 @@ def reference_rb_bridge_suite(f, mu, lam, r):
         "tensor_equation": residual,
         "rb_first": _holds(*_rota_baxter(f.algebra, p, lam)),
         "rb_second": _holds(*_rota_baxter(f.algebra, pt, lam)),
+    })
+
+
+# The three suites as they were when every operator identity prepared its
+# own maps: each `_holds` call cleared and sparsified sharp(r), tsharp(r),
+# their negatives and the twisted columns again, the twist came from the
+# Fraction symmetrizer through WeightOp, and the dual regular bimodule was
+# the dual of the adjoint one.  The suites now read all of them off operands
+# prepared once per tensor; these bodies are kept as the reference.
+
+
+def reference_dual_regular(a):
+    """The dual of the adjoint bimodule built from the dense action tables."""
+    return dual_bimodule(Bimodule(a, a.dim, *eager_action_tables(a)))
+
+
+def per_call_operator_forms(a, v, p, pt, eps, neg_twist):
+    pcols, ptcols = transpose(p.matrix), transpose(pt.matrix)
+    return (_holds(a, v, pcols, pcols, mat_scale(-1, ptcols), eps),
+            _holds(a, v, ptcols, ptcols, mat_scale(-1, pcols), eps, opposite=True),
+            _holds(*_o_operator(a, v, p, WeightOp.right_twist(neg_twist))),
+            _holds(*_o_operator(a, v, pt, WeightOp.left_twist(neg_twist))))
+
+
+def per_call_operator_form_suite(inst, r):
+    a, mu = inst.algebra, inst.mu
+    eps = vec_scale(mu, a.require_unit()) if mu != 0 else None
+    sbar = extended_symmetrizer(inst, r)
+    verdict_a = is_solution(inst, r)
+    first, second, right, left = per_call_operator_forms(
+        a, reference_dual_regular(a), sharp(r), tsharp(r), eps,
+        mat_scale(-1, transpose(sbar.coeff)))
+    return _suite_report("operator-form-suite", {
+        "tensor_equation": verdict_a,
+        "first_slot_identity": first,
+        "first_slot_right_twist": right,
+        "second_slot_identity": second,
+        "second_slot_left_twist": left,
+    })
+
+
+def per_call_invariant_operator_suite(inst, r):
+    a = inst.algebra
+    sbar = extended_symmetrizer(inst, r)
+    inv = is_invariant(a, sbar)
+    if not inv.passed:
+        raise PreconditionViolated("invariant-symmetrizer", witness=inv.witness)
+    dualmod = reference_dual_regular(a)
+    if sbar.is_zero():
+        weight = WeightOp.zero()
+        branch = "weight-0"
+    else:
+        circ = _dual_product(a, sbar)
+        weight = WeightOp.scalar(-1, circ.product)
+        branch = "weight--1"
+    verdict_a = is_solution(inst, r)
+    verdict_b = _holds(*_o_operator(a, dualmod, sharp(r), weight))
+    verdict_c = _holds(*_o_operator(a, dualmod, tsharp(r), weight))
+    return _suite_report("invariant-operator-suite", {
+        "tensor_equation": verdict_a,
+        "first_slot_operator": verdict_b,
+        "second_slot_operator": verdict_c,
+    }, branch=branch)
+
+
+def per_call_frobenius_suite(f, mu, r):
+    a = f.algebra
+    n = a.dim
+    u = a.require_unit()
+    inst = YbeInstance(a, mu)
+    p, pt = induced_operators(f, r)
+    eps = tuple(mu * f.form.value(u, unit_vec(n, j)) for j in range(n))
+    verdict_a = is_solution(inst, r)
+    sbar = extended_symmetrizer(inst, r)
+    twist = mat_mul(transpose(sbar.coeff), transpose(f.form.gram))
+    pair, companion, right, left = per_call_operator_forms(
+        a, adjoint_bimodule(a), p, pt, eps, mat_scale(-1, twist))
+    return _suite_report("frobenius-operator-suite", {
+        "tensor_equation": verdict_a,
+        "induced_pair_identity": pair,
+        "companion_pair_identity": companion,
+        "right_twisted_rb": right,
+        "left_twisted_rb": left,
     })

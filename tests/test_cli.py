@@ -266,6 +266,48 @@ def test_partial_parser_prints_what_the_full_parser_prints(argv, code, capsys, m
         assert got[1] and got[2] == ""
 
 
+# argparse drops a `--` given as a value, even after `=`, and left the
+# option a list where a string is expected: `ybe invariant-basis
+# --algebra=--` ended in a TypeError traceback from `open([])` (exit 1), and
+# `catalog list --report=--` printed its names with report == [] (exit 0).
+# Each is now the usage error of the same option given no value at all.
+_DROPPED_VALUES = [
+    ["ybe", "invariant-basis", "--algebra=--"],
+    ["catalog", "list", "--report=--"],
+    ["catalog", "verify", "--name=--"],
+    ["op", "suite", "--algebra", "A", "--r", "R", "--mu", "1", "--mu=--"],
+    ["ybe", "check", "--algebra", "A", "--r", "R", "--mu=--", "--opposite"],
+    ["construct", "lift", "--algebra", "A", "--module", "M", "--alpha", "P", "--lambda=--"],
+]
+
+
+@pytest.mark.parametrize("argv", _DROPPED_VALUES, ids=[" ".join(a[:2]) for a in _DROPPED_VALUES])
+def test_a_dropped_value_is_a_usage_error(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    flag = next(t for t in argv if t.endswith("=--"))[:-3]
+    assert run(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.endswith(f"ybekit {argv[0]} {argv[1]}: error: argument {flag}: "
+                            "expected one argument\n")
+    if argv[-1] == f"{flag}=--":  # the same bytes as the option given last with no value
+        assert run(argv[:-1] + [flag]) == 2
+        assert capsys.readouterr() == got
+
+
+def test_a_dropped_value_prints_the_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["ybe", "invariant-basis", "--algebra=--"]) == 2
+    assert capsys.readouterr() == ("", (
+        "usage: ybekit ybe invariant-basis [-h] --algebra ALGEBRA\n"
+        "                                  [--report {json,text}]\n"
+        "ybekit ybe invariant-basis: error: argument --algebra: expected one argument\n"))
+    assert run(["catalog", "list", "--report=--"]) == 2
+    assert capsys.readouterr() == ("", (
+        "usage: ybekit catalog list [-h] [--report {json,text}]\n"
+        "ybekit catalog list: error: argument --report: expected one argument\n"))
+
+
 def _argparse_outcome(parser, argv):
     """vars() of argparse's namespace, or "exit" when argparse exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -424,11 +466,18 @@ def test_op_suite_validates_the_algebra_once(tmp_path, monkeypatch, capsys):
 
 
 def test_op_suite_tests_invariance_once_per_mu(tmp_path, monkeypatch, capsys):
-    calls = []
-    real = ybekit.is_invariant
+    # One run of the invariance kernel per mu, and no `is_invariant`: the
+    # witness of a failed precondition is never formed, since `op suite`
+    # drops it.
+    calls, witnesses = [], []
+    kernel, real = ybekit.ybe._invariance_blocks, ybekit.is_invariant
     for name, module in list(sys.modules.items()):
+        if name.startswith("ybekit") and getattr(module, "_invariance_blocks", None) is kernel:
+            monkeypatch.setattr(module, "_invariance_blocks",
+                                lambda a, x: calls.append(x) or kernel(a, x))
         if name.startswith("ybekit") and getattr(module, "is_invariant", None) is real:
-            monkeypatch.setattr(module, "is_invariant", lambda a, s: calls.append(s) or real(a, s))
+            monkeypatch.setattr(module, "is_invariant",
+                                lambda a, s: witnesses.append(s) or real(a, s))
     e = ybekit.catalog_algebra("B1")
     a = _write(tmp_path, "a.json", io_json.encode_algebra(e.algebra))
     r = _write(tmp_path, "r.json", io_json.encode_tensor2(e.families[0].tensor(1)))
@@ -436,7 +485,7 @@ def test_op_suite_tests_invariance_once_per_mu(tmp_path, monkeypatch, capsys):
     assert run(["op", "suite", "--algebra", a, "--r", r, "--mu", "1", "--mu", "2"]) == 0
     names = [rep["check"] for rep in json.loads(capsys.readouterr().out)["details"]["subchecks"]]
     assert names == ["operator-form-suite", "invariant-operator-suite", "operator-form-suite"]
-    assert len(calls) == 2
+    assert len(calls) == 2 and witnesses == []
 
 
 _ZERO_PLANE = [[[0, 0], [0, 0]]] * 2
