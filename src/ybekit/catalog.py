@@ -10,8 +10,10 @@ are normalised the same way and the induced operator must equal mu * Q.
 The residual scales the same way: R_mu(mu s) = mu^2 R_1(s).  So the grid
 {0, mu} is searched once per entry, as {0, 1} at mu = 1, and `verify_catalog`
 scales those solutions to each requested mu, where the residual kernel
-confirms every one.  Every other check, and every family's verdicts, run
-at each mu on exact data built once per (family, mu).
+confirms every one the search has not.  The symmetrizer scales too, so each
+base solution's invariance verdict is taken once, at mu = 1.  Every other
+verdict is taken once per (tensor, mu), on exact data built once per
+(family, mu), and read off wherever it repeats (see `verify_catalog`).
 """
 
 from __future__ import annotations
@@ -372,13 +374,15 @@ def catalog_rb_tables(name: str) -> list[tuple[str, LinearMap, int]]:
     return [(f.name, LinearMap(f.q), f.weight_sign) for f in entry.families]
 
 
-def _verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scalar
-                   ) -> list[CheckReport]:
+def _verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scalar, r: Tensor2,
+                   on_grid, invariant) -> list[CheckReport]:
+    """The verdicts of one family at mu on r = fam.tensor(mu); those that the
+    grid sets on_grid and invariant of `_verify_grid` at mu hold are read off."""
     alg = entry.algebra
     inst = YbeInstance(alg, mu)
-    r = fam.tensor(mu)
     tag = f"{entry.name}/{fam.name}@mu={mu}"
-    residual = is_solution(inst, r)
+    found = r.coeff in on_grid
+    residual = found or is_solution(inst, r)
     checks = [CheckReport(f"{tag}:residual", residual)]
     sbar = extended_symmetrizer(inst, r)
     checks.append(CheckReport(f"{tag}:symmetrizer",
@@ -393,17 +397,19 @@ def _verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scalar
             f"{tag}:full-invariance-absent",
             not is_invariant(alg, sbar).passed))
     else:
-        checks.append(CheckReport(f"{tag}:symmetrized-invariant",
-                                  is_invariant(alg, sbar).passed))
-    q = fam.q_map(mu)
-    checks.append(CheckReport(f"{tag}:rota-baxter-weight",
-                              _holds(*_rota_baxter(alg, q, fam.weight_sign * mu))))
+        checks.append(CheckReport(
+            f"{tag}:symmetrized-invariant", r.coeff in invariant
+            if found and entry.name in ("A2", "B1") else is_invariant(alg, sbar).passed))
+    q, lam = fam.q_map(mu), fam.weight_sign * mu
+    rb = _holds(*_rota_baxter(alg, q, lam))
+    checks.append(CheckReport(f"{tag}:rota-baxter-weight", rb))
     if fam.form is not None:
         frob = entry.forms[fam.form]
-        induced = induced_operators(frob, r)
-        checks.append(CheckReport(f"{tag}:operator-table",
-                                  induced[0].matrix == q.matrix))
-        bridge = _rb_bridge(frob, fam.weight_sign * mu, sbar, induced, residual)
+        p, pt = induced_operators(frob, r)
+        table = p.matrix == q.matrix
+        checks.append(CheckReport(f"{tag}:operator-table", table))
+        bridge = _rb_bridge(frob, lam, sbar, pt, residual,
+                            rb if table else _holds(*_rota_baxter(alg, p, lam)))
         checks.append(CheckReport(
             f"{tag}:bridge", bridge.passed and bridge.details["all_pass"]))
     return checks
@@ -456,10 +462,13 @@ def _scaled_grid(inst: YbeInstance, base: list[Tensor2]) -> list[Tensor2]:
     """The solutions over the grid {0, mu}, in the order of `grid_enumerate`,
     read off base, the solutions over {0, 1} at mu = 1: since
     R_mu(mu s) = mu^2 R_1(s), r solves at mu exactly when r = mu s for some s
-    in base.  A negative mu reverses the lexicographic order.  Each scaled
-    solution is confirmed by the residual kernel at mu, as the search
+    in base.  A negative mu reverses the lexicographic order.  At mu = 1 this
+    is base itself, which the search has confirmed; at any other mu each
+    scaled solution is confirmed by the residual kernel at mu, as the search
     confirms its own."""
     mu, n = inst.mu, inst.algebra.dim
+    if mu == 1:
+        return base
     sols = [_trusted(Tensor2, n, _scaled(mu, s.coeff))
             for s in (base if mu > 0 else reversed(base))]
     for r in sols:
@@ -469,44 +478,38 @@ def _scaled_grid(inst: YbeInstance, base: list[Tensor2]) -> list[Tensor2]:
     return sols
 
 
-def _verify_grid(entry: CatalogEntry, mu: Scalar, base: list[Tensor2]
-                 ) -> tuple[list[CheckReport], int]:
-    """The grid subchecks at one nonzero mu, on the grid solutions scaled from
-    base (see `_scaled_grid`), and the number of nonzero grid solutions."""
+def _verify_grid(entry: CatalogEntry, mu: Scalar, base: list[Tensor2], invariant: set,
+                 stored: set) -> tuple[list[CheckReport], set, set]:
+    """The grid subchecks at one nonzero mu on the grid solutions scaled from
+    base (`_scaled_grid`), with the sets of nonzero grid solutions and of those
+    with an invariant symmetrizer: mu times invariant, those of base, as the
+    symmetrizer of mu s at mu is mu times that of s at 1."""
     alg = entry.algebra
-    inst = YbeInstance(alg, mu)
-    sols = _scaled_grid(inst, base)
-    nonzero = [s for s in sols if not s.is_zero()]
+    sols = _scaled_grid(YbeInstance(alg, mu), base)
+    nonzero = {s.coeff for s in sols if not s.is_zero()}
+    invariant = {_scaled(mu, c) for c in invariant}
     checks = []
     details = {"grid_solutions": len(sols), "grid_nonzero": len(nonzero)}
     if entry.name in ("A1", "B3", "B5"):
-        expected = [unit_square(alg).scale(mu).coeff]
+        checks.append(CheckReport(f"{entry.name}:grid@mu={mu}",
+                                  nonzero == {unit_square(alg).scale(mu).coeff}, details=details))
         checks.append(CheckReport(
-            f"{entry.name}:grid@mu={mu}",
-            [s.coeff for s in nonzero] == expected, details=details))
-        checks.append(CheckReport(
-            f"{entry.name}:grid-not-symmetrized-invariant@mu={mu}",
-            all(not is_symmetrized_invariant(inst, s).passed for s in nonzero)))
-        return checks, len(nonzero)
+            f"{entry.name}:grid-not-symmetrized-invariant@mu={mu}", not invariant))
+        return checks, nonzero, invariant
     if entry.grid_nonzero is not None:
         checks.append(CheckReport(f"{entry.name}:grid-nonzero-count@mu={mu}",
                                   len(nonzero) == entry.grid_nonzero,
                                   details=details))
-    stored = {f.tensor(mu).coeff for f in entry.families}
     if entry.name in ("A2", "B1"):
         checks.append(CheckReport(f"{entry.name}:grid-contains-stored@mu={mu}",
-                                  stored <= {s.coeff for s in nonzero}, details=details))
-        invariant_subset = {s.coeff for s in nonzero
-                            if is_symmetrized_invariant(inst, s).passed}
+                                  stored <= nonzero, details=details))
         checks.append(CheckReport(
             f"{entry.name}:grid-invariant-subset@mu={mu}",
-            invariant_subset == stored, details=details))
+            invariant == stored, details=details))
     if entry.name == "B4":
         checks.append(CheckReport(
-            f"B4:grid-no-symmetrized-invariant@mu={mu}",
-            all(not is_symmetrized_invariant(inst, s).passed for s in nonzero),
-            details=details))
-    return checks, len(nonzero)
+            f"B4:grid-no-symmetrized-invariant@mu={mu}", not invariant, details=details))
+    return checks, nonzero, invariant
 
 
 def verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
@@ -515,7 +518,13 @@ def verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
     With `grid`, the grid {0, 1} is searched once at mu = 1, and only when
     some mu is nonzero; by R_mu(mu s) = mu^2 R_1(s) its solutions scaled by
     mu are the solutions over {0, mu} at mu, each confirmed by the residual
-    kernel at that mu before the grid subchecks run on them."""
+    kernel at that mu (at mu = 1 by the search).  Each verdict is taken once
+    per (tensor, mu) and read off where it repeats: the grid's invariance
+    verdicts off the base solutions' at mu = 1, on the entries that read
+    them (all but B2 and M2); a family tensor's residual verdict, and on A2
+    and B1 its invariance verdict, off the grid's when it is a grid solution
+    at mu; the bridge's first Rota-Baxter verdict off `:rota-baxter-weight`
+    when `:operator-table` passed (see `_rb_bridge`)."""
     entry = catalog_algebra(name)
     from .algebras import check_algebra, check_augmentation
     checks = [CheckReport(f"{name}:algebra", check_algebra(entry.algebra).passed)]
@@ -533,15 +542,20 @@ def verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
     mus = [exact(m) for m in mus]
     grid_nonzero = {}
     if grid and any(mus):
-        base = grid_enumerate(YbeInstance(entry.algebra, 1), (0, 1))
+        one = YbeInstance(entry.algebra, 1)
+        base = grid_enumerate(one, (0, 1))
+        invariant = set() if name in ("B2", "M2") else {
+            s.coeff for s in base if not s.is_zero() and is_symmetrized_invariant(one, s).passed}
     for mu in mus:
         if mu == 0:
             continue
-        for fam in entry.families:
-            checks.extend(_verify_family(entry, fam, mu))
-        if grid:
-            grid_checks, grid_nonzero[mu] = _verify_grid(entry, mu, base)
-            checks.extend(grid_checks)
+        rs = [fam.tensor(mu) for fam in entry.families]
+        grid_checks, on_grid, inv = (_verify_grid(entry, mu, base, invariant, {r.coeff for r in rs})
+                                     if grid else ([], (), ()))
+        grid_nonzero[mu] = len(on_grid)
+        for fam, r in zip(entry.families, rs):
+            checks.extend(_verify_family(entry, fam, mu, r, on_grid, inv))
+        checks.extend(grid_checks)
     details = {"mus": [str(m) for m in mus]}
     if name == "B1" and grid and mus:
         # At mu = 0 the grid {0, mu} holds only the zero tensor.

@@ -244,10 +244,9 @@ def _cmd_op_suite(ns) -> int:
     reports = []
     for mu in (ns.mu or ["1"]):
         inst = YbeInstance(a, io_json.parse_scalar(mu))
-        reports.append(operator_form_suite(inst, r))
-        rep = _invariant_operator_suite(inst, r)  # None without an invariant symmetrizer
-        if rep is not None:
-            reports.append(rep)
+        form = operator_form_suite(inst, r)
+        rep = _invariant_operator_suite(inst, r, form.details["verdicts"]["tensor_equation"])
+        reports += [form] if rep is None else [form, rep]
     ok = all(rep.passed for rep in reports)
     _emit({"check": "operator-suites", "passed": ok,
            "details": {"subchecks": [rep.to_json() for rep in reports]}},

@@ -167,19 +167,20 @@ def rb_bridge_suite(f: FrobeniusStructure, mu: Scalar, lam: Scalar,
     the tensor equation is equivalent to both induced operators being
     Rota-Baxter of weight lam."""
     inst = YbeInstance(f.algebra, mu)
-    return _rb_bridge(f, lam, extended_symmetrizer(inst, r), induced_operators(f, r),
-                      is_solution(inst, r))
+    sbar, (p, pt) = extended_symmetrizer(inst, r), induced_operators(f, r)
+    rb_first = _holds(*_rota_baxter(f.algebra, p, lam))
+    return _rb_bridge(f, lam, sbar, pt, is_solution(inst, r), rb_first)
 
 
-def _rb_bridge(f: FrobeniusStructure, lam: Scalar, sbar: Tensor2,
-               induced: tuple[LinearMap, LinearMap], residual: bool) -> CheckReport:
-    """`rb_bridge_suite` on the symmetrizer, the induced pair and the residual
-    verdict of r, already formed by the caller."""
+def _rb_bridge(f: FrobeniusStructure, lam: Scalar, sbar: Tensor2, pt: LinearMap,
+               residual: bool, rb_first: bool) -> CheckReport:
+    """`rb_bridge_suite` on the symmetrizer, second induced operator, residual
+    verdict and first operator's Rota-Baxter verdict of r, formed by the caller
+    (the catalog's `:rota-baxter-weight` when `:operator-table` passed)."""
     _require_symmetrizer("proportional-symmetrizer", _cleared(sbar.coeff), lam, f.phi)
-    p, pt = induced
     verdicts = {
         "tensor_equation": residual,
-        "rb_first": _holds(*_rota_baxter(f.algebra, p, lam)),
+        "rb_first": rb_first,
         "rb_second": _holds(*_rota_baxter(f.algebra, pt, lam)),
     }
     return _suite_report("rb-bridge-suite", verdicts)

@@ -75,7 +75,6 @@ from .report import CheckReport
 from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
-    _check_ybe_args,
     _cleared,
     _invariance_blocks,
     _Operand,
@@ -514,11 +513,11 @@ def operator_form_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     })
 
 
-def _invariant_operator_suite(inst: YbeInstance, r: Tensor2) -> CheckReport | None:
-    """`invariant_operator_suite`, None when the symmetrizer is not invariant:
-    invariance is tested and the weight table summed on the numerators of
-    the symmetrizer, and nothing is divided."""
-    _check_ybe_args(inst, r)
+def _invariant_operator_suite(inst: YbeInstance, r: Tensor2, residual: bool
+                              ) -> CheckReport | None:
+    """`invariant_operator_suite` on the caller's residual verdict of r; None
+    when the symmetrizer is not invariant: invariance is tested and the weight
+    table summed on the symmetrizer's numerators, and nothing is divided."""
     a = inst.algebra
     p, pt = r._operands[:2]
     den, num = _symmetrizer_num(a, p, inst.mu)
@@ -530,7 +529,7 @@ def _invariant_operator_suite(inst: YbeInstance, r: Tensor2) -> CheckReport | No
         branch = "weight--1"
     dualmod = dual_regular_bimodule(a)
     return _suite_report("invariant-operator-suite", {
-        "tensor_equation": is_solution(inst, r),
+        "tensor_equation": residual,
         "first_slot_operator": _holds(a, dualmod, p, p, p, None, weight),
         "second_slot_operator": _holds(a, dualmod, pt, pt, pt, None, weight),
     }, branch=branch)
@@ -540,7 +539,7 @@ def invariant_operator_suite(inst: YbeInstance, r: Tensor2) -> CheckReport:
     """With an invariant symmetrizer the twisted forms collapse to plain
     weighted O-operators: weight zero when the symmetrizer vanishes, weight
     -1 against the induced dual product otherwise."""
-    rep = _invariant_operator_suite(inst, r)
+    rep = _invariant_operator_suite(inst, r, is_solution(inst, r))
     if rep is None:
         inv = is_invariant(inst.algebra, extended_symmetrizer(inst, r))
         raise PreconditionViolated("invariant-symmetrizer", witness=inv.witness)

@@ -82,9 +82,16 @@ def test_a_base_solution_failing_at_its_mu_raises(monkeypatch, mu):
     ([0, 1], True),
     ([Fraction(3, 7), -5], True),
     ([1, 2, Fraction(-1, 2)], False),
-], ids=("1,2,-1/2", "0,1", "3/7,-5", "no-grid"))
+    *[(mus, grid) for mus in ([2, Fraction(-1, 2)], [1, 1, Fraction(-1, 2)], [-1, 1])
+      for grid in (True, False)],
+], ids=("1,2,-1/2", "0,1", "3/7,-5", "no-grid", "2,-1/2", "2,-1/2-no-grid",
+        "1,1,-1/2", "1,1,-1/2-no-grid", "-1,1", "-1,1-no-grid"))
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_verify_matches_the_search_per_mu(name, mus, grid):
+    # Each verdict read off another is taken here against a reference that
+    # takes every verdict at each mu: [2, -1/2] reads the base verdicts with
+    # no mu = 1 among the mus, [1, 1, -1/2] repeats a mu, and [-1, 1]
+    # reverses the grid order before the base grid is read as it stands.
     assert verify_catalog(name, mus, grid=grid).to_json() == \
         value_path_verify_catalog(name, mus, grid=grid).to_json()
 
@@ -115,6 +122,51 @@ def test_grid_is_searched_once_per_entry(monkeypatch, mus, grid, searches):
     assert len(calls) == searches
 
 
+def test_b1_takes_each_verdict_once_per_tensor_and_mu(monkeypatch):
+    # Counting guard.  Taking every verdict at each mu ran the residual,
+    # invariance and operator kernels 441, 367 and 432 times here: the base
+    # grid confirmed again at mu = 1, each family's residual and invariance
+    # verdicts taken although the grid had them, each grid invariance verdict
+    # at every mu, and the bridge's first Rota-Baxter verdict taken after
+    # `:rota-baxter-weight`.  Now 75 + 2 * 74 residual runs (the search with
+    # its compiled form, and the scaled grids at 2 and -1/2), 73 + 4
+    # invariance runs (the base solutions and `_verify_inv`) and 2 * 48 * 3
+    # operator runs.
+    import ybekit.operators as operators_module
+    counts = [_counter(monkeypatch, ybe_module, "_residual_blocks"),
+              _counter(monkeypatch, ybe_module, "_invariance_blocks"),
+              _counter(monkeypatch, operators_module, "_defect_blocks")]
+    assert verify_catalog("B1", [1, 2, Fraction(-1, 2)]).passed
+    assert [len(c) for c in counts] == [223, 77, 288]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_a_base_solution_is_confirmed_once_by_the_search(monkeypatch, name):
+    searching, confirmed = [], []
+    real_search, real_kernel = catalog_module.grid_enumerate, ybe_module._residual_blocks
+
+    def search(*args):
+        searching.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            searching.pop()
+
+    def kernel(a, mu, c, *args, **kwargs):
+        confirmed.append((c, bool(searching)))
+        return real_kernel(a, mu, c, *args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "grid_enumerate", search)
+    for mod in [m for n, m in list(sys.modules.items()) if n.startswith("ybekit")]:
+        if getattr(mod, "_residual_blocks", None) is real_kernel:
+            monkeypatch.setattr(mod, "_residual_blocks", kernel)
+    assert verify_catalog(name, [1]).passed
+    monkeypatch.undo()
+    base = grid_enumerate(YbeInstance(entry(name).algebra, 1), (0, 1))
+    for s in base:
+        assert [inside for c, inside in confirmed if c == s.coeff] == [True]
+
+
 @pytest.mark.parametrize("name", ("A2", "B1", "M2"))
 def test_a_family_forms_its_exact_data_once(monkeypatch, name):
     import ybekit.frobenius as frobenius_module
@@ -126,7 +178,7 @@ def test_a_family_forms_its_exact_data_once(monkeypatch, name):
         for mu in (1, Fraction(-1, 2)):
             sym.clear()
             induced.clear()
-            assert all(catalog_module._verify_family(e, fam, mu))
+            assert all(catalog_module._verify_family(e, fam, mu, fam.tensor(mu), (), ()))
             assert (len(sym), len(induced)) == (1, 1)
 
 

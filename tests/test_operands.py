@@ -208,5 +208,5 @@ def test_op_suite_clears_r_once(tmp_path, monkeypatch, capsys):
     subs = json.loads(capsys.readouterr().out)["details"]["subchecks"]
     assert [s["check"] for s in subs] == ["operator-form-suite", "invariant-operator-suite",
                                           "operator-form-suite"]
-    assert len(residuals) == 3
+    assert len(residuals) == 2
     assert cleared == [(*r.coeff, *zip(*r.coeff))]

@@ -105,7 +105,7 @@ def test_catalog_families_match_the_value_path(name, mu):
     e = entry(name)
     frobs = [f for f in e.forms.values()]
     for fam in e.families:
-        got = catalog_module._verify_family(e, fam, mu)
+        got = catalog_module._verify_family(e, fam, mu, fam.tensor(mu), (), ())
         want = value_path_verify_family(e, fam, mu)
         assert [c.to_json() for c in got] == [c.to_json() for c in want]
         assert all(c.passed for c in got)
