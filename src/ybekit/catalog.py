@@ -7,13 +7,13 @@ Solution tensors scale linearly with mu, so each family stores an integer
 coefficient template with tensor(mu) = mu * template; the operator tables Q
 are normalised the same way and the induced operator must equal mu * Q.
 
-The residual scales the same way: R_mu(mu s) = mu^2 R_1(s).  So the grid
-{0, mu} is searched once per entry, as {0, 1} at mu = 1, and `verify_catalog`
-scales those solutions to each requested mu, where the residual kernel
-confirms every one the search has not.  The symmetrizer scales too, so each
-base solution's invariance verdict is taken once, at mu = 1.  Every other
-verdict is taken once per (tensor, mu), on exact data built once per
-(family, mu), and read off wherever it repeats (see `verify_catalog`).
+The residual scales the same way, R_mu(mu s) = mu^2 R_1(s), and so does every
+identity checked on a family: each is homogeneous under (r, mu) -> (t r, t mu).
+So each family's verdicts are taken once per entry, and the grid's once per
+mu.  The grid {0, mu} is searched once per entry, as {0, 1} at mu = 1, and
+`verify_catalog` scales those solutions to each requested mu, where the
+residual kernel confirms every one the search has not; each base solution's
+invariance verdict is taken once, at mu = 1, as the symmetrizer scales too.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .algebras import (
     Augmentation,
     BilinearForm,
     algebra_from_products,
+    check_algebra,
+    check_augmentation,
     find_augmentations,
 )
 from .errors import UnknownName, ZeroMu
@@ -375,43 +377,37 @@ def catalog_rb_tables(name: str) -> list[tuple[str, LinearMap, int]]:
 
 
 def _verify_family(entry: CatalogEntry, fam: SolutionFamily, mu: Scalar, r: Tensor2,
-                   on_grid, invariant) -> list[CheckReport]:
-    """The verdicts of one family at mu on r = fam.tensor(mu); those that the
-    grid sets on_grid and invariant of `_verify_grid` at mu hold are read off."""
+                   on_grid, invariant) -> list[tuple[str, bool]]:
+    """The (check, passed) verdicts of one family at mu on r = fam.tensor(mu);
+    those that the grid sets on_grid and invariant of `_verify_grid` at mu
+    hold are read off."""
     alg = entry.algebra
     inst = YbeInstance(alg, mu)
-    tag = f"{entry.name}/{fam.name}@mu={mu}"
     found = r.coeff in on_grid
     residual = found or is_solution(inst, r)
-    checks = [CheckReport(f"{tag}:residual", residual)]
+    checks = [("residual", residual)]
     sbar = extended_symmetrizer(inst, r)
-    checks.append(CheckReport(f"{tag}:symmetrizer",
-                              sbar.coeff == fam.sbar_tensor(mu).coeff))
+    checks.append(("symmetrizer", sbar.coeff == fam.sbar_tensor(mu).coeff))
     if entry.name == "B2":
         sub = Tensor2(2, tuple(tuple(sbar.coeff[i][j] for j in range(2))
                                for i in range(2)))
         a2 = catalog_algebra("A2").algebra
-        checks.append(CheckReport(f"{tag}:subalgebra-invariance",
-                                  is_invariant(a2, sub).passed))
-        checks.append(CheckReport(
-            f"{tag}:full-invariance-absent",
-            not is_invariant(alg, sbar).passed))
+        checks.append(("subalgebra-invariance", is_invariant(a2, sub).passed))
+        checks.append(("full-invariance-absent", not is_invariant(alg, sbar).passed))
     else:
-        checks.append(CheckReport(
-            f"{tag}:symmetrized-invariant", r.coeff in invariant
-            if found and entry.name in ("A2", "B1") else is_invariant(alg, sbar).passed))
+        checks.append(("symmetrized-invariant", r.coeff in invariant
+                       if found and entry.name in ("A2", "B1") else is_invariant(alg, sbar).passed))
     q, lam = fam.q_map(mu), fam.weight_sign * mu
     rb = _holds(*_rota_baxter(alg, q, lam))
-    checks.append(CheckReport(f"{tag}:rota-baxter-weight", rb))
+    checks.append(("rota-baxter-weight", rb))
     if fam.form is not None:
         frob = entry.forms[fam.form]
         p, pt = induced_operators(frob, r)
         table = p.matrix == q.matrix
-        checks.append(CheckReport(f"{tag}:operator-table", table))
+        checks.append(("operator-table", table))
         bridge = _rb_bridge(frob, lam, sbar, pt, residual,
                             rb if table else _holds(*_rota_baxter(alg, p, lam)))
-        checks.append(CheckReport(
-            f"{tag}:bridge", bridge.passed and bridge.details["all_pass"]))
+        checks.append(("bridge", bridge.passed and bridge.details["all_pass"]))
     return checks
 
 
@@ -515,18 +511,18 @@ def _verify_grid(entry: CatalogEntry, mu: Scalar, base: list[Tensor2], invariant
 def verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
     """Run every stored claim for one catalog entry at the given mu samples.
 
+    Each family's verdicts are taken once per entry, at the first nonzero mu,
+    and reported under every nonzero mu; the grid's are taken once per mu.
     With `grid`, the grid {0, 1} is searched once at mu = 1, and only when
     some mu is nonzero; by R_mu(mu s) = mu^2 R_1(s) its solutions scaled by
     mu are the solutions over {0, mu} at mu, each confirmed by the residual
-    kernel at that mu (at mu = 1 by the search).  Each verdict is taken once
-    per (tensor, mu) and read off where it repeats: the grid's invariance
-    verdicts off the base solutions' at mu = 1, on the entries that read
-    them (all but B2 and M2); a family tensor's residual verdict, and on A2
-    and B1 its invariance verdict, off the grid's when it is a grid solution
-    at mu; the bridge's first Rota-Baxter verdict off `:rota-baxter-weight`
-    when `:operator-table` passed (see `_rb_bridge`)."""
+    kernel at that mu (at mu = 1 by the search).  Repeats are read off: the
+    grid's invariance verdicts off the base solutions' at mu = 1, on the
+    entries that read them (all but B2 and M2); a family tensor's residual
+    verdict, and on A2 and B1 its invariance verdict, off the grid's when it
+    is a grid solution; the bridge's first Rota-Baxter verdict off
+    `:rota-baxter-weight` when `:operator-table` passed (see `_rb_bridge`)."""
     entry = catalog_algebra(name)
-    from .algebras import check_algebra, check_augmentation
     checks = [CheckReport(f"{name}:algebra", check_algebra(entry.algebra).passed)]
     for aug in entry.augmentations:
         checks.append(CheckReport(
@@ -546,6 +542,7 @@ def verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
         base = grid_enumerate(one, (0, 1))
         invariant = set() if name in ("B2", "M2") else {
             s.coeff for s in base if not s.is_zero() and is_symmetrized_invariant(one, s).passed}
+    verdicts = None
     for mu in mus:
         if mu == 0:
             continue
@@ -553,8 +550,12 @@ def verify_catalog(name: str, mus, grid: bool = True) -> CheckReport:
         grid_checks, on_grid, inv = (_verify_grid(entry, mu, base, invariant, {r.coeff for r in rs})
                                      if grid else ([], (), ()))
         grid_nonzero[mu] = len(on_grid)
-        for fam, r in zip(entry.families, rs):
-            checks.extend(_verify_family(entry, fam, mu, r, on_grid, inv))
+        if verdicts is None:
+            verdicts = [_verify_family(entry, fam, mu, r, on_grid, inv)
+                        for fam, r in zip(entry.families, rs)]
+        for fam, pairs in zip(entry.families, verdicts):
+            checks.extend(CheckReport(f"{name}/{fam.name}@mu={mu}:{check}", passed)
+                          for check, passed in pairs)
         checks.extend(grid_checks)
     details = {"mus": [str(m) for m in mus]}
     if name == "B1" and grid and mus:

@@ -2,7 +2,9 @@
 frozen example tensors the tests reuse, and slow reference implementations
 that the fast paths are compared against."""
 
+import os
 import random
+import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
@@ -1602,3 +1604,14 @@ def per_call_frobenius_suite(f, mu, r):
         "right_twisted_rb": right,
         "left_twisted_rb": left,
     })
+
+
+def perfbench_workloads():
+    """The benchmark's `perfbench.workloads`, imported read-only from the
+    repository root."""
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    try:
+        from perfbench import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads

@@ -1,5 +1,5 @@
-"""`catalog verify` searches the grid {0, 1} once per entry and builds each
-family's exact data once.
+"""`catalog verify` searches the grid {0, 1} once per entry, takes each
+family's verdicts once per entry and builds each family's exact data once.
 
 By R_mu(mu s) = mu^2 R_1(s) the grid {0, mu} at mu is the grid {0, 1} at
 mu = 1 scaled by mu, reversed when mu < 0.  The scaled lists are compared
@@ -35,6 +35,7 @@ from ybekit.catalog import verify_catalog
 from helpers import (
     ALL_NAMES,
     entry,
+    perfbench_workloads,
     reference_induced_operators,
     value_path_verify_catalog,
 )
@@ -127,17 +128,43 @@ def test_b1_takes_each_verdict_once_per_tensor_and_mu(monkeypatch):
     # invariance and operator kernels 441, 367 and 432 times here: the base
     # grid confirmed again at mu = 1, each family's residual and invariance
     # verdicts taken although the grid had them, each grid invariance verdict
-    # at every mu, and the bridge's first Rota-Baxter verdict taken after
-    # `:rota-baxter-weight`.  Now 75 + 2 * 74 residual runs (the search with
+    # at every mu, the bridge's first Rota-Baxter verdict taken after
+    # `:rota-baxter-weight`, and every family verdict taken again at each mu
+    # (288 operator runs).  Now 75 + 2 * 74 residual runs (the search with
     # its compiled form, and the scaled grids at 2 and -1/2), 73 + 4
-    # invariance runs (the base solutions and `_verify_inv`) and 2 * 48 * 3
-    # operator runs.
+    # invariance runs (the base solutions and `_verify_inv`) and 48 * 2
+    # operator runs (`:rota-baxter-weight` and the bridge's second verdict,
+    # once per family).
     import ybekit.operators as operators_module
     counts = [_counter(monkeypatch, ybe_module, "_residual_blocks"),
               _counter(monkeypatch, ybe_module, "_invariance_blocks"),
               _counter(monkeypatch, operators_module, "_defect_blocks")]
     assert verify_catalog("B1", [1, 2, Fraction(-1, 2)]).passed
-    assert [len(c) for c in counts] == [223, 77, 288]
+    assert [len(c) for c in counts] == [223, 77, 96]
+
+
+@pytest.mark.parametrize("mus,runs", [
+    ([1, 2, Fraction(-1, 2)], 48),
+    ([2], 48),
+    ([0], 0),
+], ids=("1,2,-1/2", "2", "0"))
+def test_b1_takes_each_family_verdict_once_per_entry(monkeypatch, mus, runs):
+    calls = _counter(monkeypatch, catalog_module, "_verify_family")
+    assert verify_catalog("B1", mus).passed
+    assert [args[2] for args in calls] == [mus[0]] * runs
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_family_verdicts_are_the_same_at_every_mu(name):
+    # Each family identity is homogeneous under (r, mu) -> (t r, t mu), which
+    # `verify_catalog` relies on when it reports one set of family verdicts
+    # under every nonzero mu.  Empty grid sets: every verdict is taken here.
+    e = entry(name)
+    for fam in e.families:
+        want = catalog_module._verify_family(e, fam, 1, fam.tensor(1), set(), set())
+        assert all(passed for _, passed in want)
+        for mu in (2, Fraction(-1, 2), Fraction(3, 7), -5):
+            assert catalog_module._verify_family(e, fam, mu, fam.tensor(mu), set(), set()) == want
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -167,6 +194,16 @@ def test_a_base_solution_is_confirmed_once_by_the_search(monkeypatch, name):
         assert [inside for c, inside in confirmed if c == s.coeff] == [True]
 
 
+def test_the_benchmark_verify_commands_pass_their_checks(capsys):
+    # The benchmark's own output checks (perfbench imported read-only), so
+    # that a catalog change it would count as failed fails here first.
+    commands = perfbench_workloads().verify_commands("full")
+    assert len(commands) == len(ALL_NAMES)
+    for command in commands:
+        code = cli.run(list(command.argv))
+        assert command.check(code, capsys.readouterr().out) is None, command.argv
+
+
 @pytest.mark.parametrize("name", ("A2", "B1", "M2"))
 def test_a_family_forms_its_exact_data_once(monkeypatch, name):
     import ybekit.frobenius as frobenius_module
@@ -178,7 +215,8 @@ def test_a_family_forms_its_exact_data_once(monkeypatch, name):
         for mu in (1, Fraction(-1, 2)):
             sym.clear()
             induced.clear()
-            assert all(catalog_module._verify_family(e, fam, mu, fam.tensor(mu), (), ()))
+            verdicts = catalog_module._verify_family(e, fam, mu, fam.tensor(mu), (), ())
+            assert all(passed for _, passed in verdicts)
             assert (len(sym), len(induced)) == (1, 1)
 
 

@@ -19,7 +19,7 @@ from ybekit import cli
 from ybekit.cli import build_parser, run
 from ybekit.errors import YbeError
 
-from helpers import alg
+from helpers import alg, perfbench_workloads
 
 
 def _write(tmp_path, name, obj):
@@ -367,11 +367,7 @@ def test_the_reader_returns_what_argparse_returns_or_none(argv):
 def _valid_lists(tmp_path):
     """One list per command with every required option, the valid lists of
     _PARSER_CASES and every command of the benchmark's workloads."""
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    try:
-        from perfbench import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = perfbench_workloads()
     for (group, cmd), (_, options) in cli._COMMANDS.items():
         yield [group, cmd] + [a for flag, kw in options if kw.get("required") for a in (flag, "x")]
     for argv, code in _PARSER_CASES:

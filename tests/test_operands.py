@@ -3,7 +3,6 @@ the structure constants, against the per-call and dense references they
 replaced (`tests/helpers.py`)."""
 
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -36,6 +35,7 @@ from helpers import (
     per_call_frobenius_suite,
     per_call_invariant_operator_suite,
     per_call_operator_form_suite,
+    perfbench_workloads,
     rebased,
     rebased_entry,
     reference_dual_regular,
@@ -44,11 +44,7 @@ from helpers import (
 
 def _check_batch(n, counts, seed):
     """The seeded (kind, tensor, mu) triples of the benchmark's `check` workload."""
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    try:
-        from perfbench import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = perfbench_workloads()
     return [(kind, Tensor2(n * n, coeff), Fraction(mu))
             for kind, coeff, mu in workloads.check_batch(random.Random(seed), n, counts)]
 

@@ -24,6 +24,7 @@ from ybekit import (
     Algebra,
     Bimodule,
     BimoduleAlgebra,
+    CheckReport,
     DimensionMismatch,
     LinearMap,
     PreconditionViolated,
@@ -107,8 +108,9 @@ def test_catalog_families_match_the_value_path(name, mu):
     for fam in e.families:
         got = catalog_module._verify_family(e, fam, mu, fam.tensor(mu), (), ())
         want = value_path_verify_family(e, fam, mu)
-        assert [c.to_json() for c in got] == [c.to_json() for c in want]
-        assert all(c.passed for c in got)
+        assert [CheckReport(f"{name}/{fam.name}@mu={mu}:{check}", passed).to_json()
+                for check, passed in got] == [c.to_json() for c in want]
+        assert all(passed for _, passed in got)
         rep = _compare_suites(e.algebra, fam.tensor(mu), mu, frobs)
         assert rep["passed"] and rep["details"]["all_pass"]
 
