@@ -10,9 +10,12 @@ Conventions, fixed once and relied on everywhere downstream:
   realises e_k acting on the right.  Right actions therefore compose
   contravariantly: rmat(x y) = rmat(y) @ rmat(x).
 * Semi-direct products order the algebra part before the module part.
-* Exact data is built once.  A public constructor coerces every entry to
-  an exact scalar, refusing floats, and then checks shapes (`_check`);
-  `io_json` parses exact entries itself and only checks the shapes; data
+* Exact data is built once.  Algebra, Bimodule, BilinearForm and
+  Augmentation are `linalg.Frozen` values: immutable, compared and hashed
+  field by field, with the parameters of `__init__` as their fields.  A
+  public constructor coerces every entry to an exact scalar, refusing
+  floats, and then checks shapes (`_check`); `io_json` parses exact
+  entries itself and only checks the shapes; data
   derived from exact data, such as the adjoint and dual bimodules, is
   neither coerced nor checked again (`linalg._trusted`).  Everything
   derived from sc, basis and unit is built on first use and kept, since an
@@ -30,13 +33,13 @@ Conventions, fixed once and relied on everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .errors import DimensionMismatch, NotAssociative
 from .linalg import (
+    Frozen,
     Mat,
     Vec,
     _rectangular,
@@ -54,17 +57,12 @@ from .linalg import (
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class Algebra:
-    dim: int
-    basis: tuple[str, ...]
-    sc: tuple[tuple[Vec, ...], ...]
-    unit: Vec | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "sc", tuple(tuple(vec(v) for v in row) for row in self.sc))
-        object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "unit", None if self.unit is None else vec(self.unit))
+class Algebra(Frozen):
+    def __init__(self, dim: int, basis: tuple[str, ...], sc: tuple[tuple[Vec, ...], ...],
+                 unit: Vec | None):
+        sc = tuple(tuple(vec(v) for v in row) for row in sc)
+        self.__dict__.update(dim=dim, basis=tuple(basis), sc=sc,
+                             unit=None if unit is None else vec(unit))
         self._check()
 
     def _check(self):
@@ -254,16 +252,11 @@ def check_algebra(a: Algebra) -> CheckReport:
     return CheckReport("algebra-axioms", True, details={"dim": n, "unital": a.is_unital})
 
 
-@dataclass(frozen=True)
-class Bimodule:
-    algebra: Algebra
-    dim: int
-    left: tuple[Mat, ...]
-    right: tuple[Mat, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(mat(x) for x in self.left))
-        object.__setattr__(self, "right", tuple(mat(x) for x in self.right))
+class Bimodule(Frozen):
+    def __init__(self, algebra: Algebra, dim: int, left: tuple[Mat, ...],
+                 right: tuple[Mat, ...]):
+        self.__dict__.update(algebra=algebra, dim=dim, left=tuple(mat(x) for x in left),
+                             right=tuple(mat(x) for x in right))
         self._check()
 
     def _check(self):
@@ -408,13 +401,10 @@ def _adjoin_unit(sc, prefix: str) -> Algebra:
     return make_algebra(d, out, unit=unit_vec(d, 0), basis=names)
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    algebra: Algebra
-    gram: Mat
-
-    def __post_init__(self):
-        object.__setattr__(self, "gram", mat(self.gram))
+class BilinearForm(Frozen):
+    def __init__(self, algebra: Algebra, gram: Mat):
+        d = self.__dict__
+        d["algebra"], d["gram"] = algebra, mat(gram)
         self._check()
 
     def _check(self):
@@ -436,13 +426,9 @@ class BilinearForm:
         return self.gram == transpose(self.gram)
 
 
-@dataclass(frozen=True)
-class Augmentation:
-    algebra: Algebra
-    eps: Vec
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", vec(self.eps))
+class Augmentation(Frozen):
+    def __init__(self, algebra: Algebra, eps: Vec):
+        self.__dict__.update(algebra=algebra, eps=vec(eps))
         self._check()
 
     def _check(self):

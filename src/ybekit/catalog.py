@@ -18,8 +18,6 @@ invariance verdict is taken once, at mu = 1, as the symmetrizer scales too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import (
     Algebra,
     Augmentation,
@@ -36,7 +34,7 @@ from .frobenius import (
     induced_operators,
     trace_form,
 )
-from .linalg import Scalar, _trusted, exact, in_span, mat_add, mat_scale
+from .linalg import Frozen, Scalar, _trusted, exact, in_span, mat_add, mat_scale
 from .operators import LinearMap, _holds, _rota_baxter
 from .report import CheckReport, combine
 from .tensors import Tensor2
@@ -54,14 +52,15 @@ from .ybe import (
 NAMES = ("A1", "A2", "B1", "B2", "B3", "B4", "B5", "M2")
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
-    name: str
-    coeff: tuple  # integer template; tensor(mu) = mu * template
-    sbar: tuple  # integer template; symmetrizer(mu) = mu * template
-    form: str | None  # key into CatalogEntry.forms, when nondegenerate
-    weight_sign: int  # Rota-Baxter weight = weight_sign * mu
-    q: tuple  # integer operator table; induced operator = mu * q
+class SolutionFamily(Frozen):
+    def __init__(self, name: str, coeff: tuple, sbar: tuple, form: str | None,
+                 weight_sign: int, q: tuple):
+        # coeff, sbar: integer templates, tensor(mu) = mu * coeff and
+        # symmetrizer(mu) = mu * sbar; form: key into CatalogEntry.forms, when
+        # nondegenerate; Rota-Baxter weight = weight_sign * mu; q: integer
+        # operator table, induced operator = mu * q
+        self.__dict__.update(name=name, coeff=coeff, sbar=sbar, form=form,
+                             weight_sign=weight_sign, q=q)
 
     def tensor(self, mu: Scalar) -> Tensor2:
         return _trusted(Tensor2, len(self.coeff), _scaled(mu, self.coeff))
@@ -79,18 +78,18 @@ def _scaled(mu: Scalar, m) -> tuple:
     return tuple(tuple(exact(mu * x) if x else 0 for x in row) for row in m)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    algebra: Algebra
-    augmentations: tuple[Augmentation, ...]
-    forms: dict
-    inv_dim: int | None  # stated dimension of the symmetric invariant space
-    inv_span: tuple  # stated basis tensors, possibly empty
-    families: tuple[SolutionFamily, ...]
-    sigma_pairs: tuple
-    grid_nonzero: int | None  # stated nonzero solution count on the {0, mu} grid
-    notes: tuple = ()
+class CatalogEntry(Frozen):
+    def __init__(self, name: str, algebra: Algebra, augmentations: tuple[Augmentation, ...],
+                 forms: dict, inv_dim: int | None, inv_span: tuple,
+                 families: tuple[SolutionFamily, ...], sigma_pairs: tuple,
+                 grid_nonzero: int | None, notes: tuple = ()):
+        # inv_dim, inv_span: stated dimension and basis tensors (possibly none)
+        # of the symmetric invariant space; grid_nonzero: stated nonzero
+        # solution count on the {0, mu} grid
+        self.__dict__.update(name=name, algebra=algebra, augmentations=augmentations,
+                             forms=forms, inv_dim=inv_dim, inv_span=inv_span,
+                             families=families, sigma_pairs=sigma_pairs,
+                             grid_nonzero=grid_nonzero, notes=notes)
 
 
 def _diag(*entries):

@@ -13,8 +13,6 @@ nonzero block (`operators._defect_witness`, `ybe._residual_witness`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import (
     Algebra,
     Augmentation,
@@ -26,6 +24,7 @@ from .algebras import (
 )
 from .errors import Degenerate, DimensionMismatch, PreconditionViolated, SingularMatrix
 from .linalg import (
+    Frozen,
     Mat,
     Scalar,
     identity,
@@ -99,12 +98,10 @@ def rb_from_solution(a: Algebra, s: Tensor2, r: Tensor2, lam: Scalar,
     return p, pt
 
 
-@dataclass(frozen=True)
-class LiftedOperator:
-    algebra: Algebra  # the semi-direct product the lift lives on
-    hat: LinearMap
-    source: LinearMap
-    lam: Scalar
+class LiftedOperator(Frozen):
+    def __init__(self, algebra: Algebra, hat: LinearMap, source: LinearMap, lam: Scalar):
+        # algebra is the semi-direct product the lift lives on
+        self.__dict__.update(algebra=algebra, hat=hat, source=source, lam=lam)
 
 
 def lift_o_operator(a: Algebra, v: Bimodule, alpha: LinearMap,
@@ -168,14 +165,10 @@ def hom_tensor(a: Algebra, v: Bimodule, beta: LinearMap
     return amb, Tensor2(d, tuple(tuple(row) for row in coeff))
 
 
-@dataclass(frozen=True)
-class SemidirectSolutions:
-    algebra: Algebra
-    r1: Tensor2
-    r2: Tensor2
-    s: Tensor2
-    lam: Scalar
-    mu: Scalar
+class SemidirectSolutions(Frozen):
+    def __init__(self, algebra: Algebra, r1: Tensor2, r2: Tensor2, s: Tensor2, lam: Scalar,
+                 mu: Scalar):
+        self.__dict__.update(algebra=algebra, r1=r1, r2=r2, s=s, lam=lam, mu=mu)
 
 
 def semidirect_solutions(a: Algebra, v: Bimodule, alpha: LinearMap,

@@ -10,25 +10,18 @@ unit as 1 < 1 -> 1, 1 > 1 -> 0, the only split whose square is itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import Algebra, Bimodule, _adjoin_unit, apply_table, make_algebra
 from .errors import DimensionMismatch, NotDendriform, UndefinedProduct
-from .linalg import Scalar, Vec, unit_vec, vec
+from .linalg import Frozen, Scalar, Vec, unit_vec, vec
 from .operators import LinearMap
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class Dendriform:
-    dim: int
-    prec: tuple  # prec[i][j] = coordinates of e_i < e_j
-    succ: tuple  # succ[i][j] = coordinates of e_i > e_j
-
-    def __post_init__(self):
-        for field in ("prec", "succ"):
-            object.__setattr__(self, field, tuple(tuple(vec(v) for v in row)
-                                                  for row in getattr(self, field)))
+class Dendriform(Frozen):
+    def __init__(self, dim: int, prec: tuple, succ: tuple):
+        # prec[i][j] = coordinates of e_i < e_j, succ[i][j] = those of e_i > e_j
+        self.__dict__.update(dim=dim, prec=tuple(tuple(vec(v) for v in row) for row in prec),
+                             succ=tuple(tuple(vec(v) for v in row) for row in succ))
         self._check()
 
     def _check(self):
@@ -106,10 +99,10 @@ def succ_prec_bimodule(d: Dendriform) -> Bimodule:
     return Bimodule(alg, m, left, right)
 
 
-@dataclass(frozen=True)
-class UnitalDendriform:
-    plus: Dendriform
-    algebra: Algebra  # unital associated algebra, unit first in the basis
+class UnitalDendriform(Frozen):
+    def __init__(self, plus: Dendriform, algebra: Algebra):
+        # algebra: the unital associated algebra, unit first in the basis
+        self.__dict__.update(plus=plus, algebra=algebra)
 
     @property
     def dim(self) -> int:

@@ -8,7 +8,6 @@ the inverse gram matrix as coefficient array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import (
@@ -28,6 +27,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import (
+    Frozen,
     Scalar,
     _ratio,
     _trusted,
@@ -53,12 +53,10 @@ from .ybe import (
 )
 
 
-@dataclass(frozen=True)
-class FrobeniusStructure:
-    algebra: Algebra
-    form: BilinearForm
-    phi_sharp: LinearMap
-    phi: Tensor2
+class FrobeniusStructure(Frozen):
+    def __init__(self, algebra: Algebra, form: BilinearForm, phi_sharp: LinearMap,
+                 phi: Tensor2):
+        self.__dict__.update(algebra=algebra, form=form, phi_sharp=phi_sharp, phi=phi)
 
 
 def form_is_invariant(a: Algebra, b: BilinearForm) -> bool:

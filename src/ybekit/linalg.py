@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -61,12 +62,49 @@ def _rectangular(m: Mat) -> Mat:
     return m
 
 
+class Frozen:
+    """An immutable value.  Its fields, two or more, are the parameters of
+    its own `__init__`, in order (`_fields`, read off the code object, so no
+    source is generated or executed); `__init__` writes them into the
+    instance dict after coercing them.  Equality is field by field within
+    one class, the hash is that of the field tuple (`_values`) and the repr
+    lists the fields, as for a frozen dataclass.  Assignment and deletion
+    raise AttributeError; derived data may still be kept in the instance
+    dict (`functools.cached_property`)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        d = self.__dict__
+        fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _trusted(cls, *fields):
-    """The frozen dataclass cls with fields, in declaration order, that are
-    already exact and shaped: its coercing __post_init__ is not run."""
+    """The Frozen class cls with fields, in `_fields` order, that are already
+    exact and shaped: its coercing `__init__` is not run."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields, strict=True):
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(zip(cls._fields, fields, strict=True))
     return obj
 
 
@@ -128,6 +166,8 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product a b.  A right factor with no rows is read as 0x0, so a
+    product over inner dimension 0 has len(a) empty rows."""
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch(f"inner dims {len(a[0])} != {len(b)}")
     bt = transpose(b)

@@ -48,13 +48,13 @@ A table divides every entry once: an int when exact, else a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import lcm
 
 from .algebras import Algebra, Bimodule, adjoint_bimodule, apply_table, dual_regular_bimodule
 from .errors import DimensionMismatch, NotInvariant, NotSymmetric, PreconditionViolated
 from .linalg import (
+    Frozen,
     Mat,
     Scalar,
     Vec,
@@ -88,13 +88,9 @@ from .ybe import (
 )
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    matrix: Mat
-    domain: str = "primal"
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", mat(self.matrix))
+class LinearMap(Frozen):
+    def __init__(self, matrix: Mat, domain: str = "primal"):
+        self.__dict__.update(matrix=mat(matrix), domain=domain)
         self._check()
 
     def _check(self):
@@ -142,18 +138,14 @@ def dual_map(m: LinearMap) -> LinearMap:
 ProductTable = tuple  # table[i][j] = module coordinate vector
 
 
-@dataclass(frozen=True)
-class BimoduleAlgebra:
-    bimodule: Bimodule
-    product: ProductTable
-
-    def __post_init__(self):
-        m = self.bimodule.dim
-        tab = tuple(tuple(tuple(v) for v in row) for row in self.product)
+class BimoduleAlgebra(Frozen):
+    def __init__(self, bimodule: Bimodule, product: ProductTable):
+        m = bimodule.dim
+        tab = tuple(tuple(tuple(v) for v in row) for row in product)
         if len(tab) != m or any(len(row) != m for row in tab) or any(
                 len(v) != m for row in tab for v in row):
             raise DimensionMismatch("product table does not match module dim")
-        object.__setattr__(self, "product", tab)
+        self.__dict__.update(bimodule=bimodule, product=tab)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         return apply_table(self.product, x, y)
@@ -245,12 +237,10 @@ def tensor_from_dual_product(b: BimoduleAlgebra) -> Tensor2:
         tuple(vec_dot(b.product[l][k], u) for l in range(n)) for k in range(n)))
 
 
-@dataclass(frozen=True)
-class WeightOp:
-    kind: str
-    lam: Scalar = 0
-    table: ProductTable | None = None
-    twist: Mat | None = None
+class WeightOp(Frozen):
+    def __init__(self, kind: str, lam: Scalar = 0, table: ProductTable | None = None,
+                 twist: Mat | None = None):
+        self.__dict__.update(kind=kind, lam=lam, table=table, twist=twist)
 
     @classmethod
     def zero(cls) -> "WeightOp":

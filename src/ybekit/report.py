@@ -6,16 +6,13 @@ that a failing identity can be traced to the first violated instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from .linalg import Frozen
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    witness: Any = None
-    details: dict = field(default_factory=dict)
+class CheckReport(Frozen):
+    def __init__(self, name: str, passed: bool, witness=None, details: dict | None = None):
+        self.__dict__.update(name=name, passed=passed, witness=witness,
+                             details={} if details is None else details)
 
     def __bool__(self) -> bool:
         return self.passed

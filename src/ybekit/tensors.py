@@ -6,20 +6,20 @@ for e_i (x) e_j (x) e_k, over a fixed ambient dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionMismatch
-from .linalg import Mat, Scalar, _rectangular, exact, is_zero_mat, mat, transpose
+from .linalg import Frozen, Mat, Scalar, _rectangular, exact, is_zero_mat, mat, transpose
 
 
-@dataclass(frozen=True)
-class Tensor2:
-    dim: int
-    coeff: Mat
+class Tensor2(Frozen):
+    def __init__(self, dim: int, coeff: Mat):
+        d = self.__dict__
+        d["dim"], d["coeff"] = dim, coeff
+        self.__post_init__()  # a method of its own: tracers count tensors there
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", mat(self.coeff))
+        self.__dict__["coeff"] = mat(self.coeff)
         self._check()
 
     def _check(self):
@@ -86,17 +86,18 @@ def outer(u, v) -> Tensor2:
     return Tensor2(len(u), tuple(tuple(a * b for b in v) for a in u))
 
 
-@dataclass(frozen=True)
-class Tensor3:
-    dim: int
-    coeff: tuple
+class Tensor3(Frozen):
+    def __init__(self, dim: int, coeff: tuple):
+        d = self.__dict__
+        d["dim"], d["coeff"] = dim, coeff
+        self.__post_init__()  # a method of its own: tracers count tensors there
 
     def __post_init__(self):
         n = self.dim
         c = tuple(mat(plane) for plane in self.coeff)
         if len(c) != n or any(len(p) != n or any(len(r) != n for r in p) for p in c):
             raise DimensionMismatch(f"coeff is not {n}x{n}x{n}")
-        object.__setattr__(self, "coeff", c)
+        self.__dict__["coeff"] = c
 
     def add(self, other: "Tensor3") -> "Tensor3":
         self._match(other)

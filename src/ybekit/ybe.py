@@ -35,7 +35,6 @@ sparse integer rows.  No symbolic ring is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -48,7 +47,7 @@ from .errors import (
     NotUnital,
     PreconditionViolated,
 )
-from .linalg import Scalar, _kernel, _ratio, _trusted, exact, mat_scale, scalar_str
+from .linalg import Frozen, Scalar, _kernel, _ratio, _trusted, exact, mat_scale, scalar_str
 from .poly import Poly, variables
 from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer
@@ -56,16 +55,13 @@ from .tensors import Tensor2, Tensor3, outer
 SLOTS = (12, 13, 23)
 
 
-@dataclass(frozen=True)
-class YbeInstance:
-    algebra: Algebra
-    mu: Scalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", exact(self.mu))
-        if self.mu != 0:
-            self.algebra.require_unit()
-        rep = self.algebra._axioms  # check_algebra, once per algebra
+class YbeInstance(Frozen):
+    def __init__(self, algebra: Algebra, mu: Scalar):
+        mu = exact(mu)
+        self.__dict__.update(algebra=algebra, mu=mu)
+        if mu != 0:
+            algebra.require_unit()
+        rep = algebra._axioms  # check_algebra, once per algebra
         if not rep.passed:
             error = NotUnital if rep.witness["kind"] == "unit" else NotAssociative
             raise error(f"invalid algebra: {rep.witness}")

@@ -5,7 +5,6 @@ that the fast paths are compared against."""
 import os
 import random
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -76,6 +75,7 @@ from ybekit.catalog import (
     catalog_algebra,
 )
 from ybekit.linalg import (
+    Frozen,
     Scalar,
     identity,
     is_zero_vec,
@@ -371,10 +371,10 @@ def typed(vectors):
 
 
 def typed_tree(x):
-    """x with the type of every scalar in it, dataclasses field by field, so
-    that 1 and Fraction(1) differ."""
-    if is_dataclass(x):
-        return type(x).__name__, tuple(typed_tree(getattr(x, f.name)) for f in fields(x))
+    """x with the type of every scalar in it, value classes field by field,
+    so that 1 and Fraction(1) differ."""
+    if isinstance(x, Frozen):
+        return type(x).__name__, tuple(typed_tree(getattr(x, f)) for f in x._fields)
     if isinstance(x, (tuple, list)):
         return tuple(typed_tree(y) for y in x)
     return type(x), x

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ybekit import (
+    Bimodule,
+    CheckReport,
     Degenerate,
     Dendriform,
     LinearMap,
@@ -43,6 +45,7 @@ from ybekit import (
     unitization,
 )
 from ybekit.algebras import make_algebra
+from ybekit.linalg import mat_mul
 
 from helpers import (
     ALL_NAMES,
@@ -225,6 +228,17 @@ def test_balanced_hom_examples():
     # but the identity on the adjoint module is balanced for any algebra
     assert check_balanced_hom(m2, adjoint_bimodule(m2),
                               LinearMap(identity(4))).passed
+
+
+def test_balanced_hom_on_a_zero_module():
+    """Over A2, the zero module's actions are 0x0 and the map is 2x0: both
+    products of each intertwining check are 2x0, and the only map passes."""
+    a2 = alg("A2")
+    v = Bimodule(a2, 0, ((), ()), ((), ()))
+    beta = LinearMap(((), ()))
+    for k in range(2):
+        assert mat_mul(beta.matrix, v.left[k]) == mat_mul(a2._left[k], beta.matrix) == ((), ())
+    assert check_balanced_hom(a2, v, beta) == CheckReport("balanced-homomorphism", True)
 
 
 def test_hom_tensor_invariance_matches_balance():

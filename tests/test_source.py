@@ -60,6 +60,46 @@ def test_no_float_in_package(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
+CODE_GENERATING = ("dataclasses", "inspect", "typing")
+
+
+def import_time_costs(source: str) -> list[str]:
+    """Imports of dataclasses, inspect or typing, and calls of exec or eval:
+    code generated and compiled at run time, or large modules loaded, on the
+    import path of every command."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("exec", "eval"):
+            found.append((node.lineno, f"{node.func.id}() (line {node.lineno})"))
+            continue
+        else:
+            continue
+        found += [(node.lineno, f"{m} (line {node.lineno})") for m in modules
+                  if m.split(".")[0] in CODE_GENERATING]
+    return [text for _, text in sorted(found)]
+
+
+def test_import_time_scan_sees_imports_and_calls():
+    source = ("import os, typing\nfrom dataclasses import dataclass\n"
+              "import inspect as ins\nfrom . import typing as local\n"
+              "from .inspect import x\nexec('y = 1')\nz = eval('2')\n"
+              "obj.exec('q')\nfrom typing.io import IO\n")
+    assert import_time_costs(source) == [
+        "typing (line 1)", "dataclasses (line 2)", "inspect (line 3)",
+        "exec() (line 6)", "eval() (line 7)", "typing.io (line 9)"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(ybekit.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_code_generation_at_import(path):
+    assert import_time_costs(path.read_text(encoding="utf-8")) == []
+
+
 def unread_names(sources: dict[str, str]) -> list[str]:
     """Top-level names of the modules in sources, {file name: source}, that
     no line of any of them reads: never loaded, imported, re-exported by
