@@ -1,13 +1,16 @@
-"""The blocked kernels against the flat ones they replaced.
+"""The blocked kernels against the oracles of `helpers`.
 
 The residual, operator-identity and invariance kernels yield their tables
 one block at a time (`ybe._residual_blocks` and `ybe._slot_products` by
 first index, `operators._defect_blocks` by first module index,
 `ybe._invariance_blocks` by basis vector), and a verdict stops at the first
-nonzero block.  Joined, the blocks must be the flat kernels' tables, kept in
-`helpers` (`flat_*`), entry for entry and type for type; the verdicts must
-be those of the flat tables.  A count of the blocks drawn guards against a
-verdict that evaluates the whole table."""
+nonzero block.  Joined and divided by their denominator, the blocks must be
+the tables the oracles compute from their definitions (the slotwise
+residuals and slot products, the per-pair defect table, the dense
+invariance defect), entry for entry, with int numerators; the verdicts must
+be those of the oracles.  Blocks over the polynomials of `ybekit.poly` are
+compared at a random rational point.  A count of the blocks drawn guards
+against a verdict that evaluates the whole table."""
 
 import random
 from fractions import Fraction
@@ -49,12 +52,13 @@ from helpers import (
     BASES,
     alg,
     entry,
-    flat_defect_num,
-    flat_invariance_num,
-    flat_residual_num,
-    flat_slot_products,
-    opposite_products,
+    evaluate,
+    invariance_defect,
     rebased_entry,
+    reference_defect_table,
+    slot_product,
+    slotwise_opposite_residual,
+    slotwise_residual,
 )
 
 MUS = (0, 1, Fraction(-1, 2))
@@ -69,10 +73,6 @@ ALGEBRAS.update({
     "zero-dim": lambda: make_algebra(0, []),
     "zero-product": lambda: make_algebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]),
 })
-
-
-def _typed(num):
-    return [(type(x), x) for x in num]
 
 
 def _joined(blocks):
@@ -97,48 +97,87 @@ def _direct_sum(v, w):
                     tuple(blocks(x, y) for x, y in zip(v.right, w.right)))
 
 
-def _same_residual(a, mu, c):
-    """The joined planes are the flat residual; is_solution is its verdict."""
-    for opposite in (False, True):
+def _points(rnd, n, *matrices):
+    """[None] when the matrices hold numbers; a random rational point for
+    the n * n variables of `variables(n)` when they hold polynomials."""
+    if not any(isinstance(x, Poly) for m in matrices for row in m for x in row):
+        return [None]
+    return [[rnd.choice(VALUES) for _ in range(n * n)]]
+
+
+def _at(m, point):
+    """The matrix m with every polynomial evaluated at point."""
+    return m if point is None else tuple(tuple(evaluate(x, point) for x in row) for row in m)
+
+
+def _same_values(num, den, point, want):
+    """The numerators num, ints or polynomials evaluated at point, are the
+    values want over den."""
+    assert all(type(x) is int or point and type(x) is Poly for x in num)
+    assert [evaluate(x, point) for x in num] == [den * w for w in want]
+
+
+def _flat(table):
+    return [x for plane in table for row in plane for x in row]
+
+
+def _same_residual(rnd, a, mu, c):
+    """The joined planes over their denominator are the slotwise residual;
+    is_solution is its verdict."""
+    n = a.dim
+    inst = YbeInstance(a, mu)
+    for opposite, oracle in ((False, slotwise_residual), (True, slotwise_opposite_residual)):
         planes, den = _residual_blocks(a, mu, c, opposite)
         got = _joined(planes)
-        want, want_den = flat_residual_num(a, mu, c, opposite)
-        assert _typed(got) == _typed(want) and den == want_den
-        assert _residual_num(a, mu, c, opposite) == (want, want_den)
-    if not any(isinstance(x, Poly) for row in c for x in row):
-        assert is_solution(YbeInstance(a, mu), Tensor2(a.dim, c)) == \
-            (not any(flat_residual_num(a, mu, c)[0]))
+        assert _residual_num(a, mu, c, opposite) == (got, den)
+        for point in _points(rnd, n, c):
+            want = oracle(inst, Tensor2(n, _at(c, point)))
+            _same_values(got, den, point, _flat(want.coeff))
+            if point is None and not opposite:
+                assert is_solution(inst, Tensor2(n, c)) == want.is_zero()
 
 
-def _same_defect(*args, **kwargs):
-    """The joined blocks are the flat defect table; _holds is its verdict."""
-    blocks, den = _defect_blocks(*args, **kwargs)
+def _same_defect(rnd, a, v, p, q, s, eps=None, weight=None, opposite=False):
+    """The joined blocks over their denominator are the per-pair defect
+    table; _holds is its verdict."""
+    args = (a, v, p, q, s, eps, weight, opposite)
+    blocks, den = _defect_blocks(*args)
     got = _joined(blocks)
-    want, want_den = flat_defect_num(*args, **kwargs)
-    assert _typed(got) == _typed(want) and den == want_den
-    assert _defect_num(*args, **kwargs) == (want, want_den)
-    assert _holds(*args, **kwargs) == (not any(want))
+    assert _defect_num(*args) == (got, den)
+    assert _holds(*args) == (not any(got))
+    for point in _points(rnd, a.dim, p, q, s):
+        maps = (_at(m, point) for m in (p, q, s))
+        want = _flat(reference_defect_table(a, v, *maps, eps, weight, opposite))
+        _same_values(got, den, point, want)
+        if point is None:
+            assert _holds(*args) == (not any(want))
 
 
-def _same_invariance(a, s):
-    """The joined blocks are the flat invariance defect; is_invariant is its verdict."""
-    _, x = _cleared(s)
-    assert _typed(_joined(_invariance_blocks(a, x))) == _typed(flat_invariance_num(a, x))
-    if not any(isinstance(v, Poly) for row in s for v in row):
-        assert is_invariant(a, Tensor2(a.dim, s)).passed == (not any(flat_invariance_num(a, x)))
+def _same_invariance(rnd, a, s):
+    """The joined blocks over their denominator are the dense invariance
+    defect, basis vector by basis vector; is_invariant is its verdict."""
+    n = a.dim
+    ds, x = _cleared(s)
+    got = _joined(_invariance_blocks(a, x))
+    for point in _points(rnd, n, s):
+        t = Tensor2(n, _at(s, point))
+        want = _flat([invariance_defect(a, t, k).coeff for k in range(n)])
+        _same_values(got, ds * a._products[0], point, want)
+        if point is None:
+            assert is_invariant(a, t).passed == (not any(want))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_residual_planes_join_to_the_flat_residual(name):
     a = ALGEBRAS[name]()
     n = a.dim
-    rnd = random.Random(name)
+    rnd, points = random.Random(name), random.Random(f"{name}-points")
     for mu in _mus(a):
         tensors = [_matrix(rnd, n, n) for _ in range(3)] + [variables(n)]
         if a.unit is not None:  # mu (1 (x) 1) solves the equation at mu
             tensors.append(tuple(tuple(mu * x * y for y in a.unit) for x in a.unit))
         for c in tensors:
-            _same_residual(a, mu, c)
+            _same_residual(points, a, mu, c)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -146,15 +185,23 @@ def test_slot_product_planes_join_to_the_flat_sum(name):
     # Different x and y in every slot, as in the Yang-Baxter-pair residuals.
     a = ALGEBRAS[name]()
     n = a.dim
-    rnd = random.Random(name)
+    rnd, points = random.Random(name), random.Random(f"{name}-points")
     for c in ([_cleared(_matrix(rnd, n, n))[1] for _ in range(2)], [variables(n)] * 2):
         x, y = c
         terms = ((2, "12.13", x, y), (-1, "13.23", y, x), (3, "23.12", x, y),
                  (1, "13.23", x, x))
         for opposite in (False, True):
-            nz = opposite_products(a)[1] if opposite else a._products[1]
             got = _joined(_slot_products(a._groups[opposite], terms, n))
-            assert _typed(got) == _typed(flat_slot_products(nz, terms, n))
+            for point in _points(points, n, x):
+                want = [0] * n ** 3
+                for coef, slots, u, w in terms:
+                    su, sw = map(int, slots.split("."))
+                    u, w = _at(u, point), _at(w, point)
+                    # The opposite algebra multiplies each slot the other way round.
+                    table = slot_product(a, w, sw, u, su) if opposite else \
+                        slot_product(a, u, su, w, sw)
+                    want = [z + coef * t for z, t in zip(want, table)]
+                _same_values(got, a._products[0], point, want)
 
 
 def _weights(rnd, a, v):
@@ -168,7 +215,7 @@ def _weights(rnd, a, v):
 def test_defect_blocks_join_to_the_flat_table(name):
     a = ALGEBRAS[name]()
     n = a.dim
-    rnd = random.Random(name)
+    rnd, points = random.Random(name), random.Random(f"{name}-points")
     adj, dual = adjoint_bimodule(a), dual_regular_bimodule(a)
     for v in (adj, dual, _direct_sum(adj, dual)):
         m = v.dim
@@ -176,36 +223,36 @@ def test_defect_blocks_join_to_the_flat_table(name):
             alpha = LinearMap(_matrix(rnd, n, m))
             args = _o_operator(a, v, alpha, weight)
             for opposite in (False, True):
-                _same_defect(*args, opposite=opposite)
+                _same_defect(points, *args, opposite=opposite)
         p, q, s = (_matrix(rnd, m, n) for _ in range(3))
         for eps in (None, _matrix(rnd, 1, m)[0]):
             for opposite in (False, True):
-                _same_defect(a, v, p, q, s, eps, opposite=opposite)
-                _same_defect(a, v, p, p, p, eps, opposite=opposite)
+                _same_defect(points, a, v, p, q, s, eps, opposite=opposite)
+                _same_defect(points, a, v, p, p, p, eps, opposite=opposite)
     for lam in (0, 1, Fraction(-1, 2)):
-        _same_defect(*_rota_baxter(a, LinearMap(_matrix(rnd, n, n)), lam))
+        _same_defect(points, *_rota_baxter(a, LinearMap(_matrix(rnd, n, n)), lam))
     # Polynomial maps, as in the operator identities run over unknowns.
     cols = variables(n)
     shifted = tuple(tuple(x + 1 if k == i else x for k, x in enumerate(col))
                     for i, col in enumerate(cols))
     for v in (adj, dual):
-        _same_defect(a, v, cols, cols, shifted)
-        _same_defect(a, v, cols, shifted, cols, (1,) * n, opposite=True)
+        _same_defect(points, a, v, cols, cols, shifted)
+        _same_defect(points, a, v, cols, shifted, cols, (1,) * n, opposite=True)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_invariance_blocks_join_to_the_flat_defect(name):
     a = ALGEBRAS[name]()
     n = a.dim
-    rnd = random.Random(name)
+    rnd, points = random.Random(name), random.Random(f"{name}-points")
     for _ in range(3):
         s = _matrix(rnd, n, n)
-        _same_invariance(a, s)
-        _same_invariance(a, tuple(tuple(x + y for x, y in zip(r, c))
-                                  for r, c in zip(s, zip(*s))))
+        _same_invariance(points, a, s)
+        _same_invariance(points, a, tuple(tuple(x + y for x, y in zip(r, c))
+                                          for r, c in zip(s, zip(*s))))
     for t in invariant_symmetric_basis(a):
-        _same_invariance(a, t.coeff)
-    _same_invariance(a, variables(n))
+        _same_invariance(points, a, t.coeff)
+    _same_invariance(points, a, variables(n))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -215,9 +262,9 @@ def test_catalog_families_agree_with_the_flat_kernels(name):
     for mu in (1, Fraction(-1, 2)):
         for fam in e.families:
             r = fam.tensor(mu)
-            _same_residual(a, mu, r.coeff)
-            _same_invariance(a, extended_symmetrizer(YbeInstance(a, mu), r).coeff)
-            _same_defect(*_rota_baxter(a, fam.q_map(mu), fam.weight_sign * mu))
+            _same_residual(None, a, mu, r.coeff)
+            _same_invariance(None, a, extended_symmetrizer(YbeInstance(a, mu), r).coeff)
+            _same_defect(None, *_rota_baxter(a, fam.q_map(mu), fam.weight_sign * mu))
 
 
 @settings(max_examples=30, deadline=None)
@@ -229,12 +276,12 @@ def test_rational_tensors_agree_with_the_flat_kernels(data):
     flat = data.draw(st.lists(SCALARS, min_size=n * n, max_size=n * n))
     r = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
     mu = data.draw(SCALARS)
-    _same_residual(a, mu, r)
-    _same_invariance(a, r)
+    _same_residual(None, a, mu, r)
+    _same_invariance(None, a, r)
     v = dual_regular_bimodule(a) if data.draw(st.booleans()) else adjoint_bimodule(a)
     cols = tuple(zip(*r))
     eps = data.draw(st.one_of(st.none(), st.lists(SCALARS, min_size=n, max_size=n)))
-    _same_defect(a, v, r, r, tuple(tuple(-x for x in c) for c in cols), eps,
+    _same_defect(None, a, v, r, r, tuple(tuple(-x for x in c) for c in cols), eps,
                  opposite=data.draw(st.booleans()))
 
 
@@ -276,8 +323,8 @@ def _draws(monkeypatch, inst, r, s):
 
 
 def test_failing_verdicts_draw_one_block(monkeypatch):
-    # A dense M4 tensor that solves nothing: each verdict reads block 0 only,
-    # where the flat kernels filled 16 blocks of 256 or 16 entries each.
+    # A dense M4 tensor that solves nothing: each verdict reads block 0 only
+    # of 16 blocks of 256 or 16 entries each.
     a = matrix_algebra(4)
     rnd = random.Random(5)
     r = Tensor2(16, _matrix(rnd, 16, 16, (-2, -1, 0, 1, 2)))

@@ -3,9 +3,10 @@ family's verdicts once per entry and builds each family's exact data once.
 
 By R_mu(mu s) = mu^2 R_1(s) the grid {0, mu} at mu is the grid {0, 1} at
 mu = 1 scaled by mu, reversed when mu < 0.  The scaled lists are compared
-with a direct search, the whole run with the verifier that searched once
-per mu (`helpers.value_path_verify_catalog`), the work done with counts,
-and the integer `induced_operators` with dense matrix products."""
+with a direct search, the whole run with a reference that searches once per
+mu and takes every verdict on the oracles of `helpers`
+(`helpers.reference_verify_catalog`), the work done with counts, and the
+integer `induced_operators` with dense matrix products."""
 
 import json
 import random
@@ -37,7 +38,7 @@ from helpers import (
     entry,
     perfbench_workloads,
     reference_induced_operators,
-    value_path_verify_catalog,
+    reference_verify_catalog,
 )
 
 GRID_MUS = (1, 2, Fraction(-1, 2), Fraction(3, 7), -5)
@@ -94,7 +95,7 @@ def test_verify_matches_the_search_per_mu(name, mus, grid):
     # no mu = 1 among the mus, [1, 1, -1/2] repeats a mu, and [-1, 1]
     # reverses the grid order before the base grid is read as it stands.
     assert verify_catalog(name, mus, grid=grid).to_json() == \
-        value_path_verify_catalog(name, mus, grid=grid).to_json()
+        reference_verify_catalog(name, mus, grid=grid).to_json()
 
 
 def _counter(monkeypatch, module, name):

@@ -1,13 +1,14 @@
 """The sparse invariance kernel (`ybe._invariance_blocks`) against the dense
 Fraction references in helpers: `is_invariant` report for report, witness
-included, and `invariant_symmetric_basis` against the dense row builder,
+included, and `invariant_symmetric_basis` against the full system solved by
+Fraction elimination, its system row for row against the dense row builder,
 on catalog algebras, matrix algebras, algebras with fractional structure
 constants, a non-unital, a zero-product and a zero-dimensional algebra.
 The system goes to the elimination as sparse rows; a count of the entries
 that row operations write guards against it being solved densely.  Its
-rows are read off packed integer unknowns and equal the rows built over
-`Poly` unknowns, on random structure constants and at the coefficient
-bound; the extended symmetrizer equals the Fraction formula."""
+rows are read off packed integer unknowns and equal the dense rows, on
+random structure constants and at the coefficient bound; the extended
+symmetrizer equals the Fraction formula."""
 
 import random
 from fractions import Fraction
@@ -35,11 +36,10 @@ from helpers import (
     ALL_NAMES,
     alg,
     dense_invariant_rows,
-    dense_invariant_symmetric_basis,
     entry,
-    poly_invariant_forms,
     rebased,
     reference_extended_symmetrizer,
+    reference_invariant_symmetric_basis,
     reference_is_invariant,
     typed,
 )
@@ -182,7 +182,7 @@ def test_symmetric_basis_matches_dense_rows(name, monkeypatch):
     systems = _capture_systems(monkeypatch)
     got = [t.coeff for t in invariant_symmetric_basis(a)]
     assert [typed(c) for c in got] \
-        == [typed(t.coeff) for t in dense_invariant_symmetric_basis(a)]
+        == [typed(t.coeff) for t in reference_invariant_symmetric_basis(a)]
     # The same rows in the same order, scaled by the denominator of the
     # structure constants; a zero-product algebra hands over no rows.
     dsc = a._products[0]
@@ -285,11 +285,18 @@ def constant_algebras(draw):
     return make_algebra(n, sc)
 
 
+def _dense_forms(a):
+    """The rows of `dense_invariant_rows` as {unknown: c}, scaled by the
+    denominator of the structure constants."""
+    dsc = a._products[0]
+    return [{v: dsc * c for v, c in enumerate(row) if c} for row in dense_invariant_rows(a)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(constant_algebras())
 def test_packed_forms_match_poly_forms(a):
-    # The same rows in the same order as the forms built over `Poly` unknowns.
-    assert ybe_module._invariant_forms(a) == poly_invariant_forms(a)
+    # The same rows in the same order as the dense rows.
+    assert ybe_module._invariant_forms(a) == _dense_forms(a)
 
 
 @pytest.mark.parametrize("c", (1, -1, 7, 2 ** 70 - 1, -(2 ** 70 - 1), Fraction(2 ** 31 - 1, 3)))
@@ -304,7 +311,7 @@ def test_packed_forms_at_the_coefficient_bound(c):
     forms = ybe_module._invariant_forms(a)
     assert {2: 2 * c} in forms
     assert max(abs(x) for f in forms for x in f.values()) == 2 * abs(c)
-    assert forms == poly_invariant_forms(a)
+    assert forms == _dense_forms(a)
 
 
 @settings(max_examples=100, deadline=None)

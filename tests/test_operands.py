@@ -1,6 +1,7 @@
 """Operands prepared once per tensor and the dual regular bimodule read off
-the structure constants, against the per-call and dense references they
-replaced (`tests/helpers.py`)."""
+the structure constants: the suites against their references in
+`tests/helpers.py`, which take every verdict by definition, and the module
+against the dual of the adjoint one built from dense action tables."""
 
 import json
 import random
@@ -32,13 +33,13 @@ from helpers import (
     eager_action_tables,
     entry,
     outcome,
-    per_call_frobenius_suite,
-    per_call_invariant_operator_suite,
-    per_call_operator_form_suite,
     perfbench_workloads,
     rebased,
     rebased_entry,
     reference_dual_regular,
+    reference_frobenius_suite,
+    reference_invariant_operator_suite,
+    reference_operator_form_suite,
 )
 
 
@@ -85,12 +86,12 @@ def _bumped(t):
 
 
 def _same_suites(inst, r, forms=()):
-    assert outcome(operator_form_suite, inst, r) == outcome(per_call_operator_form_suite, inst, r)
+    assert outcome(operator_form_suite, inst, r) == outcome(reference_operator_form_suite, inst, r)
     assert outcome(invariant_operator_suite, inst, r) == \
-        outcome(per_call_invariant_operator_suite, inst, r)
+        outcome(reference_invariant_operator_suite, inst, r)
     for f in forms:
         assert outcome(frobenius_suite, f, inst.mu, r) == \
-            outcome(per_call_frobenius_suite, f, inst.mu, r)
+            outcome(reference_frobenius_suite, f, inst.mu, r)
 
 
 @pytest.mark.parametrize("mu", (1, 2, Fraction(-1, 2)), ids=("1", "2", "-1/2"))

@@ -1,4 +1,4 @@
-"""Static checks on the package source."""
+"""Static checks on the package source and on the shared test helpers."""
 
 import ast
 from pathlib import Path
@@ -103,8 +103,8 @@ def test_no_code_generation_at_import(path):
 def unread_names(sources: dict[str, str]) -> list[str]:
     """Top-level names of the modules in sources, {file name: source}, that
     no line of any of them reads: never loaded, imported, re-exported by
-    `__init__.py` or read as an attribute.  A function handed to a decorator
-    other than `dataclass` counts as read, since the decorator takes it."""
+    `__init__.py` or read as an attribute.  A decorated definition counts as
+    read, since the decorator takes it."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -121,8 +121,7 @@ def unread_names(sources: dict[str, str]) -> list[str]:
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-                if any(getattr(d, "id", None) != "dataclass" for d in decorators):
+                if node.decorator_list:
                     continue
                 defined = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -137,17 +136,26 @@ def unread_names(sources: dict[str, str]) -> list[str]:
 def test_unread_name_scan_sees_definitions_reads_and_exports():
     sources = {
         "__init__.py": "from .m import exported\n",
-        "m.py": ("from dataclasses import dataclass\nHALF = 1\nUSED = 2\n"
+        "m.py": ("HALF = 1\nUSED = 2\n"
                  "def exported(): return USED\ndef unused(): return other.attr\n"
                  "def attr(): pass\n@register('x')\ndef handler(): pass\n"
-                 "@dataclass(frozen=True)\nclass Dead:\n    x: int\n"),
+                 "class Dead:\n    x = 1\n"),
         "other.py": "from .m import helper\nimport m\nm.attr\n",
     }
-    assert unread_names(sources) == ["m.py: HALF (line 2)", "m.py: unused (line 5)",
-                                     "m.py: Dead (line 10)"]
+    assert unread_names(sources) == ["m.py: HALF (line 1)", "m.py: unused (line 4)",
+                                     "m.py: Dead (line 8)"]
 
 
 def test_every_top_level_name_is_read():
     package = Path(ybekit.__file__).parent
     assert unread_names({p.name: p.read_text(encoding="utf-8")
                          for p in package.glob("*.py")}) == []
+
+
+def test_every_test_helper_is_read():
+    # The same scan over the test modules: each name `helpers.py` defines is
+    # read by a test module or by another helper.  The unread names of the
+    # test modules themselves are the tests, which pytest collects.
+    tests = Path(__file__).parent
+    found = unread_names({p.name: p.read_text(encoding="utf-8") for p in tests.glob("*.py")})
+    assert [f for f in found if f.startswith("helpers.py: ")] == []

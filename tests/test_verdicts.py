@@ -1,13 +1,14 @@
-"""The verdict path against the value path, and exact data built once.
+"""The verdicts against the oracles, and exact data built once.
 
 Every suite and the catalog's family check read their verdicts off integer
 numerators (`ybe.is_solution`, `operators._holds`) and form no defect table
-or residual tensor.  Each is compared, on its whole `to_json()` and on the
-preconditions it refuses, with its earlier value-path body kept in
-`helpers` (`value_path_*`), which divides every table out and tests it for
-zero.  Decoded and derived objects are built from exact data without a
-second coercion; the public constructors and the CLI still refuse what they
-refused before."""
+or residual tensor.  Each suite is compared, on its whole `to_json()` and
+on the preconditions it refuses, and the family check on its (check,
+passed) pairs, with its reference in `helpers`, which takes every verdict
+by definition: the slotwise residual, the per-pair operator identities and
+the dense invariance defect.  Decoded and derived objects
+are built from exact data without a second coercion; the public
+constructors and the CLI still refuse what they refused before."""
 
 import json
 import random
@@ -24,7 +25,6 @@ from ybekit import (
     Algebra,
     Bimodule,
     BimoduleAlgebra,
-    CheckReport,
     DimensionMismatch,
     LinearMap,
     PreconditionViolated,
@@ -58,12 +58,12 @@ from helpers import (
     BASES,
     entry,
     rebased_entry,
-    value_path_dual_operator_suite,
-    value_path_frobenius_suite,
-    value_path_invariant_operator_suite,
-    value_path_operator_form_suite,
-    value_path_rb_bridge_suite,
-    value_path_verify_family,
+    reference_dual_operator_suite,
+    reference_family_checks,
+    reference_frobenius_suite,
+    reference_invariant_operator_suite,
+    reference_operator_form_suite,
+    reference_rb_bridge_suite,
 )
 
 MUS = (1, 2, Fraction(-1, 2))
@@ -87,16 +87,16 @@ def _compare_suites(a, r, mu, frobs=()):
     """Every suite on (a, r, mu), and the Frobenius suites for each structure
     in frobs; returns the operator-form suite's report."""
     i = YbeInstance(a, mu)
-    got = _same(operator_form_suite, value_path_operator_form_suite, i, r)
-    _same(invariant_operator_suite, value_path_invariant_operator_suite, i, r)
+    got = _same(operator_form_suite, reference_operator_form_suite, i, r)
+    _same(invariant_operator_suite, reference_invariant_operator_suite, i, r)
     sbar = extended_symmetrizer(i, r)
     if is_invariant(a, sbar).passed:
         b = invariant_dual_product(a, sbar)
-        _same(dual_operator_suite, value_path_dual_operator_suite, a, b, sharp(r), mu)
+        _same(dual_operator_suite, reference_dual_operator_suite, a, b, sharp(r), mu)
     for f in frobs:
-        _same(frobenius_suite, value_path_frobenius_suite, f, mu, r)
+        _same(frobenius_suite, reference_frobenius_suite, f, mu, r)
         lam = proportional_lambda(f, i, r)
-        _same(rb_bridge_suite, value_path_rb_bridge_suite, f, mu, 1 if lam is None else lam, r)
+        _same(rb_bridge_suite, reference_rb_bridge_suite, f, mu, 1 if lam is None else lam, r)
     return got
 
 
@@ -107,9 +107,7 @@ def test_catalog_families_match_the_value_path(name, mu):
     frobs = [f for f in e.forms.values()]
     for fam in e.families:
         got = catalog_module._verify_family(e, fam, mu, fam.tensor(mu), (), ())
-        want = value_path_verify_family(e, fam, mu)
-        assert [CheckReport(f"{name}/{fam.name}@mu={mu}:{check}", passed).to_json()
-                for check, passed in got] == [c.to_json() for c in want]
+        assert got == list(reference_family_checks(name, fam.name, mu))
         assert all(passed for _, passed in got)
         rep = _compare_suites(e.algebra, fam.tensor(mu), mu, frobs)
         assert rep["passed"] and rep["details"]["all_pass"]
@@ -171,7 +169,7 @@ def test_dual_operator_suite_names_the_first_bad_entry_in_scan_order():
     b = _corrupted(invariant_dual_product(e.algebra, e.forms["trace"].phi),
                    [(0, 0, 2), (0, 1, 1)])
     p = LinearMap(((0,) * 4,) * 4, "dual")
-    got = _same(dual_operator_suite, value_path_dual_operator_suite, e.algebra, b, p, 1)
+    got = _same(dual_operator_suite, reference_dual_operator_suite, e.algebra, b, p, 1)
     assert got == ("precondition", "product-pairing", {"data": [0, 1, 1]})
 
 
@@ -185,7 +183,7 @@ def test_dual_operator_suite_refuses_corrupted_products_as_before(name):
         for _ in range(8):
             entries = [tuple(rnd.randrange(n) for _ in range(3))
                        for _ in range(rnd.randint(1, 3))]
-            _same(dual_operator_suite, value_path_dual_operator_suite, a,
+            _same(dual_operator_suite, reference_dual_operator_suite, a,
                   _corrupted(b, entries), sharp(form.phi), 1)
 
 
@@ -252,8 +250,8 @@ def _literals(obj) -> set:
 
 def test_m4_op_suite_forms_no_table(tmp_path, monkeypatch, capsys):
     # Counting guard: the suites read every verdict off integer numerators.
-    # The value path made 19,273 divisions on this command (the defect
-    # tables and the residual, at each mu) and built two Tensor3s.  Reading
+    # Dividing out every defect table and the residual, at each mu, made
+    # 19,273 divisions on this command and built two Tensor3s.  Reading
     # the verdicts off numerators left the witness of the failed invariance
     # precondition at mu = -1/2 (at most 256 divisions) and the symmetrizer
     # (one division per nonzero entry, in each suite at mu = -1/2).  Now the
