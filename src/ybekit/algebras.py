@@ -29,12 +29,17 @@ Conventions, fixed once and relied on everywhere downstream:
   dual regular bimodule is read off sc without the adjoint one: e_k acts on
   the left by the slice (sc[j][k] for j) and on the right by sc[k], and its
   integer action entries (`Bimodule._actions`) are the `_groups` by factor.
+* Every structural axiom has the shape (x o1 y) o2 z = x o3 (y o4 z), and the
+  fourth kernel, `_associator`, checks each one from four sparse product
+  tables (the residual, operator and invariance kernels are the other three).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 
 from .errors import DimensionMismatch, NotAssociative
@@ -42,12 +47,12 @@ from .linalg import (
     Frozen,
     Mat,
     Vec,
+    _entries,
     _rectangular,
     _trusted,
     identity,
     is_zero_vec,
     mat,
-    mat_mul,
     scalar_str,
     transpose,
     unit_vec,
@@ -203,32 +208,58 @@ def algebra_from_products(dim, products: dict, unit=None, basis=None) -> Algebra
     return make_algebra(dim, sc, unit=unit, basis=basis)
 
 
-def check_algebra(a: Algebra) -> CheckReport:
-    """Associativity on all basis triples plus two-sided unit, if declared.
+def _associator(t1, t2, t3, t4, groups=None) -> list[tuple[int, int, int]]:
+    """The sorted basis triples (i, j, k) on which (e_i t1 e_j) t2 e_k and
+    e_i t3 (e_j t4 e_k) differ.
 
-    (e_i e_j) e_k - e_i (e_j e_k) is summed over pairs of nonzero structure
-    constants only, in the integer numerators of `_products` (both sides
-    carry the same denominator).  The failing triple reported is the first
-    in row-major order.  The unit is tested the same way: u e_k and e_k u
-    from the products with e_k, against e_k, for the first failing k.
+    Each product table is its nonzero entries (i, k, p, c): e_i e_k has c at
+    e_p.  The spaces may differ from table to table, and the kernel is linear
+    in each table, so entries that repeat are summed.  Both sides are summed
+    into one dict over pairs of entries only; `groups`, when given, is t2
+    grouped by first factor and t3 by second, as (k, p, c) and (i, p, c).
     """
-    n = a.dim
-    _, nz = a._products
-    # by_first[p]: (k, q, c), e_p e_k has c at e_q
-    # by_second[p]: (i, q, c), e_i e_p has c at e_q
-    _, by_first, by_second = a._groups[False]
-    diff: dict[tuple, int] = {}  # (i, j, k, q): coordinate q of the difference
-    for i, j, p, c in nz:
+    if groups is None:
+        groups = defaultdict(list), defaultdict(list)
+        for i, k, p, c in t2:
+            groups[0][i].append((k, p, c))
+        for i, k, p, c in t3:
+            groups[1][k].append((i, p, c))
+    by_first, by_second = groups
+    diff = {}  # (i, j, k, q): coordinate q of the difference
+    for i, j, p, c in t1:
         for k, q, c2 in by_first[p]:
             key = (i, j, k, q)
             diff[key] = diff.get(key, 0) + c * c2
-    for j, k, p, c in nz:
+    for j, k, p, c in t4:
         for i, q, c2 in by_second[p]:
             key = (i, j, k, q)
             diff[key] = diff.get(key, 0) - c * c2
-    bad = [key[:3] for key, x in diff.items() if x]
+    return sorted({key[:3] for key, x in diff.items() if x})
+
+
+def _first_failure(*axioms) -> tuple | None:
+    """(name, data) for the least failure over the axioms (name, tables, pick):
+    data is a failing triple read at the indices pick, and a tie goes to the
+    earlier axiom.  None when every axiom holds."""
+    bad = min(((tuple(t[x] for x in pick), index) for index, (_, tables, pick)
+               in enumerate(axioms) for t in _associator(*tables)), default=None)
+    return bad and (axioms[bad[1]][0], list(bad[0]))
+
+
+def check_algebra(a: Algebra) -> CheckReport:
+    """Associativity on all basis triples plus two-sided unit, if declared.
+
+    Associativity is `_associator` on the integer numerators of `_products`
+    (both sides carry the same denominator), grouped as in `_groups`.  The
+    failing triple reported is the first in row-major order.  The unit is
+    tested from the products with e_k: u e_k and e_k u against e_k, for the
+    first failing k.
+    """
+    n, nz = a.dim, a._products[1]
+    _, by_first, by_second = a._groups[False]
+    bad = _associator(nz, nz, nz, nz, (by_first, by_second))
     if bad:
-        i, j, k = min(bad)
+        i, j, k = bad[0]
         lhs = a.mul(a.sc[i][j], unit_vec(n, k))
         rhs = a.mul(unit_vec(n, i), a.sc[j][k])
         return CheckReport(
@@ -264,7 +295,7 @@ class Bimodule(Frozen):
         for mx in (*self.left, *self.right):
             _rectangular(mx)
         for tab in (self.left, self.right):
-            if len(tab) != n or any(len(mx) != m or len(mx[0]) != m for mx in tab if mx):
+            if len(tab) != n or any(len(mx) != m or any(len(r) != m for r in mx) for mx in tab):
                 raise DimensionMismatch("action tables do not match dims")
 
     @cached_property
@@ -314,24 +345,24 @@ def dual_regular_bimodule(a: Algebra) -> Bimodule:
     return a._dual_regular
 
 
+def _action_entries(v: Bimodule) -> tuple[list, list]:
+    """The left action as a table A x V -> V, entries (k, j, p, left[k][p][j]),
+    and the right action as V x A -> V, entries (j, k, p, right[k][p][j])."""
+    left = _entries(tuple(map(transpose, v.left)))
+    return left, [(j, k, p, c) for k, j, p, c in _entries(tuple(map(transpose, v.right)))]
+
+
 def check_bimodule(v: Bimodule) -> CheckReport:
-    """The three bimodule axiom families on all basis pairs of the algebra."""
-    a = v.algebra
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            prod = a.sc[i][j]
-            if v.lmat(prod) != mat_mul(v.left[i], v.left[j]):
-                return CheckReport("bimodule-axioms", False,
-                                   witness={"kind": "left-action", "pair": [i, j]})
-            if v.rmat(prod) != mat_mul(v.right[j], v.right[i]):
-                return CheckReport("bimodule-axioms", False,
-                                   witness={"kind": "right-action", "pair": [i, j]})
-            if mat_mul(v.right[j], v.left[i]) != mat_mul(v.left[i], v.right[j]):
-                return CheckReport("bimodule-axioms", False,
-                                   witness={"kind": "commuting-actions", "pair": [i, j]})
+    """The three bimodule axiom families on all basis pairs of the algebra,
+    each an `_associator` whose triple holds the pair and a module index."""
+    sc, (left, right) = _entries(v.algebra.sc), _action_entries(v)
+    bad = _first_failure(("left-action", (sc, left, left, left), (0, 1)),
+                         ("right-action", (right, right, right, sc), (1, 2)),
+                         ("commuting-actions", (left, right, left, right), (0, 2)))
+    if bad:
+        return CheckReport("bimodule-axioms", False, witness={"kind": bad[0], "pair": bad[1]})
     return CheckReport("bimodule-axioms", True,
-                       details={"algebra_dim": n, "module_dim": v.dim})
+                       details={"algebra_dim": v.algebra.dim, "module_dim": v.dim})
 
 
 def is_unital_bimodule(v: Bimodule) -> bool:
@@ -354,20 +385,10 @@ def semidirect_product(a: Algebra, v: Bimodule) -> Algebra:
     n, m = a.dim, v.dim
     d = n + m
     sc = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for p, c in enumerate(a.sc[i][j]):
-                sc[i][j][p] = c
-    for i in range(n):
-        li = v.left[i]
-        for j in range(m):
-            for p in range(m):
-                sc[i][n + j][n + p] = li[p][j]
-    for i in range(m):
-        for j in range(n):
-            rj = v.right[j]
-            for p in range(m):
-                sc[n + i][j][n + p] = rj[p][i]
+    left, right = _action_entries(v)
+    for i, k, p, c in chain(_entries(a.sc), ((i, n + k, n + p, c) for i, k, p, c in left),
+                            ((n + i, k, n + p, c) for i, k, p, c in right)):
+        sc[i][k][p] = c
     unit = None
     if a.unit is not None and is_unital_bimodule(v):
         unit = tuple(a.unit) + zero_vec(m)

@@ -3,16 +3,16 @@ they induce over the associated algebra, and the partially unital extension.
 
 The unital extension stores the two products on the non-unital part only;
 the unit rules v < 1 = v, 1 > v = v, v > 1 = 1 < v = 0 are applied when the
-star product or the action tables are assembled.  The corner products
+slanted products or the action tables are assembled.  The corner products
 1 < 1 and 1 > 1 are not part of the structure; the action tables split the
 unit as 1 < 1 -> 1, 1 > 1 -> 0, the only split whose square is itself.
 """
 
 from __future__ import annotations
 
-from .algebras import Algebra, Bimodule, _adjoin_unit, apply_table, make_algebra
+from .algebras import Algebra, Bimodule, _adjoin_unit, _first_failure, apply_table, make_algebra
 from .errors import DimensionMismatch, NotDendriform, UndefinedProduct
-from .linalg import Frozen, Scalar, Vec, unit_vec, vec
+from .linalg import Frozen, Scalar, Vec, _entries, transpose, vec, vec_add
 from .operators import LinearMap
 from .report import CheckReport
 
@@ -38,35 +38,16 @@ class Dendriform(Frozen):
     def right_product(self, x: Vec, y: Vec) -> Vec:
         return apply_table(self.succ, x, y)
 
-    def star(self, x: Vec, y: Vec) -> Vec:
-        return tuple(p + s for p, s in zip(self.left_product(x, y),
-                                           self.right_product(x, y)))
-
 
 def check_dendriform(d: Dendriform) -> CheckReport:
-    """The three splitting axioms on all basis triples."""
-    m = d.dim
-    for i in range(m):
-        ei = unit_vec(m, i)
-        for j in range(m):
-            ej = unit_vec(m, j)
-            for k in range(m):
-                ek = unit_vec(m, k)
-                ax1_l = d.left_product(d.prec[i][j], ek)
-                ax1_r = d.left_product(ei, d.star(ej, ek))
-                if ax1_l != ax1_r:
-                    return CheckReport("dendriform-axioms", False,
-                                       witness={"axiom": 1, "triple": [i, j, k]})
-                ax2_l = d.left_product(d.succ[i][j], ek)
-                ax2_r = d.right_product(ei, d.prec[j][k])
-                if ax2_l != ax2_r:
-                    return CheckReport("dendriform-axioms", False,
-                                       witness={"axiom": 2, "triple": [i, j, k]})
-                ax3_l = d.right_product(d.star(ei, ej), ek)
-                ax3_r = d.right_product(ei, d.succ[j][k])
-                if ax3_l != ax3_r:
-                    return CheckReport("dendriform-axioms", False,
-                                       witness={"axiom": 3, "triple": [i, j, k]})
+    """The three splitting axioms on all basis triples, each an
+    `_associator` of the tables < and >, and of * as their concatenation."""
+    prec, succ = _entries(d.prec), _entries(d.succ)
+    star, ijk = prec + succ, (0, 1, 2)
+    bad = _first_failure((1, (prec, prec, prec, star), ijk), (2, (succ, prec, succ, prec), ijk),
+                         (3, (star, succ, succ, succ), ijk))
+    if bad:
+        return CheckReport("dendriform-axioms", False, witness={"axiom": bad[0], "triple": bad[1]})
     return CheckReport("dendriform-axioms", True)
 
 
@@ -79,24 +60,15 @@ def _require_dendriform(d: Dendriform):
 def associated_algebra(d: Dendriform) -> Algebra:
     """The (generally non-unital) algebra with product the sum of the two."""
     _require_dendriform(d)
-    m = d.dim
-    sc = tuple(tuple(tuple(p + s for p, s in zip(d.prec[i][j], d.succ[i][j]))
-                     for j in range(m)) for i in range(m))
-    return make_algebra(m, sc, unit=None)
+    sc = tuple(tuple(map(vec_add, p, s)) for p, s in zip(d.prec, d.succ))
+    return make_algebra(d.dim, sc, unit=None)
 
 
 def succ_prec_bimodule(d: Dendriform) -> Bimodule:
     """The associated algebra acting on the dendriform space by the right-
     slanted product on the left and the left-slanted product on the right."""
-    alg = associated_algebra(d)
-    m = d.dim
-    left = tuple(
-        tuple(tuple(d.succ[k][j][p] for j in range(m)) for p in range(m))
-        for k in range(m))
-    right = tuple(
-        tuple(tuple(d.prec[j][k][p] for j in range(m)) for p in range(m))
-        for k in range(m))
-    return Bimodule(alg, m, left, right)
+    return Bimodule(associated_algebra(d), d.dim, tuple(map(transpose, d.succ)),
+                    tuple(map(transpose, zip(*d.prec))))
 
 
 class UnitalDendriform(Frozen):
@@ -143,24 +115,15 @@ def action_bimodule(u: UnitalDendriform) -> Bimodule:
     slanted products, with the unit corner split as 1 < 1 -> 1, 1 > 1 -> 0."""
     m = u.plus.dim
     d = m + 1
-    left0 = tuple(tuple(1 if (p == q and p > 0) else 0 for q in range(d))
-                  for p in range(d))
-    left = [left0]
-    for k in range(m):
-        rows = [[0] * d for _ in range(d)]
-        for j in range(m):
-            for p, c in enumerate(u.plus.succ[k][j]):
-                rows[1 + p][1 + j] = c
-        left.append(tuple(tuple(r) for r in rows))
-    right0 = tuple(unit_vec(d, p) for p in range(d))
-    right = [right0]
-    for k in range(m):
-        rows = [[0] * d for _ in range(d)]
-        for j in range(m):
-            for p, c in enumerate(u.plus.prec[j][k]):
-                rows[1 + p][1 + j] = c
-        right.append(tuple(tuple(r) for r in rows))
-    return Bimodule(u.algebra, d, tuple(left), tuple(right))
+    left = [[[int(p == q and p > 0) for q in range(d)] for p in range(d)]]
+    right = [[[int(p == q) for q in range(d)] for p in range(d)]]
+    left += ([[0] * d for _ in range(d)] for _ in range(m))
+    right += ([[0] * d for _ in range(d)] for _ in range(m))
+    for k, j, p, c in _entries(u.plus.succ):
+        left[1 + k][1 + p][1 + j] = c
+    for j, k, p, c in _entries(u.plus.prec):
+        right[1 + k][1 + p][1 + j] = c
+    return Bimodule(u.algebra, d, left, right)
 
 
 def dendriform_solutions(u: UnitalDendriform, beta: LinearMap, lam: Scalar,

@@ -14,6 +14,7 @@ from .algebras import (
     Algebra,
     Augmentation,
     BilinearForm,
+    _associator,
     adjoint_bimodule,
     check_augmentation,
     matrix_algebra,
@@ -60,18 +61,10 @@ class FrobeniusStructure(Frozen):
 
 
 def form_is_invariant(a: Algebra, b: BilinearForm) -> bool:
-    n = a.dim
-    g = b.gram
-    for i in range(n):
-        for j in range(n):
-            ij = a.sc[i][j]
-            for k in range(n):
-                lhs = sum(ij[p] * g[p][k] for p in range(n) if ij[p])
-                jk = a.sc[j][k]
-                rhs = sum(g[i][p] * jk[p] for p in range(n) if jk[p])
-                if lhs != rhs:
-                    return False
-    return True
+    """Whether B(xy, z) = B(x, yz): `_associator` of the product (one constant
+    a side, so its numerators) and the gram matrix as a table into a line."""
+    g = [(p, k, 0, c) for p, row in enumerate(b.gram) for k, c in enumerate(row) if c]
+    return not _associator(a._products[1], g, g, a._products[1])
 
 
 def frobenius_from_form(a: Algebra, b: BilinearForm) -> FrobeniusStructure:

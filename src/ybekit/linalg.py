@@ -174,6 +174,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
+def _entries(table) -> list[tuple]:
+    """The nonzero entries (i, k, p, c) of a product table: table[i][k][p] = c."""
+    return [(i, k, p, c) for i, row in enumerate(table) for k, v in enumerate(row)
+            for p, c in enumerate(v) if c]
+
+
 def _integer_rows(m, ncols: int) -> list[dict[int, int]]:
     """The rows of m as sparse integer rows {column: entry}, each scaled by
     the lcm of its denominators, so they span the same space.  Every row

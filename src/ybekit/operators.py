@@ -51,13 +51,22 @@ from __future__ import annotations
 from itertools import chain
 from math import lcm
 
-from .algebras import Algebra, Bimodule, adjoint_bimodule, apply_table, dual_regular_bimodule
+from .algebras import (
+    Algebra,
+    Bimodule,
+    _action_entries,
+    _first_failure,
+    adjoint_bimodule,
+    apply_table,
+    dual_regular_bimodule,
+)
 from .errors import DimensionMismatch, NotInvariant, NotSymmetric, PreconditionViolated
 from .linalg import (
     Frozen,
     Mat,
     Scalar,
     Vec,
+    _entries,
     _rectangular,
     _trusted,
     is_zero_mat,
@@ -66,7 +75,6 @@ from .linalg import (
     mat_vec,
     scalar_str,
     transpose,
-    unit_vec,
     vec_add,
     vec_dot,
     vec_scale,
@@ -152,41 +160,18 @@ class BimoduleAlgebra(Frozen):
 
 
 def check_bimodule_algebra(b: BimoduleAlgebra) -> CheckReport:
-    """Associativity of the module product plus the three compatibility
-    identities with the bimodule actions, on basis elements."""
-    v = b.bimodule
-    m = v.dim
-    n = v.algebra.dim
-    for i in range(m):
-        for j in range(m):
-            pij = b.product[i][j]
-            for k in range(m):
-                ek = unit_vec(m, k)
-                if b.mul(pij, ek) != b.mul(unit_vec(m, i), b.product[j][k]):
-                    return CheckReport("bimodule-algebra", False,
-                                       witness={"kind": "associativity",
-                                                "triple": [i, j, k]})
-    for k in range(n):
-        lk, rk = v.left[k], v.right[k]
-        for i in range(m):
-            for j in range(m):
-                pij = b.product[i][j]
-                li = tuple(lk[p][i] for p in range(m))
-                rj = tuple(rk[p][j] for p in range(m))
-                ri = tuple(rk[p][i] for p in range(m))
-                lj = tuple(lk[p][j] for p in range(m))
-                if mat_vec(lk, pij) != b.mul(li, unit_vec(m, j)):
-                    return CheckReport("bimodule-algebra", False,
-                                       witness={"kind": "left-compat",
-                                                "data": [k, i, j]})
-                if mat_vec(rk, pij) != b.mul(unit_vec(m, i), rj):
-                    return CheckReport("bimodule-algebra", False,
-                                       witness={"kind": "right-compat",
-                                                "data": [k, i, j]})
-                if b.mul(ri, unit_vec(m, j)) != b.mul(unit_vec(m, i), lj):
-                    return CheckReport("bimodule-algebra", False,
-                                       witness={"kind": "middle-compat",
-                                                "data": [k, i, j]})
+    """Associativity of the module product, then the three compatibility
+    identities with the bimodule actions, each an `_associator` on basis
+    elements; a compatibility witness is (algebra index, module indices)."""
+    prod, (left, right) = _entries(b.product), _action_entries(b.bimodule)
+    bad = _first_failure(("associativity", (prod, prod, prod, prod), (0, 1, 2)))
+    if bad:
+        return CheckReport("bimodule-algebra", False, witness={"kind": bad[0], "triple": bad[1]})
+    bad = _first_failure(("left-compat", (left, prod, left, prod), (0, 1, 2)),
+                         ("right-compat", (prod, right, prod, right), (2, 0, 1)),
+                         ("middle-compat", (right, prod, prod, left), (1, 0, 2)))
+    if bad:
+        return CheckReport("bimodule-algebra", False, witness={"kind": bad[0], "data": bad[1]})
     return CheckReport("bimodule-algebra", True)
 
 

@@ -820,6 +820,107 @@ def reference_check_algebra(a):
     return CheckReport("algebra-axioms", True, details={"dim": n, "unital": a.is_unital})
 
 
+def reference_check_bimodule(v):
+    """check_bimodule as the dense loop over basis pairs of the algebra it was
+    before it ran `_associator`: products of the action matrices."""
+    a = v.algebra
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            prod = a.sc[i][j]
+            if v.lmat(prod) != mat_mul(v.left[i], v.left[j]):
+                return CheckReport("bimodule-axioms", False,
+                                   witness={"kind": "left-action", "pair": [i, j]})
+            if v.rmat(prod) != mat_mul(v.right[j], v.right[i]):
+                return CheckReport("bimodule-axioms", False,
+                                   witness={"kind": "right-action", "pair": [i, j]})
+            if mat_mul(v.right[j], v.left[i]) != mat_mul(v.left[i], v.right[j]):
+                return CheckReport("bimodule-axioms", False,
+                                   witness={"kind": "commuting-actions", "pair": [i, j]})
+    return CheckReport("bimodule-axioms", True,
+                       details={"algebra_dim": n, "module_dim": v.dim})
+
+
+def reference_check_bimodule_algebra(b):
+    """check_bimodule_algebra as the dense loops it was before it ran
+    `_associator`: associativity on module basis triples, then the three
+    compatibilities per algebra basis vector and module basis pair."""
+    v = b.bimodule
+    m = v.dim
+    n = v.algebra.dim
+    for i in range(m):
+        for j in range(m):
+            pij = b.product[i][j]
+            for k in range(m):
+                ek = unit_vec(m, k)
+                if b.mul(pij, ek) != b.mul(unit_vec(m, i), b.product[j][k]):
+                    return CheckReport("bimodule-algebra", False,
+                                       witness={"kind": "associativity",
+                                                "triple": [i, j, k]})
+    for k in range(n):
+        lk, rk = v.left[k], v.right[k]
+        for i in range(m):
+            for j in range(m):
+                pij = b.product[i][j]
+                li = tuple(lk[p][i] for p in range(m))
+                rj = tuple(rk[p][j] for p in range(m))
+                ri = tuple(rk[p][i] for p in range(m))
+                lj = tuple(lk[p][j] for p in range(m))
+                if mat_vec(lk, pij) != b.mul(li, unit_vec(m, j)):
+                    return CheckReport("bimodule-algebra", False,
+                                       witness={"kind": "left-compat", "data": [k, i, j]})
+                if mat_vec(rk, pij) != b.mul(unit_vec(m, i), rj):
+                    return CheckReport("bimodule-algebra", False,
+                                       witness={"kind": "right-compat", "data": [k, i, j]})
+                if b.mul(ri, unit_vec(m, j)) != b.mul(unit_vec(m, i), lj):
+                    return CheckReport("bimodule-algebra", False,
+                                       witness={"kind": "middle-compat", "data": [k, i, j]})
+    return CheckReport("bimodule-algebra", True)
+
+
+def reference_check_dendriform(d):
+    """check_dendriform as the dense loop over basis triples it was before
+    it ran `_associator`, with x * y = x < y + x > y."""
+    m = d.dim
+
+    def star(x, y):
+        return tuple(p + s for p, s in zip(d.left_product(x, y), d.right_product(x, y)))
+
+    for i in range(m):
+        ei = unit_vec(m, i)
+        for j in range(m):
+            ej = unit_vec(m, j)
+            for k in range(m):
+                ek = unit_vec(m, k)
+                if d.left_product(d.prec[i][j], ek) != d.left_product(ei, star(ej, ek)):
+                    return CheckReport("dendriform-axioms", False,
+                                       witness={"axiom": 1, "triple": [i, j, k]})
+                if d.left_product(d.succ[i][j], ek) != d.right_product(ei, d.prec[j][k]):
+                    return CheckReport("dendriform-axioms", False,
+                                       witness={"axiom": 2, "triple": [i, j, k]})
+                if d.right_product(star(ei, ej), ek) != d.right_product(ei, d.succ[j][k]):
+                    return CheckReport("dendriform-axioms", False,
+                                       witness={"axiom": 3, "triple": [i, j, k]})
+    return CheckReport("dendriform-axioms", True)
+
+
+def reference_form_is_invariant(a, b):
+    """form_is_invariant as the dense loop it was before it ran
+    `_associator`: B(e_i e_j, e_k) against B(e_i, e_j e_k) on every triple."""
+    n = a.dim
+    g = b.gram
+    for i in range(n):
+        for j in range(n):
+            ij = a.sc[i][j]
+            for k in range(n):
+                lhs = sum(ij[p] * g[p][k] for p in range(n) if ij[p])
+                jk = a.sc[j][k]
+                rhs = sum(g[i][p] * jk[p] for p in range(n) if jk[p])
+                if lhs != rhs:
+                    return False
+    return True
+
+
 def reference_check_augmentation(a, aug):
     """check_augmentation as it was with the cyclic trace identity tested on
     every basis triple after multiplicativity and normalisation."""

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ybekit import (
     SingularMatrix,
     Augmentation,
+    Bimodule,
+    DimensionMismatch,
     NotAssociative,
     Tensor2,
     YbeInstance,
@@ -124,6 +126,18 @@ def _corrupt(bimodule, i, p, q, side="left"):
 def test_corrupted_bimodule_fails():
     adj = adjoint_bimodule(alg("A2"))
     assert not check_bimodule(_corrupt(adj, 0, 0, 1)).passed
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_every_action_matrix_is_square_in_the_module_dim(side):
+    # an empty matrix is m x m only for m = 0, as the other matrix is
+    a2 = alg("A2")
+    good, short = (((1,),), ((0,),)), (((1,),), ())
+    tables = {"left": good, "right": good, side: short}
+    with pytest.raises(DimensionMismatch, match="action tables do not match dims"):
+        Bimodule(a2, 1, tables["left"], tables["right"])
+    assert Bimodule(a2, 1, good, good).dim == 1
+    assert Bimodule(a2, 0, ((), ()), ((), ())).dim == 0
 
 
 def test_semidirect_adjoint_passes():

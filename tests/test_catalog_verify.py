@@ -1,5 +1,6 @@
-"""`catalog verify` searches the grid {0, 1} once per entry, takes each
-family's verdicts once per entry and builds each family's exact data once.
+"""`catalog verify` searches the grid {0, 1} once per entry, checks the
+algebra axioms and takes each family's verdicts once per entry and builds
+each family's exact data once.
 
 By R_mu(mu s) = mu^2 R_1(s) the grid {0, mu} at mu is the grid {0, 1} at
 mu = 1 scaled by mu, reversed when mu < 0.  The scaled lists are compared
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import ybekit.algebras as algebras_module
 import ybekit.catalog as catalog_module
 import ybekit.ybe as ybe_module
 from ybekit import (
@@ -142,6 +144,15 @@ def test_b1_takes_each_verdict_once_per_tensor_and_mu(monkeypatch):
               _counter(monkeypatch, operators_module, "_defect_blocks")]
     assert verify_catalog("B1", [1, 2, Fraction(-1, 2)]).passed
     assert [len(c) for c in counts] == [223, 77, 96]
+
+
+def test_the_algebra_axioms_are_checked_once_per_entry(monkeypatch):
+    # The report reads the verdict that every YbeInstance on the algebra
+    # takes (`Algebra._axioms`); it ran check_algebra a second time before.
+    monkeypatch.setattr(catalog_module, "_CACHE", {})
+    calls = _counter(monkeypatch, algebras_module, "check_algebra")
+    assert verify_catalog("B1", [1, 2, Fraction(-1, 2)]).passed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mus,runs", [

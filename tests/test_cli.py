@@ -652,6 +652,24 @@ def test_a_bimodule_dim_may_restate_the_matrices():
     assert io_json.decode_bimodule({"dim": 3, "left": [], "right": []}, a0).dim == 3
 
 
+# A bimodule over a 2-dimensional algebra whose second left action matrix is
+# empty: once read as zero by `op o-check` and an IndexError in `construct lift`.
+_SHORT_MODULE = {"left": [[["1"]], []], "right": [[["1"]], [["0"]]]}
+
+
+@pytest.mark.parametrize("argv", [
+    "construct lift --algebra a.json --module v.json --alpha p.json --lambda 1",
+    "op o-check --algebra a.json --module v.json --alpha p.json",
+])
+def test_an_empty_action_matrix_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
+    for name, obj in (("a.json", io_json.encode_algebra(alg("A2"))), ("v.json", _SHORT_MODULE),
+                      ("p.json", {"matrix": [["0"], ["0"]]})):
+        _write(tmp_path, name, obj)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 2
+    assert capsys.readouterr() == ("", "error: action tables do not match dims\n")
+
+
 # Failing operator checks, with the stdout they printed before the witness
 # was read off the first nonzero block of the operator kernel.
 _OPERATOR_CHECK_BYTES = {

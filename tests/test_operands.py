@@ -86,6 +86,9 @@ def _bumped(t):
 
 
 def _same_suites(inst, r, forms=()):
+    """Each suite against its `reference_*_suite`, the composition of the
+    per-pair oracles in helpers.py.  The `per_call_reference` in the names of
+    the tests below is the snapshot they once read; their ids are kept."""
     assert outcome(operator_form_suite, inst, r) == outcome(reference_operator_form_suite, inst, r)
     assert outcome(invariant_operator_suite, inst, r) == \
         outcome(reference_invariant_operator_suite, inst, r)

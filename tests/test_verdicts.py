@@ -85,7 +85,9 @@ def _same(suite, reference, *args):
 
 def _compare_suites(a, r, mu, frobs=()):
     """Every suite on (a, r, mu), and the Frobenius suites for each structure
-    in frobs; returns the operator-form suite's report."""
+    in frobs, against its `reference_*` composition of the per-pair oracles;
+    returns the operator-form suite's report.  The `value_path` in the names
+    of the tests below is the snapshot they once read; their ids are kept."""
     i = YbeInstance(a, mu)
     got = _same(operator_form_suite, reference_operator_form_suite, i, r)
     _same(invariant_operator_suite, reference_invariant_operator_suite, i, r)
