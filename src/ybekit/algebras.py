@@ -59,7 +59,7 @@ from .linalg import (
     vec,
     zero_vec,
 )
-from .report import CheckReport
+from .report import CheckReport, dumps
 
 
 class Algebra(Frozen):
@@ -120,11 +120,12 @@ class Algebra(Frozen):
     def _products(self) -> tuple[int, list[tuple]]:
         """(d, nz): d the lcm of the denominators of the structure constants,
         nz the nonzero ones as (i, k, p, d * c) where e_i e_k has c at e_p,
-        so that every entry of nz is an int."""
-        d = lcm(*(c.denominator for row in self.sc for v in row for c in v
-                  if type(c) is Fraction))
-        return d, [(i, k, p, int(c * d)) for i, row in enumerate(self.sc)
-                   for k, v in enumerate(row) for p, c in enumerate(v) if c]
+        so that every entry of nz is an int.  Only nonzero product vectors
+        are scanned entry by entry."""
+        nz = [(i, k, p, c) for i, row in enumerate(self.sc) for k, v in enumerate(row)
+              if any(v) for p, c in enumerate(v) if c]
+        d = lcm(*(c.denominator for *_, c in nz if type(c) is Fraction))
+        return d, [(i, k, p, int(c * d)) for i, k, p, c in nz]
 
     @cached_property
     def _groups(self) -> tuple[tuple[list, list, list], tuple[list, list, list]]:
@@ -402,7 +403,7 @@ def unitization(sc) -> tuple[Algebra, "Augmentation"]:
     inner = make_algebra(len(sc), sc, unit=None)
     rep = check_algebra(inner)
     if not rep.passed:
-        raise NotAssociative(f"input multiplication is not associative: {rep.witness}")
+        raise NotAssociative(f"input multiplication is not associative: {dumps(rep.witness)}")
     alg = _adjoin_unit(inner.sc, "e")
     return alg, Augmentation(alg, unit_vec(alg.dim, 0))
 

@@ -14,7 +14,7 @@ from .algebras import Algebra, Bimodule, _adjoin_unit, _first_failure, apply_tab
 from .errors import DimensionMismatch, NotDendriform, UndefinedProduct
 from .linalg import Frozen, Scalar, Vec, _entries, transpose, vec, vec_add
 from .operators import LinearMap
-from .report import CheckReport
+from .report import CheckReport, dumps
 
 
 class Dendriform(Frozen):
@@ -54,7 +54,7 @@ def check_dendriform(d: Dendriform) -> CheckReport:
 def _require_dendriform(d: Dendriform):
     rep = check_dendriform(d)
     if not rep.passed:
-        raise NotDendriform(str(rep.witness))
+        raise NotDendriform(dumps(rep.witness))
 
 
 def associated_algebra(d: Dendriform) -> Algebra:

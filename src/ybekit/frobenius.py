@@ -40,7 +40,7 @@ from .linalg import (
     vec_dot,
 )
 from .operators import LinearMap, _holds, _operator_forms, _rota_baxter, _suite_report
-from .report import CheckReport
+from .report import CheckReport, dumps
 from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
@@ -181,7 +181,7 @@ def augmentation_form(a: Algebra, aug: Augmentation) -> BilinearForm:
     """The rank-one symmetric invariant form built from an augmentation."""
     rep = check_augmentation(a, aug)
     if not rep.passed:
-        raise InvalidAugmentation(str(rep.witness))
+        raise InvalidAugmentation(dumps(rep.witness))
     e = aug.eps
     return BilinearForm(a, tuple(tuple(e[i] * e[j] for j in range(a.dim))
                                  for i in range(a.dim)))

@@ -9,7 +9,6 @@ ValueError.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .algebras import Algebra, Augmentation, BilinearForm, Bimodule, _basis_names
@@ -17,11 +16,10 @@ from .dendriform import Dendriform
 from .errors import DimensionMismatch
 from .linalg import Scalar, _trusted, exact, scalar_str
 from .operators import LinearMap
+from .report import dumps as _dumps
 from .tensors import Tensor2
 
-
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+dumps = _dumps  # `report.dumps`, which also writes the witness of a failed check
 
 
 def _checked(x, kind, what):
@@ -73,7 +71,11 @@ def _vec_out(v):
 
 class _Literals(dict):
     """The value of each string or integer literal already parsed in one
-    JSON document, so that each distinct literal is parsed once."""
+    JSON document, so that each distinct literal is parsed once, and in
+    `zeros` the zero vector of each length met."""
+
+    def __init__(self):
+        self.zeros = {}
 
     def __missing__(self, s):
         self[s] = x = parse_scalar(s)
@@ -81,8 +83,17 @@ class _Literals(dict):
 
 
 def _vec_in(v, lits: _Literals):
-    return tuple([lits[x] if type(x) is str or type(x) is int else parse_scalar(x)
-                  for x in _checked(v, list, "vector")])
+    """A vector of exact scalars.  A vector of the string "0" alone, as most
+    product vectors of a sparse algebra are, is found by one list scan and
+    shares one tuple of int zeros; a vector with any other entry, zero or
+    not (0, "-0", "0/1", 0.0, false), is read entry by entry."""
+    v, n = _checked(v, list, "vector"), len(v)
+    if v.count("0") == n:
+        zero = lits.zeros.get(n)
+        if zero is None:
+            zero = lits.zeros[n] = (0,) * n
+        return zero
+    return tuple([lits[x] if type(x) is str or type(x) is int else parse_scalar(x) for x in v])
 
 
 def _mat_out(m):

@@ -6,7 +6,16 @@ that a failing identity can be traced to the first violated instance.
 
 from __future__ import annotations
 
+import json
+
 from .linalg import Frozen
+
+
+def dumps(obj) -> str:
+    """obj as JSON text, byte-deterministic: keys sorted, compact separators.
+    The CLI's JSON output (`io_json.dumps`) and the witness in the message
+    of a failed structural check both go through it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class CheckReport(Frozen):

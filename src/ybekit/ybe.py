@@ -30,14 +30,20 @@ integer numerators block by block and divides out only the witness, and
 `invariant_symmetric_basis` reads its equations off the same kernel run
 over packed integer unknowns, unknown v being 2**(w v) for a digit width w
 set by the structure constants (`_invariant_forms`), and solves them as
-sparse integer rows.  No symbolic ring is involved.
+sparse integer rows.  No symbolic ring is involved.  In an associative
+algebra invariance under x and y gives invariance under xy, so only the
+blocks of basis vectors that are no multiple of a product of two earlier
+ones are solved (`_implied_blocks`); the others are tested on the basis
+found, and a non-associative table that fails one of them has the system
+of every block solved instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from math import lcm
+from operator import itemgetter
 
 from .algebras import Algebra
 from .errors import (
@@ -49,7 +55,7 @@ from .errors import (
 )
 from .linalg import Frozen, Scalar, _kernel, _ratio, _trusted, exact, mat_scale, scalar_str
 from .poly import Poly, variables
-from .report import CheckReport
+from .report import CheckReport, dumps
 from .tensors import Tensor2, Tensor3, outer
 
 SLOTS = (12, 13, 23)
@@ -64,7 +70,7 @@ class YbeInstance(Frozen):
         rep = algebra._axioms  # check_algebra, once per algebra
         if not rep.passed:
             error = NotUnital if rep.witness["kind"] == "unit" else NotAssociative
-            raise error(f"invalid algebra: {rep.witness}")
+            raise error(f"invalid algebra: {dumps(rep.witness)}")
 
 
 def unit_square(a: Algebra) -> Tensor2:
@@ -74,7 +80,14 @@ def unit_square(a: Algebra) -> Tensor2:
 
 
 def embed(r: Tensor2, slots: int, a: Algebra) -> Tensor3:
-    """Place r in two tensor slots of A(x)A(x)A with the unit in the third."""
+    """Place r in two tensor slots of A(x)A(x)A with the unit in the third.
+
+    No library code reads it: the residual comes from `_slot_products`.  It
+    stays for the oracle that checks `ybe enumerate` in the benchmark
+    (`perfbench/workloads.py`, and `test_tiny_enumerate_count_is_complete`
+    in its tests), which recomputes each listed residual from `embed` and
+    `triple_mul`; without them every enumerate output would be counted
+    incorrect."""
     if slots not in SLOTS:
         raise DimensionMismatch(f"slots must be one of {SLOTS}")
     n = a.dim
@@ -95,7 +108,11 @@ def embed(r: Tensor2, slots: int, a: Algebra) -> Tensor3:
 
 
 def triple_mul(x: Tensor3, y: Tensor3, a: Algebra) -> Tensor3:
-    """Slotwise product in A(x)A(x)A."""
+    """Slotwise product in A(x)A(x)A.
+
+    No library code reads it either; like `embed` it stays because the
+    enumerate oracle of the benchmark multiplies the embedded tensors with
+    it, and without it every enumerate output would be counted incorrect."""
     n = a.dim
     if x.dim != n or y.dim != n:
         raise DimensionMismatch("tensor dims do not match algebra dim")
@@ -344,23 +361,29 @@ def _require_symmetrizer(equation: str, sym: tuple[int, list], lam=0, s: Tensor2
             "defect": [[scalar_str(v) for v in _values(row, den)] for row in num]})
 
 
-def _invariance_blocks(a: Algebra, x):
+def _invariance_blocks(a: Algebra, x, ks=None):
     """x L(e_k)^T - R(e_k) x for each basis vector e_k in turn: yields the
-    n x n block of e_k, (p, q) row-major, for k = 0, 1, ..., with the
-    products taken by the integer structure constants of `Algebra._groups`.
-    For an x cleared of its denominator d the true values are these over
-    d times the algebra's denominator.  x holds ints: the numerators of a
-    tensor, or the packed unknowns of `_invariant_forms`.
+    n x n block of e_k, (p, q) row-major, for k = 0, 1, ..., or for each k
+    of ks in its order, with the products taken by the integer structure
+    constants of `Algebra._groups`.  For an x cleared of its denominator d
+    the true values are these over d times the algebra's denominator.  x
+    holds ints: the numerators of a tensor, or the packed unknowns of
+    `_invariant_forms`.
 
     For e_k e_i = ... + c e_p, the k-th block gains c x[r][i] at (r, p) (the
     left piece); for e_i e_k = ... + c e_p, it loses c x[i][q] at (p, q)
-    (the right piece).
+    (the right piece).  The block is linear in e_k, and in an associative
+    algebra invariance under x and y gives it under xy:
+    (id (x) L(xy)) s = (id (x) L(x))(R(y) (x) id) s = (R(y) R(x) (x) id) s
+    = (R(xy) (x) id) s.  So a block whose basis vector is a multiple of a
+    product of two earlier ones vanishes wherever those two do
+    (`_implied_blocks`).
     """
     n = a.dim
     _, by_i, by_k = a._groups[False]
     rows = _sparse_rows(x)
     cols = _sparse_rows(zip(*x))
-    for k in range(n):
+    for k in range(n) if ks is None else ks:
         out = [0] * (n * n)
         for i, p, c in by_i[k]:
             for r, xr in cols[i]:
@@ -369,6 +392,21 @@ def _invariance_blocks(a: Algebra, x):
             for q, xq in rows[i]:
                 out[p * n + q] -= c * xq
         yield out
+
+
+def _implied_blocks(a: Algebra) -> tuple[list[int], list[int]]:
+    """(kept, implied): the basis indices p, increasing, split by whether
+    some product e_i e_j with i, j < p has its only nonzero coordinate at p.
+    Such a p is implied: in an associative algebra its invariance block
+    vanishes wherever the blocks of e_i and e_j do (`_invariance_blocks`),
+    and by induction on p wherever the kept blocks do."""
+    implied = set()
+    for (i, j), entries in groupby(a._products[1], itemgetter(0, 1)):
+        (_, _, p, _), *more = entries
+        if not more and i < p and j < p:
+            implied.add(p)
+    kept = [p for p in range(a.dim) if p not in implied]
+    return kept, sorted(implied)
 
 
 def is_invariant(a: Algebra, s: Tensor2) -> CheckReport:
@@ -419,10 +457,11 @@ def _unpacked(f: int, w: int) -> dict[int, int]:
     return out
 
 
-def _invariant_forms(a: Algebra) -> list[dict[int, int]]:
-    """The distinct nonzero equations of `_invariance_blocks` over a symmetric
-    matrix of unknowns (`_symmetric_unknowns`), in the order they first
-    occur, as sparse integer rows {unknown: coefficient}.
+def _invariant_forms(a: Algebra, ks=None) -> list[dict[int, int]]:
+    """The distinct nonzero equations of `_invariance_blocks` (of the blocks
+    ks, or of all) over a symmetric matrix of unknowns
+    (`_symmetric_unknowns`), in the order they first occur, as sparse
+    integer rows {unknown: coefficient}.
 
     The kernel runs over plain ints (Kronecker substitution): unknown v is
     2**(w v), so each entry comes out as the int sum c_v 2**(w v) of its
@@ -438,7 +477,7 @@ def _invariant_forms(a: Algebra) -> list[dict[int, int]]:
     bound = 2 * max((abs(c) for *_, c in a._products[1]), default=0)
     w = bound.bit_length() + 1
     packed = [[1 << (w * v) for v in row] for row in _symmetric_unknowns(a.dim)]
-    forms = dict.fromkeys(f for block in _invariance_blocks(a, packed) for f in block if f)
+    forms = dict.fromkeys(f for block in _invariance_blocks(a, packed, ks) for f in block if f)
     return [_unpacked(f, w) for f in forms]
 
 
@@ -452,14 +491,34 @@ def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
     `_invariance_blocks` over packed integer unknowns (`_invariant_forms`);
     they go to `linalg._kernel` as sparse integer rows in the kernel's order,
     which peels the one-entry rows before it eliminates.  The system is never
-    a dense matrix: on M4 it is 444 x 136, and peeling its one-entry rows
-    takes 126 columns and leaves 48 two-entry rows.  A zero-product algebra
-    gives no equations: every symmetric tensor.
+    a dense matrix.  A zero-product algebra gives no equations: every
+    symmetric tensor.
+
+    Only the kept blocks of `_implied_blocks` are solved: in an associative
+    algebra invariance under e_i and e_j gives it under e_i e_j, so the
+    implied blocks add no condition.  On M4 that is 7 of 16 blocks and a
+    348 x 136 system in place of 444 x 136 (M3: 114 x 45 for 132 x 45);
+    peeling its one-entry rows takes 126 columns and leaves 24 two-entry
+    rows.  Each basis tensor is then tested on the implied blocks, on its
+    integer numerators.  When all pass, the kernel of the kept blocks lies
+    in that of every block, so the two are equal, their rows span the same
+    space and share one reduced row echelon form: the basis is the one the
+    system of every block gives.  Only if one fails, which needs a
+    non-associative table, is the system of every block solved instead.
     """
     n = a.dim
     unknown = _symmetric_unknowns(n)
-    return [Tensor2(n, tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n)))
-            for v in _kernel(_invariant_forms(a), n * (n + 1) // 2)]
+    kept, implied = _implied_blocks(a)
+    size = n * (n + 1) // 2
+
+    def coeffs(forms):
+        return [tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n))
+                for v in _kernel(forms, size)]
+    basis = coeffs(_invariant_forms(a, kept))
+    if implied and any(any(map(any, _invariance_blocks(a, _cleared(c)[1], implied)))
+                       for c in basis):
+        basis = coeffs(_invariant_forms(a))
+    return [Tensor2(n, c) for c in basis]
 
 
 def is_symmetrized_invariant(inst: YbeInstance, r: Tensor2) -> CheckReport:

@@ -73,7 +73,7 @@ from ybekit.linalg import (
 )
 from ybekit.operators import _suite_report
 from ybekit.poly import Poly
-from ybekit.report import CheckReport, combine
+from ybekit.report import CheckReport, combine, dumps
 from ybekit.tensors import Tensor3
 
 HALF = Fraction(1, 2)
@@ -459,11 +459,12 @@ def rebased_entry(name):
     return _REBASED[name]
 
 
-def _invariance_rows(a, unknown, width):
-    """One row per (k, p, q) in row-major order: entry (p, q) of the defect
-    s L(e_k)^T - R(e_k) s, in the unknowns unknown[i][j] of the entries of s."""
+def _invariance_rows(a, unknown, width, ks=None):
+    """One row per (k, p, q) in row-major order, k over ks or every basis
+    index: entry (p, q) of the defect s L(e_k)^T - R(e_k) s, in the unknowns
+    unknown[i][j] of the entries of s."""
     n = a.dim
-    for k in range(n):
+    for k in range(n) if ks is None else ks:
         lk, rk = a.left_matrix(unit_vec(n, k)), a.right_matrix(unit_vec(n, k))
         for p, q in product(range(n), repeat=2):
             row = [0] * width
@@ -514,13 +515,30 @@ def reference_is_invariant(a, s):
     return CheckReport("invariant-tensor", True)
 
 
-def dense_invariant_rows(a):
-    """The invariance system of invariant_symmetric_basis, one unknown per
-    entry s[i][j] = s[j][i] at i(i+1)/2 + j for i >= j, with zero and
-    repeated rows dropped."""
+def dense_invariant_rows(a, ks=None):
+    """The invariance system of invariant_symmetric_basis, of the blocks ks
+    or of all, one unknown per entry s[i][j] = s[j][i] at i(i+1)/2 + j for
+    i >= j, with zero and repeated rows dropped."""
     n = a.dim
     unknown = [[max(i, j) * (max(i, j) + 1) // 2 + min(i, j) for j in range(n)] for i in range(n)]
-    return list(dict.fromkeys(r for r in _invariance_rows(a, unknown, n * (n + 1) // 2) if any(r)))
+    return list(dict.fromkeys(r for r in _invariance_rows(a, unknown, n * (n + 1) // 2, ks)
+                              if any(r)))
+
+
+def reference_kept_blocks(a):
+    """The basis indices p such that no product sc[i][j] with i, j < p is a
+    nonzero multiple of e_p, read off the dense structure constants."""
+    n = a.dim
+    return [p for p in range(n)
+            if not any(v[p] and sum(map(bool, v)) == 1
+                       for i in range(p) for v in a.sc[i][:p])]
+
+
+def reference_products(a):
+    """Algebra._products as the dense scan of every structure constant."""
+    d = lcm(*(c.denominator for row in a.sc for v in row for c in v if type(c) is Fraction))
+    return d, [(i, k, p, int(c * d)) for i, row in enumerate(a.sc)
+               for k, v in enumerate(row) for p, c in enumerate(v) if c]
 
 
 def reference_extended_symmetrizer(inst, r):
@@ -956,7 +974,7 @@ def reference_unitization(sc):
     inner = make_algebra(len(sc), sc, unit=None)
     rep = check_algebra(inner)
     if not rep.passed:
-        raise NotAssociative(f"input multiplication is not associative: {rep.witness}")
+        raise NotAssociative(f"input multiplication is not associative: {dumps(rep.witness)}")
     m = inner.dim
     names = ("u",) + tuple(f"e{i + 1}" for i in range(m))
     alg = make_algebra(m + 1, _with_unit(inner.sc), unit=unit_vec(m + 1, 0), basis=names)

@@ -45,6 +45,7 @@ from helpers import (
     reference_check_algebra,
     reference_check_augmentation,
     reference_invert,
+    reference_products,
     reference_unitization,
 )
 
@@ -420,3 +421,27 @@ def test_find_augmentations_matches_the_cyclic_reference(name):
     grid = [Augmentation(a, e) for e in product((0, 1, -1), repeat=a.dim) if any(e)]
     assert find_augmentations(a) == [g for g in grid
                                      if reference_check_augmentation(a, g).passed]
+
+
+_TABLE_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_products_match_the_dense_scan_on_the_catalog(name):
+    for a in (alg(name), rebased(alg(name), BASES[name])) if name in BASES else (alg(name),):
+        assert a._products == reference_products(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: st.lists(
+    _TABLE_ENTRIES, min_size=n ** 3, max_size=n ** 3).map(lambda xs: (n, xs))))
+def test_products_match_the_dense_scan(table):
+    # Zero and nonzero product vectors with integral and fractional
+    # entries: the same entries and denominator, types included.
+    n, xs = table
+    a = make_algebra(n, [[xs[(i * n + k) * n:(i * n + k + 1) * n] for k in range(n)]
+                         for i in range(n)])
+    got, want = a._products, reference_products(a)
+    assert got == want
+    assert [type(c) for *_, c in got[1]] == [int] * len(got[1]) and type(got[0]) is int

@@ -698,3 +698,84 @@ def test_failing_operator_checks_print_the_same_bytes(case, tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     assert run(argv.split()) == 1
     assert capsys.readouterr() == (stdout, "")
+
+
+_NOT_ASSOCIATIVE = {"dim": 2, "unit": None,
+                    "sc": [[["0", "1"], ["0", "0"]], [["1", "0"], ["0", "0"]]]}
+
+
+@pytest.mark.parametrize("argv, files, prefix, witness", [
+    ("dendriform build --dendriform d.json --beta b.json --lambda 1 --mu 0",
+     {"d.json": {"dim": 1, "prec": [[["1"]]], "succ": [[["1"]]]},
+      "b.json": {"matrix": [["1"]]}},
+     "error: ", {"axiom": 1, "triple": [0, 0, 0]}),
+    ("construct unitize-extract --algebra a.json --eps e.json --r r.json --mu 0",
+     {"a.json": _NOT_ASSOCIATIVE, "e.json": {"eps": ["1", "0"]},
+      "r.json": {"dim": 2, "coeff": [["0", "0"], ["0", "0"]]}},
+     "error: invalid algebra: ",
+     {"kind": "associativity", "left": ["1", "0"], "right": ["0", "0"], "triple": [0, 0, 0]}),
+], ids=["dendriform-build", "unitize-extract"])
+def test_a_failed_structural_check_prints_its_witness_as_json(argv, files, prefix, witness,
+                                                               tmp_path, monkeypatch, capsys):
+    for name, obj in files.items():
+        _write(tmp_path, name, obj)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(prefix) and err.endswith("\n")
+    text = err[len(prefix):-1]
+    assert json.loads(text) == witness
+    assert text == io_json.dumps(witness)  # keys sorted, no spaces
+
+
+def test_an_unassociative_unitization_prints_its_witness_as_json():
+    with pytest.raises(ybekit.NotAssociative) as exc:
+        ybekit.unitization([[[0, 1], [0, 0]], [[1, 0], [0, 0]]])
+    prefix = "input multiplication is not associative: "
+    text = str(exc.value)
+    assert text.startswith(prefix)
+    assert text[len(prefix):] == io_json.dumps(
+        {"kind": "associativity", "left": ["1", "0"], "right": ["0", "0"], "triple": [0, 0, 0]})
+
+
+_Z = (0, 0)
+
+
+@pytest.mark.parametrize("row, want", [
+    (["0", "0"], _Z),
+    (["0", 0.0], (ValueError, "scalar: expected int, got float")),
+    ([False, "0"], (ValueError, "scalar: expected int, got bool")),
+    (["0", "-0"], _Z),
+    (["0", "0/1"], _Z),
+    (["00", "0"], _Z),
+    ([0, 0], _Z),
+    (["0"], (ybekit.DimensionMismatch, None)),
+    ([], (ybekit.DimensionMismatch, None)),
+], ids=["zeros", "float", "bool", "minus-zero", "zero-over-one", "double-zero", "ints", "short",
+        "empty"])
+def test_rows_that_look_like_zeros_decode_as_before(row, want):
+    # Only ["0"] * m takes the shared zero row; every other row is read entry
+    # by entry, so floats and bools are still refused and a short row still
+    # fails the shape check of the tensor or algebra.
+    decodes = (
+        (lambda: io_json.decode_tensor2({"dim": 2, "coeff": [row, ["1", "0"]]}).coeff,
+         "ragged matrix"),
+        (lambda: io_json.decode_algebra(
+            {"dim": 2, "unit": None, "sc": [[row, ["0", "0"]], [["0", "0"], ["0", "1"]]]}).sc[0],
+         "structure constants are not 2x2x2"))
+    for decode, shape_message in decodes:
+        if want == _Z:
+            got = decode()[0]
+            assert got == _Z and [type(x) for x in got] == [int, int]
+        else:
+            error, message = want
+            with pytest.raises(error) as exc:
+                decode()
+            assert str(exc.value) == (message or shape_message)
+
+
+def test_zero_rows_of_one_document_share_one_tuple():
+    a = io_json.decode_algebra(io_json.encode_algebra(alg("B1")))
+    zeros = [v for row in a.sc for v in row if not any(v)]
+    assert len(zeros) == 6 and all(v is zeros[0] for v in zeros)
+    assert a == alg("B1")

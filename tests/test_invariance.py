@@ -8,7 +8,11 @@ The system goes to the elimination as sparse rows; a count of the entries
 that row operations write guards against it being solved densely.  Its
 rows are read off packed integer unknowns and equal the dense rows, on
 random structure constants and at the coefficient bound; the extended
-symmetrizer equals the Fraction formula."""
+symmetrizer equals the Fraction formula.  Only the blocks that no product
+of two earlier basis vectors implies are solved (`ybe._implied_blocks`):
+the basis equals that of the system of every block on associative and
+non-associative tables, the latter through the backstop that solves every
+block."""
 
 import random
 from fractions import Fraction
@@ -41,6 +45,7 @@ from helpers import (
     reference_extended_symmetrizer,
     reference_invariant_symmetric_basis,
     reference_is_invariant,
+    reference_kept_blocks,
     typed,
 )
 
@@ -183,17 +188,21 @@ def test_symmetric_basis_matches_dense_rows(name, monkeypatch):
     got = [t.coeff for t in invariant_symmetric_basis(a)]
     assert [typed(c) for c in got] \
         == [typed(t.coeff) for t in reference_invariant_symmetric_basis(a)]
-    # The same rows in the same order, scaled by the denominator of the
-    # structure constants; a zero-product algebra hands over no rows.
+    # The same rows in the same order as the dense rows of the kept blocks,
+    # scaled by the denominator of the structure constants; a zero-product
+    # algebra hands over no rows.  Every algebra here is associative, so
+    # the kept blocks are the only system solved.
     dsc = a._products[0]
-    want = [tuple(dsc * x for x in row) for row in dense_invariant_rows(a)]
+    want = [tuple(dsc * x for x in row)
+            for row in dense_invariant_rows(a, reference_kept_blocks(a))]
     assert systems == [tuple(want)]
 
 
-@pytest.mark.parametrize("m, shape", [(3, (132, 45)), (4, (444, 136))])
+@pytest.mark.parametrize("m, shape", [(3, (114, 45)), (4, (348, 136))])
 def test_matrix_algebra_systems_keep_their_shape(m, shape, monkeypatch):
-    # The equations are read off every block of `_invariance_blocks`, in
-    # order; repeated and zero ones are dropped as from the flat table.
+    # The equations are read off the kept blocks of `_invariance_blocks`, in
+    # order; repeated and zero ones are dropped as from the flat table.  The
+    # system of every block would be 132 x 45 and 444 x 136.
     systems = _capture_systems(monkeypatch)
     assert len(invariant_symmetric_basis(matrix_algebra(m))) == 1
     [rows] = systems
@@ -202,9 +211,9 @@ def test_matrix_algebra_systems_keep_their_shape(m, shape, monkeypatch):
 
 def test_m4_elimination_writes_few_entries(monkeypatch):
     # A deterministic guard against dense elimination: count the entries of
-    # the rows that row operations produce while the M4 system (444 x 136,
-    # about 1.4 entries a row) is solved.  Sparse rows write 384 in 573
-    # operations; a dense row has 136 entries, so dense rows write 82,280.
+    # the rows that row operations produce while the M4 system (348 x 136,
+    # about 1.3 entries a row) is solved.  Sparse rows write 160 in 95
+    # operations; a dense row has 136 entries, so dense rows write 12,920.
     written = []
     cancel = linalg_module._cancel
 
@@ -332,3 +341,132 @@ def test_symmetric_basis_uses_no_polynomial_arithmetic(monkeypatch):
         monkeypatch.setattr(Poly, name, refuse)
     for a in (matrix_algebra(4), ALGEBRAS["B1-rational"](), alg("A2")):
         assert invariant_symmetric_basis(a)
+
+
+def _upper_triangular(m):
+    """The upper-triangular m x m matrices on their matrix units E_ab, a <= b."""
+    units = [(a, b) for a in range(m) for b in range(a, m)]
+    index = {u: t for t, u in enumerate(units)}
+    return algebra_from_products(len(units), {
+        (index[a, b], index[b, e]): {index[a, e]: 1} for a, b in units for e in range(b, m)})
+
+
+def _cyclic(m):
+    """The group algebra of the cyclic group of order m on its elements."""
+    return algebra_from_products(m, {(i, k): {(i + k) % m: 1}
+                                     for i in range(m) for k in range(m)})
+
+
+def _rescaled_m3():
+    """M3 on the basis f_t = s_t E_t: f_i f_k = (s_i s_k / s_p) f_p."""
+    s = [Fraction(x) for x in (1, 2, "1/3", "3/2", 1, 5, "1/2", "2/7", 1)]
+    return algebra_from_products(9, {(i, k): {p: s[i] * s[k] / s[p]}
+                                     for i, k, p, _ in matrix_algebra(3)._products[1]})
+
+
+def _random_table(seed, n):
+    """About half of the n^2 basis products set to one random multiple of a
+    random basis vector: in general not associative."""
+    rnd = random.Random(seed)
+    return algebra_from_products(n, {
+        (i, k): {rnd.randrange(n): rnd.choice((1, -1, 2, Fraction(1, 2)))}
+        for i in range(n) for k in range(n) if rnd.random() < 0.5})
+
+
+def _swap():
+    """e0 e0 = e1 and e1 e1 = e0: e1 is implied, but the table is not
+    associative, and the block of e0 alone leaves a larger kernel."""
+    return algebra_from_products(2, {(0, 0): {1: 1}, (1, 1): {0: 1}})
+
+
+FAMILIES = {f"M{m}": (lambda m=m: matrix_algebra(m)) for m in range(1, 6)}
+FAMILIES.update({name: (lambda name=name: alg(name)) for name in ALL_NAMES})
+FAMILIES.update({f"U{m}": (lambda m=m: _upper_triangular(m)) for m in (2, 3, 4)})
+FAMILIES.update({f"C{m}": (lambda m=m: _cyclic(m)) for m in (2, 3, 4, 5)})
+FAMILIES["M3-rescaled"] = _rescaled_m3
+FAMILIES.update({f"table{seed}": (lambda seed=seed: _random_table(seed, 3 + seed % 2))
+                 for seed in range(3)})
+FAMILIES["swap"] = _swap
+
+
+def _every_block_basis(a):
+    """The basis read off the system of every block, as before blocks were
+    kept or implied."""
+    n = a.dim
+    unknown = ybe_module._symmetric_unknowns(n)
+    return [tuple(tuple(v[unknown[i][j]] for j in range(n)) for i in range(n))
+            for v in ybe_module._kernel(ybe_module._invariant_forms(a), n * (n + 1) // 2)]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_kept_blocks_give_the_basis_of_every_block(name):
+    a = FAMILIES[name]()
+    got = [t.coeff for t in invariant_symmetric_basis(a)]
+    assert typed(got) == typed(_every_block_basis(a))
+
+
+def test_the_family_tables_are_what_they_claim():
+    # The random tables and the swap are not associative; the families
+    # listed have an implied block, so each kind of table meets both paths.
+    implied = {"M2", "M3", "M4", "M5", "B3", "C3", "C4", "C5", "M3-rescaled", "table1", "swap"}
+    for name, make in FAMILIES.items():
+        a = make()
+        assert a._axioms.passed == (not name.startswith(("table", "swap"))), name
+        assert bool(ybe_module._implied_blocks(a)[1]) == (name in implied), name
+
+
+def test_a_non_associative_table_runs_the_backstop(monkeypatch):
+    # The kept block of e0 asks only s00 = 0 (kernel 2: s01 and s11 free);
+    # the implied block of e1 asks s11 = 0, which the basis tensor with
+    # s11 = 1 fails, so the system of every block is solved too (kernel 1).
+    a = _swap()
+    assert ybe_module._implied_blocks(a) == ([0], [1])
+    assert len(ybe_module._kernel(ybe_module._invariant_forms(a, [0]), 3)) == 2
+    systems = _capture_systems(monkeypatch)
+    got = [t.coeff for t in invariant_symmetric_basis(a)]
+    assert got == [((0, 1), (1, 0))]
+    assert typed(got) == typed([t.coeff for t in reference_invariant_symmetric_basis(a)])
+    assert systems == [tuple(dense_invariant_rows(a, [0])), tuple(dense_invariant_rows(a))]
+
+
+def test_m4_evaluates_7_of_16_blocks_for_its_system(monkeypatch):
+    # The system is read off the 7 kept blocks; the 9 implied blocks are
+    # evaluated once, on the numerators of the one basis tensor, and pass,
+    # so no block is evaluated for a second system.
+    calls = []
+    blocks = ybe_module._invariance_blocks
+
+    def counted(a, x, ks=None):
+        calls.append([ks, 0])
+        for block in blocks(a, x, ks):
+            calls[-1][1] += 1
+            yield block
+
+    monkeypatch.setattr(ybe_module, "_invariance_blocks", counted)
+    assert len(invariant_symmetric_basis(matrix_algebra(4))) == 1
+    kept = [0, 1, 2, 3, 4, 8, 12]  # E11, E12, E13, E14, E21, E31, E41
+    assert calls == [[kept, 7], [[p for p in range(16) if p not in kept], 9]]
+
+
+@pytest.mark.parametrize("m, kept", [(3, 5), (4, 7), (5, 9)])
+def test_matrix_algebras_keep_the_first_row_and_column(m, kept):
+    # E_ab with a, b > 1 is E_a1 E_1b, both earlier; E_1b and E_a1 are
+    # products only of later or equal units.
+    a = matrix_algebra(m)
+    got = ybe_module._implied_blocks(a)
+    assert len(got[0]) == kept == 2 * m - 1
+    assert got[0] == reference_kept_blocks(a)
+    assert sorted(got[0] + got[1]) == list(range(m * m))
+
+
+def test_only_b3_and_m2_have_an_implied_block_in_the_catalog():
+    implied = {name: ybe_module._implied_blocks(alg(name))[1] for name in ALL_NAMES}
+    assert {name: ks for name, ks in implied.items() if ks} == {"B3": [2], "M2": [3]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(constant_algebras())
+def test_implied_blocks_match_the_dense_scan(a):
+    kept, implied = ybe_module._implied_blocks(a)
+    assert kept == reference_kept_blocks(a)
+    assert implied == [p for p in range(a.dim) if p not in kept]

@@ -159,3 +159,30 @@ def test_every_test_helper_is_read():
     tests = Path(__file__).parent
     found = unread_names({p.name: p.read_text(encoding="utf-8") for p in tests.glob("*.py")})
     assert [f for f in found if f.startswith("helpers.py: ")] == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def ybekit_reads(source: str) -> set[str]:
+    """The names a module reads as attributes of `ybekit`: ybekit.<name>."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ybekit"}
+
+
+def test_ybekit_read_scan_sees_attributes():
+    source = "import ybekit\nx = ybekit.embed(ybekit.Tensor2)\ny = other.ybekit.z\n"
+    assert ybekit_reads(source) == {"embed", "Tensor2"}
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # The enumerate oracle of the benchmark and its tests recompute residuals
+    # with `ybekit.embed` and `ybekit.triple_mul`, which no library code
+    # reads: a name deleted here makes the benchmark count correct output
+    # as incorrect.  The benchmark files are only read.
+    reads = set()
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        reads |= ybekit_reads(path.read_text(encoding="utf-8"))
+    assert {"embed", "triple_mul", "make_algebra", "Tensor2"} <= reads
+    assert sorted(name for name in reads if not hasattr(ybekit, name)) == []

@@ -270,13 +270,15 @@ def test_invariant_basis_matches_full_system(name, build):
 def test_invariant_system_has_one_unknown_per_pair(monkeypatch):
     # M3 has dimension 9: the full system is 9^3 invariance rows plus 36
     # antisymmetry rows in 81 unknowns, 765 x 81.  One unknown per pair
-    # {i, j} and no zero or repeated rows leave 132 x 45.
+    # {i, j} and no zero or repeated rows leave 132 x 45, and only the 5
+    # blocks of E11, E12, E13, E21 and E31 that no product of two earlier
+    # matrix units implies leave 114 x 45.
     shapes = []
     kernel = ybe_module._kernel
     monkeypatch.setattr(ybe_module, "_kernel", lambda rows, ncols:
                         shapes.append((len(rows), ncols)) or kernel(rows, ncols))
     assert len(invariant_symmetric_basis(matrix_algebra(3))) == 1
-    assert shapes == [(132, 45)]
+    assert shapes == [(114, 45)]
 
 
 def test_m2_invariant_space_is_the_trace_tensor():
