@@ -73,7 +73,7 @@ def _emit_text(obj, indent=0):
     if isinstance(obj, dict) and "check" in obj and "passed" in obj:
         print(f"{pad}{'PASS' if obj['passed'] else 'FAIL'} {obj['check']}")
         if not obj["passed"] and obj.get("witness") is not None:
-            print(f"{pad}  witness: {json.dumps(obj['witness'], sort_keys=True)}")
+            print(f"{pad}  witness: {io_json.dumps(obj['witness'])}")
         for sub in obj.get("details", {}).get("subchecks", []):
             _emit_text(sub, indent + 1)
     else:

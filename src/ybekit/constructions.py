@@ -8,7 +8,8 @@ with the x and lam of each construction, has one raise site,
 `ybe._require_symmetrizer`, which the dual operator suite and the Frobenius
 bridge share; its witness is the whole defect.  An operator identity or the
 tensor equation is a kernel verdict, whose witness is read off the first
-nonzero block (`operators._defect_witness`, `ybe._residual_witness`).
+nonzero block (`operators._defect_witness`; `first_nonzero` of the residual
+`Tensor3`, which draws its planes only that far).
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
     _require_symmetrizer,
-    _residual_witness,
     _symmetrizer_num,
     extended_symmetrizer,
+    nhacybe_residual,
 )
 
 
@@ -90,7 +91,7 @@ def rb_from_solution(a: Algebra, s: Tensor2, r: Tensor2, lam: Scalar,
     if r.dim != s.dim:
         raise DimensionMismatch(f"tensor dims {r.dim} != {s.dim}")
     _require_symmetrizer("symmetrizer-relation", _symmetrizer_num(a, r.coeff, mu), lam, s)
-    witness = _residual_witness(YbeInstance(a, mu), r)
+    witness = nhacybe_residual(YbeInstance(a, mu), r).first_nonzero()
     if witness is not None:
         raise PreconditionViolated("tensor-equation", witness=witness)
     p = LinearMap(mat_mul(transpose(r.coeff), s_inv))

@@ -70,7 +70,10 @@ class Frozen:
     one class, the hash is that of the field tuple (`_values`) and the repr
     lists the fields, as for a frozen dataclass.  Assignment and deletion
     raise AttributeError; derived data may still be kept in the instance
-    dict (`functools.cached_property`)."""
+    dict (`functools.cached_property`).  A field may itself be such a
+    property, drawn lazily on first read (`Tensor3.coeff` of a lazy
+    tensor): equality, hash and repr read every field as an attribute, so
+    they see it drawn."""
 
     __slots__ = ()
 
@@ -89,8 +92,7 @@ class Frozen:
         return hash(self._values(self))
 
     def __repr__(self):
-        d = self.__dict__
-        fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -57,7 +57,6 @@ from .algebras import (
     _action_entries,
     _first_failure,
     adjoint_bimodule,
-    apply_table,
     dual_regular_bimodule,
 )
 from .errors import DimensionMismatch, NotInvariant, NotSymmetric, PreconditionViolated
@@ -154,9 +153,6 @@ class BimoduleAlgebra(Frozen):
                 len(v) != m for row in tab for v in row):
             raise DimensionMismatch("product table does not match module dim")
         self.__dict__.update(bimodule=bimodule, product=tab)
-
-    def mul(self, x: Vec, y: Vec) -> Vec:
-        return apply_table(self.product, x, y)
 
 
 def check_bimodule_algebra(b: BimoduleAlgebra) -> CheckReport:

@@ -116,7 +116,7 @@ class Tensor3(Frozen):
             tuple(tuple(c * a for a in r) for r in p) for p in self.coeff))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for p in self.coeff for r in p for a in r)
+        return self.first_nonzero() is None
 
     def swap_outer(self) -> "Tensor3":
         """Exchange the first and third tensor slots."""
@@ -126,7 +126,7 @@ class Tensor3(Frozen):
             for p in range(n)))
 
     def first_nonzero(self):
-        for p, plane in enumerate(self.coeff):
+        for p, plane in enumerate(self._planes()):
             for q, row in enumerate(plane):
                 for s, a in enumerate(row):
                     if a != 0:
@@ -136,3 +136,44 @@ class Tensor3(Frozen):
     def _match(self, other: "Tensor3"):
         if self.dim != other.dim:
             raise DimensionMismatch(f"tensor dims {self.dim} != {other.dim}")
+
+    def __reduce__(self):
+        # a lazy tensor holds a generator, which can be neither pickled nor copied
+        return Tensor3, (self.dim, self.coeff)
+
+    @cached_property
+    def coeff(self) -> tuple:
+        """The planes of a lazy tensor (`_lazy_tensor3`), drawn to the end on
+        first read.  An eager tensor keeps coeff in its instance dict, which
+        takes precedence over this property."""
+        return tuple(self._planes())
+
+    def _planes(self):
+        """The planes of coeff in order.  A lazy tensor draws each from its
+        iterator once, on the first walk that reaches it, and keeps it; a
+        walk stops drawing where its reader stops."""
+        d = self.__dict__
+        if "coeff" in d:
+            yield from d["coeff"]
+            return
+        drawn, rest = d["_drawn"], d["_rest"]
+        p = 0
+        while True:
+            if p == len(drawn):
+                plane = next(rest, None)
+                if plane is None:
+                    return
+                drawn.append(plane)
+            yield drawn[p]
+            p += 1
+
+
+def _lazy_tensor3(n: int, planes) -> Tensor3:
+    """The Tensor3 of dimension n whose planes are drawn from the iterator
+    planes as they are read (`Tensor3._planes`): each an n x n tuple of row
+    tuples of exact values, so nothing is coerced or checked again.  Only
+    `is_zero` and `first_nonzero` read part of them; every other method
+    reads `coeff`, which draws the rest."""
+    t = object.__new__(Tensor3)
+    t.__dict__.update(dim=n, _drawn=[], _rest=planes)
+    return t

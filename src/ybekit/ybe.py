@@ -20,9 +20,15 @@ printed; verdicts test numerators; exact data is built once; a verdict
 reads the blocks in order and stops at the first nonzero one.  A verdict
 (the suites, the catalog) is `is_solution`: it divides nothing.  The
 Tensor3 of `nhacybe_residual`, `opposite_residual` and `aybp_residual`,
-for a caller that prints it such as `ybe check`, divides each entry once,
-like `linalg._ratio` (an int when exact, else a Fraction; nothing when L
-is 1), and is built without a second coercion (`linalg._trusted`).
+for a caller that prints it such as `ybe check`, is lazy
+(`tensors._lazy_tensor3`): it holds the kernel's plane generator and
+draws a plane only when a reader reaches it, dividing each entry once like
+`linalg._ratio` (an int when exact, else a Fraction; nothing when L is 1)
+and coercing nothing again.  `is_zero` and `first_nonzero` stop at the
+first nonzero plane, so a failing `ybe check` forms one plane for its
+verdict and witness; `coeff`, and so equality, hash, repr and arithmetic,
+draws the rest.  What can raise (the dimensions, the unit, clearing the
+input) runs at the call; the draws read only immutable data.
 
 The invariance identity s L(x)^T - R(x) s = 0 has one kernel too,
 `_invariance_blocks`, under the same rule: `is_invariant` tests its
@@ -56,7 +62,7 @@ from .errors import (
 from .linalg import Frozen, Scalar, _kernel, _ratio, _trusted, exact, mat_scale, scalar_str
 from .poly import Poly, variables
 from .report import CheckReport, dumps
-from .tensors import Tensor2, Tensor3, outer
+from .tensors import Tensor2, Tensor3, _lazy_tensor3, outer
 
 SLOTS = (12, 13, 23)
 
@@ -236,8 +242,9 @@ def _values(num: list, den: int) -> list:
 
 
 def _tensor3(n: int, blocks, den: int) -> Tensor3:
-    return _trusted(Tensor3, n, tuple(tuple(tuple(plane[q * n:(q + 1) * n]) for q in range(n))
-                                      for plane in (_values(b, den) for b in blocks)))
+    """The lazy Tensor3 of the n x n planes `blocks` yields, row-major, over den."""
+    return _lazy_tensor3(n, (tuple(tuple(plane[q * n:(q + 1) * n]) for q in range(n))
+                             for plane in (_values(b, den) for b in blocks)))
 
 
 def _residual_blocks(a: Algebra, mu, c, opposite: bool = False) -> tuple:
@@ -298,18 +305,6 @@ def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
 def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
     _check_ybe_args(inst, r)
     return not any(map(any, _residual_blocks(inst.algebra, inst.mu, r.coeff)[0]))
-
-
-def _residual_witness(inst: YbeInstance, r: Tensor2) -> tuple | None:
-    """(p, q, s, value) of the first nonzero residual entry of r, read off
-    the first nonzero plane of `_residual_blocks`; None for a solution."""
-    _check_ybe_args(inst, r)
-    planes, den = _residual_blocks(inst.algebra, inst.mu, r.coeff)
-    for p, plane in enumerate(planes):
-        for t, x in enumerate(plane):
-            if x:
-                return (p, *divmod(t, r.dim), _ratio(x, den))
-    return None
 
 
 def _symmetrizer_num(a: Algebra, x, mu) -> tuple[int, list[list[int]]]:

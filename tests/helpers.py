@@ -51,6 +51,7 @@ from ybekit import (
 from ybekit.algebras import (
     Augmentation,
     Bimodule,
+    apply_table,
     check_algebra,
     dual_bimodule,
     find_augmentations,
@@ -866,12 +867,16 @@ def reference_check_bimodule_algebra(b):
     v = b.bimodule
     m = v.dim
     n = v.algebra.dim
+
+    def mul(x, y):
+        return apply_table(b.product, x, y)
+
     for i in range(m):
         for j in range(m):
             pij = b.product[i][j]
             for k in range(m):
                 ek = unit_vec(m, k)
-                if b.mul(pij, ek) != b.mul(unit_vec(m, i), b.product[j][k]):
+                if mul(pij, ek) != mul(unit_vec(m, i), b.product[j][k]):
                     return CheckReport("bimodule-algebra", False,
                                        witness={"kind": "associativity",
                                                 "triple": [i, j, k]})
@@ -884,13 +889,13 @@ def reference_check_bimodule_algebra(b):
                 rj = tuple(rk[p][j] for p in range(m))
                 ri = tuple(rk[p][i] for p in range(m))
                 lj = tuple(lk[p][j] for p in range(m))
-                if mat_vec(lk, pij) != b.mul(li, unit_vec(m, j)):
+                if mat_vec(lk, pij) != mul(li, unit_vec(m, j)):
                     return CheckReport("bimodule-algebra", False,
                                        witness={"kind": "left-compat", "data": [k, i, j]})
-                if mat_vec(rk, pij) != b.mul(unit_vec(m, i), rj):
+                if mat_vec(rk, pij) != mul(unit_vec(m, i), rj):
                     return CheckReport("bimodule-algebra", False,
                                        witness={"kind": "right-compat", "data": [k, i, j]})
-                if b.mul(ri, unit_vec(m, j)) != b.mul(unit_vec(m, i), lj):
+                if mul(ri, unit_vec(m, j)) != mul(unit_vec(m, i), lj):
                     return CheckReport("bimodule-algebra", False,
                                        witness={"kind": "middle-compat", "data": [k, i, j]})
     return CheckReport("bimodule-algebra", True)

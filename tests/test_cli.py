@@ -671,12 +671,13 @@ def test_an_empty_action_matrix_is_an_input_error(argv, tmp_path, monkeypatch, c
 
 
 # Failing operator checks, with the stdout they printed before the witness
-# was read off the first nonzero block of the operator kernel.
+# was read off the first nonzero block of the operator kernel; the text
+# report prints its witness as compact JSON (`report.dumps`).
 _OPERATOR_CHECK_BYTES = {
     "rb-check-text": (
         "op rb-check --algebra a.json --p p.json --lambda -1/2 --report text",
         {"a.json": "B1", "p.json": {"matrix": [[0, 0, 0], [0, "1/3", 1], [0, 0, 0]]}},
-        'FAIL rota-baxter\n  witness: {"defect": ["0", "1/18", "0"], "pair": [1, 1]}\n'),
+        'FAIL rota-baxter\n  witness: {"defect":["0","1/18","0"],"pair":[1,1]}\n'),
     "rb-check": (
         "op rb-check --algebra a.json --p p.json --lambda 2",
         {"a.json": "A2", "p.json": {"matrix": [[-2, 0], [0, "1/2"]]}},
@@ -726,6 +727,21 @@ def test_a_failed_structural_check_prints_its_witness_as_json(argv, files, prefi
     text = err[len(prefix):-1]
     assert json.loads(text) == witness
     assert text == io_json.dumps(witness)  # keys sorted, no spaces
+
+
+def test_a_text_report_prints_the_witness_of_the_build_error(tmp_path, monkeypatch, capsys):
+    # Both products 1 on one dimension: (x < y) < z = 1 but x < (y * z) = 2.
+    _write(tmp_path, "d.json", {"dim": 1, "prec": [[["1"]]], "succ": [[["1"]]]})
+    _write(tmp_path, "b.json", {"matrix": [["1"]]})
+    monkeypatch.chdir(tmp_path)
+    assert run("dendriform build --dendriform d.json --beta b.json --lambda 1 --mu 0".split()) == 2
+    witness = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+    assert witness == '{"axiom":1,"triple":[0,0,0]}'
+    assert run("dendriform check --dendriform d.json --report text".split()) == 1
+    assert capsys.readouterr() == (f"FAIL dendriform-axioms\n  witness: {witness}\n", "")
+    assert run("dendriform check --dendriform d.json".split()) == 1
+    assert capsys.readouterr() == (
+        '{"check":"dendriform-axioms","passed":false,"witness":' + witness + "}\n", "")
 
 
 def test_an_unassociative_unitization_prints_its_witness_as_json():

@@ -33,10 +33,9 @@ from ybekit import (
 )
 from ybekit import constructions
 from ybekit.algebras import Bimodule, make_algebra
-from ybekit.linalg import identity
+from ybekit.linalg import identity, scalar_str
 from ybekit.operators import _defect_witness, _o_operator, _rota_baxter
 from ybekit.tensors import outer
-from ybekit.ybe import _residual_witness
 
 from helpers import (
     ALL_NAMES,
@@ -52,6 +51,7 @@ from helpers import (
     reference_semidirect_solutions,
     reference_solutions_from_rb,
     rng,
+    slotwise_residual,
     typed_tree,
     zero_map,
 )
@@ -349,7 +349,7 @@ def test_a_module_the_unit_does_not_fix_is_refused_at_nonzero_mu():
 
 def test_kernel_witnesses_match_the_first_nonzero_entry_of_the_table():
     r = rng(167)
-    seen = Counter()
+    seen, residual_seen = Counter(), Counter()
     for name in ALL_NAMES:
         a, n = alg(name), alg(name).dim
         for v in (adjoint_bimodule(a), dual_regular_bimodule(a)):
@@ -368,8 +368,19 @@ def test_kernel_witnesses_match_the_first_nonzero_entry_of_the_table():
             if mu == 0 or a.is_unital:
                 i = YbeInstance(a, mu)
                 for t in (t2_zero(n), Tensor2(n, _matrix(r, n, n))):
-                    assert typed_tree(_residual_witness(i, t)) == \
-                        typed_tree(nhacybe_residual(i, t).first_nonzero())
+                    # the witness of rb_from_solution's tensor-equation hypothesis
+                    got = nhacybe_residual(i, t).first_nonzero()
+                    want = slotwise_residual(i, t)
+                    assert typed_tree(got) == typed_tree(want.first_nonzero())
+                    ref = reference_residual_witness(want.coeff)
+                    if got is None:
+                        assert ref is None
+                    else:
+                        p, q, s, x = got
+                        assert ref["pair"] == [p, q] and ref["defect"][s] == scalar_str(x)
+                        assert set(ref["defect"][:s]) <= {"0"}
+                    residual_seen[got is None] += 1
     p = LinearMap(((0, 0), (0, 1)))
     assert _defect_witness(*_rota_baxter(alg("A2"), p, 0)) == {"pair": [1, 1], "defect": ["0", "-1"]}
     assert seen[False] >= 20
+    assert residual_seen[False] >= 20 and residual_seen[True] >= 8
