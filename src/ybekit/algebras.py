@@ -25,6 +25,8 @@ Conventions, fixed once and relied on everywhere downstream:
   `_products` (read by `check_algebra`), their grouping `_groups` by output
   and by factor, for the algebra and for its opposite (read by
   `check_algebra` and the residual, operator and invariance kernels), the
+  basis vectors that products of earlier ones do not give, `_implied_blocks`
+  (read by `check_algebra` and `ybe.invariant_symmetric_basis`), the
   axiom check `_axioms` and the adjoint and dual regular bimodules.  The
   dual regular bimodule is read off sc without the adjoint one: e_k acts on
   the left by the slice (sc[j][k] for j) and on the right by sc[k], and its
@@ -140,6 +142,20 @@ class Algebra(Frozen):
         return (by_p, by_i, by_k), ([[(k, i, c) for i, k, c in g] for g in by_p], by_k, by_i)
 
     @cached_property
+    def _implied_blocks(self) -> tuple[list[int], list[int]]:
+        """(kept, implied): the basis indices p, increasing, split by whether
+        some product e_i e_j with i, j < p has its only nonzero coordinate at
+        p.  By induction on p, the kept basis vectors generate the algebra.
+        `check_algebra` tests associativity with a kept middle factor only;
+        in an associative algebra the invariance block of an implied p
+        vanishes wherever the kept blocks do (`ybe._invariance_blocks`)."""
+        only = {}  # (i, j): p, or -1 when e_i e_j has more than one nonzero coordinate
+        for i, j, p, _ in self._products[1]:
+            only[i, j] = -1 if (i, j) in only else p
+        implied = {p for (i, j), p in only.items() if p > i and p > j}
+        return [p for p in range(self.dim) if p not in implied], sorted(implied)
+
+    @cached_property
     def _axioms(self) -> CheckReport:
         """check_algebra(self), run once however many instances use it."""
         return check_algebra(self)
@@ -251,14 +267,24 @@ def check_algebra(a: Algebra) -> CheckReport:
     """Associativity on all basis triples plus two-sided unit, if declared.
 
     Associativity is `_associator` on the integer numerators of `_products`
-    (both sides carry the same denominator), grouped as in `_groups`.  The
-    failing triple reported is the first in row-major order.  The unit is
-    tested from the products with e_k: u e_k and e_k u against e_k, for the
-    first failing k.
+    (both sides carry the same denominator), grouped as in `_groups`, run
+    first on the triples (i, j, k) whose middle index j is kept
+    (`Algebra._implied_blocks`) and, only when one of them fails, on every
+    triple, so that the failing triple reported is the first in row-major
+    order.  The kept triples suffice.  In any algebra the middle nucleus
+    N = {u : (xu)y = x(uy) for all x, y} is a subspace, the associator
+    being trilinear, and is closed under products: for u, w in N,
+    (x(uw))y = ((xu)w)y = (xu)(wy) = x(u(wy)) = x((uw)y).  If the kept
+    e_j lie in N, so does each implied e_p = e_i e_j / c with i, j < p, by
+    induction on p; then N is the algebra, which is associative.  The unit
+    is tested from the products with e_k: u e_k and e_k u against e_k, for
+    the first failing k.
     """
     n, nz = a.dim, a._products[1]
-    _, by_first, by_second = a._groups[False]
-    bad = _associator(nz, nz, nz, nz, (by_first, by_second))
+    _, by_first, by_second = groups = a._groups[False]
+    kept = set(a._implied_blocks[0])
+    bad = _associator([t for t in nz if t[1] in kept], nz, nz, [t for t in nz if t[0] in kept],
+                      groups[1:]) and _associator(nz, nz, nz, nz, groups[1:])
     if bad:
         i, j, k = bad[0]
         lhs = a.mul(a.sc[i][j], unit_vec(n, k))

@@ -33,22 +33,24 @@ call.  The module element is summed over one denominator, and each kind of
 term of the defect is scaled by the common denominator over the product of
 its own inputs' denominators.
 
-The kernel yields the table one block, of first module index, at a time.
-Values are formed only where they are printed; verdicts test numerators;
-exact data is built once; a verdict reads the blocks in order and stops at
-the first nonzero one.  Each identity is written once, as the arguments it
+The kernel yields the table one block, of first module index, at a time,
+except that block 0 comes in two pieces: the pair (0, 0) first, then the
+rest of the block.  Values are formed only where they are printed; verdicts
+test numerators; exact data is built once; a verdict reads the pieces in
+order and stops at the first nonzero one, which for most failing verdicts
+is the pair (0, 0).  Each identity is written once, as the arguments it
 hands the kernel (`_o_operator`, `_rota_baxter`, and `_operator_forms` for
 the four forms that `operator_form_suite` and the Frobenius suite share).  A verdict (every suite,
 the catalog's family check, the CLI's constructions) is `_holds`, which
 tests the numerators and divides nothing.  A witness (`op o-check`, `op
 rb-check`, the preconditions of `constructions`) is `_defect_witness`,
-which stops at the same block and divides out only its first nonzero entry.
+which stops at the same piece and divides out only its first nonzero entry.
 A table divides every entry once: an int when exact, else a Fraction.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from math import lcm
 
 from .algebras import (
@@ -270,10 +272,13 @@ def _lists(x: tuple, build, f: int) -> list[list[tuple]]:
 
 def _defect_blocks(a: Algebra, v: Bimodule, p, q, s, eps: Vec | None = None,
                    weight: tuple | None = None, opposite: bool = False) -> tuple:
-    """(blocks, den): the table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j)
+    """(pieces, den): the table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j)
     - p(e_i.s(e_j)) - eps[j] p(e_i) - p(weight[i][j]) over all basis pairs
-    of the module v is num / den, with blocks yielding num one block at a
-    time: block i holds coordinate t of D[i][j] at j * n + t.
+    of the module v is num / den, with pieces yielding num in order, one
+    block of first index i at a time, block i holding coordinate t of
+    D[i][j] at j * n + t.  Block 0 comes in two pieces, the n entries of
+    D[0][0] and then those of D[0][j] for j > 0; blocks 1 to m - 1 come
+    whole.  Joined, the pieces hold D[i][j] at (i * m + j) * n.
 
     The product is that of the algebra a, or with opposite that of its
     opposite algebra, with the left and right actions of v exchanged.  The
@@ -283,6 +288,10 @@ def _defect_blocks(a: Algebra, v: Bimodule, p, q, s, eps: Vec | None = None,
     * m + c] / dw, both optional.  The module element q(e_i).e_j + e_i.s(e_j)
     + eps[j] e_i + weight[i][j] is summed first and p is applied to it once;
     block i reads p(e_i), q(e_i), the action on e_i and weight[i] only.
+    Block 0 is summed as the others are, both its module elements and
+    p(e_0)p(e_j); only p is applied to the module element of pair (0, 0)
+    before the others, so a verdict that fails there, as most failing ones
+    do, stops before p is applied to the rest, and no entry is formed twice.
     Every product runs over nonzero structure constants, action entries and
     map entries only.  num holds ints, or polynomials where the maps do.
     """
@@ -327,19 +336,25 @@ def _defect_blocks(a: Algebra, v: Bimodule, p, q, s, eps: Vec | None = None,
                     cx = c * x
                     for j, y in p_at[d]:
                         out[j * n + k] += cx * y
-            for at, w in enumerate(mod):
+            rest = enumerate(mod)
+            if i == 0:  # pair (0, 0) on its own, the rest of block 0 after it
+                for c, w in islice(rest, m):
+                    for t, x in p_rows[c] if w else ():
+                        out[t] -= w * x
+                yield out[:n]
+            for at, w in rest:
                 if w:
                     j, c = divmod(at, m)
                     for t, x in p_rows[c]:
                         out[j * n + t] -= w * x
-            yield out
+            yield out if i else out[n:]
     return blocks(), den
 
 
 def _defect_num(*args, **kwargs) -> tuple[list, int]:
-    """`_defect_blocks` with its blocks joined: D[i][j] at (i * m + j) * n."""
-    blocks, den = _defect_blocks(*args, **kwargs)
-    return [*chain.from_iterable(blocks)], den
+    """`_defect_blocks` with its pieces joined: D[i][j] at (i * m + j) * n."""
+    pieces, den = _defect_blocks(*args, **kwargs)
+    return [*chain.from_iterable(pieces)], den
 
 
 def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
@@ -353,23 +368,28 @@ def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec |
 
 def _holds(*args, **kwargs) -> bool:
     """Whether the identity that `_defect_blocks` evaluates for these arguments
-    holds: a verdict read off its integer numerators block by block, up to the
-    first nonzero one, with no value formed."""
+    holds: a verdict read off its integer numerators piece by piece (pair
+    (0, 0), the rest of block 0, then blocks 1 to m - 1), up to the first
+    nonzero one, with no value formed."""
     return not any(map(any, _defect_blocks(*args, **kwargs)[0]))
 
 
 def _defect_witness(*args, **kwargs) -> dict | None:
     """The witness of the identity `_holds` tests, None when it holds: the
     pair (i, j) of the first nonzero D[i][j] and its value, read off the
-    first nonzero block, whose entry is the only one divided out."""
-    blocks, den = _defect_blocks(*args, **kwargs)
-    n = args[0].dim
-    for i, block in enumerate(blocks):
-        for t, x in enumerate(block):
+    first nonzero piece, the same one at which `_holds` stops.  The pair is
+    divmod(offset // n, m) of the entry's offset in the joined table, and
+    D[i][j] is the only entry divided out."""
+    pieces, den = _defect_blocks(*args, **kwargs)
+    n, m = args[0].dim, args[1].dim
+    offset = 0  # of the piece in the joined table
+    for piece in pieces:
+        for t, x in enumerate(piece):
             if x:
-                j = t // n
-                return {"pair": [i, j], "defect": [
-                    scalar_str(y) for y in _values(block[j * n:(j + 1) * n], den)]}
+                t -= t % n  # pieces start and end at a pair
+                return {"pair": [*divmod((offset + t) // n, m)], "defect": [
+                    scalar_str(y) for y in _values(piece[t:t + n], den)]}
+        offset += len(piece)
     return None
 
 

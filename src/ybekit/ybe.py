@@ -39,17 +39,16 @@ set by the structure constants (`_invariant_forms`), and solves them as
 sparse integer rows.  No symbolic ring is involved.  In an associative
 algebra invariance under x and y gives invariance under xy, so only the
 blocks of basis vectors that are no multiple of a product of two earlier
-ones are solved (`_implied_blocks`); the others are tested on the basis
-found, and a non-associative table that fails one of them has the system
-of every block solved instead.
+ones are solved (`Algebra._implied_blocks`); the others are tested on the
+basis found, and a non-associative table that fails one of them has the
+system of every block solved instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain
 from math import lcm
-from operator import itemgetter
 
 from .algebras import Algebra
 from .errors import (
@@ -372,7 +371,7 @@ def _invariance_blocks(a: Algebra, x, ks=None):
     (id (x) L(xy)) s = (id (x) L(x))(R(y) (x) id) s = (R(y) R(x) (x) id) s
     = (R(xy) (x) id) s.  So a block whose basis vector is a multiple of a
     product of two earlier ones vanishes wherever those two do
-    (`_implied_blocks`).
+    (`Algebra._implied_blocks`).
     """
     n = a.dim
     _, by_i, by_k = a._groups[False]
@@ -387,21 +386,6 @@ def _invariance_blocks(a: Algebra, x, ks=None):
             for q, xq in rows[i]:
                 out[p * n + q] -= c * xq
         yield out
-
-
-def _implied_blocks(a: Algebra) -> tuple[list[int], list[int]]:
-    """(kept, implied): the basis indices p, increasing, split by whether
-    some product e_i e_j with i, j < p has its only nonzero coordinate at p.
-    Such a p is implied: in an associative algebra its invariance block
-    vanishes wherever the blocks of e_i and e_j do (`_invariance_blocks`),
-    and by induction on p wherever the kept blocks do."""
-    implied = set()
-    for (i, j), entries in groupby(a._products[1], itemgetter(0, 1)):
-        (_, _, p, _), *more = entries
-        if not more and i < p and j < p:
-            implied.add(p)
-    kept = [p for p in range(a.dim) if p not in implied]
-    return kept, sorted(implied)
 
 
 def is_invariant(a: Algebra, s: Tensor2) -> CheckReport:
@@ -489,9 +473,9 @@ def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
     a dense matrix.  A zero-product algebra gives no equations: every
     symmetric tensor.
 
-    Only the kept blocks of `_implied_blocks` are solved: in an associative
-    algebra invariance under e_i and e_j gives it under e_i e_j, so the
-    implied blocks add no condition.  On M4 that is 7 of 16 blocks and a
+    Only the kept blocks of `Algebra._implied_blocks` are solved: in an
+    associative algebra invariance under e_i and e_j gives it under e_i e_j,
+    so the implied blocks add no condition.  On M4 that is 7 of 16 blocks and a
     348 x 136 system in place of 444 x 136 (M3: 114 x 45 for 132 x 45);
     peeling its one-entry rows takes 126 columns and leaves 24 two-entry
     rows.  Each basis tensor is then tested on the implied blocks, on its
@@ -503,7 +487,7 @@ def invariant_symmetric_basis(a: Algebra) -> list[Tensor2]:
     """
     n = a.dim
     unknown = _symmetric_unknowns(n)
-    kept, implied = _implied_blocks(a)
+    kept, implied = a._implied_blocks
     size = n * (n + 1) // 2
 
     def coeffs(forms):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -268,6 +269,41 @@ def test_check_algebra_matches_dense_reference(a):
                                make_algebra(0, ())], ids=("M3", "B1-dual", "zero"))
 def test_check_algebra_matches_dense_reference_on_larger_algebras(a):
     assert check_algebra(a) == reference_check_algebra(a)
+
+
+def test_check_algebra_matches_dense_reference_on_perturbed_tables():
+    # One entry of M3, M2 or B3 moved: associativity is tested first with a
+    # kept middle factor only, and the whole associator runs again for the
+    # least failing triple, whose middle index is kept in some tables and
+    # implied (`Algebra._implied_blocks`) in others.
+    middles = set()
+    for a in (matrix_algebra(3), alg("M2"), alg("B3")):
+        rnd, n = random.Random(a.dim), a.dim
+        for _ in range(40):
+            sc = [[list(v) for v in row] for row in a.sc]
+            i, j, k = (rnd.randrange(n) for _ in range(3))
+            sc[i][j][k] += rnd.choice((1, -1, Fraction(1, 3)))
+            b = make_algebra(n, sc, unit=a.unit)
+            rep = check_algebra(b)
+            assert rep == reference_check_algebra(b)
+            if not rep.passed and rep.witness["kind"] == "associativity":
+                middles.add(rep.witness["triple"][1] in b._implied_blocks[1])
+    assert middles == {False, True}
+
+
+def test_an_associative_table_is_checked_on_its_kept_middles(monkeypatch):
+    # M4 keeps 7 of its 16 basis vectors: one associator run, over the
+    # products whose middle factor is kept.
+    import ybekit.algebras as algebras_module
+    calls, associator = [], algebras_module._associator
+    monkeypatch.setattr(algebras_module, "_associator",
+                        lambda *args: calls.append(args) or associator(*args))
+    a = matrix_algebra(4)
+    assert check_algebra(a).passed
+    kept = set(a._implied_blocks[0])
+    (t1, _, _, t4, _), = calls
+    assert {t[1] for t in t1} == {t[0] for t in t4} == kept
+    assert len(t1) == len(t4) == 4 * len(kept)
 
 
 def _named_algebra(name):

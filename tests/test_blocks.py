@@ -2,18 +2,21 @@
 
 The residual, operator-identity and invariance kernels yield their tables
 one block at a time (`ybe._residual_blocks` and `ybe._slot_products` by
-first index, `operators._defect_blocks` by first module index,
-`ybe._invariance_blocks` by basis vector), and a verdict stops at the first
-nonzero block.  Joined and divided by their denominator, the blocks must be
-the tables the oracles compute from their definitions (the slotwise
-residuals and slot products, the per-pair defect table, the dense
-invariance defect), entry for entry, with int numerators; the verdicts must
-be those of the oracles.  Blocks over the polynomials of `ybekit.poly` are
-compared at a random rational point.  A count of the blocks drawn guards
-against a verdict that evaluates the whole table."""
+first index, `operators._defect_blocks` by first module index, with block
+0 in two pieces, the pair (0, 0) first, `ybe._invariance_blocks` by basis
+vector), and a verdict stops at the first nonzero block or piece.  Joined
+and divided by their denominator, the blocks must be the tables the oracles
+compute from their definitions (the slotwise residuals and slot products,
+the per-pair defect table, the dense invariance defect), entry for entry,
+with int numerators; the verdicts must be those of the oracles.  Blocks
+over the polynomials of `ybekit.poly` are compared at a random rational
+point.  A count of the blocks drawn guards against a verdict that evaluates
+the whole table."""
 
+import contextlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +40,16 @@ from ybekit import (
     operator_form_suite,
 )
 from ybekit.algebras import make_algebra
-from ybekit.operators import _defect_blocks, _defect_num, _holds, _o_operator, _rota_baxter
+from ybekit.errors import SingularMatrix
+from ybekit.linalg import mat_vec, scalar_str
+from ybekit.operators import (
+    _defect_blocks,
+    _defect_num,
+    _defect_witness,
+    _holds,
+    _o_operator,
+    _rota_baxter,
+)
 from ybekit.poly import Poly, variables
 from ybekit.ybe import (
     _cleared,
@@ -56,6 +68,7 @@ from helpers import (
     invariance_defect,
     rebased_entry,
     reference_defect_table,
+    reference_invert,
     slot_product,
     slotwise_opposite_residual,
     slotwise_residual,
@@ -285,6 +298,87 @@ def test_rational_tensors_agree_with_the_flat_kernels(data):
                  opposite=data.draw(st.booleans()))
 
 
+def _weight_zeroing(a, v, p, q, s, eps, opposite, target):
+    """A weight table (dw, flat) under which the per-pair defect of (p, q, s,
+    eps) vanishes on every pair before target, in row-major order, and is
+    unchanged from target on: weight[i][j] is the module element that p maps
+    to the defect at (i, j), read through the first n columns of p, which
+    are invertible.  None when the defect at target itself is zero."""
+    n, m = a.dim, v.dim
+    table = reference_defect_table(a, v, p, q, s, eps, None, opposite)
+    if not any(table[target[0]][target[1]]):
+        return None
+    inv = reference_invert(tuple(zip(*p[:n])))  # p(w) for w on the first n coordinates
+    flat = []
+    for i, j in product(range(m), repeat=2):
+        w = mat_vec(inv, table[i][j]) if (i, j) < target else (0,) * n
+        flat += [*w, *(0,) * (m - n)]
+    dw, (flat,) = _cleared((flat,))
+    return dw, flat
+
+
+def _pieces_drawn(monkeypatch, args):
+    """The pieces that `_holds` and `_defect_witness` draw for args."""
+    drawn = _count_blocks(monkeypatch, operators_module, "_defect_blocks")
+    _holds(*args), _defect_witness(*args)
+    monkeypatch.undo()
+    return drawn
+
+
+@pytest.mark.parametrize("module", ("adjoint", "dual", "adjoint+dual"))
+@pytest.mark.parametrize("name", ("B1", "M2", "A2-rebased"))
+def test_defect_pieces_and_witness_match_the_per_pair_table(name, module, monkeypatch):
+    # The first nonzero pair is (0, 0), (0, j > 0) or (i > 0, j): the joined
+    # pieces are the per-pair table, the witness is its first nonzero pair
+    # and value, and the verdict and the witness stop at the piece holding it.
+    a = ALGEBRAS[name]()
+    adj, dual = adjoint_bimodule(a), dual_regular_bimodule(a)
+    v = {"adjoint": adj, "dual": dual, "adjoint+dual": _direct_sum(adj, dual)}[module]
+    n, m = a.dim, v.dim
+    rnd = random.Random(f"{name}-{module}")
+    for opposite in (False, True):
+        for target in ((0, 0), (0, rnd.randrange(1, m)), (rnd.randrange(1, m), rnd.randrange(m))):
+            weight = None
+            while weight is None:
+                p, q, s = (_matrix(rnd, m, n) for _ in range(3))
+                eps = rnd.choice((None, _matrix(rnd, 1, m)[0]))
+                with contextlib.suppress(SingularMatrix):
+                    weight = _weight_zeroing(a, v, p, q, s, eps, opposite, target)
+            args = (a, v, p, q, s, eps, weight, opposite)
+            pieces, den = _defect_blocks(*args)
+            pieces = list(pieces)
+            assert [len(x) for x in pieces] == [n, (m - 1) * n] + [m * n] * (m - 1)
+            want = reference_defect_table(a, v, p, q, s, eps, weight, opposite)
+            _same_values(_joined(pieces), den, None, _flat(want))
+            i, j = target
+            assert next(ij for ij in product(range(m), repeat=2) if any(want[ij[0]][ij[1]])) == target
+            assert not _holds(*args)
+            assert _defect_witness(*args) == {
+                "pair": [i, j], "defect": [scalar_str(x) for x in want[i][j]]}
+            k = 1 if target == (0, 0) else 2 if i == 0 else i + 2
+            assert _pieces_drawn(monkeypatch, args) == [k, k]
+
+
+@pytest.mark.parametrize("case", ("m=0", "n=0"))
+def test_defect_pieces_of_an_empty_table(case):
+    # No module basis: no piece.  No algebra basis: pieces of no entries.
+    if case == "m=0":
+        a = alg("B1")
+        v, m = Bimodule(a, 0, ((),) * 3, ((),) * 3), 0
+    else:
+        a, m = make_algebra(0, ()), 2
+        v = Bimodule(a, m, (), ())
+    p = ((),) * m
+    for eps, opposite in ((None, False), ((1,) * m, True)):
+        args = (a, v, p, p, p, eps, None, opposite)
+        pieces, den = _defect_blocks(*args)
+        assert list(pieces) == ([] if m == 0 else [[], [], []])
+        assert _defect_num(*args) == ([], den)
+        assert reference_defect_table(a, v, p, p, p, eps, None, opposite) == \
+            tuple(((),) * m for _ in range(m))
+        assert _holds(*args) and _defect_witness(*args) is None
+
+
 # Work-count guard: wrap the block generators and count the blocks drawn.
 
 
@@ -323,8 +417,9 @@ def _draws(monkeypatch, inst, r, s):
 
 
 def test_failing_verdicts_draw_one_block(monkeypatch):
-    # A dense M4 tensor that solves nothing: each verdict reads block 0 only
-    # of 16 blocks of 256 or 16 entries each.
+    # A dense M4 tensor that solves nothing: each verdict reads plane 0 only
+    # of 16 planes of 256 entries, block 0 only of 16 invariance blocks, and
+    # the pair (0, 0) only, the first of 17 pieces, of each operator table.
     a = matrix_algebra(4)
     rnd = random.Random(5)
     r = Tensor2(16, _matrix(rnd, 16, 16, (-2, -1, 0, 1, 2)))
@@ -349,4 +444,6 @@ def test_passing_verdicts_draw_every_block(case, monkeypatch):
     n = a.dim
     passed, inv_passed, planes, blocks, inv = _draws(monkeypatch, YbeInstance(a, mu), r, s)
     assert passed and inv_passed
-    assert planes == [n] and blocks == [n] * 4 and inv == [n]
+    # An operator table on the n-dimensional dual module comes in n + 1
+    # pieces: block 0 in two.
+    assert planes == [n] and blocks == [n + 1] * 4 and inv == [n]

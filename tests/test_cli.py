@@ -62,6 +62,20 @@ def test_enumerate_budget_exceeded(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget, code", [("30", 0), ("29", 2)])
+def test_enumerate_budget_boundary(tmp_path, capsys, budget, code):
+    # The zero product on 2 dimensions over 0, 1 prunes nothing: 2 + 4 + 8 + 16
+    # nodes and 16 solutions.
+    zero = make_algebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    path = _write(tmp_path, "z2.json", io_json.encode_algebra(zero))
+    argv = ["ybe", "enumerate", "--algebra", path, "--grid", "0,1", "--mu", "0",
+            "--budget", budget]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == (16 if code == 0 else 0)
+    assert ("budget" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("r_text, message", [
     ('{"dim": 2, "coeff": [[0.1, 0], [0, 0]]}', "got float"),
     ('{"dim": 2, "coeff": [[true, 0], [0, 0]]}', "got bool"),

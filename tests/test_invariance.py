@@ -9,7 +9,7 @@ that row operations write guards against it being solved densely.  Its
 rows are read off packed integer unknowns and equal the dense rows, on
 random structure constants and at the coefficient bound; the extended
 symmetrizer equals the Fraction formula.  Only the blocks that no product
-of two earlier basis vectors implies are solved (`ybe._implied_blocks`):
+of two earlier basis vectors implies are solved (`Algebra._implied_blocks`):
 the basis equals that of the system of every block on associative and
 non-associative tables, the latter through the backstop that solves every
 block."""
@@ -412,7 +412,7 @@ def test_the_family_tables_are_what_they_claim():
     for name, make in FAMILIES.items():
         a = make()
         assert a._axioms.passed == (not name.startswith(("table", "swap"))), name
-        assert bool(ybe_module._implied_blocks(a)[1]) == (name in implied), name
+        assert bool(a._implied_blocks[1]) == (name in implied), name
 
 
 def test_a_non_associative_table_runs_the_backstop(monkeypatch):
@@ -420,7 +420,7 @@ def test_a_non_associative_table_runs_the_backstop(monkeypatch):
     # the implied block of e1 asks s11 = 0, which the basis tensor with
     # s11 = 1 fails, so the system of every block is solved too (kernel 1).
     a = _swap()
-    assert ybe_module._implied_blocks(a) == ([0], [1])
+    assert a._implied_blocks == ([0], [1])
     assert len(ybe_module._kernel(ybe_module._invariant_forms(a, [0]), 3)) == 2
     systems = _capture_systems(monkeypatch)
     got = [t.coeff for t in invariant_symmetric_basis(a)]
@@ -453,20 +453,20 @@ def test_matrix_algebras_keep_the_first_row_and_column(m, kept):
     # E_ab with a, b > 1 is E_a1 E_1b, both earlier; E_1b and E_a1 are
     # products only of later or equal units.
     a = matrix_algebra(m)
-    got = ybe_module._implied_blocks(a)
+    got = a._implied_blocks
     assert len(got[0]) == kept == 2 * m - 1
     assert got[0] == reference_kept_blocks(a)
     assert sorted(got[0] + got[1]) == list(range(m * m))
 
 
 def test_only_b3_and_m2_have_an_implied_block_in_the_catalog():
-    implied = {name: ybe_module._implied_blocks(alg(name))[1] for name in ALL_NAMES}
+    implied = {name: alg(name)._implied_blocks[1] for name in ALL_NAMES}
     assert {name: ks for name, ks in implied.items() if ks} == {"B3": [2], "M2": [3]}
 
 
 @settings(max_examples=120, deadline=None)
 @given(constant_algebras())
 def test_implied_blocks_match_the_dense_scan(a):
-    kept, implied = ybe_module._implied_blocks(a)
+    kept, implied = a._implied_blocks
     assert kept == reference_kept_blocks(a)
     assert implied == [p for p in range(a.dim) if p not in kept]

@@ -439,3 +439,16 @@ def test_grid_builds_its_solutions_without_coercing(monkeypatch):
 def test_grid_budget():
     with pytest.raises(BudgetExceeded):
         grid_enumerate(inst("B1", 1), (0, 1, 2), budget=100)
+
+
+@pytest.mark.parametrize("n, values", [(1, (0, 1, 2)), (2, (0, 1))])
+def test_grid_budget_boundary(n, values):
+    # On a zero product the residual vanishes at mu = 0, so nothing is pruned
+    # and every value is tried at every position: k + k**2 + ... + k**(n*n)
+    # nodes.  A search of exactly that many nodes fits its budget.
+    i = YbeInstance(_zero_algebra(n), 0)
+    k = len(values)
+    nodes = sum(k ** d for d in range(1, n * n + 1))
+    assert len(grid_enumerate(i, values, budget=nodes)) == k ** (n * n)
+    with pytest.raises(BudgetExceeded):
+        grid_enumerate(i, values, budget=nodes - 1)
