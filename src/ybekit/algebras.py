@@ -20,10 +20,11 @@ Conventions, fixed once and relied on everywhere downstream:
   neither coerced nor checked again (`linalg._trusted`).  Everything
   derived from sc, basis and unit is built on first use and kept, since an
   Algebra never changes: the dense multiplication matrices `_left`/`_right`
-  (2 n^3 entries, transposed slices of sc, read by the adjoint bimodule,
-  the dual product and `check_balanced_hom`), the sparse integer constants
-  `_products` (read by `check_algebra`), their grouping `_groups` by output
-  and by factor, for the algebra and for its opposite (read by
+  (2 n^3 entries, transposed slices of sc, read by the adjoint bimodule
+  and by `left_matrix` and `right_matrix`), the integer numerators
+  `_products` of the structure constants, in the form the `linalg`
+  docstring states (read by `check_algebra`), their grouping `_groups` by
+  output and by factor, for the algebra and for its opposite (read by
   `check_algebra` and the residual, operator and invariance kernels), the
   basis vectors that products of earlier ones do not give, `_implied_blocks`
   (read by `check_algebra` and `ybe.invariant_symmetric_basis`), the
@@ -39,16 +40,15 @@ Conventions, fixed once and relied on everywhere downstream:
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import lcm
+from itertools import chain, product
 
-from .errors import DimensionMismatch, NotAssociative
+from .errors import DimensionMismatch, NotAssociative, NotUnital
 from .linalg import (
     Frozen,
     Mat,
     Vec,
+    _cleared,
     _entries,
     _rectangular,
     _trusted,
@@ -100,7 +100,6 @@ class Algebra(Frozen):
         return apply_table(self.sc, x, y)
 
     def require_unit(self) -> Vec:
-        from .errors import NotUnital
         if self.unit is None:
             raise NotUnital("operation requires a unital algebra")
         return self.unit
@@ -122,12 +121,12 @@ class Algebra(Frozen):
     def _products(self) -> tuple[int, list[tuple]]:
         """(d, nz): d the lcm of the denominators of the structure constants,
         nz the nonzero ones as (i, k, p, d * c) where e_i e_k has c at e_p,
-        so that every entry of nz is an int.  Only nonzero product vectors
-        are scanned entry by entry."""
+        so that every entry of nz is an int (`linalg._cleared`).  Only
+        nonzero product vectors are scanned entry by entry."""
         nz = [(i, k, p, c) for i, row in enumerate(self.sc) for k, v in enumerate(row)
               if any(v) for p, c in enumerate(v) if c]
-        d = lcm(*(c.denominator for *_, c in nz if type(c) is Fraction))
-        return d, [(i, k, p, int(c * d)) for i, k, p, c in nz]
+        d, (cs,) = _cleared(([c for *_, c in nz],))
+        return d, [(i, k, p, c) for (i, k, p, _), c in zip(nz, cs)]
 
     @cached_property
     def _groups(self) -> tuple[tuple[list, list, list], tuple[list, list, list]]:
@@ -329,12 +328,12 @@ class Bimodule(Frozen):
     def _actions(self) -> tuple[int, list[list[tuple]], list[list[tuple]]]:
         """(d, left, right): d the lcm of the denominators of both actions,
         left[k] the nonzero entries of left[k] as (c, j, d * left[k][c][j]),
-        all ints, and right[k] likewise."""
-        d = lcm(*(x.denominator for tab in (self.left, self.right) for mx in tab
-                  for row in mx for x in row if type(x) is Fraction))
-        return d, *([[(c, j, int(x * d)) for c, row in enumerate(mx)
-                      for j, x in enumerate(row) if x] for mx in tab]
-                    for tab in (self.left, self.right))
+        all ints, and right[k] likewise, cleared together (`linalg._cleared`)."""
+        n, m = len(self.left), self.dim
+        d, rows = _cleared((*chain(*self.left), *chain(*self.right)))
+        tabs = [[(c, j, x) for c, row in enumerate(rows[k * m:(k + 1) * m])
+                 for j, x in enumerate(row) if x] for k in range(2 * n)]
+        return d, tabs[:n], tabs[n:]
 
     @cached_property
     def _by_module(self) -> tuple[list, list]:
@@ -514,9 +513,8 @@ def check_augmentation(a: Algebra, aug: Augmentation) -> CheckReport:
 
 def find_augmentations(a: Algebra) -> list[Augmentation]:
     """Exhaustive search for augmentations with entries in {0, 1, -1}."""
-    from itertools import product as iproduct
     found = []
-    for eps in iproduct((0, 1, -1), repeat=a.dim):
+    for eps in product((0, 1, -1), repeat=a.dim):
         aug = Augmentation(a, eps)
         if is_zero_vec(aug.eps):
             continue

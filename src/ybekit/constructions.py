@@ -18,6 +18,8 @@ from .algebras import (
     Algebra,
     Augmentation,
     Bimodule,
+    _action_entries,
+    _first_failure,
     adjoint_bimodule,
     dual_bimodule,
     is_unital_bimodule,
@@ -28,6 +30,7 @@ from .linalg import (
     Frozen,
     Mat,
     Scalar,
+    _entries,
     identity,
     invert,
     mat_mul,
@@ -123,29 +126,25 @@ def _lift(a: Algebra, v: Bimodule, alpha: LinearMap, lam: Scalar) -> LinearMap:
 
 
 def check_balanced_hom(a: Algebra, v: Bimodule, beta: LinearMap) -> CheckReport:
-    """Whether a module-to-algebra map intertwines both actions and balances
-    the two module-valued pairings."""
-    n, m = a.dim, v.dim
-    bm = beta.matrix
-    cols = _columns(bm, n, m, "map shape does not match module -> algebra")
-    for k in range(n):
-        lk, rk = a._left[k], a._right[k]
-        if mat_mul(bm, v.left[k]) != mat_mul(lk, bm):
-            return CheckReport("balanced-homomorphism", False,
-                               witness={"kind": "left-intertwine", "basis_index": k})
-        if mat_mul(bm, v.right[k]) != mat_mul(rk, bm):
-            return CheckReport("balanced-homomorphism", False,
-                               witness={"kind": "right-intertwine", "basis_index": k})
-    for i in range(m):
-        li = v.lmat(cols[i])
-        for j in range(m):
-            bj = cols[j]
-            lhs = tuple(li[p][j] for p in range(m))
-            rj = v.rmat(bj)
-            rhs = tuple(rj[p][i] for p in range(m))
-            if lhs != rhs:
-                return CheckReport("balanced-homomorphism", False,
-                                   witness={"kind": "balance", "pair": [i, j]})
+    """Whether a module-to-algebra map intertwines both actions,
+    beta(e_k.u) = e_k beta(u) and beta(u.e_k) = beta(u) e_k, and balances
+    the two module-valued pairings, beta(e_i).e_j = e_i.beta(e_j).  Each
+    identity is an `_associator` with beta as a table out of V x {1} or
+    {1} x V.  A failure names the least algebra index k, the left identity
+    first on a tie, and only then the least failing module pair."""
+    cols = _columns(beta.matrix, a.dim, v.dim, "map shape does not match module -> algebra")
+    out = [(j, 0, p, c) for j, col in enumerate(cols) for p, c in enumerate(col) if c]
+    into = [(0, j, p, c) for j, _, p, c in out]
+    sc, (left, right) = _entries(a.sc), _action_entries(v)
+    bad = _first_failure(("left-intertwine", (left, out, sc, out), (0,)),
+                         ("right-intertwine", (into, sc, into, right), (2,)))
+    if bad:
+        return CheckReport("balanced-homomorphism", False,
+                           witness={"kind": bad[0], "basis_index": bad[1][0]})
+    bad = _first_failure(("balance", (out, left, right, into), (0, 2)))
+    if bad:
+        return CheckReport("balanced-homomorphism", False,
+                           witness={"kind": bad[0], "pair": bad[1]})
     return CheckReport("balanced-homomorphism", True)
 
 

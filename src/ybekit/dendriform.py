@@ -11,8 +11,9 @@ unit as 1 < 1 -> 1, 1 > 1 -> 0, the only split whose square is itself.
 from __future__ import annotations
 
 from .algebras import Algebra, Bimodule, _adjoin_unit, _first_failure, apply_table, make_algebra
+from .constructions import semidirect_solutions
 from .errors import DimensionMismatch, NotDendriform, UndefinedProduct
-from .linalg import Frozen, Scalar, Vec, _entries, transpose, vec, vec_add
+from .linalg import Frozen, Scalar, Vec, _entries, identity, transpose, vec, vec_add
 from .operators import LinearMap
 from .report import CheckReport, dumps
 
@@ -131,8 +132,6 @@ def dendriform_solutions(u: UnitalDendriform, beta: LinearMap, lam: Scalar,
     """Solutions on the semi-direct product of the unital associated algebra
     with its slanted-action module, from the identity operator and a
     balanced map off the dual."""
-    from .constructions import semidirect_solutions
-    from .linalg import identity
     d = u.plus.dim + 1
     alpha = LinearMap(identity(d))
     return semidirect_solutions(u.algebra, action_bimodule(u), alpha, beta,

@@ -30,7 +30,10 @@ from .errors import (
 from .linalg import (
     Frozen,
     Scalar,
+    _cleared,
+    _operands,
     _ratio,
+    _sparse_rows,
     _trusted,
     exact,
     invert,
@@ -44,10 +47,7 @@ from .report import CheckReport, dumps
 from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
-    _cleared,
-    _operands,
     _require_symmetrizer,
-    _sparse_rows,
     _symmetrizer_num,
     extended_symmetrizer,
     is_solution,

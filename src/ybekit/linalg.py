@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the integer numerators that
+every identity of the package is checked on.
 
 Scalars are Python ints or fractions.Fraction.  Integer inputs stay integers
 through +,-,* so the hot paths avoid Fraction overhead.  Matrices and
@@ -13,6 +14,16 @@ other rows without any cross-multiplication.  `rank`, `kernel_basis`,
 directly, as `ybe.invariant_symmetric_basis` unpacks them from its packed
 integer forms.  A division happens only when a result entry is formed.
 Nothing here ever rounds.
+
+Integer numerators.  A matrix m of exact values, or of `poly.Poly` entries,
+is checked as the pair (d, d * m), d the lcm of its denominators, so that
+d * m holds ints; `_cleared` is the one routine that scans entries for
+denominators, and kernels scale each kind of term to a common denominator.
+An `_Operand` is such a pair built once (`_operands`, kept by
+`tensors.Tensor2`); the lists a kernel reads off it are kept on it, one per
+builder (`_sparse_rows`, `_by_coordinate`) and scale factor (`_lists`).
+`_values` and `_ratio` divide numerators back into values: an int when
+exact, else a Fraction.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import DimensionMismatch, SingularMatrix
+from .poly import Poly
 
 Scalar = int | Fraction
 Vec = tuple[Scalar, ...]
@@ -182,20 +194,93 @@ def _entries(table) -> list[tuple]:
             for p, c in enumerate(v) if c]
 
 
+def _cleared(m) -> tuple[int, tuple]:
+    """(d, d * m): d is the lcm of the denominators of the entries of the
+    matrix m, so d * m holds ints, or polynomials where m does.  A matrix
+    without Fraction entries is returned as it is, with d = 1; one with
+    integral Fractions such as Fraction(2, 1) gets ints in their place.  An
+    `_Operand` is cleared already and is returned as it is."""
+    if type(m) is _Operand:
+        return m
+    dens = [x.denominator for row in m for x in row if type(x) is Fraction]
+    if not dens:
+        return 1, m
+    d = lcm(*dens)
+    return d, tuple(tuple(x.numerator * (d // x.denominator) if type(x) is Fraction
+                          else x * d for x in row) for row in m)
+
+
+class _Operand(tuple):
+    """(d, d * m) for a matrix m, as `_cleared` returns it, kept by what it
+    derives from, with the lists kernels read off d * m kept in `lists`."""
+
+    def __new__(cls, d: int, m):
+        op = super().__new__(cls, (d, m))
+        op.lists = {}
+        return op
+
+
+def _operands(c, ct) -> tuple:
+    """c, ct, -c and -ct as `_Operand`s over one denominator: the columns of
+    a pair of maps from a module to the algebra and of their negatives."""
+    d, rows = _cleared((*c, *ct))
+    c, ct = rows[:len(c)], rows[len(c):]
+    return tuple(_Operand(d, m) for m in (c, ct, mat_scale(-1, c), mat_scale(-1, ct)))
+
+
+def _minus(x: tuple, y: tuple) -> _Operand:
+    """x - y for matrices given as (d, d * x) pairs, over the lcm of the denominators."""
+    (dx, x), (dy, y) = x, y
+    d = lcm(dx, dy)
+    return _Operand(d, tuple(tuple(d // dx * u - d // dy * w for u, w in zip(rx, ry))
+                             for rx, ry in zip(x, y)))
+
+
+def _sparse_rows(m, f: int = 1) -> list[list[tuple]]:
+    """The nonzero entries of each row of m as (j, f * m[.][j]), unscaled when f is 1."""
+    if f != 1:
+        return [[(j, x * f) for j, x in enumerate(row) if x] for row in m]
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _by_coordinate(cols: Mat, f: int = 1) -> list[list[tuple]]:
+    """For each algebra coordinate k, the pairs (i, f * cols[i][k]) with a nonzero value."""
+    return _sparse_rows(zip(*cols), f)
+
+
+def _lists(x: tuple, build, f: int) -> list[list[tuple]]:
+    """build(cols, f) for x = (d, cols), kept on x when it is an `_Operand`."""
+    if type(x) is not _Operand:
+        return build(x[1], f)
+    if (build, f) not in x.lists:
+        x.lists[build, f] = build(x[1], f)
+    return x.lists[build, f]
+
+
+def _ratio(a: int, b: int) -> Scalar:
+    q, rem = divmod(a, b)
+    return Fraction(a, b) if rem else q
+
+
+def _values(num: list, den: int) -> list:
+    """Each entry of num divided by den: an int when exact, else a Fraction;
+    a Poly by coefficient.  Zero entries are kept as they are."""
+    if den == 1:
+        return num
+    return [x and (Poly({m: _ratio(c, den) for m, c in x.items()}) if isinstance(x, Poly)
+                   else _ratio(x, den)) for x in num]
+
+
 def _integer_rows(m, ncols: int) -> list[dict[int, int]]:
-    """The rows of m as sparse integer rows {column: entry}, each scaled by
-    the lcm of its denominators, so they span the same space.  Every row
-    must have ncols entries."""
+    """The rows of m as sparse integer rows {column: entry}, each cleared of
+    its own denominators (`_cleared`), so they span the same space.  Every
+    row must have ncols entries."""
     out = []
     for row in m:
         if len(row) != ncols:
             raise DimensionMismatch(f"row of length {len(row)}, expected {ncols}")
-        nz = {c: x for c, x in enumerate(row) if x}
-        dens = [x.denominator for x in nz.values() if type(x) is not int]
-        if dens:
-            d = lcm(*dens)
-            nz = {c: x.numerator * (d // x.denominator) for c, x in nz.items()}
-        out.append(nz)
+        _, (row,) = _cleared((row,))
+        out.append({c: x for c, x in enumerate(row) if x})
     return out
 
 
@@ -275,11 +360,6 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int
     found.update((c, {c: 1}) for c in peeled)
     pivots = sorted(found)
     return [found[c] for c in pivots], pivots
-
-
-def _ratio(a: int, b: int) -> Scalar:
-    q, rem = divmod(a, b)
-    return Fraction(a, b) if rem else q
 
 
 def _kernel(rows: list[dict[int, int]], ncols: int) -> list[Vec]:

@@ -23,15 +23,12 @@ place of sc[i][k], and the left and right actions exchanged.  Its table is
 then the transpose of the mirrored identity's, which leaves every verdict
 unchanged.
 
-The kernel adds up integer numerators, as the residual kernel of `ybe`
-does.  The structure constants are cleared of denominators once per algebra
-(`Algebra._products`), the actions once per bimodule (`Bimodule._actions`)
-and each map, eps and weight once per tensor: the suites hand the kernel
-the operands of `Tensor2._operands`, which keep what is read off them for
+The kernel adds up integer numerators, in the form the `linalg` docstring
+states.  The structure constants are cleared once per algebra, the actions
+once per bimodule and each map, eps and weight once per tensor: the suites
+hand the kernel the operands of `Tensor2._operands`, whose kept lists serve
 every identity at every mu, and other callers plain matrices, cleared per
-call.  The module element is summed over one denominator, and each kind of
-term of the defect is scaled by the common denominator over the product of
-its own inputs' denominators.
+call.  The module element is summed over one denominator.
 
 The kernel yields the table one block, of first module index, at a time,
 except that block 0 comes in two pieces: the pair (0, 0) first, then the
@@ -67,9 +64,15 @@ from .linalg import (
     Mat,
     Scalar,
     Vec,
+    _by_coordinate,
+    _cleared,
     _entries,
+    _lists,
+    _minus,
     _rectangular,
+    _sparse_rows,
     _trusted,
+    _values,
     is_zero_mat,
     is_zero_vec,
     mat,
@@ -84,13 +87,9 @@ from .report import CheckReport
 from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
-    _cleared,
     _invariance_blocks,
-    _Operand,
     _require_symmetrizer,
-    _sparse_rows,
     _symmetrizer_num,
-    _values,
     extended_symmetrizer,
     is_invariant,
     is_solution,
@@ -256,20 +255,6 @@ def _columns(mx: Mat, n: int, m: int, what: str) -> Mat:
     return transpose(mx) if n else ((),) * m
 
 
-def _by_coordinate(cols: Mat, f: int = 1) -> list[list[tuple]]:
-    """For each algebra coordinate k, the pairs (i, f * cols[i][k]) with a nonzero value."""
-    return _sparse_rows(zip(*cols), f)
-
-
-def _lists(x: tuple, build, f: int) -> list[list[tuple]]:
-    """build(cols, f) for x = (d, cols), kept on x when it is an `_Operand`."""
-    if type(x) is not _Operand:
-        return build(x[1], f)
-    if (build, f) not in x.lists:
-        x.lists[build, f] = build(x[1], f)
-    return x.lists[build, f]
-
-
 def _defect_blocks(a: Algebra, v: Bimodule, p, q, s, eps: Vec | None = None,
                    weight: tuple | None = None, opposite: bool = False) -> tuple:
     """(pieces, den): the table D[i][j] = p(e_i)p(e_j) - p(q(e_i).e_j)
@@ -283,7 +268,7 @@ def _defect_blocks(a: Algebra, v: Bimodule, p, q, s, eps: Vec | None = None,
     The product is that of the algebra a, or with opposite that of its
     opposite algebra, with the left and right actions of v exchanged.  The
     maps p, q and s go from the module to the algebra and are given by their
-    columns, p[i] being p(e_i), as matrices or `ybe._Operand`s.  eps is a
+    columns, p[i] being p(e_i), as matrices or `linalg._Operand`s.  eps is a
     vector and weight (dw, flat) the table weight[i][j][c] = flat[(i * m + j)
     * m + c] / dw, both optional.  The module element q(e_i).e_j + e_i.s(e_j)
     + eps[j] e_i + weight[i][j] is summed first and p is applied to it once;
@@ -358,10 +343,10 @@ def _defect_num(*args, **kwargs) -> tuple[list, int]:
 
 
 def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
-                     weight: tuple | None = None, opposite: bool = False) -> ResidualTable:
+                     weight: tuple | None = None) -> ResidualTable:
     """The defect table of `_defect_num` as values: table[i][j] is D[i][j]."""
     n, m = a.dim, len(p)
-    flat = _values(*_defect_num(a, v, p, q, s, eps, weight, opposite))
+    flat = _values(*_defect_num(a, v, p, q, s, eps, weight))
     return tuple(tuple(tuple(flat[(i * m + j) * n:(i * m + j + 1) * n]) for j in range(m))
                  for i in range(m))
 
@@ -461,14 +446,6 @@ def _suite_report(name: str, verdicts: dict, **extra) -> CheckReport:
     return CheckReport(name, agree,
                        witness=None if agree else {"verdicts": verdicts},
                        details=details)
-
-
-def _minus(x: tuple, y: tuple) -> _Operand:
-    """x - y for matrices given as (d, d * x) pairs, over the lcm of the denominators."""
-    (dx, x), (dy, y) = x, y
-    d = lcm(dx, dy)
-    return _Operand(d, tuple(tuple(d // dx * u - d // dy * w for u, w in zip(rx, ry))
-                             for rx, ry in zip(x, y)))
 
 
 def _operator_forms(a: Algebra, v: Bimodule, ops: tuple, twist: tuple, eps: Vec | None

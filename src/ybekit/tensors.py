@@ -9,7 +9,17 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import DimensionMismatch
-from .linalg import Frozen, Mat, Scalar, _rectangular, exact, is_zero_mat, mat, transpose
+from .linalg import (
+    Frozen,
+    Mat,
+    Scalar,
+    _operands,
+    _rectangular,
+    exact,
+    is_zero_mat,
+    mat,
+    transpose,
+)
 
 
 class Tensor2(Frozen):
@@ -55,9 +65,8 @@ class Tensor2(Frozen):
 
     @cached_property
     def _operands(self) -> tuple:
-        """`ybe._operands` of C and C^t for the coefficients C, the columns of
-        r# and r^t#: built once for every operator identity tested on r."""
-        from .ybe import _operands
+        """`linalg._operands` of C and C^t for the coefficients C, the columns
+        of r# and r^t#: built once for every operator identity tested on r."""
         return _operands(self.coeff, transpose(self.coeff))
 
 

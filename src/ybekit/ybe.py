@@ -11,24 +11,22 @@ plane of first index at a time.  A unit is needed only for the mu-term
 (`_residual_blocks`).  Run over `poly` variables they give the system that
 `grid_enumerate` searches.  Checks are exact: pass means zero residual.
 
-The kernel adds up integer numerators.  The structure constants are cleared
-of denominators once per algebra (`Algebra._products`) and each input once
-per call (`_cleared`); each kind of term is then scaled by L over the
-product of its own inputs' denominators, so that a residual comes back as
-ints over one common denominator L.  Values are formed only where they are
-printed; verdicts test numerators; exact data is built once; a verdict
-reads the blocks in order and stops at the first nonzero one.  A verdict
-(the suites, the catalog) is `is_solution`: it divides nothing.  The
-Tensor3 of `nhacybe_residual`, `opposite_residual` and `aybp_residual`,
-for a caller that prints it such as `ybe check`, is lazy
-(`tensors._lazy_tensor3`): it holds the kernel's plane generator and
-draws a plane only when a reader reaches it, dividing each entry once like
-`linalg._ratio` (an int when exact, else a Fraction; nothing when L is 1)
-and coercing nothing again.  `is_zero` and `first_nonzero` stop at the
-first nonzero plane, so a failing `ybe check` forms one plane for its
-verdict and witness; `coeff`, and so equality, hash, repr and arithmetic,
-draws the rest.  What can raise (the dimensions, the unit, clearing the
-input) runs at the call; the draws read only immutable data.
+The kernel adds up integer numerators, in the form the `linalg` docstring
+states: the structure constants are cleared once per algebra and each input
+once per call, and a residual comes back as ints over one common
+denominator L.  Values are formed only where they are printed; verdicts test
+numerators; exact data is built once; a verdict reads the blocks in order
+and stops at the first nonzero one.  A verdict (the suites, the catalog) is
+`is_solution`: it divides nothing.  The Tensor3 of `nhacybe_residual`,
+`opposite_residual` and `aybp_residual`, for a caller that prints it such
+as `ybe check`, is lazy (`tensors._lazy_tensor3`): it holds the kernel's
+plane generator and draws a plane only when a reader reaches it, dividing
+each entry once (`linalg._values`; nothing when L is 1) and coercing
+nothing again.  `is_zero` and `first_nonzero` stop at the first nonzero
+plane, so a failing `ybe check` forms one plane for its verdict and
+witness; `coeff`, and so equality, hash, repr and arithmetic, draws the
+rest.  What can raise (the dimensions, the unit, clearing the input) runs at
+the call; the draws read only immutable data.
 
 The invariance identity s L(x)^T - R(x) s = 0 has one kernel too,
 `_invariance_blocks`, under the same rule: `is_invariant` tests its
@@ -46,7 +44,6 @@ system of every block solved instead.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import lcm
 
@@ -58,8 +55,18 @@ from .errors import (
     NotUnital,
     PreconditionViolated,
 )
-from .linalg import Frozen, Scalar, _kernel, _ratio, _trusted, exact, mat_scale, scalar_str
-from .poly import Poly, variables
+from .linalg import (
+    Frozen,
+    Scalar,
+    _cleared,
+    _kernel,
+    _sparse_rows,
+    _trusted,
+    _values,
+    exact,
+    scalar_str,
+)
+from .poly import variables
 from .report import CheckReport, dumps
 from .tensors import Tensor2, Tensor3, _lazy_tensor3, outer
 
@@ -151,13 +158,6 @@ def _check_ybe_args(inst: YbeInstance, r: Tensor2):
             f"tensor dim {r.dim} != algebra dim {inst.algebra.dim}")
 
 
-def _sparse_rows(m, f: int = 1) -> list[list[tuple]]:
-    """The nonzero entries of each row of m as (j, f * m[.][j]), unscaled when f is 1."""
-    if f != 1:
-        return [[(j, x * f) for j, x in enumerate(row) if x] for row in m]
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
-
-
 def _slot_products(groups, terms, n: int):
     """Yields, for P = 0, 1, ..., the n x n plane of first index P, row-major,
     of the sum of coef * x?? y?? over terms (coef, slots, x, y): coef an
@@ -195,49 +195,6 @@ def _slot_products(groups, terms, n: int):
                         for q, xq in xr[i]:
                             out[base + q] += cy * xq
         yield out
-
-
-def _cleared(m) -> tuple[int, tuple]:
-    """(d, d * m): d is the lcm of the denominators of the entries of the
-    matrix m, so d * m holds ints, or polynomials where m does.  A matrix
-    without Fraction entries is returned as it is, with d = 1; one with
-    integral Fractions such as Fraction(2, 1) gets ints in their place.  An
-    `_Operand` is cleared already and is returned as it is."""
-    if type(m) is _Operand:
-        return m
-    dens = [x.denominator for row in m for x in row if type(x) is Fraction]
-    if not dens:
-        return 1, m
-    d = lcm(*dens)
-    return d, tuple(tuple(x.numerator * (d // x.denominator) if type(x) is Fraction
-                          else x * d for x in row) for row in m)
-
-
-class _Operand(tuple):
-    """(d, d * m) for a matrix m, as `_cleared` returns it, kept by what it
-    derives from, with the lists kernels read off d * m kept in `lists`."""
-
-    def __new__(cls, d: int, m):
-        op = super().__new__(cls, (d, m))
-        op.lists = {}
-        return op
-
-
-def _operands(c, ct) -> tuple:
-    """c, ct, -c and -ct as `_Operand`s over one denominator: the columns of
-    a pair of maps from a module to the algebra and of their negatives."""
-    d, rows = _cleared((*c, *ct))
-    c, ct = rows[:len(c)], rows[len(c):]
-    return tuple(_Operand(d, m) for m in (c, ct, mat_scale(-1, c), mat_scale(-1, ct)))
-
-
-def _values(num: list, den: int) -> list:
-    """Each entry of num divided by den: an int when exact, else a Fraction;
-    a Poly by coefficient.  Zero entries are kept as they are."""
-    if den == 1:
-        return num
-    return [x and (Poly({m: _ratio(c, den) for m, c in x.items()}) if isinstance(x, Poly)
-                   else _ratio(x, den)) for x in num]
 
 
 def _tensor3(n: int, blocks, den: int) -> Tensor3:

@@ -34,7 +34,6 @@ from ybekit import (
     YbeError,
     YbeInstance,
     adjoint_bimodule,
-    check_balanced_hom,
     dual_regular_bimodule,
     exact,
     extract_rb_pair,
@@ -944,6 +943,36 @@ def reference_form_is_invariant(a, b):
     return True
 
 
+def reference_check_balanced_hom(a, v, beta):
+    """check_balanced_hom as the dense loops it was before it ran
+    `_associator`: both intertwining identities as matrix products for each
+    algebra index k in turn, then the balance on every module pair."""
+    n, m = a.dim, v.dim
+    bm = beta.matrix
+    if len(bm) != n or any(len(row) != m for row in bm):
+        raise DimensionMismatch("map shape does not match module -> algebra")
+    cols = transpose(bm) if n else ((),) * m
+    for k in range(n):
+        lk, rk = a._left[k], a._right[k]
+        if mat_mul(bm, v.left[k]) != mat_mul(lk, bm):
+            return CheckReport("balanced-homomorphism", False,
+                               witness={"kind": "left-intertwine", "basis_index": k})
+        if mat_mul(bm, v.right[k]) != mat_mul(rk, bm):
+            return CheckReport("balanced-homomorphism", False,
+                               witness={"kind": "right-intertwine", "basis_index": k})
+    for i in range(m):
+        li = v.lmat(cols[i])
+        for j in range(m):
+            bj = cols[j]
+            lhs = tuple(li[p][j] for p in range(m))
+            rj = v.rmat(bj)
+            rhs = tuple(rj[p][i] for p in range(m))
+            if lhs != rhs:
+                return CheckReport("balanced-homomorphism", False,
+                                   witness={"kind": "balance", "pair": [i, j]})
+    return CheckReport("balanced-homomorphism", True)
+
+
 def reference_check_augmentation(a, aug):
     """check_augmentation as it was with the cyclic trace identity tested on
     every basis triple after multiplicativity and normalisation."""
@@ -1217,7 +1246,7 @@ def reference_semidirect_solutions(a, v, alpha, beta, lam, mu):
         raise PreconditionViolated("weight-zero-operator",
                                    witness=reference_residual_witness(res))
     dual_v = dual_bimodule(v)
-    bal = check_balanced_hom(a, dual_v, beta)
+    bal = reference_check_balanced_hom(a, dual_v, beta)
     if not bal.passed:
         raise PreconditionViolated("balanced-homomorphism", witness=bal.witness)
     am, bm = alpha.matrix, beta.matrix

@@ -2,6 +2,7 @@
 check is one or more runs of `algebras._associator`, and its whole report
 (verdict, witness and details) must be the dense loop's."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ybekit.algebras
+import ybekit.constructions
 import ybekit.dendriform
 import ybekit.frobenius
 import ybekit.operators
@@ -17,13 +19,16 @@ from ybekit import (
     Bimodule,
     BimoduleAlgebra,
     Dendriform,
+    LinearMap,
     SingularMatrix,
     adjoint_bimodule,
     check_algebra,
+    check_balanced_hom,
     check_bimodule,
     check_bimodule_algebra,
     check_dendriform,
     dual_regular_bimodule,
+    identity,
     make_algebra,
 )
 from ybekit.frobenius import form_is_invariant, induced_operators
@@ -37,6 +42,7 @@ from helpers import (
     entry,
     rebased,
     rebased_entry,
+    reference_check_balanced_hom,
     reference_check_bimodule,
     reference_check_bimodule_algebra,
     reference_check_dendriform,
@@ -241,6 +247,62 @@ def test_form_is_invariant_matches_dense_reference(ab):
     assert form_is_invariant(*ab) == reference_form_is_invariant(*ab)
 
 
+_SPARSE = (0, 0, 0, 0, 0, 1, -1, Fraction(1, 2))
+
+
+def _sparse(rnd, rows, cols):
+    return tuple(tuple(rnd.choice(_SPARSE) for _ in range(cols)) for _ in range(rows))
+
+
+def _balanced_hom_cases(rnd):
+    """(a, v, beta): on every catalog algebra, its adjoint and dual regular
+    modules and a zero module, each with the zero map, random sparse maps
+    and (for n = m) the identity with one entry moved or not; a
+    zero-dimensional algebra with modules of dimension 0 to 2; and one- and
+    two-dimensional algebras with random sparse action tables, which need
+    not be bimodules, so that every kind of failure is reached."""
+    for name in ALL_NAMES:
+        a = alg(name)
+        n = a.dim
+        for v in (adjoint_bimodule(a), dual_regular_bimodule(a),
+                  Bimodule(a, 0, ((),) * n, ((),) * n)):
+            m = v.dim
+            maps = [_sparse(rnd, n, m) for _ in range(10)] + [((0,) * m,) * n]
+            if m == n:
+                eye = [list(row) for row in identity(n)]
+                maps.append(identity(n))
+                for _ in range(4):
+                    bumped = [row[:] for row in eye]
+                    bumped[rnd.randrange(n)][rnd.randrange(n)] += rnd.choice((1, -1))
+                    maps.append(bumped)
+            for bm in maps:
+                yield a, v, LinearMap(bm)
+    a0 = make_algebra(0, (), unit=None)
+    for m in range(3):
+        yield a0, Bimodule(a0, m, (), ()), LinearMap(())
+    for _ in range(400):
+        n, m = rnd.randint(1, 2), rnd.randint(1, 2)
+        a = make_algebra(n, [_sparse(rnd, n, n) for _ in range(n)])
+        v = Bimodule(a, m, [_sparse(rnd, m, m) for _ in range(n)],
+                     [_sparse(rnd, m, m) for _ in range(n)])
+        yield a, v, LinearMap(_sparse(rnd, n, m))
+
+
+def test_check_balanced_hom_matches_dense_reference():
+    seen = set()
+    for a, v, beta in _balanced_hom_cases(random.Random(7)):
+        rep = check_balanced_hom(a, v, beta)
+        assert rep == reference_check_balanced_hom(a, v, beta)
+        if rep.witness:
+            kind, at = rep.witness["kind"], rep.witness.get("basis_index", rep.witness.get("pair"))
+            seen.add((kind, at not in (0, [0, 0])))
+        else:
+            seen.add(("pass", a.dim > 0 and v.dim > 0))
+    # every kind of report, and a failure away from index 0 or pair (0, 0)
+    assert seen == {(kind, away) for kind in ("pass", "left-intertwine", "right-intertwine",
+                                              "balance") for away in (False, True)}
+
+
 def _corrupted_adjoint():
     a = alg("A2")
     v = adjoint_bimodule(a)
@@ -259,6 +321,10 @@ _CHECKS = {
                          lambda: BimoduleAlgebra(_corrupted_adjoint(), alg("A2").sc)),
     "dendriform": (check_dendriform, 3, lambda: M2_SPLIT,
                    lambda: Dendriform(1, (((1,),),), (((1,),),))),
+    "balanced-hom": (lambda avb: check_balanced_hom(*avb), 3,
+                     lambda: (alg("A2"), adjoint_bimodule(alg("A2")), LinearMap(identity(2))),
+                     lambda: (alg("M2"), dual_regular_bimodule(alg("M2")),
+                              LinearMap(identity(4)))),
     "form": (lambda ab: form_is_invariant(*ab), 1,
              lambda: (alg("M2"), entry("M2").forms["trace"].form),
              lambda: (alg("A2"), BilinearForm(alg("A2"), ((1, 1), (1, 0))))),
@@ -290,6 +356,7 @@ def test_each_check_runs_the_associator_and_nothing_else(name, monkeypatch):
     for module in (ybekit.algebras, ybekit.dendriform):  # every module that binds it
         monkeypatch.setattr(module, "apply_table", dense)
     monkeypatch.setattr(ybekit.algebras, "_action_matrix", dense)
+    monkeypatch.setattr(ybekit.constructions, "mat_mul", dense)
     use(spy)
     assert _passed(check(good)) and len(calls) == runs
     assert all(len(x) == 4 for tables in calls for t in tables for x in t)

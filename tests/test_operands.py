@@ -173,16 +173,17 @@ def test_op_suite_clears_r_once(tmp_path, monkeypatch, capsys):
     # set of operands, C and C^t cleared together once; handing an operand
     # to `_cleared` again returns it as it is.  The residual kernel stays a
     # plain-matrix caller that clears its input on each verdict; its calls
-    # are not counted.
+    # are not counted.  `linalg._cleared` is patched in every module that
+    # binds it, `linalg` itself included, where `_operands` reads it.
     (_, r, mu), = [t for t in _check_batch(3, (0, 0, 1), seed=3)]
     assert mu == 1 and any(type(x) is Fraction and x.denominator == 2
                            for row in r.coeff for x in row)
     n = r.dim
     cleared, residuals, inside = [], [], []
-    clear, kernel = ybekit.ybe._cleared, ybekit.ybe._residual_blocks
+    clear, kernel = ybekit.linalg._cleared, ybekit.ybe._residual_blocks
 
     def counted_clear(m):
-        if type(m) is not ybekit.ybe._Operand and len(m) >= n and not inside:
+        if type(m) is not ybekit.linalg._Operand and len(m) >= n and not inside:
             cleared.append(m)
         return clear(m)
 

@@ -36,6 +36,43 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imports_in_functions(source: str, name: str) -> list[str]:
+    """Import statements inside a function body of the module `name`, as
+    "module.function: imported (line n)", except the one that must stay
+    lazy: `cli.build_parser` imports argparse only when a command line
+    needs the parser (`test_a_valid_command_imports_neither_argparse_nor_gettext`)."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                what = ", ".join(alias.name for alias in node.names)
+                if (name, fn.name, what) != ("cli", "build_parser", "argparse"):
+                    found.append((node.lineno, fn.lineno,
+                                  f"{name}.{fn.name}: {what} (line {node.lineno})"))
+    return [text for *_, text in sorted(found)]
+
+
+def test_function_import_scan_sees_nested_imports_and_the_one_exception():
+    source = ("import os\ndef f():\n    from .x import y\n    def g():\n"
+              "        import json\n    return y\n"
+              "def build_parser():\n    import argparse\n")
+    assert imports_in_functions(source, "m") == [
+        "m.f: y (line 3)", "m.f: json (line 5)", "m.g: json (line 5)",
+        "m.build_parser: argparse (line 8)"]
+    assert imports_in_functions(source, "cli") == [
+        "cli.f: y (line 3)", "cli.f: json (line 5)", "cli.g: json (line 5)"]
+
+
+def test_no_import_inside_a_function():
+    # An import inside a function is kept only where it must be lazy; none
+    # breaks an import cycle, since numeric internals live in `linalg`.
+    package = Path(ybekit.__file__).parent
+    assert [f for p in sorted(package.glob("*.py"))
+            for f in imports_in_functions(p.read_text(encoding="utf-8"), p.stem)] == []
+
+
 def float_uses(source: str) -> list[str]:
     """Float constants and float(...) calls, the ways a float gets in."""
     found = []

@@ -51,13 +51,14 @@ from ybekit import (
 from ybekit import io_json
 from ybekit.algebras import make_algebra
 from ybekit.cli import run
-from ybekit.operators import _holds, _operator_defect
+from ybekit.operators import _holds
 
 from helpers import (
     ALL_NAMES,
     BASES,
     entry,
     rebased_entry,
+    reference_defect_table,
     reference_dual_operator_suite,
     reference_family_checks,
     reference_frobenius_suite,
@@ -223,7 +224,7 @@ def test_holds_is_the_verdict_of_the_defect_table(data):
                for _ in range(3))
     eps = data.draw(st.one_of(st.none(), st.lists(SPARSE, min_size=n, max_size=n)))
     opposite = data.draw(st.booleans())
-    table = _operator_defect(a, v, p, q, s, eps, opposite=opposite)
+    table = reference_defect_table(a, v, p, q, s, eps, opposite=opposite)
     assert _holds(a, v, p, q, s, eps, opposite=opposite) == residual_is_zero(table)
 
 
