@@ -88,6 +88,7 @@ from .operators import (
     BimoduleAlgebra,
     LinearMap,
     WeightOp,
+    aybp_residual,
     check_bimodule_algebra,
     dual_map,
     dual_operator_suite,
@@ -107,7 +108,6 @@ from .report import CheckReport
 from .tensors import Tensor2, Tensor3, outer, t2_basis, t2_from_entries, t2_zero
 from .ybe import (
     YbeInstance,
-    aybp_residual,
     embed,
     extended_symmetrizer,
     grid_enumerate,

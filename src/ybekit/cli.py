@@ -43,6 +43,7 @@ from .operators import (
 from .report import CheckReport
 from .ybe import (
     YbeInstance,
+    _residual_witness,
     extended_symmetrizer,
     grid_enumerate,
     invariant_symmetric_basis,
@@ -83,14 +84,6 @@ def _emit_text(obj, indent=0):
 def _report_exit(rep: CheckReport, fmt) -> int:
     _emit(rep.to_json(), fmt)
     return 0 if rep.passed else 1
-
-
-def _tensor3_witness(t3):
-    w = t3.first_nonzero()
-    if w is None:
-        return None
-    p, q, s, a = w
-    return {"slot": [p, q, s], "value": scalar_str(a)}
 
 
 # The command table: (group, command) -> (handler, options), in the order
@@ -174,7 +167,7 @@ def _cmd_ybe_check(ns) -> int:
     inst = YbeInstance(a, io_json.parse_scalar(ns.mu))
     res = opposite_residual(inst, r) if ns.opposite else nhacybe_residual(inst, r)
     rep = CheckReport("opposite-equation" if ns.opposite else "tensor-equation",
-                      res.is_zero(), witness=_tensor3_witness(res),
+                      res.is_zero(), witness=_residual_witness(res),
                       details={"mu": scalar_str(inst.mu)})
     return _report_exit(rep, ns.report)
 

@@ -55,6 +55,7 @@ from .tensors import Tensor2
 from .ybe import (
     YbeInstance,
     _require_symmetrizer,
+    _residual_witness,
     _symmetrizer_num,
     extended_symmetrizer,
     nhacybe_residual,
@@ -94,7 +95,7 @@ def rb_from_solution(a: Algebra, s: Tensor2, r: Tensor2, lam: Scalar,
     if r.dim != s.dim:
         raise DimensionMismatch(f"tensor dims {r.dim} != {s.dim}")
     _require_symmetrizer("symmetrizer-relation", _symmetrizer_num(a, r.coeff, mu), lam, s)
-    witness = nhacybe_residual(YbeInstance(a, mu), r).first_nonzero()
+    witness = _residual_witness(nhacybe_residual(YbeInstance(a, mu), r))
     if witness is not None:
         raise PreconditionViolated("tensor-equation", witness=witness)
     p = LinearMap(mat_mul(transpose(r.coeff), s_inv))

@@ -21,7 +21,8 @@ the product in the other order (the second-slot identity of
 the same kernel over the opposite algebra: structure constants sc[k][i] in
 place of sc[i][k], and the left and right actions exchanged.  Its table is
 then the transpose of the mirrored identity's, which leaves every verdict
-unchanged.
+unchanged.  The two Yang-Baxter-pair residuals are such tables on the
+dual regular bimodule too (`aybp_residual`).
 
 The kernel adds up integer numerators, in the form the `linalg` docstring
 states.  The structure constants are cleared once per algebra, the actions
@@ -69,6 +70,7 @@ from .linalg import (
     _entries,
     _lists,
     _minus,
+    _operands,
     _rectangular,
     _sparse_rows,
     _trusted,
@@ -84,7 +86,7 @@ from .linalg import (
     vec_scale,
 )
 from .report import CheckReport
-from .tensors import Tensor2
+from .tensors import Tensor2, Tensor3
 from .ybe import (
     YbeInstance,
     _invariance_blocks,
@@ -342,10 +344,10 @@ def _defect_num(*args, **kwargs) -> tuple[list, int]:
     return [*chain.from_iterable(pieces)], den
 
 
-def _operator_defect(a: Algebra, v: Bimodule, p: Mat, q: Mat, s: Mat, eps: Vec | None = None,
+def _operator_defect(a: Algebra, v: Bimodule, p, q, s, eps: Vec | None = None,
                      weight: tuple | None = None) -> ResidualTable:
     """The defect table of `_defect_num` as values: table[i][j] is D[i][j]."""
-    n, m = a.dim, len(p)
+    n, m = a.dim, v.dim
     flat = _values(*_defect_num(a, v, p, q, s, eps, weight))
     return tuple(tuple(tuple(flat[(i * m + j) * n:(i * m + j + 1) * n]) for j in range(m))
                  for i in range(m))
@@ -436,6 +438,25 @@ def rb_system_residual(a: Algebra, p: LinearMap, s: LinearMap
     pc, sc_ = _columns(p.matrix, n, n, what), _columns(s.matrix, n, n, what)
     adj = adjoint_bimodule(a)
     return _operator_defect(a, adj, pc, pc, sc_), _operator_defect(a, adj, sc_, pc, sc_)
+
+
+def aybp_residual(a: Algebra, r: Tensor2, s: Tensor2) -> tuple[Tensor3, Tensor3]:
+    """Residuals of the two coupled Yang-Baxter-pair equations
+
+    r12 r13 - r23 r12 + r13 s23  and  r12 s13 - s23 s12 + s13 s23.
+
+    Both are defect tables on the dual regular bimodule, entry for entry:
+    the second is the table D of (s#, s#, -r^t#) as it stands, and the first
+    is D of (r^t#, -s#, r^t#) read as R[p][q][t] = D[q][t][p]."""
+    n = a.dim
+    if r.dim != n or s.dim != n:
+        raise DimensionMismatch("tensor dims do not match algebra dim")
+    sp, rt, neg_sp, neg_rt = _operands(s.coeff, transpose(r.coeff))
+    v = dual_regular_bimodule(a)
+    first = _operator_defect(a, v, rt, neg_sp, rt)
+    return (_trusted(Tensor3, n, tuple(tuple(tuple(row[p] for row in plane) for plane in first)
+                                       for p in range(n))),
+            _trusted(Tensor3, n, _operator_defect(a, v, sp, sp, neg_rt)))
 
 
 def _suite_report(name: str, verdicts: dict, **extra) -> CheckReport:

@@ -5,11 +5,18 @@ the unused slot; the equation reads
 
     r12 r13 + r13 r23 - r23 r12 = mu * r13.
 
-Every residual comes from one kernel, `_slot_products`, which expands each
-product of two embedded tensors over the nonzero structure constants, one
-plane of first index at a time.  A unit is needed only for the mu-term
-(`_residual_blocks`).  Run over `poly` variables they give the system that
+The residual comes from one kernel, `_residual_blocks`, which expands the
+three products of embedded tensors over the nonzero structure constants,
+one plane of first index at a time; a unit is needed only for the
+mu-term.  Run over `poly` variables it gives the system that
 `grid_enumerate` searches.  Checks are exact: pass means zero residual.
+The residual is also, entry for entry, the first-slot operator identity
+of r# on the dual regular bimodule (`operators._defect_blocks` of r#, r#,
+-r^t# and mu times the unit), but this kernel reads it off the rows and
+columns of r alone: on a new tensor, such as each solution a search
+confirms, it takes half the time or less.  The Yang-Baxter-pair residuals,
+which no verdict reads, are such identities outright
+(`operators.aybp_residual`).
 
 The kernel adds up integer numerators, in the form the `linalg` docstring
 states: the structure constants are cleared once per algebra and each input
@@ -17,11 +24,11 @@ once per call, and a residual comes back as ints over one common
 denominator L.  Values are formed only where they are printed; verdicts test
 numerators; exact data is built once; a verdict reads the blocks in order
 and stops at the first nonzero one.  A verdict (the suites, the catalog) is
-`is_solution`: it divides nothing.  The Tensor3 of `nhacybe_residual`,
-`opposite_residual` and `aybp_residual`, for a caller that prints it such
-as `ybe check`, is lazy (`tensors._lazy_tensor3`): it holds the kernel's
-plane generator and draws a plane only when a reader reaches it, dividing
-each entry once (`linalg._values`; nothing when L is 1) and coercing
+`is_solution`: it divides nothing.  The Tensor3 of `nhacybe_residual` and
+`opposite_residual`, for a caller that prints it such as `ybe check`
+(`_residual_witness`), is lazy (`tensors._lazy_tensor3`): it holds the
+kernel's plane generator and draws a plane only when a reader reaches it,
+dividing each entry once (`linalg._values`; nothing when L is 1) and coercing
 nothing again.  `is_zero` and `first_nonzero` stop at the first nonzero
 plane, so a failing `ybe check` forms one plane for its verdict and
 witness; `coeff`, and so equality, hash, repr and arithmetic, draws the
@@ -94,7 +101,7 @@ def unit_square(a: Algebra) -> Tensor2:
 def embed(r: Tensor2, slots: int, a: Algebra) -> Tensor3:
     """Place r in two tensor slots of A(x)A(x)A with the unit in the third.
 
-    No library code reads it: the residual comes from `_slot_products`.  It
+    No library code reads it: the residual comes from `_residual_blocks`.  It
     stays for the oracle that checks `ybe enumerate` in the benchmark
     (`perfbench/workloads.py`, and `test_tiny_enumerate_count_is_complete`
     in its tests), which recomputes each listed residual from `embed` and
@@ -158,45 +165,6 @@ def _check_ybe_args(inst: YbeInstance, r: Tensor2):
             f"tensor dim {r.dim} != algebra dim {inst.algebra.dim}")
 
 
-def _slot_products(groups, terms, n: int):
-    """Yields, for P = 0, 1, ..., the n x n plane of first index P, row-major,
-    of the sum of coef * x?? y?? over terms (coef, slots, x, y): coef an
-    int, x and y coefficient matrices, slots "12.13", "13.23" or "23.12",
-    the products taken by the integer structure constants grouped as in
-    `Algebra._groups`.  For e_i e_k = ... + c e_p, x12 y13 adds
-    c x[i][q] y[k][s] at (p, q, s), x13 y23 c x[q][i] y[s][k] at (q, s, p)
-    and x23 y12 c x[i][q] y[s][k] at (s, p, q), so plane P reads the
-    constants with output P, row P of x and row P of y respectively."""
-    by_p, by_i, by_k = groups
-    rows = {k: _sparse_rows(m) for k, m in {id(m): m for t in terms for m in t[2:]}.items()}
-    cols = {id(y): _sparse_rows(zip(*y)) for _, slots, _, y in terms if slots == "13.23"}
-    prepared = [(coef, slots, rows[id(x)], rows[id(y)], cols.get(id(y)))
-                for coef, slots, x, y in terms]
-    for P in range(n):
-        out = [0] * (n * n)
-        for coef, slots, xr, yr, yc in prepared:
-            if slots == "12.13":
-                for i, k, c in by_p[P]:
-                    c, yk = coef * c, yr[k]
-                    for q, xq in xr[i]:
-                        base, cq = q * n, c * xq
-                        for s, ys in yk:
-                            out[base + s] += cq * ys
-            elif slots == "13.23":
-                for i, xi in xr[P]:
-                    for k, p, c in by_i[i]:
-                        cx = coef * c * xi
-                        for s, ys in yc[k]:
-                            out[s * n + p] += cx * ys
-            else:
-                for k, yk in yr[P]:
-                    for i, p, c in by_k[k]:
-                        base, cy = p * n, coef * c * yk
-                        for q, xq in xr[i]:
-                            out[base + q] += cy * xq
-        yield out
-
-
 def _tensor3(n: int, blocks, den: int) -> Tensor3:
     """The lazy Tensor3 of the n x n planes `blocks` yields, row-major, over den."""
     return _lazy_tensor3(n, (tuple(tuple(plane[q * n:(q + 1) * n]) for q in range(n))
@@ -208,7 +176,14 @@ def _residual_blocks(a: Algebra, mu, c, opposite: bool = False) -> tuple:
     matrix c is num / den, planes yielding num one n x n plane of first index
     at a time, row-major.  Products are taken in the algebra, or in its
     opposite, whose structure constants are sc[k][i] in place of sc[i][k].
-    num holds ints, or polynomials when c does; den is a positive int."""
+    num holds ints, or polynomials when c does; den is a positive int.
+
+    For e_i e_k = ... + c e_p (`Algebra._groups`), r12 r13 adds c r[i][q]
+    r[k][s] at (p, q, s), r13 r23 c r[q][i] r[s][k] at (q, s, p) and r23 r12
+    c r[q][k] r[i][s] at (q, p, s).  So plane P reads, in that order, the
+    constants with output P, those with first factor i for each entry r[P][i]
+    and those with second factor k for each entry r[P][k]; the mu-term reads
+    row P."""
     n, dsc = a.dim, a._products[0]
     dc, x = _cleared(c)
     den = quad = dsc * dc * dc
@@ -218,15 +193,33 @@ def _residual_blocks(a: Algebra, mu, c, opposite: bool = False) -> tuple:
         lin = mu.denominator * du * dc
         den = lcm(quad, lin)
         u = [(q, -(den // lin) * mu.numerator * uq) for q, uq in enumerate(unit) if uq]
-    kq = den // quad
-    terms = ((kq, "12.13", x, x), (kq, "13.23", x, x), (-kq, "23.12", x, x))
+    by_p, by_i, by_k = a._groups[opposite]
+    rows, cols = _sparse_rows(x), _sparse_rows(zip(*x))
+    kq = den // quad  # the first factor of each product scaled to den
+    first = rows if kq == 1 else _sparse_rows(x, kq)
 
     def planes():
-        for out, row in zip(_slot_products(a._groups[opposite], terms, n), x):
+        for P in range(n):
+            out = [0] * (n * n)
+            for i, k, c in by_p[P]:
+                rk = rows[k]
+                for q, xq in first[i]:
+                    base, cq = q * n, c * xq
+                    for s, xs in rk:
+                        out[base + s] += cq * xs
+            for i, xi in first[P]:
+                for k, p, c in by_i[i]:
+                    cx = c * xi
+                    for s, xs in cols[k]:
+                        out[s * n + p] += cx * xs
+            for k, xk in first[P]:
+                for i, p, c in by_k[k]:
+                    base, cx = p * n, c * xk
+                    for s, xs in rows[i]:
+                        out[base + s] -= cx * xs
             for q, fq in u:
-                for s, xs in enumerate(row):
-                    if xs:
-                        out[q * n + s] += fq * xs
+                for s, xs in rows[P]:
+                    out[q * n + s] += fq * xs
             yield out
     return planes(), den
 
@@ -235,11 +228,6 @@ def _residual_num(a: Algebra, mu, c, opposite: bool = False) -> tuple[list, int]
     """`_residual_blocks` with its planes joined into one row-major list."""
     planes, den = _residual_blocks(a, mu, c, opposite)
     return [*chain.from_iterable(planes)], den
-
-
-def _residual_flat(a: Algebra, mu, c, opposite: bool = False) -> list:
-    """The coefficients of `_residual_num` as values, over any ring."""
-    return _values(*_residual_num(a, mu, c, opposite))
 
 
 def nhacybe_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
@@ -256,6 +244,16 @@ def opposite_residual(inst: YbeInstance, r: Tensor2) -> Tensor3:
     """
     _check_ybe_args(inst, r)
     return _tensor3(r.dim, *_residual_blocks(inst.algebra, inst.mu, r.coeff, opposite=True))
+
+
+def _residual_witness(res: Tensor3) -> dict | None:
+    """The witness of a residual Tensor3, None when it is zero: the slot
+    (p, q, s) of its first nonzero entry and the value there, as a string."""
+    w = res.first_nonzero()
+    if w is None:
+        return None
+    p, q, s, x = w
+    return {"slot": [p, q, s], "value": scalar_str(x)}
 
 
 def is_solution(inst: YbeInstance, r: Tensor2) -> bool:
@@ -463,33 +461,13 @@ def is_symmetrized_invariant(inst: YbeInstance, r: Tensor2) -> CheckReport:
     return CheckReport("symmetrized-invariant", rep.passed, witness=rep.witness)
 
 
-def aybp_residual(a: Algebra, r: Tensor2, s: Tensor2) -> tuple[Tensor3, Tensor3]:
-    """Residuals of the two coupled Yang-Baxter-pair equations
-
-    r12 r13 - r23 r12 + r13 s23  and  r12 s13 - s23 s12 + s13 s23.
-    """
-    n = a.dim
-    if r.dim != n or s.dim != n:
-        raise DimensionMismatch("tensor dims do not match algebra dim")
-    dsc = a._products[0]
-
-    def total(terms) -> Tensor3:
-        """The sum of sign * x?? y?? over terms (sign, slots, (dx, x), (dy, y))."""
-        den = lcm(*(dsc * dx * dy for _, _, (dx, _), (dy, _) in terms))
-        return _tensor3(n, _slot_products(
-            a._groups[False], [(sign * (den // (dsc * dx * dy)), slots, x, y)
-                               for sign, slots, (dx, x), (dy, y) in terms], n), den)
-
-    x, y = _cleared(r.coeff), _cleared(s.coeff)
-    return (total(((1, "12.13", x, x), (-1, "23.12", x, x), (1, "13.23", x, y))),
-            total(((1, "12.13", x, y), (-1, "23.12", y, y), (1, "13.23", y, y))))
-
-
 def _search_checks(a: Algebra, mu: Scalar) -> list[list[tuple]]:
     """checks[last]: (quad, lin) of each nonzero component whose highest variable
-    (r[i][j] is i * n + j) is last; quad has (coef, u, v), u <= v, lin (coef, u)."""
+    (r[i][j] is i * n + j) is last; quad has (coef, u, v), u <= v, lin (coef, u).
+    The coefficients are the integer numerators of the residual over its
+    positive common denominator, so a component vanishes where they do."""
     checks = [[] for _ in range(a.dim ** 2)]
-    for f in _residual_flat(a, mu, variables(a.dim)):
+    for f in _residual_num(a, mu, variables(a.dim))[0]:
         if f:
             terms = sorted(f.items())
             checks[max(m[-1] for m in f)].append(

@@ -1230,9 +1230,10 @@ def reference_rb_from_solution(a, s, r, lam, mu):
             "symmetrizer-relation",
             witness={"defect": [[scalar_str(x) for x in row]
                                 for row in relation.coeff]})
-    res = slotwise_residual(YbeInstance(a, mu), r)
-    if not res.is_zero():
-        raise PreconditionViolated("tensor-equation", witness=res.first_nonzero())
+    w = slotwise_residual(YbeInstance(a, mu), r).first_nonzero()
+    if w is not None:
+        raise PreconditionViolated("tensor-equation",
+                                   witness={"slot": list(w[:3]), "value": scalar_str(w[3])})
     return LinearMap(mat_mul(transpose(r.coeff), s_inv)), LinearMap(mat_mul(r.coeff, s_inv))
 
 

@@ -1,17 +1,18 @@
 """The blocked kernels against the oracles of `helpers`.
 
 The residual, operator-identity and invariance kernels yield their tables
-one block at a time (`ybe._residual_blocks` and `ybe._slot_products` by
-first index, `operators._defect_blocks` by first module index, with block
-0 in two pieces, the pair (0, 0) first, `ybe._invariance_blocks` by basis
-vector), and a verdict stops at the first nonzero block or piece.  Joined
-and divided by their denominator, the blocks must be the tables the oracles
-compute from their definitions (the slotwise residuals and slot products,
-the per-pair defect table, the dense invariance defect), entry for entry,
-with int numerators; the verdicts must be those of the oracles.  Blocks
-over the polynomials of `ybekit.poly` are compared at a random rational
-point.  A count of the blocks drawn guards against a verdict that evaluates
-the whole table."""
+one block at a time (`ybe._residual_blocks` by first index,
+`operators._defect_blocks` by first module index, with block 0 in two
+pieces, the pair (0, 0) first, `ybe._invariance_blocks` by basis vector),
+and a verdict stops at the first nonzero block or piece.  Joined and
+divided by their denominator, the blocks must be the tables the oracles
+compute from their definitions (the slotwise residuals, the per-pair defect
+table, the dense invariance defect), entry for entry, with int numerators;
+the verdicts must be those of the oracles.  The Yang-Baxter-pair residuals,
+two defect tables read as tensors (`operators.aybp_residual`), must be the
+slotwise ones in values and types.  Blocks over the polynomials of
+`ybekit.poly` are compared at a random rational point.  A count of the
+blocks drawn guards against a verdict that evaluates the whole table."""
 
 import contextlib
 import random
@@ -31,6 +32,7 @@ from ybekit import (
     WeightOp,
     YbeInstance,
     adjoint_bimodule,
+    aybp_residual,
     dual_regular_bimodule,
     extended_symmetrizer,
     invariant_symmetric_basis,
@@ -56,7 +58,6 @@ from ybekit.ybe import (
     _invariance_blocks,
     _residual_blocks,
     _residual_num,
-    _slot_products,
 )
 
 from helpers import (
@@ -69,9 +70,10 @@ from helpers import (
     rebased_entry,
     reference_defect_table,
     reference_invert,
-    slot_product,
     slotwise_opposite_residual,
+    slotwise_pair_residuals,
     slotwise_residual,
+    typed_tree,
 )
 
 MUS = (0, 1, Fraction(-1, 2))
@@ -85,6 +87,8 @@ ALGEBRAS.update({
     "M3": lambda: matrix_algebra(3),
     "zero-dim": lambda: make_algebra(0, []),
     "zero-product": lambda: make_algebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]),
+    "nilpotent": lambda: make_algebra(2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]),
+    "half": lambda: make_algebra(1, [[[Fraction(1, 2)]]], unit=(2,)),
 })
 
 
@@ -195,26 +199,23 @@ def test_residual_planes_join_to_the_flat_residual(name):
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_slot_product_planes_join_to_the_flat_sum(name):
-    # Different x and y in every slot, as in the Yang-Baxter-pair residuals.
+    # The Yang-Baxter-pair residuals, sums of products of r and s in mixed
+    # slots, come from two operator tables on the dual regular bimodule, one
+    # read in another order.  Their planes are the flat sums of the slot
+    # products (`slotwise_pair_residuals`), in values and types, on integer
+    # and half-integer r and s, with s = r, and with zero tensors.
     a = ALGEBRAS[name]()
     n = a.dim
-    rnd, points = random.Random(name), random.Random(f"{name}-points")
-    for c in ([_cleared(_matrix(rnd, n, n))[1] for _ in range(2)], [variables(n)] * 2):
-        x, y = c
-        terms = ((2, "12.13", x, y), (-1, "13.23", y, x), (3, "23.12", x, y),
-                 (1, "13.23", x, x))
-        for opposite in (False, True):
-            got = _joined(_slot_products(a._groups[opposite], terms, n))
-            for point in _points(points, n, x):
-                want = [0] * n ** 3
-                for coef, slots, u, w in terms:
-                    su, sw = map(int, slots.split("."))
-                    u, w = _at(u, point), _at(w, point)
-                    # The opposite algebra multiplies each slot the other way round.
-                    table = slot_product(a, w, sw, u, su) if opposite else \
-                        slot_product(a, u, su, w, sw)
-                    want = [z + coef * t for z, t in zip(want, table)]
-                _same_values(got, a._products[0], point, want)
+    rnd = random.Random(f"{name}-pair")
+    half = tuple(Fraction(x, 2) for x in (-3, -1, 0, 1, 3))
+    ints, halves = ([Tensor2(n, _matrix(rnd, n, n, vals)) for _ in range(2)]
+                    for vals in ((-2, -1, 0, 1, 2), half))
+    zero = Tensor2(n, ((0,) * n,) * n)
+    pairs = [(ints[0], ints[1]), (halves[0], halves[1]), (ints[0], halves[0]),
+             (halves[1], ints[1]), (ints[0], ints[0]), (halves[0], halves[0]),
+             (zero, ints[1]), (halves[1], zero), (zero, zero)]
+    for r, s in pairs:
+        assert typed_tree(aybp_residual(a, r, s)) == typed_tree(slotwise_pair_residuals(a, r, s))
 
 
 def _weights(rnd, a, v):

@@ -31,7 +31,7 @@ from ybekit import (
     solutions_from_rb,
     t2_zero,
 )
-from ybekit import constructions
+from ybekit import constructions, io_json
 from ybekit.algebras import Bimodule, make_algebra
 from ybekit.linalg import identity, scalar_str
 from ybekit.operators import _defect_witness, _o_operator, _rota_baxter
@@ -97,6 +97,7 @@ def _tally(equations, f, reference, *args):
     got, want = outcome(f, *args), outcome(reference, *args)
     assert typed_tree(got) == typed_tree(want), args
     if isinstance(got[0], type) and issubclass(got[0], PreconditionViolated):
+        assert io_json.dumps(got[2]), args  # every witness is printable JSON
         equations[str(got[1])] += 1
     elif isinstance(got[0], type):
         equations[got[0].__name__] += 1

@@ -34,10 +34,10 @@ from ybekit import (
 )
 from ybekit.cli import run
 from ybekit.io_json import encode_algebra, encode_tensor2
-from ybekit.linalg import scalar_str
+from ybekit.linalg import _values, scalar_str
 from ybekit.operators import _defect_num, _operator_defect
 from ybekit.poly import Poly, variables
-from ybekit.ybe import _residual_flat, _residual_num
+from ybekit.ybe import _residual_num
 
 from helpers import (
     BASES,
@@ -156,7 +156,7 @@ def test_residual_numerators_of_integral_fractions_are_ints(rebase, opposite):
         num, den = _residual_num(a, mu, UNREDUCED, opposite)
         assert all(type(x) is int for x in num)
         assert (num, den) == _residual_num(a, mu, REDUCED, opposite)
-        values = _residual_flat(a, mu, UNREDUCED, opposite)
+        values = _values(*_residual_num(a, mu, UNREDUCED, opposite))
         assert all(_canonical(v) for v in values)
 
 
@@ -181,12 +181,12 @@ def test_residual_over_polynomials_of_a_rebased_algebra(name, data):
     r = tuple(tuple(x[k * n:(k + 1) * n]) for k in range(n))
     want = slotwise_residual(YbeInstance(a, mu), Tensor2(n, r))
     for opposite in (False, True):
-        symbolic = _residual_flat(a, mu, variables(n), opposite)
+        symbolic = _values(*_residual_num(a, mu, variables(n), opposite))
         assert all(isinstance(f, Poly) or f == 0 for f in symbolic)
-        values = _residual_flat(a, mu, r, opposite)
+        values = _values(*_residual_num(a, mu, r, opposite))
         assert [evaluate(f, x) for f in symbolic] == values
         assert all(_canonical(v) for v in values)
-    assert _residual_flat(a, mu, r) == _entries(want)
+    assert _values(*_residual_num(a, mu, r)) == _entries(want)
 
 
 @pytest.mark.parametrize("name", tuple(BASES))

@@ -1,8 +1,9 @@
-"""The residual Tensor3 is lazy: `nhacybe_residual`, `opposite_residual` and
-`aybp_residual` return a tensor that draws its planes from the kernel as they
-are read.  It is compared with the eager Tensor3 of the slotwise references
+"""The residual Tensor3 is lazy: `nhacybe_residual` and `opposite_residual`
+return a tensor that draws its planes from the kernel as they are read.  It
+is compared with the eager Tensor3 of the slotwise references
 (`tests/helpers.slotwise_*`) in every way a caller can read it, the draws
-are counted, and `ybe check` prints what the references give."""
+are counted, and `ybe check` prints what the references give.  The eager
+tensors of `aybp_residual` are read the same ways."""
 
 import copy
 import json

@@ -18,9 +18,10 @@ from ybekit import (
     rota_baxter_residual,
 )
 from ybekit.algebras import matrix_algebra
+from ybekit.linalg import _values
 from ybekit.operators import _operator_defect
 from ybekit.poly import Poly, variables
-from ybekit.ybe import _residual_flat, _search_checks
+from ybekit.ybe import _residual_num, _search_checks
 
 from helpers import ALL_NAMES, alg, evaluate, inst, reference_residual_form
 
@@ -52,8 +53,8 @@ def test_residual_kernel_commutes_with_substitution(name, data):
     x = data.draw(st.lists(SCALARS, min_size=n * n, max_size=n * n))
     r = tuple(tuple(x[i * n:(i + 1) * n]) for i in range(n))
     for opposite in (False, True):
-        symbolic = _residual_flat(a, mu, variables(n), opposite)
-        assert [evaluate(f, x) for f in symbolic] == _residual_flat(a, mu, r, opposite)
+        symbolic = _values(*_residual_num(a, mu, variables(n), opposite))
+        assert [evaluate(f, x) for f in symbolic] == _values(*_residual_num(a, mu, r, opposite))
 
 
 @pytest.mark.parametrize("name", ("A2", "B1", "M2"))
@@ -79,11 +80,17 @@ def test_operator_kernel_commutes_with_substitution(name, data):
                          ids=("0", "1", "-1/2", "-2/3"))
 @pytest.mark.parametrize("name", ALL_NAMES + ("M3",))
 def test_search_checks_match_reference_form(name, mu):
+    # The checks are the integer numerators of the reference form over the
+    # residual's common denominator.
     a = _algebra(name)
+    den = _residual_num(a, mu, variables(a.dim))[1]
     want = [[] for _ in range(a.dim ** 2)]
     for _, quad, lin in reference_residual_form(YbeInstance(a, mu)):
-        want[max([v for _, _, v in quad] + [u for _, u in lin])].append((quad, lin))
-    assert _search_checks(a, mu) == want
+        want[max([v for _, _, v in quad] + [u for _, u in lin])].append(
+            (tuple((den * c, u, v) for c, u, v in quad), tuple((den * c, u) for c, u in lin)))
+    checks = _search_checks(a, mu)
+    assert checks == want
+    assert all(type(t[0]) is int for level in checks for quad, lin in level for t in quad + lin)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + ("M3",))
