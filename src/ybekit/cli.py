@@ -4,11 +4,16 @@ Exit codes: 0 all checks passed, 1 at least one check failed (including a
 violated construction hypothesis), 2 usage or input errors.
 
 Every command is one entry of `_COMMANDS`, its handler and its options, and
-that table drives the reader, the parser and the dispatch.  A well-formed
-command line is read straight off the table (`_read_argv`), so a command
-builds no parser and imports no argparse; anything else (help, `--`,
+that table drives the reader, the parser, decoding and the dispatch.  A
+well-formed command line is read straight off the table (`_read_argv`), so a
+command builds no parser and imports no argparse; anything else (help, `--`,
 abbreviated or repeated options, bad or missing values) goes to the argparse
 parser built from the same table, which prints the help, usage and errors.
+What each file option holds is one entry of `_FILES`, the same in every
+command: `run` decodes the file options of a command in the order it lists
+them, before its handler runs, so a handler receives values.  Scalar
+options (`--mu`, `--lambda`, `--grid`, ...) stay the strings given, as the
+provenance of a construction prints them.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ def _report_exit(rep: CheckReport, fmt) -> int:
 
 # The command table: (group, command) -> (handler, options), in the order
 # `ybekit --help` lists them, each option a (flag, add_argument keywords)
-# pair.  It drives the reader, the parser and the dispatch.
+# pair.  It drives the reader, the parser, decoding and the dispatch.
 _COMMANDS: dict[tuple[str, str], tuple] = {}
 
 
@@ -114,6 +119,22 @@ def _command(group, cmd, *options):
 
 _LAMBDA = _opt("--lambda", dest="lam", required=True)
 _MUS = _opt("--mu", action="append")
+
+# What each file option holds: its decoder, given the file's JSON and the
+# namespace, in which every file option listed before it is decoded already.
+# Each decoder is looked up on io_json at the call.
+_FILES = {
+    "--algebra": lambda d, ns: io_json.decode_algebra(d),
+    "--r": lambda d, ns: io_json.decode_tensor2(d),
+    "--s": lambda d, ns: io_json.decode_tensor2(d),
+    "--p": lambda d, ns: io_json.decode_linear_map(d),
+    "--alpha": lambda d, ns: io_json.decode_linear_map(d),
+    "--beta": lambda d, ns: io_json.decode_linear_map(d),
+    "--module": lambda d, ns: io_json.decode_bimodule(d, ns.algebra),
+    "--eps": lambda d, ns: io_json.decode_augmentation(d, ns.algebra),
+    "--gram": lambda d, ns: frobenius_from_form(ns.algebra, io_json.decode_form(d, ns.algebra)),
+    "--dendriform": lambda d, ns: io_json.decode_dendriform(d),
+}
 
 
 def build_parser(parsers: dict | None = None):
@@ -155,17 +176,14 @@ def _parse(argv):
 
 @_command("algebra", "check", "--algebra")
 def _cmd_algebra_check(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    return _report_exit(check_algebra(a), ns.report)
+    return _report_exit(check_algebra(ns.algebra), ns.report)
 
 
 @_command("ybe", "check", "--algebra", "--r", _opt("--mu", default="0"),
           _opt("--opposite", action="store_true"))
 def _cmd_ybe_check(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    r = io_json.decode_tensor2(_load(ns.r))
-    inst = YbeInstance(a, io_json.parse_scalar(ns.mu))
-    res = opposite_residual(inst, r) if ns.opposite else nhacybe_residual(inst, r)
+    inst = YbeInstance(ns.algebra, io_json.parse_scalar(ns.mu))
+    res = opposite_residual(inst, ns.r) if ns.opposite else nhacybe_residual(inst, ns.r)
     rep = CheckReport("opposite-equation" if ns.opposite else "tensor-equation",
                       res.is_zero(), witness=_residual_witness(res),
                       details={"mu": scalar_str(inst.mu)})
@@ -174,11 +192,8 @@ def _cmd_ybe_check(ns) -> int:
 
 @_command("ybe", "symmetrizer", "--algebra", "--r", _opt("--mu", default="0"))
 def _cmd_ybe_symmetrizer(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    r = io_json.decode_tensor2(_load(ns.r))
-    inst = YbeInstance(a, io_json.parse_scalar(ns.mu))
-    sbar = extended_symmetrizer(inst, r)
-    inv = is_invariant(a, sbar)
+    sbar = extended_symmetrizer(YbeInstance(ns.algebra, io_json.parse_scalar(ns.mu)), ns.r)
+    inv = is_invariant(ns.algebra, sbar)
     _emit({"symmetrizer": io_json.encode_tensor2(sbar),
            "invariant": inv.passed}, ns.report)
     return 0
@@ -186,8 +201,7 @@ def _cmd_ybe_symmetrizer(ns) -> int:
 
 @_command("ybe", "invariant-basis", "--algebra")
 def _cmd_ybe_invariant_basis(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    basis = invariant_symmetric_basis(a)
+    basis = invariant_symmetric_basis(ns.algebra)
     _emit({"dimension": len(basis),
            "basis": [io_json.encode_tensor2(t) for t in basis]}, ns.report)
     return 0
@@ -198,9 +212,8 @@ def _cmd_ybe_invariant_basis(ns) -> int:
           _opt("--budget", type=int, default=1 << 25,
                help="maximum search nodes (values tried at one entry of r)"))
 def _cmd_ybe_enumerate(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
     mu = io_json.parse_scalar(ns.mu)
-    inst = YbeInstance(a, mu)
+    inst = YbeInstance(ns.algebra, mu)
     values = ((0, mu) if ns.grid is None
               else tuple(io_json.parse_scalar(v) for v in ns.grid.split(",")))
     for sol in grid_enumerate(inst, values, budget=ns.budget):
@@ -210,9 +223,7 @@ def _cmd_ybe_enumerate(ns) -> int:
 
 @_command("op", "rb-check", "--algebra", "--p", _opt("--lambda", dest="lam", default="0"))
 def _cmd_op_rb_check(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    p = io_json.decode_linear_map(_load(ns.p))
-    witness = _defect_witness(*_rota_baxter(a, p, io_json.parse_scalar(ns.lam)))
+    witness = _defect_witness(*_rota_baxter(ns.algebra, ns.p, io_json.parse_scalar(ns.lam)))
     rep = CheckReport("rota-baxter", witness is None, witness=witness,
                       details={"weight": ns.lam})
     return _report_exit(rep, ns.report)
@@ -221,24 +232,19 @@ def _cmd_op_rb_check(ns) -> int:
 @_command("op", "o-check", "--algebra", "--alpha",
           _opt("--module", help="bimodule JSON; adjoint if omitted"))
 def _cmd_op_o_check(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    alpha = io_json.decode_linear_map(_load(ns.alpha))
-    module = (adjoint_bimodule(a) if ns.module is None
-              else io_json.decode_bimodule(_load(ns.module), a))
-    witness = _defect_witness(*_o_operator(a, module, alpha, WeightOp.zero()))
+    module = adjoint_bimodule(ns.algebra) if ns.module is None else ns.module
+    witness = _defect_witness(*_o_operator(ns.algebra, module, ns.alpha, WeightOp.zero()))
     return _report_exit(CheckReport("weight-zero-operator", witness is None, witness=witness),
                         ns.report)
 
 
 @_command("op", "suite", "--algebra", "--r", _MUS)
 def _cmd_op_suite(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    r = io_json.decode_tensor2(_load(ns.r))
     reports = []
     for mu in (ns.mu or ["1"]):
-        inst = YbeInstance(a, io_json.parse_scalar(mu))
-        form = operator_form_suite(inst, r)
-        rep = _invariant_operator_suite(inst, r, form.details["verdicts"]["tensor_equation"])
+        inst = YbeInstance(ns.algebra, io_json.parse_scalar(mu))
+        form = operator_form_suite(inst, ns.r)
+        rep = _invariant_operator_suite(inst, ns.r, form.details["verdicts"]["tensor_equation"])
         reports += [form] if rep is None else [form, rep]
     ok = all(rep.passed for rep in reports)
     _emit({"check": "operator-suites", "passed": ok,
@@ -247,24 +253,17 @@ def _cmd_op_suite(ns) -> int:
     return 0 if ok else 1
 
 
-def _frobenius(ns):
-    a = io_json.decode_algebra(_load(ns.algebra))
-    return frobenius_from_form(a, io_json.decode_form(_load(ns.gram), a))
-
-
 @_command("frobenius", "build", "--algebra", "--gram")
 def _cmd_frobenius_build(ns) -> int:
-    frob = _frobenius(ns)
-    _emit({"phi": io_json.encode_tensor2(frob.phi),
-           "phi_sharp": io_json.encode_linear_map(frob.phi_sharp)},
+    _emit({"phi": io_json.encode_tensor2(ns.gram.phi),
+           "phi_sharp": io_json.encode_linear_map(ns.gram.phi_sharp)},
           ns.report)
     return 0
 
 
 @_command("frobenius", "pr", "--algebra", "--gram", "--r")
 def _cmd_frobenius_pr(ns) -> int:
-    frob = _frobenius(ns)
-    p, pt = induced_operators(frob, io_json.decode_tensor2(_load(ns.r)))
+    p, pt = induced_operators(ns.gram, ns.r)
     _emit({"p": io_json.encode_linear_map(p),
            "pt": io_json.encode_linear_map(pt)}, ns.report)
     return 0
@@ -272,9 +271,8 @@ def _cmd_frobenius_pr(ns) -> int:
 
 @_command("frobenius", "bridge", "--algebra", "--gram", "--r", "--mu", _LAMBDA)
 def _cmd_frobenius_bridge(ns) -> int:
-    frob = _frobenius(ns)
-    r = io_json.decode_tensor2(_load(ns.r))
-    rep = rb_bridge_suite(frob, io_json.parse_scalar(ns.mu), io_json.parse_scalar(ns.lam), r)
+    rep = rb_bridge_suite(ns.gram, io_json.parse_scalar(ns.mu), io_json.parse_scalar(ns.lam),
+                          ns.r)
     return _report_exit(rep, ns.report)
 
 
@@ -296,10 +294,7 @@ def _emit_solutions(out, ns, kind, **extra) -> int:
 
 @_command("construct", "from-rb", "--algebra", "--s", "--p", _LAMBDA, "--mu")
 def _cmd_construct_from_rb(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    s = io_json.decode_tensor2(_load(ns.s))
-    p = io_json.decode_linear_map(_load(ns.p))
-    r1, r2 = solutions_from_rb(a, s, p, io_json.parse_scalar(ns.lam),
+    r1, r2 = solutions_from_rb(ns.algebra, ns.s, ns.p, io_json.parse_scalar(ns.lam),
                                io_json.parse_scalar(ns.mu))
     _emit({"r1": io_json.encode_tensor2(r1),
            "r2": io_json.encode_tensor2(r2),
@@ -310,11 +305,8 @@ def _cmd_construct_from_rb(ns) -> int:
 
 @_command("construct", "lift", "--algebra", "--module", "--alpha", _LAMBDA)
 def _cmd_construct_lift(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    module = io_json.decode_bimodule(_load(ns.module), a)
-    alpha = io_json.decode_linear_map(_load(ns.alpha))
     lam = io_json.parse_scalar(ns.lam)
-    lifted = lift_o_operator(a, module, alpha, lam)
+    lifted = lift_o_operator(ns.algebra, ns.module, ns.alpha, lam)
     _emit({"algebra": io_json.encode_algebra(lifted.algebra),
            "hat": io_json.encode_linear_map(lifted.hat),
            "rota_baxter": _holds(*_rota_baxter(lifted.algebra, lifted.hat, lam)),
@@ -325,20 +317,14 @@ def _cmd_construct_lift(ns) -> int:
 @_command("construct", "semidirect", "--algebra", "--module", "--alpha", "--beta",
           _LAMBDA, "--mu")
 def _cmd_construct_semidirect(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    module = io_json.decode_bimodule(_load(ns.module), a)
-    alpha = io_json.decode_linear_map(_load(ns.alpha))
-    beta = io_json.decode_linear_map(_load(ns.beta))
-    out = semidirect_solutions(a, module, alpha, beta, io_json.parse_scalar(ns.lam),
-                               io_json.parse_scalar(ns.mu))
+    out = semidirect_solutions(ns.algebra, ns.module, ns.alpha, ns.beta,
+                               io_json.parse_scalar(ns.lam), io_json.parse_scalar(ns.mu))
     return _emit_solutions(out, ns, "semidirect", s=io_json.encode_tensor2(out.s))
 
 
 @_command("construct", "unitize-extract", "--algebra", "--eps", "--r", "--mu")
 def _cmd_construct_unitize_extract(ns) -> int:
-    a = io_json.decode_algebra(_load(ns.algebra))
-    aug = io_json.decode_augmentation(_load(ns.eps), a)
-    r = io_json.decode_tensor2(_load(ns.r))
+    a, aug, r = ns.algebra, ns.eps, ns.r
     mu = io_json.parse_scalar(ns.mu)
     p, pp = extract_rb_pair(a, aug, r)
     inst = YbeInstance(a, mu)
@@ -356,16 +342,13 @@ def _cmd_construct_unitize_extract(ns) -> int:
 
 @_command("dendriform", "check", "--dendriform")
 def _cmd_dendriform_check(ns) -> int:
-    d = io_json.decode_dendriform(_load(ns.dendriform))
-    return _report_exit(check_dendriform(d), ns.report)
+    return _report_exit(check_dendriform(ns.dendriform), ns.report)
 
 
 @_command("dendriform", "build", "--dendriform", "--beta", _LAMBDA, "--mu")
 def _cmd_dendriform_build(ns) -> int:
-    d = io_json.decode_dendriform(_load(ns.dendriform))
-    _, ud = unital_extension(d)
-    beta = io_json.decode_linear_map(_load(ns.beta))
-    out = dendriform_solutions(ud, beta, io_json.parse_scalar(ns.lam),
+    _, ud = unital_extension(ns.dendriform)
+    out = dendriform_solutions(ud, ns.beta, io_json.parse_scalar(ns.lam),
                                io_json.parse_scalar(ns.mu))
     return _emit_solutions(out, ns, "dendriform")
 
@@ -484,8 +467,14 @@ def run(argv) -> int:
             ns = _parse(argv)
         except SystemExit as exc:
             return 2 if exc.code else 0
+    handler, options = _COMMANDS[ns.group, ns.cmd]
     try:
-        return _COMMANDS[(ns.group, ns.cmd)][0](ns)
+        for flag, kw in options:
+            dest = _dest(flag, kw)
+            path = getattr(ns, dest)
+            if flag in _FILES and path is not None:
+                setattr(ns, dest, _FILES[flag](_load(path), ns))
+        return handler(ns)
     except PreconditionViolated as exc:
         print(io_json.dumps({"error": "precondition-violated",
                              "equation": exc.equation,

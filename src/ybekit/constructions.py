@@ -45,6 +45,7 @@ from .operators import (
     WeightOp,
     _columns,
     _defect_witness,
+    _induced_pair,
     _o_operator,
     _operator_defect,
     _require_symmetric_invariant,
@@ -98,9 +99,7 @@ def rb_from_solution(a: Algebra, s: Tensor2, r: Tensor2, lam: Scalar,
     witness = _residual_witness(nhacybe_residual(YbeInstance(a, mu), r))
     if witness is not None:
         raise PreconditionViolated("tensor-equation", witness=witness)
-    p = LinearMap(mat_mul(transpose(r.coeff), s_inv))
-    pt = LinearMap(mat_mul(r.coeff, s_inv))
-    return p, pt
+    return _induced_pair(r, s_inv)
 
 
 class LiftedOperator(Frozen):
@@ -207,10 +206,8 @@ def extract_rb_pair(a: Algebra, aug: Augmentation, r: Tensor2
     n = a.dim
     if r.dim != n:
         raise DimensionMismatch("tensor dim does not match algebra dim")
-    e = tuple(tuple(aug.apply(a.sc[i][k]) for k in range(n)) for i in range(n))
-    p = mat_mul(transpose(r.coeff), e)
-    pp = mat_mul(r.coeff, e)
-    return LinearMap(p), LinearMap(pp)
+    return _induced_pair(r, tuple(tuple(aug.apply(a.sc[i][k]) for k in range(n))
+                                  for i in range(n)))
 
 
 def extraction_identity_check(a: Algebra, aug: Augmentation,

@@ -32,9 +32,6 @@ from .linalg import (
     Scalar,
     _cleared,
     _operands,
-    _ratio,
-    _sparse_rows,
-    _trusted,
     exact,
     invert,
     mat_mul,
@@ -42,7 +39,14 @@ from .linalg import (
     unit_vec,
     vec_dot,
 )
-from .operators import LinearMap, _holds, _operator_forms, _rota_baxter, _suite_report
+from .operators import (
+    LinearMap,
+    _holds,
+    _induced_pair,
+    _operator_forms,
+    _rota_baxter,
+    _suite_report,
+)
 from .report import CheckReport, dumps
 from .tensors import Tensor2
 from .ybe import (
@@ -98,19 +102,11 @@ def induced_operators(f: FrobeniusStructure, r: Tensor2
                       ) -> tuple[LinearMap, LinearMap]:
     """The two endomorphisms obtained by composing the slot maps of r with
     the primal-to-dual map of the form: P[i][j] = sum_k r[k][i] g[j][k] and
-    P'[i][j] = sum_k r[i][k] g[j][k] for the gram matrix g.  Both are summed
-    over the integer numerators of r and g, along the nonzero entries of
-    each gram row, and each entry is divided once."""
+    P'[i][j] = sum_k r[i][k] g[j][k] for the gram matrix g, that is r^t g^t
+    and r g^t (`operators._induced_pair`, which `constructions` shares)."""
     if r.dim != f.algebra.dim:
         raise DimensionMismatch(f"inner dims {r.dim} != {f.algebra.dim}")
-    dr, x = _cleared(r.coeff)
-    dg, g = _cleared(f.form.gram)
-    den, rows = dr * dg, _sparse_rows(g)
-
-    def table(m) -> LinearMap:
-        return _trusted(LinearMap, tuple(tuple(_ratio(sum(mi[k] * c for k, c in gj), den)
-                                               for gj in rows) for mi in m), "primal")
-    return table(tuple(zip(*x))), table(x)
+    return _induced_pair(r, transpose(f.form.gram))
 
 
 def frobenius_suite(f: FrobeniusStructure, mu: Scalar, r: Tensor2) -> CheckReport:

@@ -402,13 +402,8 @@ def invert(m: Mat) -> Mat:
 
 
 def in_span(basis: list[Vec], v: Vec) -> bool:
-    """Whether v lies in the span of the given vectors."""
-    (w,) = _integer_rows((v,), len(v))
-    basis = _integer_rows(basis, len(v))
-    if not w:
-        return True
-    rows, pivots = _echelon(basis)
-    for prow, pc in zip(rows, pivots):
-        if pc in w:
-            w = _cancel(w, prow, pc)
-    return not w
+    """Whether v lies in the span of the given vectors: whether it leaves
+    their rank as it is."""
+    if not basis:
+        return not any(v)
+    return rank((*basis, v)) == rank(basis)

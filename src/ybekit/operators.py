@@ -71,6 +71,7 @@ from .linalg import (
     _lists,
     _minus,
     _operands,
+    _ratio,
     _rectangular,
     _sparse_rows,
     _trusted,
@@ -131,6 +132,21 @@ def sharp(r: Tensor2) -> LinearMap:
 def tsharp(r: Tensor2) -> LinearMap:
     """Map from dual coordinates pairing the second tensor slot."""
     return _trusted(LinearMap, r.coeff, "dual")
+
+
+def _induced_pair(r: Tensor2, m: Mat) -> tuple[LinearMap, LinearMap]:
+    """(r^t m, r m): the slot maps of r composed with the n x n matrix m,
+    P[i][j] = sum_k r[k][i] m[k][j] and P'[i][j] = sum_k r[i][k] m[k][j].
+    Both are summed over the integer numerators of r and m, along the nonzero
+    entries of each column of m, and each entry is divided once."""
+    dr, x = _cleared(r.coeff)
+    dm, y = _cleared(m)
+    den, cols = dr * dm, _sparse_rows(zip(*y))
+
+    def table(rows) -> LinearMap:
+        return _trusted(LinearMap, tuple(tuple(_ratio(sum(row[k] * c for k, c in col), den)
+                                               for col in cols) for row in rows), "primal")
+    return table(tuple(zip(*x))), table(x)
 
 
 def tensor_of_sharp(m: LinearMap | Mat) -> Tensor2:

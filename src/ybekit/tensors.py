@@ -1,7 +1,10 @@
 """Dense order-2 and order-3 tensors with exact rational coefficients.
 
 A Tensor2 stores coeff[i][j] for e_i (x) e_j, a Tensor3 stores coeff[i][j][k]
-for e_i (x) e_j (x) e_k, over a fixed ambient dimension.
+for e_i (x) e_j (x) e_k, over a fixed ambient dimension.  A lazy Tensor3
+(`_lazy_tensor3`, the residuals of `ybe`) draws its planes from a generator:
+when it is built, up to and including the first nonzero plane, which is all
+that its verdict and witness read, and the rest when `coeff` is first read.
 """
 
 from __future__ import annotations
@@ -135,11 +138,15 @@ class Tensor3(Frozen):
             for p in range(n)))
 
     def first_nonzero(self):
-        for p, plane in enumerate(self._planes()):
+        """(p, q, s, value) of the first nonzero entry, None for zero.  A lazy
+        tensor reads only the planes it drew when it was built."""
+        d = self.__dict__
+        for p, plane in enumerate(d["_drawn"] if "_drawn" in d else self.coeff):
             for q, row in enumerate(plane):
-                for s, a in enumerate(row):
-                    if a != 0:
-                        return (p, q, s, a)
+                if any(row):
+                    for s, a in enumerate(row):
+                        if a:
+                            return (p, q, s, a)
         return None
 
     def _match(self, other: "Tensor3"):
@@ -152,37 +159,25 @@ class Tensor3(Frozen):
 
     @cached_property
     def coeff(self) -> tuple:
-        """The planes of a lazy tensor (`_lazy_tensor3`), drawn to the end on
-        first read.  An eager tensor keeps coeff in its instance dict, which
-        takes precedence over this property."""
-        return tuple(self._planes())
-
-    def _planes(self):
-        """The planes of coeff in order.  A lazy tensor draws each from its
-        iterator once, on the first walk that reaches it, and keeps it; a
-        walk stops drawing where its reader stops."""
+        """The planes of a lazy tensor (`_lazy_tensor3`): those drawn when it
+        was built, then the rest, drawn on first read.  An eager tensor keeps
+        coeff in its instance dict, which takes precedence over this
+        property."""
         d = self.__dict__
-        if "coeff" in d:
-            yield from d["coeff"]
-            return
-        drawn, rest = d["_drawn"], d["_rest"]
-        p = 0
-        while True:
-            if p == len(drawn):
-                plane = next(rest, None)
-                if plane is None:
-                    return
-                drawn.append(plane)
-            yield drawn[p]
-            p += 1
+        return (*d["_drawn"], *d["_rest"])
 
 
 def _lazy_tensor3(n: int, planes) -> Tensor3:
-    """The Tensor3 of dimension n whose planes are drawn from the iterator
-    planes as they are read (`Tensor3._planes`): each an n x n tuple of row
-    tuples of exact values, so nothing is coerced or checked again.  Only
-    `is_zero` and `first_nonzero` read part of them; every other method
-    reads `coeff`, which draws the rest."""
+    """The Tensor3 of dimension n whose planes come from the iterator planes:
+    each an n x n tuple of row tuples of exact values, so nothing is coerced
+    or checked again.  The planes up to and including the first nonzero one
+    are drawn here, so `is_zero` and `first_nonzero` read only those; every
+    other method reads `coeff`, which draws the rest."""
+    drawn, rest = [], iter(planes)
+    for plane in rest:
+        drawn.append(plane)
+        if any(map(any, plane)):
+            break
     t = object.__new__(Tensor3)
-    t.__dict__.update(dim=n, _drawn=[], _rest=planes)
+    t.__dict__.update(dim=n, _drawn=drawn, _rest=rest)
     return t

@@ -26,14 +26,15 @@ numerators; exact data is built once; a verdict reads the blocks in order
 and stops at the first nonzero one.  A verdict (the suites, the catalog) is
 `is_solution`: it divides nothing.  The Tensor3 of `nhacybe_residual` and
 `opposite_residual`, for a caller that prints it such as `ybe check`
-(`_residual_witness`), is lazy (`tensors._lazy_tensor3`): it holds the
-kernel's plane generator and draws a plane only when a reader reaches it,
-dividing each entry once (`linalg._values`; nothing when L is 1) and coercing
-nothing again.  `is_zero` and `first_nonzero` stop at the first nonzero
-plane, so a failing `ybe check` forms one plane for its verdict and
-witness; `coeff`, and so equality, hash, repr and arithmetic, draws the
+(`_residual_witness`), is lazy (`tensors._lazy_tensor3`): the call draws
+the kernel's planes up to and including the first nonzero one, dividing
+each entry once (`linalg._values`; nothing when L is 1) and coercing
+nothing again, and keeps the generator for the rest.  `is_zero` and
+`first_nonzero` read only the planes drawn at the call, so a failing `ybe
+check` forms one plane for its verdict and witness, and all of it within
+the call; `coeff`, and so equality, hash, repr and arithmetic, draws the
 rest.  What can raise (the dimensions, the unit, clearing the input) runs at
-the call; the draws read only immutable data.
+the call; the later draws read only immutable data.
 
 The invariance identity s L(x)^T - R(x) s = 0 has one kernel too,
 `_invariance_blocks`, under the same rule: `is_invariant` tests its

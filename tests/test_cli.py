@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 import ybekit
 from ybekit import io_json
-from ybekit.algebras import make_algebra
+from ybekit.algebras import Algebra, Augmentation, Bimodule, make_algebra
 from ybekit.linalg import exact
 from ybekit import cli
 from ybekit.cli import build_parser, run
+from ybekit.dendriform import Dendriform
 from ybekit.errors import YbeError
+from ybekit.frobenius import FrobeniusStructure
+from ybekit.operators import LinearMap
+from ybekit.tensors import Tensor2
 
 from helpers import alg, perfbench_workloads
 
@@ -400,6 +404,90 @@ def test_the_reader_reads_every_valid_list(tmp_path):
         ns = cli._read_argv(argv)
         assert ns is not None, argv
         assert vars(ns) == _argparse_outcome(_PARSER, argv)
+
+
+@pytest.fixture
+def received(monkeypatch):
+    """(command, the file options of its namespace) for each call of a handler
+    of `_COMMANDS`, in order."""
+    out = []
+    for key, (handler, options) in list(cli._COMMANDS.items()):
+        def spy(ns, handler=handler, key=key, options=options):
+            out.append((key, {flag: getattr(ns, flag[2:]) for flag, _ in options
+                              if flag in cli._FILES}))
+            return handler(ns)
+        monkeypatch.setitem(cli._COMMANDS, key, (spy, options))
+    return out
+
+
+def test_no_file_option_reaches_a_handler_as_a_path(tmp_path, received, capsys):
+    assert set(cli._FILES) <= set(_FLAGS)
+    for argv in _valid_lists(tmp_path):
+        run(argv)
+    capsys.readouterr()
+    assert {key for key, _ in received} >= {("ybe", "check"), ("op", "suite"),
+                                           ("ybe", "invariant-basis"), ("ybe", "enumerate")}
+    for key, files in received:
+        assert not [flag for flag, value in files.items() if isinstance(value, str)], key
+
+
+# A file for each file option, and the value its handler receives.
+_HOLDS = {
+    "--algebra": ("A2", Algebra), "--r": ({"dim": 2, "coeff": [[0, 1], [1, 0]]}, Tensor2),
+    "--s": ({"dim": 2, "coeff": [[1, 0], [0, 1]]}, Tensor2),
+    "--p": ({"matrix": [[1, 0], [0, 0]]}, LinearMap),
+    "--alpha": ({"matrix": [[0, 0], [0, 0]]}, LinearMap),
+    "--beta": ({"matrix": [[0, 0], [0, 1]]}, LinearMap),
+    "--module": ({"left": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                  "right": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}, Bimodule),
+    "--eps": ({"eps": ["1", "0"]}, Augmentation),
+    "--gram": ({"gram": [[1, 0], [0, 1]]}, FrobeniusStructure),
+    "--dendriform": ({"dim": 2, "prec": [[["0", "0"]] * 2] * 2,
+                      "succ": [[["0", "0"]] * 2] * 2}, Dendriform),
+}
+
+
+def test_every_file_option_reaches_its_handler_as_what_it_holds(tmp_path, monkeypatch,
+                                                                 received, capsys):
+    assert set(_HOLDS) == set(cli._FILES)
+    for flag, (obj, _) in _HOLDS.items():
+        _write(tmp_path, flag[2:] + ".json",
+               io_json.encode_algebra(alg(obj)) if isinstance(obj, str) else obj)
+    monkeypatch.chdir(tmp_path)
+    for key, (_, options) in cli._COMMANDS.items():
+        argv = list(key)
+        for flag, kw in options:
+            if flag in cli._FILES:
+                argv += [flag, flag[2:] + ".json"]
+            elif kw.get("required"):
+                argv += [flag, "A2" if flag == "--name" else "1"]
+        run(argv)
+    capsys.readouterr()
+    assert [key for key, _ in received] == list(cli._COMMANDS)
+    for key, files in received:
+        for flag, value in files.items():
+            assert type(value) is _HOLDS[flag][1], (key, flag)
+        # the options that read over the algebra read the one decoded before them
+        for flag in ("--module", "--eps", "--gram"):
+            if flag in files:
+                assert files[flag].algebra is files["--algebra"], (key, flag)
+
+
+def test_dendriform_build_reads_beta_before_the_dendriform_is_checked(tmp_path, monkeypatch,
+                                                                     capsys):
+    # Every file option is decoded before the handler runs, so the file error
+    # of --beta comes ahead of the axiom witness of a non-dendriform.
+    _write(tmp_path, "d.json", {"dim": 1, "prec": [[["1"]]], "succ": [[["1"]]]})
+    monkeypatch.chdir(tmp_path)
+    argv = "dendriform build --dendriform d.json --beta b.json --lambda 1 --mu 0".split()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: 'b.json'\n")
+    _write(tmp_path, "b.json", {"matrix": "x"})
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: matrix: expected list, got str\n")
+    _write(tmp_path, "b.json", {"matrix": [["1"]]})
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", 'error: {"axiom":1,"triple":[0,0,0]}\n')
 
 
 def test_a_valid_command_builds_no_parser(tmp_path, monkeypatch, capsys):

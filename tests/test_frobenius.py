@@ -9,6 +9,7 @@ from ybekit import (
     NotInvariantForm,
     NotSymmetricForm,
     PreconditionViolated,
+    Tensor2,
     YbeInstance,
     augmentation_form,
     frobenius_from_form,
@@ -27,8 +28,10 @@ from ybekit import (
     trace_form,
 )
 from ybekit.frobenius import form_is_invariant
+from ybekit.linalg import mat_mul, transpose
+from ybekit.operators import _induced_pair
 
-from helpers import M2_SKEW, a2_solution, alg, entry, inst, random_tensor, rng
+from helpers import M2_SKEW, a2_solution, alg, entry, inst, random_tensor, rng, typed_tree
 
 
 def test_a2_forms_give_diagonal_tensors():
@@ -98,6 +101,23 @@ def test_induced_operators_degenerate_cases():
     assert p.is_zero() and pt.is_zero()
     p, pt = induced_operators(e.forms["trace"], e.forms["trace"].phi)
     assert p.matrix == identity(4) and pt.matrix == identity(4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_induced_pair_is_the_dense_pair_of_products(seed):
+    # on a non-symmetric m, so that r^t m and r m are told from r^t m^t and r m^t
+    g = rng(2950 + seed)
+    n = 2 + seed % 3
+
+    def matrix(dens):
+        return tuple(tuple(Fraction(g.choice((-3, -1, 0, 0, 1, 2)), g.choice(dens))
+                           for _ in range(n)) for _ in range(n))
+    r = Tensor2(n, matrix((1, 1, 2) if seed % 2 else (1,)))
+    m = matrix((1, 2, 3))
+    if m == transpose(m):
+        m = (tuple(x + (j == 1) for j, x in enumerate(m[0])), *m[1:])
+    want = LinearMap(mat_mul(transpose(r.coeff), m)), LinearMap(mat_mul(r.coeff, m))
+    assert typed_tree(_induced_pair(r, m)) == typed_tree(want)
 
 
 def test_frobenius_suite_example():
